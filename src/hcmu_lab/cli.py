@@ -1,7 +1,7 @@
 """Deterministic command-line front end.
 
 Subcommands: obstruction | profile | check-gc | optimize | realize | verify.
-Exit codes: 0 success, 1 usage/config error, 2 inadmissible parameters,
+Exit codes: 0 success, 1 usage/config/file error, 2 inadmissible params,
 3 numerical failure.  Identical (argv, config, seed) produce byte-identical
 output files; parameters that feed the exact kernel are parsed as exact
 rationals (decimal literals are scaled integers, never binary floats).
@@ -34,7 +34,7 @@ from .textio import write_kv_lines
 _CONFIG_KEYS = {
     "k1", "k2", "c", "k0", "k2_init", "grid", "origin", "seed", "tol",
     "max_iter", "step", "x_min", "x_max", "h", "constraint", "threads",
-    "out", "h11", "h12", "h22",
+    "out", "h11", "h12", "h22", "mesh",
 }
 
 
@@ -363,7 +363,7 @@ def main(argv: list[str] | None = None) -> int:
     except HcmuError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except ValueError as e:
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -33,13 +33,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import PathLeavesDomain
-from .profile import CurvatureProfile, HcmuParams, curvature_at
-from .textio import FormatError, fmt17
+from .profile import CurvatureProfile, HcmuParams, curvature_at, rk4_step
+from .textio import FormatError, fmt17, grid_header, parse_grid_header
 
 
 @dataclass(frozen=True, eq=False)
 class GridDomain:
-    """Uniform (x, y) grid carrying the x-dependent metric background."""
+    """Uniform (x, y) grid carrying the x-dependent metric background.
+
+    K_half holds K on the half-step lattice x0 + k hx/2, so RK4 along x
+    finds its midpoint curvature there; the columns are its even entries.
+    """
 
     params: HcmuParams
     k0: float
@@ -50,7 +54,7 @@ class GridDomain:
     x0: float
     y0: float
     xs: np.ndarray = field(repr=False)
-    K: np.ndarray = field(repr=False)
+    K_half: np.ndarray = field(repr=False)
     mu: np.ndarray = field(repr=False)
     dmu: np.ndarray = field(repr=False)  # d mu / dK per column
 
@@ -63,9 +67,11 @@ class GridDomain:
             raise ValueError("grid spacings must be positive")
         x0, y0 = float(origin[0]), float(origin[1])
         xs = x0 + hx * np.arange(nx)
-        K = np.array([curvature_at(params, k0, x) for x in xs])
+        K_half = curvature_at(params, k0,
+                              x0 + 0.5 * hx * np.arange(2 * nx - 1))
+        K = K_half[::2]
         return cls(params, float(k0), nx, ny, float(hx), float(hy), x0, y0,
-                   xs, K, params.mu(K), params.dmu_dK(K))
+                   xs, K_half, params.mu(K), params.dmu_dK(K))
 
     @classmethod
     def from_profile(cls, profile: CurvatureProfile, nx: int, ny: int,
@@ -78,6 +84,10 @@ class GridDomain:
                 f"[{profile.x_min}, {profile.x_max}]"
             )
         return cls.create(profile.params, profile.k0, nx, ny, hx, hy, origin)
+
+    @property
+    def K(self) -> np.ndarray:
+        return self.K_half[::2]
 
     @property
     def ys(self) -> np.ndarray:
@@ -226,29 +236,37 @@ class MinimalAnsatz:
         return ShapeField(self.grid, h11, h12, -h11, TraceConstraint("minimal"))
 
 
-def _transport_x(params: HcmuParams, c: float, h: complex, x_from: float,
-                 x_to: float, n_sub: int, k0: float) -> complex:
-    """RK4 for h' = alpha(x) h along an x segment."""
-    hstep = (x_to - x_from) / n_sub
-    x = x_from
-    for _ in range(n_sub):
-        K1v = curvature_at(params, k0, x)
-        K2v = curvature_at(params, k0, x + 0.5 * hstep)
-        K3v = curvature_at(params, k0, x + hstep)
-        a1, _ = _ansatz_rates(params, c, K1v)
-        a2, _ = _ansatz_rates(params, c, K2v)
-        a4, _ = _ansatz_rates(params, c, K3v)
-        s1 = a1 * h
-        s2 = a2 * (h + 0.5 * hstep * s1)
-        s3 = a2 * (h + 0.5 * hstep * s2)
-        s4 = a4 * (h + hstep * s3)
-        h = h + (hstep / 6.0) * (s1 + 2.0 * s2 + 2.0 * s3 + s4)
-        x += hstep
-    return h
+def lattice_legs(grid: GridDomain, nodes):
+    """Yield the straight legs (i0, j0, i1, j1) of a polyline of grid nodes.
+
+    Each leg is checked before it is yielded: both ends must be grid nodes
+    and the leg must run along a lattice line.
+    """
+    nodes = list(nodes)
+    for (i0, j0), (i1, j1) in zip(nodes, nodes[1:]):
+        for i, j in ((i0, j0), (i1, j1)):
+            if not (0 <= i < grid.nx and 0 <= j < grid.ny):
+                raise PathLeavesDomain(f"node ({i}, {j}) outside the grid")
+        if i0 != i1 and j0 != j1:
+            raise PathLeavesDomain("path segments must follow lattice lines")
+        yield i0, j0, i1, j1
 
 
-def integrate_minimal_ansatz(grid: GridDomain, c: float, h0: complex,
-                             n_sub: int = 1) -> MinimalAnsatz:
+def march_x(f_half, y, i0: int, i1: int, hx: float):
+    """RK4 along x from column i0 to column i1, one cell a step.
+
+    f_half(k, y) is the right-hand side at half-step lattice index k, where
+    column i is k = 2 i.
+    """
+    step = 1 if i1 > i0 else -1
+    for i in range(i0, i1, step):
+        y = rk4_step(lambda stage, v: f_half(2 * i + step * stage, v), y,
+                     step * hx)
+    return y
+
+
+def integrate_minimal_ansatz(grid: GridDomain, c: float,
+                             h0: complex) -> MinimalAnsatz:
     """Sweep the transport system over the grid: x spine, then y columns.
 
     Along a column the rate i beta(x) is constant, so the y transport is the
@@ -258,11 +276,12 @@ def integrate_minimal_ansatz(grid: GridDomain, c: float, h0: complex,
     if h0 == 0:
         raise ValueError("h0 must be nonzero")
     params = grid.params
+    alpha_half, _ = _ansatz_rates(params, c, grid.K_half)
+    rate = lambda k, v: alpha_half[k] * v
     spine = np.empty(grid.nx, dtype=complex)
     spine[0] = h0
     for i in range(grid.nx - 1):
-        spine[i + 1] = _transport_x(params, c, spine[i], grid.xs[i],
-                                    grid.xs[i + 1], n_sub, grid.k0)
+        spine[i + 1] = march_x(rate, spine[i], i, i + 1, grid.hx)
     _, beta = _ansatz_rates(params, c, grid.K)
     dy = grid.hy * np.arange(grid.ny)
     h = spine[:, None] * np.exp(1j * beta[:, None] * dy[None, :])
@@ -276,28 +295,16 @@ def integrate_minimal_ansatz(grid: GridDomain, c: float, h0: complex,
 
 
 def transport_ansatz(grid: GridDomain, c: float, h0: complex,
-                     nodes, n_sub: int = 1) -> complex:
+                     nodes) -> complex:
     """Transport h0 along a lattice polyline of (i, j) grid nodes."""
     _require_supercritical(grid.params, c)
-    params = grid.params
+    alpha_half, beta_half = _ansatz_rates(grid.params, c, grid.K_half)
     h = complex(h0)
-    nodes = list(nodes)
-    if not nodes:
-        return h
-    for (i0, j0), (i1, j1) in zip(nodes, nodes[1:]):
-        for i, j in ((i0, j0), (i1, j1)):
-            if not (0 <= i < grid.nx and 0 <= j < grid.ny):
-                raise PathLeavesDomain(f"node ({i}, {j}) outside the grid")
-        if i0 != i1 and j0 != j1:
-            raise PathLeavesDomain("path segments must follow lattice lines")
+    for i0, j0, i1, j1 in lattice_legs(grid, nodes):
         if j0 == j1:
-            step = 1 if i1 > i0 else -1
-            for i in range(i0, i1, step):
-                h = _transport_x(params, c, h, grid.xs[i], grid.xs[i + step],
-                                 n_sub, grid.k0)
+            h = march_x(lambda k, v: alpha_half[k] * v, h, i0, i1, grid.hx)
         else:
-            _, beta = _ansatz_rates(params, c, grid.K[i0])
-            h = h * np.exp(1j * beta * (j1 - j0) * grid.hy)
+            h = h * np.exp(1j * beta_half[2 * i0] * (j1 - j0) * grid.hy)
     return h
 
 
@@ -311,8 +318,7 @@ class HolonomyDefect:
 
 
 def holonomy_defect(grid: GridDomain, c: float, h0: complex,
-                    loop: tuple[int, int, int, int],
-                    n_sub: int = 1) -> HolonomyDefect:
+                    loop: tuple[int, int, int, int]) -> HolonomyDefect:
     """Circulation of the transport around a ccw rectangle, per unit area.
 
     loop = (i0, j0, i1, j1) in node indices, i1 > i0, j1 > j0.  The exact
@@ -325,14 +331,13 @@ def holonomy_defect(grid: GridDomain, c: float, h0: complex,
     if (i1 - i0) * (j1 - j0) < 4:
         raise ValueError("loop must enclose at least 4 grid cells")
     corners = [(i0, j0), (i1, j0), (i1, j1), (i0, j1), (i0, j0)]
-    h_end = transport_ansatz(grid, c, h0, corners, n_sub=n_sub)
+    h_end = transport_ansatz(grid, c, h0, corners)
     area = (i1 - i0) * grid.hx * (j1 - j0) * grid.hy
     measured = (h_end - h0) / area
 
     ic = (i0 + i1) // 2
     jc = (j0 + j1) // 2
-    h_center = transport_ansatz(grid, c, h0, [(i0, j0), (ic, j0), (ic, jc)],
-                                n_sub=n_sub)
+    h_center = transport_ansatz(grid, c, h0, [(i0, j0), (ic, j0), (ic, jc)])
     Kc = grid.K[ic]
     phi_val = grid.params.obstruction(Kc, c)
     mu_sq = grid.params.mu_sq(Kc)
@@ -347,9 +352,8 @@ def holonomy_defect(grid: GridDomain, c: float, h0: complex,
 def write_field_csv(arr: np.ndarray, grid: GridDomain, path):
     """One component, row-major (row = x index), with grid metadata up top."""
     with open(path, "w") as fh:
-        fh.write(f"# nx,ny,hx,hy = {grid.nx},{grid.ny},{fmt17(grid.hx)},"
-                 f"{fmt17(grid.hy)}\n")
-        fh.write(f"# origin = {fmt17(grid.x0)},{fmt17(grid.y0)}\n")
+        fh.write(grid_header(grid.nx, grid.ny, grid.hx, grid.hy, grid.x0,
+                             grid.y0))
         for row in arr:
             fh.write(",".join(fmt17(v) for v in row) + "\n")
 
@@ -368,17 +372,12 @@ def read_field_csv(path) -> tuple[np.ndarray, dict]:
                     raise FormatError(f"bad metadata comment {line!r}", ln)
                 key, value = (t.strip() for t in body.split("=", 1))
                 try:
-                    if key == "nx,ny,hx,hy":
-                        nx, ny, hx, hy = value.split(",")
-                        meta.update(nx=int(nx), ny=int(ny), hx=float(hx),
-                                    hy=float(hy))
-                    elif key == "origin":
-                        x0, y0 = value.split(",")
-                        meta.update(x0=float(x0), y0=float(y0))
-                    else:
-                        raise FormatError(f"unknown metadata key {key!r}", ln)
+                    entry = parse_grid_header(key, value)
                 except ValueError:
                     raise FormatError(f"bad metadata value {value!r}", ln) from None
+                if entry is None:
+                    raise FormatError(f"unknown metadata key {key!r}", ln)
+                meta.update(entry)
                 continue
             try:
                 rows.append([float(t) for t in line.split(",")])

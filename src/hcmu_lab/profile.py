@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import FormatError, InadmissibleParams, StepTooLarge
 from .textio import fmt17
@@ -73,14 +72,13 @@ class HcmuParams:
         return -16.0 * K * t * t + self.mu_sq_prime(K) * t - self.mu_sq(K)
 
 
-def validate_params(k1: float, k2: float, c: float = 0.0,
-                    cusp_tol: float = 0.0) -> HcmuParams:
+def validate_params(k1: float, k2: float, c: float = 0.0) -> HcmuParams:
     """Classify (k1, k2) as conical or cusp, or reject with the violated rule."""
     k1 = float(k1)
     k2 = float(k2)
     if not k1 > 0:
         raise InadmissibleParams(f"K1 = {k1} violates K1 > 0", "K1 > 0")
-    if abs(k2 + 0.5 * k1) <= cusp_tol * max(1.0, abs(k1)) or k2 == -0.5 * k1:
+    if k2 == -0.5 * k1:
         return HcmuParams(k1, -0.5 * k1, "cusp", float(c))
     if not k1 > k2:
         raise InadmissibleParams(f"(K1, K2) = ({k1}, {k2}) violates K1 > K2", "K1 > K2")
@@ -116,11 +114,16 @@ class CurvatureProfile:
         return curvature_at(self.params, self.k0, x)
 
 
-def _rk4(f, y: float, h: float) -> float:
-    s1 = f(y)
-    s2 = f(y + 0.5 * h * s1)
-    s3 = f(y + 0.5 * h * s2)
-    s4 = f(y + h * s3)
+def rk4_step(f, y, h):
+    """One classical RK4 step of y' = f(stage, y) over a signed step h.
+
+    stage is 0, 1 or 2 at the start, middle and end of the step.  y may be a
+    float, a complex or an array (a batch of states advances in lockstep).
+    """
+    s1 = f(0, y)
+    s2 = f(1, y + 0.5 * h * s1)
+    s3 = f(1, y + 0.5 * h * s2)
+    s4 = f(2, y + h * s3)
     return y + (h / 6.0) * (s1 + 2.0 * s2 + 2.0 * s3 + s4)
 
 
@@ -139,16 +142,16 @@ def solve_curvature_ode(params: HcmuParams, k0: float, x_range=(-10.0, 10.0),
     if x_min > 0 or x_max < 0:
         raise ValueError("x_range must contain 0, the anchor of K(0) = K0")
 
-    f = lambda K: 0.5 * params.mu_sq(K)
+    f = lambda stage, K: 0.5 * params.mu_sq(K)
     n_pos = int(round(x_max / step))
     n_neg = int(round(-x_min / step))
 
     fwd = [k0]
     for _ in range(n_pos):
-        fwd.append(_rk4(f, fwd[-1], step))
+        fwd.append(rk4_step(f, fwd[-1], step))
     bwd = [k0]
     for _ in range(n_neg):
-        bwd.append(_rk4(f, bwd[-1], -step))
+        bwd.append(rk4_step(f, bwd[-1], -step))
 
     Ks = np.array(bwd[::-1] + fwd[1:])
     xs = step * np.arange(-n_neg, n_pos + 1)
@@ -206,18 +209,51 @@ def implicit_x_of_K(params: HcmuParams, k0: float, K):
     return out
 
 
-def curvature_at(params: HcmuParams, k0: float, x: float) -> float:
-    """Invert the closed form: the K with x(K) = x, to machine precision."""
-    k_lo = np.nextafter(params.k2, params.k1)
-    k_hi = np.nextafter(params.k1, params.k2)
-    g = lambda K: implicit_x_of_K(params, k0, K) - x
-    g_lo, g_hi = g(k_lo), g(k_hi)
-    # Saturated beyond double resolution: clamp to the nearest representable K.
-    if g_lo >= 0:
-        return k_lo
-    if g_hi <= 0:
-        return k_hi
-    return brentq(g, k_lo, k_hi, xtol=5e-16, rtol=8.9e-16, maxiter=200)
+# Order-preserving map of doubles onto int64: adjacent doubles get adjacent
+# keys, so bisecting keys halves the number of doubles left in a bracket.
+_MAGNITUDE = np.int64(2**63 - 1)
+_SIGN = np.int64(-2**63)
+
+
+def _double_key(v):
+    b = np.asarray(v, dtype=float).view(np.int64)
+    return np.where(b < 0, -(b & _MAGNITUDE), b)
+
+
+def _key_double(k):
+    return np.where(k < 0, -k | _SIGN, k).view(float)
+
+
+def curvature_at(params: HcmuParams, k0: float, x):
+    """Invert the closed form: the K in (k2, k1) with x(K) = x.
+
+    x is a scalar or an array, and the result is of the same kind.  Every
+    point is bisected at once on the doubles of (k2, k1) down to the two
+    adjacent doubles that bracket it (at most 64 halvings), and the one whose
+    x(K) lies closer to x is returned.  Beyond double resolution the result
+    saturates at the nearest representable K inside the interval.
+    """
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    k_ends = np.array([np.nextafter(params.k2, params.k1),
+                       np.nextafter(params.k1, params.k2)])
+    x_lo, x_hi = implicit_x_of_K(params, k0, k_ends)
+    K = np.where(xs <= x_lo, k_ends[0], k_ends[1])
+    inside = (xs > x_lo) & (xs < x_hi)
+    t = xs[inside]
+    lo, hi = (np.full(t.shape, key) for key in _double_key(k_ends))
+    g_lo, g_hi = np.full(t.shape, x_lo), np.full(t.shape, x_hi)
+    while True:
+        mid = (lo >> 1) + (hi >> 1) + (lo & hi & 1)  # floor mean, no overflow
+        if not np.any(mid > lo):
+            break
+        g_mid = implicit_x_of_K(params, k0, _key_double(mid))
+        below = g_mid < t
+        lo, g_lo = np.where(below, mid, lo), np.where(below, g_mid, g_lo)
+        hi, g_hi = np.where(below, hi, mid), np.where(below, g_hi, g_mid)
+    K[inside] = _key_double(np.where(g_hi - t <= t - g_lo, hi, lo))
+    if np.ndim(x) == 0:
+        return float(K[0])
+    return K
 
 
 @dataclass(frozen=True)

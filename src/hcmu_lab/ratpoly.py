@@ -7,12 +7,13 @@ and denominator coprime, denominator monic) so equality is decidable by
 comparing components.
 
 Root counting and isolation use Sturm sequences, evaluated exactly at
-rational points.  Isolation bisects until a Sturm count shows that an
-interval holds exactly one distinct real root, then narrows that interval
-by further exact bisection, on sign tests alone, until it is no wider than
-the fixed target width ``ISOLATION_WIDTH``.  The square-free polynomial the
-count certified changes sign across every returned non-degenerate interval,
-and never vanishes at its endpoints.
+rational points.  Isolation builds one Sturm chain and bisects until its
+count shows that an interval holds exactly one distinct real root (a new
+chain is built only after an exact rational root is divided out), then
+narrows that interval by further exact bisection, on sign tests alone,
+until it is no wider than the fixed target width ``ISOLATION_WIDTH``.  The
+square-free polynomial the count certified changes sign across every
+returned non-degenerate interval, and never vanishes at its endpoints.
 """
 
 from __future__ import annotations
@@ -21,8 +22,6 @@ from fractions import Fraction
 from typing import Iterable
 
 from .errors import FormatError
-
-Rat = Fraction
 
 # Target width of an isolating interval.  A box midpoint is then
 # within 2^-33 (about 1.2e-10) of its root, close enough to stand in for
@@ -304,6 +303,8 @@ def isolate_roots(p: RationalPoly, a, b) -> list[tuple[Fraction, Fraction]]:
     are sorted left to right.
     """
     a, b = as_fraction(a), as_fraction(b)
+    if not a < b:
+        raise ValueError("need a < b")
     if p.is_zero():
         raise ValueError("cannot isolate roots of the zero polynomial")
     work = _strip_endpoint_roots(squarefree_part(p), a, b)
@@ -324,8 +325,9 @@ def isolate_roots(p: RationalPoly, a, b) -> list[tuple[Fraction, Fraction]]:
                 hi = mid
         return lo, hi
 
-    def recurse(f: RationalPoly, lo: Fraction, hi: Fraction):
-        n = count_roots_between(f, lo, hi)
+    def recurse(f: RationalPoly, chain, lo: Fraction, hi: Fraction):
+        # f is square-free, chain is its Sturm chain, f(lo) f(hi) != 0
+        n = sign_variations(chain, lo) - sign_variations(chain, hi)
         if n == 0:
             return
         if n == 1:
@@ -335,11 +337,12 @@ def isolate_roots(p: RationalPoly, a, b) -> list[tuple[Fraction, Fraction]]:
         if f(mid) == 0:
             found.append((mid, mid))
             f = f // RationalPoly((-mid, 1))
-        recurse(f, lo, mid)
-        recurse(f, mid, hi)
+            chain = sturm_sequence(f)
+        recurse(f, chain, lo, mid)
+        recurse(f, chain, mid, hi)
 
     if work.degree > 0:
-        recurse(work, a, b)
+        recurse(work, sturm_sequence(work), a, b)
     found.sort(key=lambda iv: iv[0])
     return found
 

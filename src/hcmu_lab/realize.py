@@ -14,12 +14,15 @@ adapted frame (e1, e2, xi) in the flat model is integrated by RK4:
     along y:  X' = mu e2,  e1' = s e2,
               e2' = -s e1 + mu k2 xi - c mu X,      xi' = -mu k2 e2
 
-with s = mu' mu / 2 the tangential rotation rate of the frame.  The ambient
-model is R^3 for c = 0, the quadric <X, X> = 1/c in R^4 for c > 0, and the
-same quadric in Minkowski space (signature -+++) for c < 0; the system
-preserves the quadric and frame orthonormality exactly, so drift measures
-integration error and Gauss-Codazzi failure.  Re-orthonormalization is
-deliberately never applied.
+with s = mu' mu / 2 the tangential rotation rate of the frame.  With the
+rows S = (X, e1, e2, xi), both systems are linear, S' = A S, with a 4x4
+matrix A that depends on x alone; so all grid columns advance along y in
+lockstep, one batched RK4 step per grid row.  The ambient model is R^3
+for c = 0, the quadric <X, X> = 1/c in R^4 for c > 0, and the same quadric
+in Minkowski space (signature -+++) for c < 0; the system preserves the
+quadric and frame orthonormality exactly, so drift measures integration
+error and Gauss-Codazzi failure.  Re-orthonormalization is deliberately
+never applied.
 """
 
 from __future__ import annotations
@@ -30,9 +33,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FormatError, FrameDrift, PathLeavesDomain
-from .fields import GridDomain, ShapeField
-from .profile import CurvatureProfile, HcmuParams, curvature_at
-from .textio import fmt17
+from .fields import GridDomain, ShapeField, lattice_legs, march_x
+from .profile import CurvatureProfile, HcmuParams, curvature_at, rk4_step
+from .textio import fmt17, grid_header, parse_grid_header
 
 
 # -- the diagonal Codazzi family ------------------------------------------------
@@ -60,30 +63,16 @@ class DiagonalFamily:
         return float(self.xs[-1])
 
 
-def _family_rhs(params: HcmuParams, c: float, K: float, k2: float):
-    dK = 0.5 * params.mu_sq(K)
-    mumup = 0.5 * params.mu_sq_prime(K)  # mu mu'
-    k1 = (K - c) / k2
-    dk2 = 0.5 * mumup * (k1 - k2)
-    return dK, dk2
+def _family_rhs(params: HcmuParams, c: float):
+    """Right-hand side of the coupled (K, k2) system, for rk4_step."""
 
+    def f(stage, state):
+        K, k2 = state
+        mumup = 0.5 * params.mu_sq_prime(K)  # mu mu'
+        k1 = (K - c) / k2
+        return np.array([0.5 * params.mu_sq(K), 0.5 * mumup * (k1 - k2)])
 
-def _march_pair(params: HcmuParams, c: float, K: float, k2: float,
-                h: float) -> tuple[float, float]:
-    """One RK4 step of the coupled (K, k2) system."""
-    f = lambda s: _family_rhs(params, c, s[0], s[1])
-    s0 = (K, k2)
-    a1 = f(s0)
-    s1 = (K + 0.5 * h * a1[0], k2 + 0.5 * h * a1[1])
-    a2 = f(s1)
-    s2 = (K + 0.5 * h * a2[0], k2 + 0.5 * h * a2[1])
-    a3 = f(s2)
-    s3 = (K + h * a3[0], k2 + h * a3[1])
-    a4 = f(s3)
-    return (
-        K + (h / 6.0) * (a1[0] + 2 * a2[0] + 2 * a3[0] + a4[0]),
-        k2 + (h / 6.0) * (a1[1] + 2 * a2[1] + 2 * a3[1] + a4[1]),
-    )
+    return f
 
 
 def solve_codazzi_family(profile: CurvatureProfile, c: float,
@@ -114,9 +103,10 @@ def solve_codazzi_family(profile: CurvatureProfile, c: float,
         return (not math.isfinite(k2_new) or k2_new * k2_init <= 0
                 or abs(k2_new - k2_old) > 0.25 * abs(k2_old))
 
+    f = _family_rhs(profile.params, c)
     K, k2 = profile.k0, float(k2_init)
     for i in range(anchor + 1, n):
-        K, k2_new = _march_pair(profile.params, c, K, k2, h)
+        K, k2_new = rk4_step(f, np.array([K, k2]), h)
         if dead(k2, k2_new):
             hi_ok = i - 1
             break
@@ -124,7 +114,7 @@ def solve_codazzi_family(profile: CurvatureProfile, c: float,
         Ks[i], k2s[i] = K, k2
     K, k2 = profile.k0, float(k2_init)
     for i in range(anchor - 1, -1, -1):
-        K, k2_new = _march_pair(profile.params, c, K, k2, -h)
+        K, k2_new = rk4_step(f, np.array([K, k2]), -h)
         if dead(k2, k2_new):
             lo_ok = i + 1
             break
@@ -169,28 +159,20 @@ def minimal_attempt_inconsistency(params: HcmuParams, c: float,
     subinterval of (K2, K1).
     """
     xs = np.asarray(xs, dtype=float)
-    Kl = curvature_at(params, k0, xs[0])
-    if c <= Kl:
+    x_half = np.empty(2 * xs.size - 1)
+    x_half[::2] = xs
+    x_half[1::2] = xs[:-1] + 0.5 * np.diff(xs)
+    K_half = curvature_at(params, k0, x_half)
+    Ks = K_half[::2]
+    if c <= Ks[0]:
         raise ValueError("need c > K on the range for a real minimal seed")
-    k2 = math.sqrt(c - Kl)
+    # dk2/dx = -mu mu' k2, with K(x) exact at the RK4 stage points
+    rate = -0.5 * params.mu_sq_prime(K_half)
     k2s = np.empty(xs.size)
-    k2s[0] = k2
+    k2s[0] = math.sqrt(c - Ks[0])
     for i in range(xs.size - 1):
-        h = xs[i + 1] - xs[i]
-        # RK4 for dk2/dx = -mu mu' k2 with K(x) exact at the stage points
-        Ka = curvature_at(params, k0, xs[i])
-        Kb = curvature_at(params, k0, xs[i] + 0.5 * h)
-        Kc = curvature_at(params, k0, xs[i + 1])
-        ra = -0.5 * params.mu_sq_prime(Ka)
-        rb = -0.5 * params.mu_sq_prime(Kb)
-        rc = -0.5 * params.mu_sq_prime(Kc)
-        s1 = ra * k2
-        s2 = rb * (k2 + 0.5 * h * s1)
-        s3 = rb * (k2 + 0.5 * h * s2)
-        s4 = rc * (k2 + h * s3)
-        k2 = k2 + (h / 6.0) * (s1 + 2 * s2 + 2 * s3 + s4)
-        k2s[i + 1] = k2
-    Ks = np.array([curvature_at(params, k0, x) for x in xs])
+        k2s[i + 1] = rk4_step(lambda stage, k2: rate[2 * i + stage] * k2,
+                              k2s[i], xs[i + 1] - xs[i])
     mumup = 0.5 * params.mu_sq_prime(Ks)
     dk2 = -mumup * k2s
     defect = np.abs(2.0 * k2s * dk2 + 0.5 * params.mu_sq(Ks)
@@ -274,57 +256,31 @@ def _initial_frame(c: float) -> FrameState:
                       np.array([0, 0, 1.0, 0]), np.array([0, 0, 0, 1.0]))
 
 
-def _dstate_x(S: np.ndarray, mu: float, k1: float, c: float) -> np.ndarray:
-    X, e1, e2, xi = S
-    out = np.empty_like(S)
-    out[0] = mu * e1
-    out[1] = mu * k1 * xi - c * mu * X
-    out[2] = 0.0
-    out[3] = -mu * k1 * e1
-    return out
+def _frame_matrices(tables: FrameTables, c: float):
+    """Coefficient matrices of S' = A S along x and along y, per table entry."""
+    mu, s, k1, k2 = tables.mu, tables.s, tables.k1, tables.k2
+    z = np.zeros_like(mu)
+    Ax = np.array([[z, mu, z, z],
+                   [-c * mu, z, z, mu * k1],
+                   [z, z, z, z],
+                   [z, -mu * k1, z, z]])
+    Ay = np.array([[z, z, mu, z],
+                   [z, z, s, z],
+                   [-c * mu, -s, z, mu * k2],
+                   [z, z, -mu * k2, z]])
+    return np.moveaxis(Ax, -1, 0), np.moveaxis(Ay, -1, 0)
 
 
-def _dstate_y(S: np.ndarray, mu: float, s: float, k2: float,
-              c: float) -> np.ndarray:
-    X, e1, e2, xi = S
-    out = np.empty_like(S)
-    out[0] = mu * e2
-    out[1] = s * e2
-    out[2] = -s * e1 + mu * k2 * xi - c * mu * X
-    out[3] = -mu * k2 * e2
-    return out
-
-
-def _rk4_x(S, h, c, tab: FrameTables, k: int, direction: int = 1) -> np.ndarray:
-    """Step one full hx from half-grid index k (signed h, matching stages)."""
-    k0, k1i, k2i = k, k + direction, k + 2 * direction
-    m0, m1, m2 = tab.mu[k0], tab.mu[k1i], tab.mu[k2i]
-    a0, a1, a2 = tab.k1[k0], tab.k1[k1i], tab.k1[k2i]
-    s1 = _dstate_x(S, m0, a0, c)
-    s2 = _dstate_x(S + 0.5 * h * s1, m1, a1, c)
-    s3 = _dstate_x(S + 0.5 * h * s2, m1, a1, c)
-    s4 = _dstate_x(S + h * s3, m2, a2, c)
-    return S + (h / 6.0) * (s1 + 2 * s2 + 2 * s3 + s4)
-
-
-def _rk4_y(S, h, c, mu, s, k2) -> np.ndarray:
-    s1 = _dstate_y(S, mu, s, k2, c)
-    s2 = _dstate_y(S + 0.5 * h * s1, mu, s, k2, c)
-    s3 = _dstate_y(S + 0.5 * h * s2, mu, s, k2, c)
-    s4 = _dstate_y(S + h * s3, mu, s, k2, c)
-    return S + (h / 6.0) * (s1 + 2 * s2 + 2 * s3 + s4)
-
-
-def _frame_defect(S: np.ndarray, c: float, sig: np.ndarray) -> float:
-    frame = S[1:]
-    gram = np.array([[ambient_inner(a, b, sig) for b in frame] for a in frame])
-    worst = float(np.max(np.abs(gram - np.eye(3))))
-    if c != 0:
-        worst = max(worst, abs(ambient_inner(S[0], S[0], sig) - 1.0 / c))
-        worst = max(worst, float(np.max(np.abs(
-            [ambient_inner(S[0], v, sig) for v in frame]
-        ))))
-    return worst
+def _frame_defect(S: np.ndarray, c: float, sig: np.ndarray) -> np.ndarray:
+    """Worst departure from an orthonormal frame (and, for c != 0, from the
+    quadric <X, X> = 1/c with X normal to the frame), per state of a stack
+    S of shape (..., 4, dim)."""
+    gram = (S * sig) @ np.swapaxes(S, -1, -2)
+    target = np.diag([1.0 / c if c != 0 else 0.0, 1.0, 1.0, 1.0])
+    dev = np.abs(gram - target)
+    if c == 0:
+        dev = dev[..., 1:, 1:]
+    return dev.max(axis=(-2, -1))
 
 
 def family_tables(family: DiagonalFamily, x0: float, hx: float,
@@ -340,23 +296,20 @@ def family_tables(family: DiagonalFamily, x0: float, hx: float,
     if xs_half[0] < family.x_min - 1e-12 or xs_half[-1] > family.x_max + 1e-12:
         raise ValueError("grid leaves the family range")
     anchor_k0 = float(family.Ks[int(np.argmin(np.abs(family.xs)))])
-    K_half = np.array([curvature_at(params, anchor_k0, x) for x in xs_half])
+    K_half = curvature_at(params, anchor_k0, xs_half)
 
     # march k2 from the anchor to the left edge, then across the lattice
-    k2 = family.k2_init
-    K = anchor_k0
-    x = 0.0
+    f = _family_rhs(params, c)
+    state = np.array([anchor_k0, family.k2_init])
     target = xs_half[0]
-    n0 = max(1, int(math.ceil(abs(target - x) / (0.5 * hx))))
+    n0 = max(1, int(math.ceil(abs(target) / (0.5 * hx))))
     for _ in range(n0):
-        K, k2 = _march_pair(params, c, K, k2, (target - x) / n0)
+        state = rk4_step(f, state, target / n0)
     k2_half = np.empty(xs_half.size)
-    k2_half[0] = k2
-    K = K_half[0]
+    k2_half[0] = state[1]
     for k in range(xs_half.size - 1):
-        K, k2 = _march_pair(params, c, K, k2, 0.5 * hx)
-        k2_half[k + 1] = k2
-        K = K_half[k + 1]
+        state = rk4_step(f, np.array([K_half[k], k2_half[k]]), 0.5 * hx)
+        k2_half[k + 1] = state[1]
 
     mu = params.mu(K_half)
     s = 0.25 * params.mu_sq_prime(K_half)  # mu' mu / 2
@@ -379,36 +332,33 @@ def integrate_frame_tables(tables: FrameTables, nx: int, ny: int, hx: float,
                            frame_tol: float = 1e-6) -> Mesh:
     """Integrate the frame system over the grid from the given coefficients.
 
-    The spine runs along x at j = 0, columns run along y.  Orthonormality
-    and (for c != 0) the quadric constraint are monitored at every node and
-    drift beyond frame_tol raises FrameDrift; drift is a diagnostic, so it
-    is never silently corrected.
+    The spine runs along x at j = 0; then all columns advance along y in
+    lockstep, one batched RK4 step per row.  Orthonormality and (for c != 0)
+    the quadric constraint are checked at every node, and drift beyond
+    frame_tol raises FrameDrift for the first such node in (i, j) order;
+    drift is a diagnostic, so it is never silently corrected.
     """
-    dim = 3 if c == 0 else 4
-    sig = ambient_signature(c, dim)
-    init = _initial_frame(c)
-    verts = np.empty((nx * ny, dim))
-    norms = np.empty((nx * ny, dim))
-
-    spine = init.as_matrix()
-    for i in range(nx):
-        if i > 0:
-            spine = _rk4_x(spine, hx, c, tables, 2 * (i - 1))
-        S = spine.copy()
-        mu_i = tables.mu[2 * i]
-        s_i = tables.s[2 * i]
-        k2_i = tables.k2[2 * i]
-        for j in range(ny):
-            if j > 0:
-                S = _rk4_y(S, hy, c, mu_i, s_i, k2_i)
-            defect = _frame_defect(S, c, sig)
-            if defect > frame_tol:
-                raise FrameDrift(
-                    f"frame drift {defect:.3e} at node ({i}, {j}) exceeds "
-                    f"{frame_tol:g}; reduce the step"
-                )
-            verts[i * ny + j] = S[0]
-            norms[i * ny + j] = S[3]
+    sig = ambient_signature(c, 3 if c == 0 else 4)
+    Ax, Ay = _frame_matrices(tables, c)
+    Ay = Ay[0:2 * nx - 1:2]  # the columns' coefficients
+    rate = lambda k, T: Ax[k] @ T
+    spine = [_initial_frame(c).as_matrix()]
+    for i in range(1, nx):
+        spine.append(march_x(rate, spine[-1], i - 1, i, hx))
+    rows = [np.stack(spine)]
+    for _ in range(1, ny):
+        rows.append(rk4_step(lambda stage, T: Ay @ T, rows[-1], hy))
+    S = np.stack(rows, axis=1)  # (nx, ny, 4, dim), node (i, j) at [i, j]
+    drift = _frame_defect(S, c, sig)
+    bad = np.argwhere(drift > frame_tol)  # i-major, like the node order
+    if bad.size:
+        i, j = bad[0]
+        raise FrameDrift(
+            f"frame drift {drift[i, j]:.3e} at node ({i}, {j}) exceeds "
+            f"{frame_tol:g}; reduce the step"
+        )
+    verts = S[:, :, 0].reshape(nx * ny, -1)
+    norms = S[:, :, 3].reshape(nx * ny, -1)
     return Mesh(verts, _mesh_faces(nx, ny), norms, nx, ny, hx, hy, x0, y0, c)
 
 
@@ -459,28 +409,18 @@ def transport_frame(family: DiagonalFamily, grid: GridDomain,
                     nodes) -> FrameState:
     """Integrate the frame from the grid origin along a lattice polyline."""
     tables = family_tables(family, grid.x0, grid.hx, grid.nx)
-    c = family.c
-    S = _initial_frame(c).as_matrix()
+    Ax, Ay = _frame_matrices(tables, family.c)
+    S = _initial_frame(family.c).as_matrix()
     nodes = list(nodes)
     if nodes and nodes[0] != (0, 0):
         raise PathLeavesDomain("frame transport must start at the grid origin")
-    for (i0, j0), (i1, j1) in zip(nodes, nodes[1:]):
-        for i, j in ((i0, j0), (i1, j1)):
-            if not (0 <= i < grid.nx and 0 <= j < grid.ny):
-                raise PathLeavesDomain(f"node ({i}, {j}) outside the grid")
-        if i0 != i1 and j0 != j1:
-            raise PathLeavesDomain("path segments must follow lattice lines")
+    for i0, j0, i1, j1 in lattice_legs(grid, nodes):
         if j0 == j1:
-            step = 1 if i1 > i0 else -1
-            for i in range(i0, i1, step):
-                S = _rk4_x(S, step * grid.hx, c, tables, 2 * i, direction=step)
+            S = march_x(lambda k, T: Ax[k] @ T, S, i0, i1, grid.hx)
         else:
-            mu_i = tables.mu[2 * i0]
-            s_i = tables.s[2 * i0]
-            k2_i = tables.k2[2 * i0]
-            step = 1 if j1 > j0 else -1
+            hy = grid.hy if j1 > j0 else -grid.hy
             for _ in range(abs(j1 - j0)):
-                S = _rk4_y(S, step * grid.hy, c, mu_i, s_i, k2_i)
+                S = rk4_step(lambda stage, T: Ay[2 * i0] @ T, S, hy)
     return FrameState(S[0], S[1], S[2], S[3])
 
 
@@ -647,9 +587,8 @@ def export_mesh(mesh: Mesh, path):
     """Header comments, then v / vn / f records at 17 significant digits."""
     with open(path, "w") as fh:
         fh.write("# hcmu-mesh 1\n")
-        fh.write(f"# nx,ny,hx,hy = {mesh.nx},{mesh.ny},{fmt17(mesh.hx)},"
-                 f"{fmt17(mesh.hy)}\n")
-        fh.write(f"# origin = {fmt17(mesh.x0)},{fmt17(mesh.y0)}\n")
+        fh.write(grid_header(mesh.nx, mesh.ny, mesh.hx, mesh.hy, mesh.x0,
+                             mesh.y0))
         fh.write(f"# c = {fmt17(mesh.c)}\n")
         for row in mesh.vertices:
             fh.write("v " + " ".join(fmt17(v) for v in row) + "\n")
@@ -678,19 +617,13 @@ def parse_mesh(path) -> Mesh:
                     raise FormatError(f"bad header comment {line!r}", ln)
                 key, value = (t.strip() for t in body.split("=", 1))
                 try:
-                    if key == "nx,ny,hx,hy":
-                        nx, ny, hx, hy = value.split(",")
-                        meta.update(nx=int(nx), ny=int(ny), hx=float(hx),
-                                    hy=float(hy))
-                    elif key == "origin":
-                        x0, y0 = value.split(",")
-                        meta.update(x0=float(x0), y0=float(y0))
-                    elif key == "c":
-                        meta["c"] = float(value)
-                    else:
-                        raise FormatError(f"unknown header key {key!r}", ln)
+                    entry = ({"c": float(value)} if key == "c"
+                             else parse_grid_header(key, value))
                 except ValueError:
                     raise FormatError(f"bad header value {value!r}", ln) from None
+                if entry is None:
+                    raise FormatError(f"unknown header key {key!r}", ln)
+                meta.update(entry)
                 continue
             parts = line.split()
             try:

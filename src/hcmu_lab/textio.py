@@ -13,6 +13,27 @@ def fmt17(x: float) -> str:
     return "%.17g" % x
 
 
+def grid_header(nx: int, ny: int, hx: float, hy: float, x0: float,
+                y0: float) -> str:
+    """The ``# nx,ny,hx,hy = ...`` and ``# origin = ...`` comment lines."""
+    return (f"# nx,ny,hx,hy = {nx},{ny},{fmt17(hx)},{fmt17(hy)}\n"
+            f"# origin = {fmt17(x0)},{fmt17(y0)}\n")
+
+
+def parse_grid_header(key: str, value: str) -> dict | None:
+    """The entries of one grid header line, or None for another key.
+
+    Raises ValueError when the value does not parse.
+    """
+    if key == "nx,ny,hx,hy":
+        nx, ny, hx, hy = value.split(",")
+        return dict(nx=int(nx), ny=int(ny), hx=float(hx), hy=float(hy))
+    if key == "origin":
+        x0, y0 = value.split(",")
+        return dict(x0=float(x0), y0=float(y0))
+    return None
+
+
 def write_kv_lines(pairs, path):
     """Write an iterable of (key, value) as ``key=value`` lines."""
     with open(path, "w") as fh:

@@ -203,3 +203,31 @@ def test_threads_env_fallback(tmp_path, monkeypatch):
     monkeypatch.setenv("HCMU_LAB_THREADS", "2")
     assert run_cli("obstruction", "--k1", "2", "--k2", "1",
                    "--out", str(out)) == 0
+
+
+def test_file_errors_exit_1_with_one_error_line(tmp_path, capsys):
+    missing_dir = tmp_path / "no-such-dir" / "obs.txt"
+    assert run_cli("obstruction", "--k1", "2", "--k2", "1",
+                   "--out", str(missing_dir)) == 1
+    assert run_cli("verify", "--k1", "2", "--k2", "1", "--k0", "1.5",
+                   "--mesh", str(tmp_path / "no-such.mesh"),
+                   "--out", str(tmp_path / "verify.txt")) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2
+    assert all(line.startswith("error: ") for line in err)
+    assert "no-such-dir" in err[0] and "no-such.mesh" in err[1]
+
+
+def test_verify_takes_the_mesh_from_a_config_file(tmp_path):
+    mesh_path = tmp_path / "mesh.txt"
+    assert run_cli("realize", "--k1", "2", "--k2", "1", "--k0", "1.5",
+                   "--k2-init", "1", "--grid", "21,11,0.002,0.002",
+                   "--origin=-0.02,0", "--x-min", "-0.5", "--x-max", "0.5",
+                   "--out", str(mesh_path)) == 0
+    cfg = tmp_path / "verify.cfg"
+    cfg.write_text(f"k1 = 2\nk2 = 1\nk0 = 1.5\nk2_init = 1\n"
+                   f"mesh = {mesh_path}\nx_min = -0.5\nx_max = 0.5\n")
+    rep_path = tmp_path / "verify.txt"
+    assert run_cli("verify", "--config", str(cfg),
+                   "--out", str(rep_path)) == 0
+    assert float(read_kv_lines(rep_path)["metric_rel_err"]) < 1e-6

@@ -1,0 +1,97 @@
+"""Property tests: the K(x) oracle, Sturm counts and the grid header codec."""
+
+import numpy as np
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from hcmu_lab.profile import curvature_at, implicit_x_of_K, validate_params
+from hcmu_lab.ratpoly import RationalPoly, count_roots_between, isolate_roots
+from hcmu_lab.textio import grid_header, parse_grid_header
+
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
+
+
+@st.composite
+def profiles(draw):
+    """Admissible (params, k0): conical pairs and the exact cusp pair."""
+    k1 = draw(st.floats(0.25, 8.0))
+    if draw(st.booleans()):
+        k2 = -0.5 * k1
+    else:
+        k2 = -0.5 * k1 + 1.5 * k1 * draw(st.floats(0.02, 0.98))
+    params = validate_params(k1, k2)
+    k0 = params.k2 + (params.k1 - params.k2) * draw(st.floats(0.05, 0.95))
+    return params, k0
+
+
+xs_any = st.floats(-60.0, 60.0, allow_nan=False)
+
+
+@PROPERTY
+@given(profiles(), st.lists(xs_any, min_size=1, max_size=40))
+def test_oracle_array_call_equals_scalar_calls(prof, xs):
+    params, k0 = prof
+    K = curvature_at(params, k0, np.array(xs))
+    scalar = [curvature_at(params, k0, x) for x in xs]
+    assert all(isinstance(v, float) for v in scalar)
+    assert K.shape == (len(xs),)
+    assert K.tobytes() == np.array(scalar).tobytes()
+
+
+@PROPERTY
+@given(profiles(), xs_any)
+def test_oracle_inverts_the_closed_form_where_conditioned(prof, x):
+    params, k0 = prof
+    K = curvature_at(params, k0, x)
+    # one ulp of K moves x(K) by |dx/dK| ulp = 2 ulp / mu^2
+    assume(2.0 / params.mu_sq(K) * np.spacing(abs(K)) < 1e-12)
+    assert abs(implicit_x_of_K(params, k0, K) - x) <= 1e-10 * max(1.0, abs(x))
+
+
+@PROPERTY
+@given(profiles(), st.floats(0.0, 1e6), st.booleans())
+def test_oracle_saturates_beyond_double_resolution(prof, beyond, upper):
+    params, k0 = prof
+    k_lo = np.nextafter(params.k2, params.k1)
+    k_hi = np.nextafter(params.k1, params.k2)
+    if upper:
+        x = implicit_x_of_K(params, k0, k_hi) + beyond
+        assert curvature_at(params, k0, x) == k_hi
+    else:
+        x = implicit_x_of_K(params, k0, k_lo) - beyond
+        assert curvature_at(params, k0, x) == k_lo
+    ends = curvature_at(params, k0, np.array([-np.inf, np.inf]))
+    assert list(ends) == [k_lo, k_hi]
+
+
+fractions = st.fractions(min_value=-8, max_value=8, max_denominator=12)
+
+
+@PROPERTY
+@given(st.lists(st.tuples(fractions, st.integers(1, 3)), min_size=1,
+                max_size=5, unique_by=lambda rm: rm[0]),
+       fractions.filter(lambda v: v != 0), fractions, fractions)
+def test_sturm_count_matches_linear_factors(roots, lead, a, b):
+    assume(a < b)
+    p = RationalPoly.constant(lead)
+    for r, mult in roots:
+        for _ in range(mult):
+            p = p * RationalPoly((-r, 1))
+    inside = sorted(r for r, _ in roots if a < r < b)
+    assert count_roots_between(p, a, b) == len(inside)
+    boxes = isolate_roots(p, a, b)
+    assert len(boxes) == len(inside)
+    for (lo, hi), r in zip(boxes, inside):
+        assert lo <= r <= hi
+
+
+@PROPERTY
+@given(st.integers(0, 10**6), st.integers(0, 10**6),
+       *(st.floats(allow_nan=False, allow_infinity=False) for _ in range(4)))
+def test_grid_header_roundtrip(nx, ny, hx, hy, x0, y0):
+    meta = {}
+    for line in grid_header(nx, ny, hx, hy, x0, y0).splitlines():
+        key, value = (t.strip() for t in line[1:].split("=", 1))
+        meta.update(parse_grid_header(key, value))
+    assert meta == dict(nx=nx, ny=ny, hx=hx, hy=hy, x0=x0, y0=y0)
+    assert parse_grid_header("c", "0") is None

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from hcmu_lab import ratpoly
 from hcmu_lab.algebra import CubicData, obstruction_poly
 from hcmu_lab.errors import FormatError
 from hcmu_lab.ratpoly import (
@@ -132,6 +133,25 @@ def test_isolation_narrows_to_the_target_width():
             assert sum(lo <= r <= hi for lo, hi in boxes) == 1
     (lo, hi), = isolate_roots(cases[0][0], 1, 2)
     assert abs(float(lo) - 1.962265) < 1e-6
+
+
+def test_isolation_builds_one_sturm_chain(monkeypatch):
+    built = []
+
+    def counting(p):
+        built.append(p)
+        return sturm_sequence(p)
+
+    monkeypatch.setattr(ratpoly, "sturm_sequence", counting)
+    # all three real roots of the (2, 1, 21/10) obstruction cubic
+    phi = obstruction_poly(CubicData.from_extremes(2, 1), F(21, 10))
+    assert len(isolate_roots(phi, -1, 3)) == 3
+    assert len(built) == 1
+    # an exact root at the first midpoint deflates f: one more chain
+    built.clear()
+    p = P.from_roots((0, F(1, 3), F(-5, 7)))
+    assert isolate_roots(p, -1, 1)[1] == (0, 0)
+    assert len(built) == 2
 
 
 def test_sign_variations_ignores_zeros():

@@ -11,6 +11,7 @@ from hcmu_lab.profile import solve_curvature_ode, validate_params
 from hcmu_lab.ratpoly import RationalPoly
 from hcmu_lab.realize import (
     FrameTables,
+    _initial_frame,
     Mesh,
     ambient_inner,
     ambient_signature,
@@ -142,6 +143,72 @@ def test_frame_drift_is_detected_not_corrected():
     with pytest.raises(FrameDrift):
         integrate_frame_tables(sphere_tables(n), n, n, 3.0, 3.0, 0.0, 0.0,
                                0.0)
+
+
+def node_by_node_frames(tables, nx, ny, hx, hy, c):
+    """Reference march: one RK4 step per node, the frame ODE written out."""
+
+    def rk4(f, S, h):
+        s1 = f(0, S)
+        s2 = f(1, S + 0.5 * h * s1)
+        s3 = f(1, S + 0.5 * h * s2)
+        s4 = f(2, S + h * s3)
+        return S + (h / 6.0) * (s1 + 2 * s2 + 2 * s3 + s4)
+
+    def along_x(k):
+        def f(stage, S):
+            mu, k1 = tables.mu[k + stage], tables.k1[k + stage]
+            X, e1, e2, xi = S
+            return np.array([mu * e1, mu * k1 * xi - c * mu * X, 0 * e2,
+                             -mu * k1 * e1])
+        return f
+
+    def along_y(i):
+        def f(stage, S):
+            mu, s, k2 = tables.mu[2 * i], tables.s[2 * i], tables.k2[2 * i]
+            X, e1, e2, xi = S
+            return np.array([mu * e2, s * e2,
+                             -s * e1 + mu * k2 * xi - c * mu * X,
+                             -mu * k2 * e2])
+        return f
+
+    sig = ambient_signature(c, 3 if c == 0 else 4)
+    frames = np.empty((nx, ny, 4, sig.size))
+    drift = np.empty((nx, ny))
+    spine = _initial_frame(c).as_matrix()
+    for i in range(nx):
+        if i > 0:
+            spine = rk4(along_x(2 * (i - 1)), spine, hx)
+        S = spine
+        for j in range(ny):
+            if j > 0:
+                S = rk4(along_y(i), S, hy)
+            frames[i, j] = S
+            gram = np.array([[ambient_inner(a, b, sig) for b in S] for a in S])
+            dev = np.abs(gram - np.diag([1 / c if c else 0, 1, 1, 1]))
+            drift[i, j] = dev[1:, 1:].max() if c == 0 else dev.max()
+    return frames, drift
+
+
+@pytest.mark.parametrize("c", [0.0, 1.0, -1.0])
+def test_lockstep_march_matches_the_node_by_node_reference(c):
+    _, fam = make_family(c=c)
+    nx, ny, h = 21, 11, 1e-3
+    tables = family_tables(fam, -0.01, h, nx)
+    mesh = integrate_frame_tables(tables, nx, ny, h, h, -0.01, 0.0, c)
+    frames, _ = node_by_node_frames(tables, nx, ny, h, h, c)
+    # same arithmetic up to summation order: a few ulps of O(1) entries
+    flat = frames.reshape(nx * ny, 4, -1)
+    assert np.max(np.abs(mesh.vertices - flat[:, 0])) < 1e-13
+    assert np.max(np.abs(mesh.normals - flat[:, 3])) < 1e-13
+
+
+def test_frame_drift_names_the_first_node_in_row_major_order():
+    n, h = 8, 3.0
+    _, drift = node_by_node_frames(sphere_tables(n), n, n, h, h, 0.0)
+    i, j = np.argwhere(drift > 1e-6)[0]
+    with pytest.raises(FrameDrift, match=rf"at node \({i}, {j}\) exceeds"):
+        integrate_frame_tables(sphere_tables(n), n, n, h, h, 0.0, 0.0, 0.0)
 
 
 @pytest.mark.parametrize("c,k2_init", [(0.0, 1.0), (1.0, 1.0), (-1.0, 1.0)])
