@@ -39,6 +39,7 @@ from .ratpoly import (
     poly_from_line,
     poly_to_line,
 )
+from .textio import atomic_write
 
 
 @dataclass(frozen=True)
@@ -344,7 +345,7 @@ def certify_nonvanishing(phi: RationalPoly, interval) -> Certificate:
 
 def write_obstruction_file(phi: RationalPoly, cert: Certificate, path):
     """First line: coefficients degree-descending; then the certificate."""
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         fh.write(poly_to_line(phi) + "\n")
         for line in cert.to_lines():
             fh.write(line + "\n")

@@ -29,7 +29,7 @@ from .errors import (
     InadmissibleParams,
     NumericalFailure,
 )
-from .textio import write_kv_lines
+from .textio import atomic_write, write_kv_lines
 
 _CONFIG_KEYS = {
     "k1", "k2", "c", "k0", "k2_init", "grid", "origin", "seed", "tol",
@@ -235,7 +235,7 @@ def _cmd_optimize(args) -> int:
     _, report = optimize.optimize_shape_field(grid, params.c, constraint,
                                               seed=seed, tol=tol,
                                               max_iter=max_iter)
-    with open(_out_path(cfg), "w") as fh:
+    with atomic_write(_out_path(cfg)) as fh:
         for line in report.to_lines():
             fh.write(line + "\n")
     print(f"optimize: converged={str(report.converged).lower()} "
@@ -274,7 +274,7 @@ def _cmd_verify(args) -> int:
     prof = profile.solve_curvature_ode(params, k0, (x_min, x_max), step)
     family = realize.solve_codazzi_family(prof, params.c, cfg.real("k2_init", "1"))
     report = realize.verify_immersion(mesh, family)
-    with open(_out_path(cfg), "w") as fh:
+    with atomic_write(_out_path(cfg)) as fh:
         for line in report.to_lines():
             fh.write(line + "\n")
     print(f"verify: metric_rel_err={report.metric_rel_err:.3e} "

@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import PathLeavesDomain
 from .profile import CurvatureProfile, HcmuParams, curvature_at, rk4_step
-from .textio import FormatError, fmt17, grid_header, parse_grid_header
+from .textio import FormatError, atomic_write, fmt17, grid_header, parse_grid_header
 
 
 @dataclass(frozen=True, eq=False)
@@ -351,7 +351,7 @@ def holonomy_defect(grid: GridDomain, c: float, h0: complex,
 
 def write_field_csv(arr: np.ndarray, grid: GridDomain, path):
     """One component, row-major (row = x index), with grid metadata up top."""
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         fh.write(grid_header(grid.nx, grid.ny, grid.hx, grid.hy, grid.x0,
                              grid.y0))
         for row in arr:

@@ -8,14 +8,22 @@ are discrete L2(domain) norms and survive grid refinement unchanged.
 
 The Codazzi block of the Jacobian is constant and assembled once; the Gauss
 block is affine in the unknowns and rebuilt per iteration.  Steps solve
-(J^T J + lam I) d = -J^T r with Levenberg-style lam doubled on rejection
-and halved on acceptance; only improving steps are taken, so the residual
-never increases.  Everything is deterministic for a fixed seed.
+(J^T J + lam I) d = -J^T r.  That matrix is symmetric positive definite, so
+it is factored in SuperLU's symmetric mode: a minimum-degree ordering of
+A^T + A with pivots taken from the diagonal.  The damping lam follows the
+gain-ratio rule of Nielsen (1999) and Madsen, Nielsen & Tingleff (2004,
+*Methods for Non-Linear Least Squares Problems*, section 3.2): an accepted
+step scales lam by max(1/3, 1 - (2 rho - 1)^3), where rho is the actual
+over the predicted decrease, and a rejected step multiplies lam by nu,
+which doubles with every rejection in a row.  Only improving steps are
+taken, so the residual never increases.  Everything is deterministic for a
+fixed seed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
@@ -31,6 +39,13 @@ _LAM_MAX = 1e12
 
 @dataclass(frozen=True)
 class ResidualReport:
+    """Residual norms of the optimized field and how the optimizer got there.
+
+    ``iterations``, ``converged`` and ``stop_reason`` describe the run on the
+    requested grid; ``factorizations`` and ``rejected_steps`` count over
+    every grid of the refinement study.
+    """
+
     constraint: str
     seed: int
     iterations: int
@@ -41,6 +56,9 @@ class ResidualReport:
     codazzi_l2: float
     total_l2: float
     refinement_history: tuple[tuple[int, int, float], ...]
+    stop_reason: str
+    factorizations: int
+    rejected_steps: int
 
     @property
     def floor_l2(self) -> float:
@@ -60,6 +78,11 @@ class ResidualReport:
         ]
         for nx, ny, floor in self.refinement_history:
             lines.append(f"floor_{nx}x{ny}={fmt17(floor)}")
+        lines += [
+            f"stop_reason={self.stop_reason}",
+            f"factorizations={self.factorizations}",
+            f"rejected_steps={self.rejected_steps}",
+        ]
         return lines
 
 
@@ -191,29 +214,57 @@ class _Problem:
         return gauss_max, gauss_l2, codazzi_max, codazzi_l2, total
 
 
+def _damped_step(JtJ: sparse.csc_matrix, g: np.ndarray,
+                 lam: float) -> np.ndarray:
+    """The step d solving (J^T J + lam I) d = -g.
+
+    The matrix is symmetric positive definite, so SuperLU orders it by
+    minimum degree on A^T + A and pivots on the diagonal.  Raises
+    RuntimeError when the factorization meets an exactly zero pivot.
+    """
+    A = JtJ + lam * sparse.identity(JtJ.shape[0], format="csc")
+    return splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                options=dict(SymmetricMode=True)).solve(-g)
+
+
+class _LMRun(NamedTuple):
+    u: np.ndarray
+    iterations: int         # accepted steps
+    stop_reason: str        # converged | stalled | max_iter | lam_max
+    factorizations: int     # splu calls, failed ones included
+    rejected_steps: int
+
+
 def _gauss_newton(problem: _Problem, u0: np.ndarray, tol: float,
-                  max_iter: int):
+                  max_iter: int) -> _LMRun:
     u = u0.astype(float)
     r = problem.residual(u)
     if not np.all(np.isfinite(r)):
         raise NonFiniteIterate("non-finite residual at the initial field")
     F = float(r @ r)
-    lam = 1e-3
-    iterations = 0
-    converged = np.sqrt(F) < tol
-    stall = 0
-    eye = sparse.identity(u.size, format="csc")
+    lam, nu = 1e-3, 2.0
+    iterations = factorizations = rejected = stall = 0
 
-    while not converged and iterations < max_iter:
+    while True:
+        if np.sqrt(F) < tol:
+            stop = "converged"
+            break
+        if stall >= 4:
+            stop = "stalled"
+            break
+        if iterations >= max_iter:
+            stop = "max_iter"
+            break
         J = problem.jacobian(u)
         g = J.T @ r
         JtJ = (J.T @ J).tocsc()
-        accepted = False
         while lam <= _LAM_MAX:
+            factorizations += 1
             try:
-                delta = splu(JtJ + lam * eye).solve(-g)
+                delta = _damped_step(JtJ, g, lam)
             except RuntimeError:
-                lam *= 2.0
+                rejected += 1
+                lam, nu = lam * nu, 2.0 * nu
                 continue
             if not np.all(np.isfinite(delta)):
                 raise NonFiniteIterate("non-finite Gauss-Newton step")
@@ -223,19 +274,24 @@ def _gauss_newton(problem: _Problem, u0: np.ndarray, tol: float,
                 raise NonFiniteIterate("optimizer diverged to non-finite residual")
             F_try = float(r_try @ r_try)
             if F_try < F:
+                # actual over predicted decrease of |r|^2; the linear model
+                # predicts delta . (lam delta - g) > 0
+                rho = (F - F_try) / float(delta @ (lam * delta - g))
                 drop = (F - F_try) / max(F_try, 1e-300)
                 u, r, F = u_try, r_try, F_try
-                lam = max(lam / 2.0, _LAM_MIN)
+                lam = max(lam * max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3),
+                          _LAM_MIN)
+                nu = 2.0
                 iterations += 1
-                accepted = True
                 stall = stall + 1 if drop < 1e-9 else 0
                 break
-            lam *= 2.0
-        if not accepted or stall >= 4:
+            rejected += 1
+            lam, nu = lam * nu, 2.0 * nu
+        else:
+            stop = "lam_max"
             break
-        converged = np.sqrt(F) < tol
 
-    return u, iterations, bool(converged)
+    return _LMRun(u, iterations, stop, factorizations, rejected)
 
 
 def _refine_grid(grid: GridDomain) -> GridDomain:
@@ -279,10 +335,11 @@ def optimize_shape_field(grid: GridDomain, c: float,
         u0 = problem.pack(init_field)
     else:
         u0 = problem.random_init(seed)
-    u, iterations, converged = _gauss_newton(problem, u0, tol, max_iter)
-    fld = problem.unpack(u)
+    run = _gauss_newton(problem, u0, tol, max_iter)
+    fld = problem.unpack(run.u)
     norms = problem.report_norms(fld)
     history = [(grid.nx, grid.ny, norms[-1])]
+    factorizations, rejected = run.factorizations, run.rejected_steps
 
     if refine:
         fine = _refine_grid(grid)
@@ -291,10 +348,14 @@ def optimize_shape_field(grid: GridDomain, c: float,
             uf0 = fine_problem.pack(_refine_field(init_field, fine))
         else:
             uf0 = fine_problem.random_init(seed)
-        uf, _, _ = _gauss_newton(fine_problem, uf0, tol, max_iter)
-        fine_norms = fine_problem.report_norms(fine_problem.unpack(uf))
+        fine_run = _gauss_newton(fine_problem, uf0, tol, max_iter)
+        fine_norms = fine_problem.report_norms(fine_problem.unpack(fine_run.u))
         history.append((fine.nx, fine.ny, fine_norms[-1]))
+        factorizations += fine_run.factorizations
+        rejected += fine_run.rejected_steps
 
-    report = ResidualReport(str(constraint), seed, iterations, converged,
-                            *norms, tuple(history))
+    report = ResidualReport(str(constraint), seed, run.iterations,
+                            run.stop_reason == "converged", *norms,
+                            tuple(history), run.stop_reason, factorizations,
+                            rejected)
     return fld, report

@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import FormatError, InadmissibleParams, StepTooLarge
-from .textio import fmt17
+from .textio import atomic_write, fmt17
 
 
 @dataclass(frozen=True)
@@ -350,7 +350,7 @@ class ProfileTable(NamedTuple):
 
 
 def write_profile_csv(profile: CurvatureProfile, path):
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         fh.write(_PROFILE_HEADER + "\n")
         for x, K, mu, phi in zip(profile.xs, profile.Ks, profile.mus,
                                  profile.phis):

@@ -249,9 +249,12 @@ def squarefree_part(p: RationalPoly) -> RationalPoly:
     return p // g
 
 
-def sturm_sequence(p: RationalPoly) -> list[RationalPoly]:
-    """Canonical Sturm chain of the square-free part of p."""
-    f = squarefree_part(p)
+def sturm_sequence(f: RationalPoly) -> list[RationalPoly]:
+    """Canonical Sturm chain f, f', -rem(f, f'), ... of a square-free f.
+
+    The caller takes the square-free part (``squarefree_part``) first; root
+    counting and isolation both have it at hand already.
+    """
     chain = [f, f.derivative()]
     while not chain[-1].is_zero() and chain[-1].degree > 0:
         chain.append(-(chain[-2] % chain[-1]))

@@ -35,7 +35,7 @@ import numpy as np
 from .errors import FormatError, FrameDrift, PathLeavesDomain
 from .fields import GridDomain, ShapeField, lattice_legs, march_x
 from .profile import CurvatureProfile, HcmuParams, curvature_at, rk4_step
-from .textio import fmt17, grid_header, parse_grid_header
+from .textio import atomic_write, fmt17, grid_header, parse_grid_header
 
 
 # -- the diagonal Codazzi family ------------------------------------------------
@@ -585,7 +585,7 @@ def verify_immersion(mesh: Mesh, family: DiagonalFamily,
 
 def export_mesh(mesh: Mesh, path):
     """Header comments, then v / vn / f records at 17 significant digits."""
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         fh.write("# hcmu-mesh 1\n")
         fh.write(grid_header(mesh.nx, mesh.ny, mesh.hx, mesh.hy, mesh.x0,
                              mesh.y0))

@@ -1,12 +1,42 @@
 """Small text-serialization helpers shared by the file formats.
 
 All floating-point output uses 17 significant digits, which round-trips IEEE
-doubles bit-identically through decimal.
+doubles bit-identically through decimal.  Every output file is written
+through ``atomic_write``, so a failed write never leaves a partial file.
 """
 
 from __future__ import annotations
 
+import os
+from contextlib import contextmanager
+
 from .errors import FormatError
+
+
+@contextmanager
+def atomic_write(path):
+    """A text handle whose contents appear at ``path`` only once complete.
+
+    The text goes to a temporary file in the target's directory, which
+    replaces the target by ``os.replace`` after it is closed.  If the body
+    raises, the temporary file is removed and an existing target is left
+    as it was.
+    """
+    path = os.fspath(path)
+    head, tail = os.path.split(path)
+    tmp = os.path.join(head, f".{tail}.{os.urandom(4).hex()}.tmp")
+    try:
+        fh = open(tmp, "x")
+    except OSError as e:
+        # name the file the caller asked for, not the temporary one
+        raise OSError(e.errno, e.strerror, path) from None
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def fmt17(x: float) -> str:
@@ -36,7 +66,7 @@ def parse_grid_header(key: str, value: str) -> dict | None:
 
 def write_kv_lines(pairs, path):
     """Write an iterable of (key, value) as ``key=value`` lines."""
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         for key, value in pairs:
             fh.write(f"{key}={value}\n")
 

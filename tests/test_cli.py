@@ -3,12 +3,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hcmu_lab import cli
+from hcmu_lab import algebra, cli
 from hcmu_lab.errors import ConfigError
 from hcmu_lab.profile import read_profile_csv
 from hcmu_lab.ratpoly import ISOLATION_WIDTH
 from hcmu_lab.realize import parse_mesh
-from hcmu_lab.textio import read_kv_lines
+from hcmu_lab.textio import read_kv_lines, write_kv_lines
 
 
 def run_cli(*argv) -> int:
@@ -115,6 +115,11 @@ def test_optimize_reports_floor(tmp_path):
     assert rep["converged"] == "false"
     assert float(rep["floor_l2"]) > 1e-4
     assert "floor_12x12" in rep and "floor_24x24" in rep
+    # the optimizer's counters follow the residual keys, in this order
+    assert list(rep)[-5:] == ["floor_12x12", "floor_24x24", "stop_reason",
+                              "factorizations", "rejected_steps"]
+    assert rep["stop_reason"] == "stalled"
+    assert int(rep["factorizations"]) > int(rep["rejected_steps"]) >= 0
 
 
 def test_realize_verify_chain(tmp_path):
@@ -231,3 +236,26 @@ def test_verify_takes_the_mesh_from_a_config_file(tmp_path):
     assert run_cli("verify", "--config", str(cfg),
                    "--out", str(rep_path)) == 0
     assert float(read_kv_lines(rep_path)["metric_rel_err"]) < 1e-6
+
+
+def test_a_failed_write_leaves_the_old_output_and_no_temp_file(tmp_path,
+                                                               monkeypatch):
+    out = tmp_path / "obs.txt"
+    out.write_text("previous run\n")
+
+    def lines_then_fail(self):
+        yield "verdict=no-root"
+        raise RuntimeError("writer failed midway")
+
+    monkeypatch.setattr(algebra.Certificate, "to_lines", lines_then_fail)
+    with pytest.raises(RuntimeError, match="midway"):
+        cli.main(["obstruction", "--k1", "2", "--k2", "1", "--out", str(out)])
+
+    def pairs():
+        yield "gauss_max", "0"
+        raise RuntimeError("writer failed midway")
+
+    with pytest.raises(RuntimeError, match="midway"):
+        write_kv_lines(pairs(), out)
+    assert out.read_text() == "previous run\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["obs.txt"]

@@ -11,7 +11,7 @@ from hcmu_lab.fields import (
     codazzi_residual,
     gauss_residual,
 )
-from hcmu_lab.optimize import optimize_shape_field
+from hcmu_lab.optimize import _damped_step, _Problem, optimize_shape_field
 from hcmu_lab.profile import solve_curvature_ode, validate_params
 from hcmu_lab.realize import family_shape_field, solve_codazzi_family
 
@@ -40,6 +40,7 @@ def test_unconstrained_from_family_seed_converges():
                                     init_field=seed_field, tol=1e-10,
                                     max_iter=30, refine=False)
     assert rep.converged
+    assert rep.stop_reason == "converged"
     assert rep.total_l2 < 1e-8
     # descent: never worse than the seed
     assert rep.total_l2 <= start
@@ -57,6 +58,11 @@ def test_minimal_constraint_floors_and_persists():
     assert f1 / f0 >= 0.9
     # constraint respected on the returned field
     assert np.max(np.abs(fld.h11 + fld.h22)) < 1e-12
+    # on the floor no damping up to the cap gives a smaller residual; the
+    # gain-ratio rule needs 33 factorizations over both grids where
+    # halving/doubling the damping needed 42
+    assert rep.stop_reason == "lam_max"
+    assert rep.factorizations == 33
 
 
 def test_cmc_zero_equals_minimal_bitwise():
@@ -112,3 +118,26 @@ def test_non_finite_seed_is_reported():
     with pytest.raises(NonFiniteIterate):
         optimize_shape_field(grid, 0.0, TraceConstraint("none"),
                              init_field=bad, refine=False)
+
+
+@pytest.mark.parametrize("constraint", ["minimal", "none"])   # m = 2, 3
+@pytest.mark.parametrize("lam", [1e-3, 1e-14])
+def test_damped_step_matches_a_dense_solve(constraint, lam):
+    grid = GridDomain.create(PARAMS, 1.5, 12, 12, 0.01, 0.01,
+                             origin=(-0.06, 0.0))
+    problem = _Problem(grid, 0.0, TraceConstraint(constraint))
+    u = problem.random_init(0)
+    J = problem.jacobian(u)
+    g = J.T @ problem.residual(u)
+    JtJ = (J.T @ J).tocsc()
+    A = JtJ.toarray() + lam * np.eye(u.size)
+    step = _damped_step(JtJ, g, lam)
+    # backward error at the level of a dense LU's (about 1e-15 here)
+    assert np.linalg.norm(A @ step + g) <= 1e-12 * np.linalg.norm(g)
+    # forward error: J^T J is singular to working precision, so at
+    # lam = 1e-14 (condition number about 1e14) the step is determined only
+    # to about 1e-2 and no two solvers agree more closely; at lam = 1e-3
+    # (about 2e3) it is determined to 1e-10
+    if lam == 1e-3:
+        dense = np.linalg.solve(A, -g)
+        assert np.linalg.norm(step - dense) <= 1e-10 * np.linalg.norm(dense)

@@ -1,11 +1,12 @@
-"""Property tests: the K(x) oracle, Sturm counts and the grid header codec."""
+"""Property tests: the K(x) oracle, polynomial division and gcd, Sturm counts
+and the grid header codec."""
 
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hcmu_lab.profile import curvature_at, implicit_x_of_K, validate_params
-from hcmu_lab.ratpoly import RationalPoly, count_roots_between, isolate_roots
+from hcmu_lab.ratpoly import RationalPoly, count_roots_between, isolate_roots, poly_gcd
 from hcmu_lab.textio import grid_header, parse_grid_header
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
@@ -65,6 +66,31 @@ def test_oracle_saturates_beyond_double_resolution(prof, beyond, upper):
 
 
 fractions = st.fractions(min_value=-8, max_value=8, max_denominator=12)
+
+
+polys = st.lists(fractions, max_size=6).map(RationalPoly)
+
+
+@PROPERTY
+@given(polys, polys.filter(bool))
+def test_divmod_reconstructs_the_dividend(a, b):
+    q, r = divmod(a, b)
+    assert q * b + r == a
+    assert r.degree < b.degree
+
+
+@PROPERTY
+@given(polys, polys, polys)
+def test_gcd_is_monic_and_divides_both(a, b, c):
+    a, b = a * c, b * c
+    g = poly_gcd(a, b)
+    if not (a or b):
+        assert g.is_zero()
+        return
+    assert g.leading == 1
+    assert not a % g and not b % g
+    # greatest: the common factor c divides it
+    assert not g % c
 
 
 @PROPERTY

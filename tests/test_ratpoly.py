@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from hcmu_lab import ratpoly
-from hcmu_lab.algebra import CubicData, obstruction_poly
+from hcmu_lab.algebra import CubicData, certify_nonvanishing, obstruction_poly
 from hcmu_lab.errors import FormatError
 from hcmu_lab.ratpoly import (
     ISOLATION_WIDTH,
@@ -152,6 +152,21 @@ def test_isolation_builds_one_sturm_chain(monkeypatch):
     p = P.from_roots((0, F(1, 3), F(-5, 7)))
     assert isolate_roots(p, -1, 1)[1] == (0, 0)
     assert len(built) == 2
+
+
+def test_certificate_builds_two_squarefree_parts(monkeypatch):
+    calls = {"squarefree_part": 0, "sturm_sequence": 0}
+    for name in calls:
+        def counting(p, name=name, real=getattr(ratpoly, name)):
+            calls[name] += 1
+            return real(p)
+        monkeypatch.setattr(ratpoly, name, counting)
+    # count_roots_between and isolate_roots take one square-free part and
+    # one chain each; the chain builder takes no square-free part of its own
+    phi = obstruction_poly(CubicData.from_extremes(2, 1), F(21, 10))
+    cert = certify_nonvanishing(phi, (1, 2))
+    assert len(cert.root_intervals) == 1
+    assert calls == {"squarefree_part": 2, "sturm_sequence": 2}
 
 
 def test_sign_variations_ignores_zeros():
