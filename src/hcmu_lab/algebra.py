@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from .errors import AlgebraConsistencyError, FormatError, InadmissibleParams
 from .ratpoly import (
@@ -36,10 +37,31 @@ from .ratpoly import (
     as_fraction,
     count_roots_between,
     isolate_roots,
-    poly_from_line,
     poly_to_line,
 )
-from .textio import atomic_write
+from .textio import write_lines
+
+
+def admissible_kind(k1, k2) -> str:
+    """"conical" or "cusp" for admissible extremal values, else raise.
+
+    The one admissibility rule, for exact Fractions and floats alike:
+    K1 > 0, and either the cusp K2 = -K1/2 or K1 > K2 > -(K1 + K2).  An
+    InadmissibleParams names the first inequality that fails.
+    """
+    if not k1 > 0:
+        raise InadmissibleParams(f"K1 = {k1} violates K1 > 0", "K1 > 0")
+    if k2 == -k1 / 2:
+        return "cusp"
+    if not k1 > k2:
+        raise InadmissibleParams(f"(K1, K2) = ({k1}, {k2}) violates K1 > K2",
+                                 "K1 > K2")
+    if not k2 > -(k1 + k2):
+        raise InadmissibleParams(
+            f"(K1, K2) = ({k1}, {k2}) violates K2 > -(K1 + K2)",
+            "K2 > -(K1 + K2)",
+        )
+    return "conical"
 
 
 @dataclass(frozen=True)
@@ -60,15 +82,7 @@ class CubicData:
     @classmethod
     def from_extremes(cls, k1, k2) -> "CubicData":
         k1, k2 = as_fraction(k1), as_fraction(k2)
-        if not k1 > 0:
-            raise InadmissibleParams(f"K1 = {k1} must be positive", "K1 > 0")
-        if not k1 > k2:
-            raise InadmissibleParams(f"K1 = {k1} must exceed K2 = {k2}", "K1 > K2")
-        if not k2 >= -k1 / 2:
-            raise InadmissibleParams(
-                f"K2 = {k2} must satisfy K2 >= -K1/2 = {-k1 / 2}",
-                "K2 > -(K1 + K2)",
-            )
+        admissible_kind(k1, k2)
         k3 = -(k1 + k2)
         p1 = Fraction(4, 3) * (k1 * k1 + k1 * k2 + k2 * k2)
         p0 = -Fraction(4, 3) * k1 * k2 * (k1 + k2)
@@ -84,7 +98,7 @@ class CubicData:
 
     @property
     def kind(self) -> str:
-        return "cusp" if self.k2 == -self.k1 / 2 else "conical"
+        return admissible_kind(self.k1, self.k2)
 
     def poly(self) -> RationalPoly:
         return RationalPoly((self.p0, self.p1, 0, Fraction(-4, 3)))
@@ -345,17 +359,4 @@ def certify_nonvanishing(phi: RationalPoly, interval) -> Certificate:
 
 def write_obstruction_file(phi: RationalPoly, cert: Certificate, path):
     """First line: coefficients degree-descending; then the certificate."""
-    with atomic_write(path) as fh:
-        fh.write(poly_to_line(phi) + "\n")
-        for line in cert.to_lines():
-            fh.write(line + "\n")
-
-
-def read_obstruction_file(path) -> tuple[RationalPoly, Certificate]:
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise FormatError("empty obstruction file")
-    phi = poly_from_line(lines[0])
-    cert = certificate_from_lines(lines[1:])
-    return phi, cert
+    write_lines(chain([poly_to_line(phi)], cert.to_lines()), path)

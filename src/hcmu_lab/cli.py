@@ -29,7 +29,7 @@ from .errors import (
     InadmissibleParams,
     NumericalFailure,
 )
-from .textio import atomic_write, write_kv_lines
+from .textio import write_kv_lines, write_lines
 
 _CONFIG_KEYS = {
     "k1", "k2", "c", "k0", "k2_init", "grid", "origin", "seed", "tol",
@@ -235,12 +235,25 @@ def _cmd_optimize(args) -> int:
     _, report = optimize.optimize_shape_field(grid, params.c, constraint,
                                               seed=seed, tol=tol,
                                               max_iter=max_iter)
-    with atomic_write(_out_path(cfg)) as fh:
-        for line in report.to_lines():
-            fh.write(line + "\n")
+    write_lines(report.to_lines(), _out_path(cfg))
     print(f"optimize: converged={str(report.converged).lower()} "
           f"floor_l2={report.floor_l2:.6g}")
     return EXIT_OK
+
+
+def _family_from(cfg: Config, params, k0, nx: int, hx: float, x0: float):
+    """The diagonal family for a grid of nx columns hx apart from x0.
+
+    Unless the config sets x_min or x_max, the profile spans the grid's
+    columns and the anchor x = 0 with 0.5 to spare on either side.
+    """
+    x_pad = abs(x0) + nx * hx + 0.5
+    x_min = cfg.real("x_min", str(-x_pad))
+    x_max = cfg.real("x_max", str(x_pad))
+    step = cfg.real("step", "0.001")
+    prof = profile.solve_curvature_ode(params, k0, (x_min, x_max), step)
+    return realize.solve_codazzi_family(prof, params.c,
+                                        cfg.real("k2_init", "1"))
 
 
 def _cmd_realize(args) -> int:
@@ -248,12 +261,8 @@ def _cmd_realize(args) -> int:
                         "step", "x_min", "x_max", "out"])
     params = _params_from(cfg)
     k0 = _default_k0(cfg, params)
-    x_min = cfg.real("x_min", "-2")
-    x_max = cfg.real("x_max", "2")
-    step = cfg.real("step", "0.001")
-    prof = profile.solve_curvature_ode(params, k0, (x_min, x_max), step)
-    family = realize.solve_codazzi_family(prof, params.c, cfg.real("k2_init", "1"))
     grid = _grid_from(cfg, params, k0)
+    family = _family_from(cfg, params, k0, grid.nx, grid.hx, grid.x0)
     mesh = realize.integrate_frame(family, grid)
     realize.export_mesh(mesh, _out_path(cfg))
     print(f"realize: {mesh.vertices.shape[0]} vertices, "
@@ -267,16 +276,9 @@ def _cmd_verify(args) -> int:
     params = _params_from(cfg)
     k0 = _default_k0(cfg, params)
     mesh = realize.parse_mesh(cfg.require("mesh"))
-    x_pad = abs(mesh.x0) + mesh.nx * mesh.hx + 0.5
-    x_min = cfg.real("x_min", str(-x_pad))
-    x_max = cfg.real("x_max", str(x_pad))
-    step = cfg.real("step", "0.001")
-    prof = profile.solve_curvature_ode(params, k0, (x_min, x_max), step)
-    family = realize.solve_codazzi_family(prof, params.c, cfg.real("k2_init", "1"))
+    family = _family_from(cfg, params, k0, mesh.nx, mesh.hx, mesh.x0)
     report = realize.verify_immersion(mesh, family)
-    with atomic_write(_out_path(cfg)) as fh:
-        for line in report.to_lines():
-            fh.write(line + "\n")
+    write_lines(report.to_lines(), _out_path(cfg))
     print(f"verify: metric_rel_err={report.metric_rel_err:.3e} "
           f"weingarten_spread={report.weingarten_spread:.3e} "
           f"cmc={str(report.cmc_flag).lower()}")

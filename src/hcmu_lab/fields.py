@@ -34,7 +34,8 @@ import numpy as np
 
 from .errors import PathLeavesDomain
 from .profile import CurvatureProfile, HcmuParams, curvature_at, rk4_step
-from .textio import FormatError, atomic_write, fmt17, grid_header, parse_grid_header
+from .textio import (FormatError, atomic_write, fmt17, grid_header,
+                     parse_header_comment)
 
 
 @dataclass(frozen=True, eq=False)
@@ -367,17 +368,7 @@ def read_field_csv(path) -> tuple[np.ndarray, dict]:
             if not line:
                 continue
             if line.startswith("#"):
-                body = line[1:].strip()
-                if "=" not in body:
-                    raise FormatError(f"bad metadata comment {line!r}", ln)
-                key, value = (t.strip() for t in body.split("=", 1))
-                try:
-                    entry = parse_grid_header(key, value)
-                except ValueError:
-                    raise FormatError(f"bad metadata value {value!r}", ln) from None
-                if entry is None:
-                    raise FormatError(f"unknown metadata key {key!r}", ln)
-                meta.update(entry)
+                meta.update(parse_header_comment(line, ln))
                 continue
             try:
                 rows.append([float(t) for t in line.split(",")])

@@ -21,7 +21,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import FormatError, InadmissibleParams, StepTooLarge
+from .algebra import admissible_kind
+from .errors import FormatError, StepTooLarge
 from .textio import atomic_write, fmt17
 
 
@@ -76,18 +77,7 @@ def validate_params(k1: float, k2: float, c: float = 0.0) -> HcmuParams:
     """Classify (k1, k2) as conical or cusp, or reject with the violated rule."""
     k1 = float(k1)
     k2 = float(k2)
-    if not k1 > 0:
-        raise InadmissibleParams(f"K1 = {k1} violates K1 > 0", "K1 > 0")
-    if k2 == -0.5 * k1:
-        return HcmuParams(k1, -0.5 * k1, "cusp", float(c))
-    if not k1 > k2:
-        raise InadmissibleParams(f"(K1, K2) = ({k1}, {k2}) violates K1 > K2", "K1 > K2")
-    if not k2 > -(k1 + k2):
-        raise InadmissibleParams(
-            f"(K1, K2) = ({k1}, {k2}) violates K2 > -(K1 + K2)",
-            "K2 > -(K1 + K2)",
-        )
-    return HcmuParams(k1, k2, "conical", float(c))
+    return HcmuParams(k1, k2, admissible_kind(k1, k2), float(c))
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,9 +99,6 @@ class CurvatureProfile:
     @property
     def x_max(self) -> float:
         return float(self.xs[-1])
-
-    def curvature_at(self, x: float) -> float:
-        return curvature_at(self.params, self.k0, x)
 
 
 def rk4_step(f, y, h):

@@ -464,20 +464,6 @@ class RationalFunction:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        other = _coerce_rf(other)
-        if other is None:
-            return NotImplemented
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero rational function")
-        return RationalFunction(self.num * other.den, self.den * other.num)
-
-    def __rtruediv__(self, other):
-        other = _coerce_rf(other)
-        if other is None:
-            return NotImplemented
-        return other / self
-
     def derivative(self) -> "RationalFunction":
         n, d = self.num, self.den
         return RationalFunction(

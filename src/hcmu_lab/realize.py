@@ -6,6 +6,9 @@ h = diag(k1, k2) in the coframe w1 = mu dx, w2 = mu dy, with
     k1 = (K - c) / k2            (Gauss equation, exact by construction)
     dk2/dx = mu mu' (k1 - k2)/2  (Codazzi equation for the diagonal ansatz)
 
+K(x) is read from profile.curvature_at, one call per march; k2 is the only
+marched quantity, by RK4 from the anchor x = 0.
+
 Given such a field, the first-order frame system for the position X and the
 adapted frame (e1, e2, xi) in the flat model is integrated by RK4:
 
@@ -35,7 +38,7 @@ import numpy as np
 from .errors import FormatError, FrameDrift, PathLeavesDomain
 from .fields import GridDomain, ShapeField, lattice_legs, march_x
 from .profile import CurvatureProfile, HcmuParams, curvature_at, rk4_step
-from .textio import atomic_write, fmt17, grid_header, parse_grid_header
+from .textio import atomic_write, fmt17, grid_header, parse_header_comment
 
 
 # -- the diagonal Codazzi family ------------------------------------------------
@@ -63,24 +66,39 @@ class DiagonalFamily:
         return float(self.xs[-1])
 
 
-def _family_rhs(params: HcmuParams, c: float):
-    """Right-hand side of the coupled (K, k2) system, for rk4_step."""
+def _half_lattice(xs: np.ndarray) -> np.ndarray:
+    """xs with the midpoint of every interval inserted between its ends."""
+    out = np.empty(2 * xs.size - 1)
+    out[::2] = xs
+    out[1::2] = xs[:-1] + 0.5 * np.diff(xs)
+    return out
 
-    def f(stage, state):
-        K, k2 = state
-        mumup = 0.5 * params.mu_sq_prime(K)  # mu mu'
-        k1 = (K - c) / k2
-        return np.array([0.5 * params.mu_sq(K), 0.5 * mumup * (k1 - k2)])
 
-    return f
+def _k2_march(params: HcmuParams, c: float, K_half: np.ndarray, k2: float,
+              h: float):
+    """Yield k2 after each RK4 step of dk2/dx = mu mu' (k1 - k2)/2.
+
+    Step i runs from K_half[2i] through K_half[2i + 1] to K_half[2i + 2], the
+    curvature at its start, middle and end, so K is read, never marched.
+    k1 = (K - c)/k2 keeps the Gauss equation exact at every stage.
+    """
+    rate = (0.25 * params.mu_sq_prime(K_half)).tolist()  # mu mu' / 2
+    gap = (K_half - c).tolist()
+    f = lambda k, v: rate[k] * (gap[k] / v - v)
+    k2 = np.float64(k2)  # IEEE semantics: k2 -> 0 gives inf, not an exception
+    for i in range(len(rate) // 2):
+        k2 = march_x(f, k2, i, i + 1, h)
+        yield k2
 
 
 def solve_codazzi_family(profile: CurvatureProfile, c: float,
                          k2_init: float) -> DiagonalFamily:
     """Sample the diagonal family on the profile grid, anchored at x = 0.
 
-    If k2 reaches zero inside the range, the family is truncated to the
-    maximal subinterval around the anchor and flagged.
+    K comes from one curvature_at call on the grid and its midpoints (the
+    anchor sample is exactly profile.k0); k2 is marched out from the anchor
+    both ways.  If k2 reaches zero inside the range, the family is truncated
+    to the maximal subinterval around the anchor and flagged.
     """
     if k2_init == 0:
         raise ValueError("k2_init must be nonzero")
@@ -88,44 +106,30 @@ def solve_codazzi_family(profile: CurvatureProfile, c: float,
     anchor = int(np.argmin(np.abs(xs)))
     if abs(xs[anchor]) > 1e-9 * profile.step:
         raise ValueError("profile grid does not contain the anchor x = 0")
-    h = profile.step
     n = xs.size
+    K_half = curvature_at(profile.params, profile.k0, _half_lattice(xs))
+    K_half[2 * anchor] = profile.k0
 
-    Ks = np.empty(n)
-    k2s = np.empty(n)
-    Ks[anchor] = profile.k0
-    k2s[anchor] = float(k2_init)
-    lo_ok, hi_ok = 0, n - 1
-
-    def dead(k2_old: float, k2_new: float) -> bool:
+    def leg(K_leg: np.ndarray, h: float) -> list[float]:
         # stop at a sign change, and already when the fixed step stops
         # resolving the local scale (k2 -> 0 makes k1 = (K-c)/k2 singular)
-        return (not math.isfinite(k2_new) or k2_new * k2_init <= 0
-                or abs(k2_new - k2_old) > 0.25 * abs(k2_old))
+        k2s = [float(k2_init)]
+        for k2 in _k2_march(profile.params, c, K_leg, k2_init, h):
+            if (not math.isfinite(k2) or k2 * k2_init <= 0
+                    or abs(k2 - k2s[-1]) > 0.25 * abs(k2s[-1])):
+                break
+            k2s.append(float(k2))
+        return k2s
 
-    f = _family_rhs(profile.params, c)
-    K, k2 = profile.k0, float(k2_init)
-    for i in range(anchor + 1, n):
-        K, k2_new = rk4_step(f, np.array([K, k2]), h)
-        if dead(k2, k2_new):
-            hi_ok = i - 1
-            break
-        k2 = k2_new
-        Ks[i], k2s[i] = K, k2
-    K, k2 = profile.k0, float(k2_init)
-    for i in range(anchor - 1, -1, -1):
-        K, k2_new = rk4_step(f, np.array([K, k2]), -h)
-        if dead(k2, k2_new):
-            lo_ok = i + 1
-            break
-        k2 = k2_new
-        Ks[i], k2s[i] = K, k2
-
+    fwd = leg(K_half[2 * anchor:], profile.step)
+    bwd = leg(K_half[2 * anchor::-1], -profile.step)
+    lo_ok, hi_ok = anchor - len(bwd) + 1, anchor + len(fwd) - 1
     sl = slice(lo_ok, hi_ok + 1)
-    Ks, k2s, xs_out = Ks[sl], k2s[sl], xs[sl]
+    Ks = K_half[::2][sl]
+    k2s = np.array(bwd[:0:-1] + fwd)
     k1s = (Ks - c) / k2s
     truncated = (lo_ok, hi_ok) != (0, n - 1)
-    return DiagonalFamily(profile.params, float(c), float(k2_init), xs_out,
+    return DiagonalFamily(profile.params, float(c), float(k2_init), xs[sl],
                           Ks, k1s, k2s, truncated)
 
 
@@ -159,10 +163,7 @@ def minimal_attempt_inconsistency(params: HcmuParams, c: float,
     subinterval of (K2, K1).
     """
     xs = np.asarray(xs, dtype=float)
-    x_half = np.empty(2 * xs.size - 1)
-    x_half[::2] = xs
-    x_half[1::2] = xs[:-1] + 0.5 * np.diff(xs)
-    K_half = curvature_at(params, k0, x_half)
+    K_half = curvature_at(params, k0, _half_lattice(xs))
     Ks = K_half[::2]
     if c <= Ks[0]:
         raise ValueError("need c > K on the range for a real minimal seed")
@@ -287,30 +288,26 @@ def family_tables(family: DiagonalFamily, x0: float, hx: float,
                   nx: int) -> FrameTables:
     """Coefficients on the half-step lattice x0 + k hx/2, 0 <= k <= 2(nx-1).
 
-    K comes from the exact closed-form inversion at every lattice point;
-    k2 is marched there with the coupled RK4 (K reset to the exact value at
-    each recorded point so no secular drift accumulates).
+    K comes from the closed-form inversion, asked once for the lattice, its
+    quarter steps and the leg from the family's anchor to x0; k2 is marched
+    along that leg and then across the lattice.
     """
     params, c = family.params, family.c
     xs_half = x0 + 0.5 * hx * np.arange(2 * nx - 1)
     if xs_half[0] < family.x_min - 1e-12 or xs_half[-1] > family.x_max + 1e-12:
         raise ValueError("grid leaves the family range")
     anchor_k0 = float(family.Ks[int(np.argmin(np.abs(family.xs)))])
-    K_half = curvature_at(params, anchor_k0, xs_half)
+    n0 = max(1, int(math.ceil(abs(x0) / (0.5 * hx))))
+    x_leg = _half_lattice(np.linspace(0.0, x0, n0 + 1))
+    K_all = curvature_at(params, anchor_k0,
+                         np.concatenate([x_leg, _half_lattice(xs_half)]))
+    K_leg, K_quarter = K_all[:x_leg.size], K_all[x_leg.size:]
+    K_leg[0] = anchor_k0
 
-    # march k2 from the anchor to the left edge, then across the lattice
-    f = _family_rhs(params, c)
-    state = np.array([anchor_k0, family.k2_init])
-    target = xs_half[0]
-    n0 = max(1, int(math.ceil(abs(target) / (0.5 * hx))))
-    for _ in range(n0):
-        state = rk4_step(f, state, target / n0)
-    k2_half = np.empty(xs_half.size)
-    k2_half[0] = state[1]
-    for k in range(xs_half.size - 1):
-        state = rk4_step(f, np.array([K_half[k], k2_half[k]]), 0.5 * hx)
-        k2_half[k + 1] = state[1]
-
+    *_, k2_x0 = _k2_march(params, c, K_leg, family.k2_init, x0 / n0)
+    k2_half = np.array([k2_x0, *_k2_march(params, c, K_quarter, k2_x0,
+                                          0.5 * hx)])
+    K_half = K_quarter[::2]
     mu = params.mu(K_half)
     s = 0.25 * params.mu_sq_prime(K_half)  # mu' mu / 2
     k1_half = (K_half - c) / k2_half
@@ -610,20 +607,8 @@ def parse_mesh(path) -> Mesh:
             if not line:
                 continue
             if line.startswith("#"):
-                body = line[1:].strip()
-                if body.startswith("hcmu-mesh"):
-                    continue
-                if "=" not in body:
-                    raise FormatError(f"bad header comment {line!r}", ln)
-                key, value = (t.strip() for t in body.split("=", 1))
-                try:
-                    entry = ({"c": float(value)} if key == "c"
-                             else parse_grid_header(key, value))
-                except ValueError:
-                    raise FormatError(f"bad header value {value!r}", ln) from None
-                if entry is None:
-                    raise FormatError(f"unknown header key {key!r}", ln)
-                meta.update(entry)
+                if not line[1:].strip().startswith("hcmu-mesh"):
+                    meta.update(parse_header_comment(line, ln, ("c",)))
                 continue
             parts = line.split()
             try:

@@ -64,11 +64,40 @@ def parse_grid_header(key: str, value: str) -> dict | None:
     return None
 
 
+def parse_header_comment(line: str, ln: int, float_keys=()) -> dict:
+    """The entries of the ``# key = value`` comment on line number ln.
+
+    The grid header keys are always known; float_keys names further keys
+    that take one float.  Any other line raises FormatError.
+    """
+    body = line[1:].strip()
+    if "=" not in body:
+        raise FormatError(f"bad header comment {line!r}", ln)
+    key, value = (t.strip() for t in body.split("=", 1))
+    try:
+        entry = ({key: float(value)} if key in float_keys
+                 else parse_grid_header(key, value))
+    except ValueError:
+        raise FormatError(f"bad header value {value!r}", ln) from None
+    if entry is None:
+        raise FormatError(f"unknown header key {key!r}", ln)
+    return entry
+
+
+def write_lines(lines, path):
+    """Write an iterable of text lines, each ended by a newline.
+
+    The lines are consumed inside the write, so an iterable that raises
+    midway leaves the old file in place.
+    """
+    with atomic_write(path) as fh:
+        for line in lines:
+            fh.write(line + "\n")
+
+
 def write_kv_lines(pairs, path):
     """Write an iterable of (key, value) as ``key=value`` lines."""
-    with atomic_write(path) as fh:
-        for key, value in pairs:
-            fh.write(f"{key}={value}\n")
+    write_lines((f"{key}={value}" for key, value in pairs), path)
 
 
 def read_kv_lines(path) -> dict[str, str]:

@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hcmu_lab import algebra, cli
+from hcmu_lab import algebra, cli, profile
 from hcmu_lab.errors import ConfigError
 from hcmu_lab.profile import read_profile_csv
 from hcmu_lab.ratpoly import ISOLATION_WIDTH
@@ -140,6 +140,27 @@ def test_realize_verify_chain(tmp_path):
     rep = read_kv_lines(rep_path)
     assert float(rep["metric_rel_err"]) < 1e-6
     assert rep["cmc_flag"] == "false"
+
+
+def test_realize_profile_range_follows_the_grid(tmp_path, monkeypatch):
+    ranges = []
+    solve = profile.solve_curvature_ode
+
+    def recording_solve(params, k0, x_range, step):
+        ranges.append(x_range)
+        return solve(params, k0, x_range, step)
+
+    monkeypatch.setattr(profile, "solve_curvature_ode", recording_solve)
+    argv = ["realize", "--k1", "2", "--k2", "1", "--k0", "1.5", "--k2-init",
+            "1", "--grid", "21,11,0.002,0.002", "--origin=-0.02,0"]
+    derived, fixed = tmp_path / "derived.mesh", tmp_path / "fixed.mesh"
+    assert run_cli(*argv, "--out", str(derived)) == 0
+    assert run_cli(*argv, "--x-min", "-2", "--x-max", "2",
+                   "--out", str(fixed)) == 0
+    x_pad = 0.02 + 21 * 0.002 + 0.5  # |x0| + nx hx + 0.5, as verify uses
+    assert ranges == [(-x_pad, x_pad), (-2.0, 2.0)]
+    # the mesh depends on the grid alone, not on how far the family reaches
+    assert derived.read_bytes() == fixed.read_bytes()
 
 
 def test_check_gc_roundtrip(tmp_path):

@@ -4,7 +4,7 @@ import pytest
 from fractions import Fraction
 
 from hcmu_lab.algebra import CubicData, obstruction_poly
-from hcmu_lab.errors import PathLeavesDomain
+from hcmu_lab.errors import FormatError, PathLeavesDomain
 from hcmu_lab.fields import (
     GridDomain,
     ShapeField,
@@ -281,3 +281,15 @@ def test_field_csv_roundtrip(tmp_path):
     assert np.array_equal(arr, back)
     assert meta["nx"] == grid.nx and meta["hx"] == grid.hx
     assert meta["x0"] == grid.x0
+
+
+@pytest.mark.parametrize("header,ln", [
+    ("# nx,ny,hx,hy = 1,one,0.1,0.1\n", 1),   # bad value
+    ("# origin = 0,0\n# c = 0\n", 2),         # a mesh key, not a field key
+    ("# origin = 0,0\n# no equals sign\n", 2),
+])
+def test_field_csv_header_errors_carry_line_numbers(tmp_path, header, ln):
+    path = tmp_path / "h11.csv"
+    path.write_text(header + "0\n")
+    with pytest.raises(FormatError, match=f"line {ln}"):
+        read_field_csv(path)

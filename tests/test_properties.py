@@ -1,10 +1,14 @@
-"""Property tests: the K(x) oracle, polynomial division and gcd, Sturm counts
-and the grid header codec."""
+"""Property tests: the K(x) oracle, the admissibility rule, polynomial
+division and gcd, Sturm counts and the grid header codec."""
+
+from fractions import Fraction
 
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from hcmu_lab.algebra import CubicData
+from hcmu_lab.errors import InadmissibleParams
 from hcmu_lab.profile import curvature_at, implicit_x_of_K, validate_params
 from hcmu_lab.ratpoly import RationalPoly, count_roots_between, isolate_roots, poly_gcd
 from hcmu_lab.textio import grid_header, parse_grid_header
@@ -63,6 +67,27 @@ def test_oracle_saturates_beyond_double_resolution(prof, beyond, upper):
         assert curvature_at(params, k0, x) == k_lo
     ends = curvature_at(params, k0, np.array([-np.inf, np.inf]))
     assert list(ends) == [k_lo, k_hi]
+
+
+dyadics = st.builds(lambda n, e: Fraction(n, 2**e), st.integers(-64, 64),
+                    st.integers(0, 6))
+
+
+@PROPERTY
+@given(dyadics, dyadics, st.booleans())
+def test_admissibility_agrees_on_floats_and_fractions(k1, k2, cusp):
+    # dyadic values are exact doubles, so both paths decide the same pair
+    if cusp:
+        k2 = -k1 / 2
+
+    def outcome(make):
+        try:
+            return "accepted", make().kind
+        except InadmissibleParams as err:
+            return "rejected", err.violated
+
+    exact = outcome(lambda: CubicData.from_extremes(k1, k2))
+    assert outcome(lambda: validate_params(float(k1), float(k2))) == exact
 
 
 fractions = st.fractions(min_value=-8, max_value=8, max_denominator=12)

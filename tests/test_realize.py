@@ -7,7 +7,12 @@ import pytest
 from hcmu_lab.algebra import CubicData
 from hcmu_lab.errors import FormatError, FrameDrift, PathLeavesDomain
 from hcmu_lab.fields import GridDomain, codazzi_residual, gauss_residual
-from hcmu_lab.profile import solve_curvature_ode, validate_params
+from hcmu_lab.profile import (
+    curvature_at,
+    rk4_step,
+    solve_curvature_ode,
+    validate_params,
+)
 from hcmu_lab.ratpoly import RationalPoly
 from hcmu_lab.realize import (
     FrameTables,
@@ -70,6 +75,41 @@ def test_family_truncates_at_zero_crossing():
     assert fam.truncated
     assert fam.x_max < 1.0
     assert np.all(fam.k2s > 0)
+
+
+@pytest.mark.parametrize("k1,k2,k0,c,k2_init", [
+    (2, 1, 1.5, 0.0, 1.0), (2, 1, 1.5, 1.0, -1.0), (2, 1, 1.5, -1.0, 0.85),
+    # here curvature_at(params, k0, 0.0) is one ulp below k0
+    (2, -0.25, 0.875, 0.0, 1.0),
+])
+def test_family_curvature_comes_from_the_oracle(k1, k2, k0, c, k2_init):
+    params = validate_params(k1, k2, c=c)
+    prof = solve_curvature_ode(params, k0, (-1.0, 1.0), 1e-3)
+    fam = solve_codazzi_family(prof, c, k2_init)
+    anchor = int(np.argmin(np.abs(fam.xs)))
+    assert fam.Ks[anchor] == k0
+    oracle = curvature_at(params, k0, fam.xs)
+    off = np.arange(fam.xs.size) != anchor
+    assert fam.Ks[off].tobytes() == oracle[off].tobytes()
+
+
+@pytest.mark.parametrize("c", [0.0, 1.0, -1.0])
+def test_family_tables_read_the_grid_curvature_and_march_k2(c):
+    params, fam = make_family(c=c)
+    nx, hx, x0 = 21, 2e-3, -0.02
+    tables = family_tables(fam, x0, hx, nx)
+    grid = GridDomain.create(params, 1.5, nx, 8, hx, hx, origin=(x0, 0.0))
+    assert tables.K.tobytes() == grid.K_half.tobytes()
+    # k2 across the lattice: RK4 of the Codazzi equation with K from the
+    # oracle at the start, middle and end of every half step
+    xs = x0 + 0.5 * hx * np.arange(2 * nx - 1)
+    k2s = [tables.k2[0]]
+    for a, b in zip(xs[:-1], xs[1:]):
+        K = curvature_at(params, 1.5, np.array([a, a + 0.5 * (b - a), b]))
+        rate = 0.25 * params.mu_sq_prime(K)
+        k2s.append(rk4_step(lambda st, k: rate[st] * ((K[st] - c) / k - k),
+                            k2s[-1], 0.5 * hx))
+    assert np.array(k2s).tobytes() == tables.k2.tobytes()
 
 
 def test_family_rejects_zero_init():
