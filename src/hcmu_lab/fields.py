@@ -34,8 +34,8 @@ import numpy as np
 
 from .errors import PathLeavesDomain
 from .profile import CurvatureProfile, HcmuParams, curvature_at, rk4_step
-from .textio import (FormatError, atomic_write, fmt17, grid_header,
-                     parse_header_comment)
+from .textio import (FormatError, atomic_write, format_rows, grid_header,
+                     parse_header_comment, parse_text)
 
 
 @dataclass(frozen=True, eq=False)
@@ -355,31 +355,41 @@ def write_field_csv(arr: np.ndarray, grid: GridDomain, path):
     with atomic_write(path) as fh:
         fh.write(grid_header(grid.nx, grid.ny, grid.hx, grid.hy, grid.x0,
                              grid.y0))
-        for row in arr:
-            fh.write(",".join(fmt17(v) for v in row) + "\n")
+        fh.write(format_rows(",".join(["%.17g"] * arr.shape[1]) + "\n", arr))
 
 
-def read_field_csv(path) -> tuple[np.ndarray, dict]:
+def _field_from_text(text: str, strict: bool) -> tuple[np.ndarray, dict]:
     meta: dict = {}
-    rows = []
-    with open(path) as fh:
-        for ln, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                meta.update(parse_header_comment(line, ln))
-                continue
+    rows, lns = [], []
+    for ln, raw in enumerate(text.split("\n"), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            meta.update(parse_header_comment(line, ln))
+            continue
+        row = line.split(",")
+        if strict:
             try:
-                rows.append([float(t) for t in line.split(",")])
+                row = list(map(float, row))
             except ValueError:
                 raise FormatError(f"bad float in row {line!r}", ln) from None
+        rows.append(row)
+        lns.append(ln)
     if "nx" not in meta:
         raise FormatError("missing nx,ny,hx,hy metadata line")
-    arr = np.array(rows)
+    for row, ln in zip(rows, lns):
+        if len(row) != len(rows[0]):
+            raise FormatError(f"row has {len(row)} values, the first row "
+                              f"{len(rows[0])}", ln)
+    arr = np.array(rows, dtype=float)
     if arr.shape != (meta["nx"], meta["ny"]):
         raise FormatError(
             f"data shape {arr.shape} disagrees with metadata "
             f"({meta['nx']}, {meta['ny']})"
         )
     return arr, meta
+
+
+def read_field_csv(path) -> tuple[np.ndarray, dict]:
+    return parse_text(path, _field_from_text)

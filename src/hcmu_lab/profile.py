@@ -23,7 +23,7 @@ import numpy as np
 
 from .algebra import admissible_kind
 from .errors import FormatError, StepTooLarge
-from .textio import atomic_write, fmt17
+from .textio import atomic_write, format_rows, parse_text
 
 
 @dataclass(frozen=True)
@@ -211,24 +211,39 @@ def _key_double(k):
     return np.where(k < 0, -k | _SIGN, k).view(float)
 
 
-def curvature_at(params: HcmuParams, k0: float, x):
-    """Invert the closed form: the K in (k2, k1) with x(K) = x.
+# Newton steps that start every point's search, and the half-width in keys
+# of the bracket then checked around their result.
+_NEWTON_STEPS = 5
+_BRACKET_PAD = 16
 
-    x is a scalar or an array, and the result is of the same kind.  Every
-    point is bisected at once on the doubles of (k2, k1) down to the two
-    adjacent doubles that bracket it (at most 64 halvings), and the one whose
-    x(K) lies closer to x is returned.  Beyond double resolution the result
-    saturates at the nearest representable K inside the interval.
+
+def _newton_guess(params: HcmuParams, k0: float, t, k_ends):
+    """K near the solution of x(K) = t, from Newton steps in the logit
+    variable u = ln((K - k2)/(k1 - K)).
+
+    There dx/du = (2/mu^2)(K - k2)(k1 - K)/(k1 - k2) = 1.5/((K - k3)(k1 - k2)),
+    bounded at k1, and at k2 too for the conical kind.  Each step moves K by
+    K(u + du) - K(u), so K keeps its own relative accuracy near 0.
     """
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    k_ends = np.array([np.nextafter(params.k2, params.k1),
-                       np.nextafter(params.k1, params.k2)])
-    x_lo, x_hi = implicit_x_of_K(params, k0, k_ends)
-    K = np.where(xs <= x_lo, k_ends[0], k_ends[1])
-    inside = (xs > x_lo) & (xs < x_hi)
-    t = xs[inside]
-    lo, hi = (np.full(t.shape, key) for key in _double_key(k_ends))
-    g_lo, g_hi = np.full(t.shape, x_lo), np.full(t.shape, x_hi)
+    k1, k2 = params.k1, params.k2
+    K = np.full(t.shape, float(k0))
+    for i in range(_NEWTON_STEPS):
+        # x(k0) = 0 by construction, so the first step evaluates nothing
+        gap = t - implicit_x_of_K(params, k0, K) if i else t
+        du = gap * (K - params.k3) * (k1 - k2) / 1.5
+        # with a = K - k2, b = k1 - K and e = exp(-|du|), the form for the
+        # sign of du whose denominator adds positive terms
+        a, b = K - k2, k1 - K
+        em, e = np.expm1(-np.abs(du)), np.exp(-np.abs(du))
+        step = np.where(du < 0, a * b * em / (b + a * e),
+                        -a * b * em / (a + b * e))
+        K = np.clip(K + step, *k_ends)
+    return K
+
+
+def _bisect_keys(params: HcmuParams, k0: float, t, lo, hi, g_lo, g_hi):
+    """Bisect the key brackets [lo, hi], with g_lo < t <= g_hi, down to two
+    adjacent doubles, and return the one whose x(K) lies closer to t."""
     while True:
         mid = (lo >> 1) + (hi >> 1) + (lo & hi & 1)  # floor mean, no overflow
         if not np.any(mid > lo):
@@ -237,7 +252,51 @@ def curvature_at(params: HcmuParams, k0: float, x):
         below = g_mid < t
         lo, g_lo = np.where(below, mid, lo), np.where(below, g_mid, g_lo)
         hi, g_hi = np.where(below, hi, mid), np.where(below, g_hi, g_mid)
-    K[inside] = _key_double(np.where(g_hi - t <= t - g_lo, hi, lo))
+    return _key_double(np.where(g_hi - t <= t - g_lo, hi, lo))
+
+
+def curvature_at(params: HcmuParams, k0: float, x):
+    """Invert the closed form: the K in (k2, k1) with x(K) = x.
+
+    x is a scalar or an array, and the result is of the same kind.  The
+    result is one of two adjacent doubles lo < hi with x(lo) < x <= x(hi),
+    the one whose x(K) lies closer to x (hi on a tie).  Each point takes a
+    few Newton steps from k0 in the logit variable (``_newton_guess``); two
+    x(K) evaluations then check that the doubles 16 keys below and above
+    the guess bracket x, and bisecting that bracket takes 5 rounds.  Points
+    whose check fails (where x(K) is flat or not monotone on the doubles,
+    or Newton has not converged, as on the k2 side of the cusp kind) are
+    bisected, as a batch of their own, over all the doubles of (k2, k1),
+    at most 64 rounds.  Wherever x(K) is monotone on the doubles both
+    searches end on the same pair.  Every point is searched on its own, so
+    an array call equals the scalar calls bit for bit.  Beyond double
+    resolution the result saturates at the nearest representable K inside
+    the interval.
+    """
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    k_ends = np.array([np.nextafter(params.k2, params.k1),
+                       np.nextafter(params.k1, params.k2)])
+    x_lo, x_hi = implicit_x_of_K(params, k0, k_ends)
+    K = np.where(xs <= x_lo, k_ends[0], k_ends[1])
+    inside = (xs > x_lo) & (xs < x_hi)
+    t = xs[inside]
+
+    key_ends = _double_key(k_ends)
+    key = _double_key(_newton_guess(params, k0, t, k_ends))
+    lo = np.clip(key - _BRACKET_PAD, *key_ends)
+    hi = np.clip(key + _BRACKET_PAD, *key_ends)
+    g_lo, g_hi = np.split(
+        implicit_x_of_K(params, k0, _key_double(np.concatenate([lo, hi]))), 2)
+    near = (g_lo < t) & (t <= g_hi)
+    far = ~near
+    n_far = np.count_nonzero(far)
+    found = np.empty(t.shape)
+    found[near] = _bisect_keys(params, k0, t[near], lo[near], hi[near],
+                               g_lo[near], g_hi[near])
+    found[far] = _bisect_keys(params, k0, t[far], np.full(n_far, key_ends[0]),
+                              np.full(n_far, key_ends[1]),
+                              np.full(n_far, x_lo), np.full(n_far, x_hi))
+    K[inside] = found
     if np.ndim(x) == 0:
         return float(K[0])
     return K
@@ -337,28 +396,33 @@ class ProfileTable(NamedTuple):
 
 
 def write_profile_csv(profile: CurvatureProfile, path):
+    table = np.column_stack([profile.xs, profile.Ks, profile.mus,
+                             profile.phis])
     with atomic_write(path) as fh:
         fh.write(_PROFILE_HEADER + "\n")
-        for x, K, mu, phi in zip(profile.xs, profile.Ks, profile.mus,
-                                 profile.phis):
-            fh.write(f"{fmt17(x)},{fmt17(K)},{fmt17(mu)},{fmt17(phi)}\n")
+        fh.write(format_rows("%.17g,%.17g,%.17g,%.17g\n", table))
 
 
-def read_profile_csv(path) -> ProfileTable:
-    with open(path) as fh:
-        lines = fh.read().splitlines()
+def _profile_from_text(text: str, strict: bool) -> ProfileTable:
+    lines = text.splitlines()
     if not lines or lines[0].strip() != _PROFILE_HEADER:
         raise FormatError(f"missing profile header {_PROFILE_HEADER!r}", 1)
-    cols = [[], [], [], []]
+    rows = []
     for ln, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
-        parts = line.split(",")
-        if len(parts) != 4:
-            raise FormatError(f"expected 4 columns, got {len(parts)}", ln)
-        try:
-            for col, tok in zip(cols, parts):
-                col.append(float(tok))
-        except ValueError:
-            raise FormatError(f"bad float in {line!r}", ln) from None
-    return ProfileTable(*(np.array(c) for c in cols))
+        row = line.split(",")
+        if len(row) != 4:
+            raise FormatError(f"expected 4 columns, got {len(row)}", ln)
+        if strict:
+            try:
+                row = list(map(float, row))
+            except ValueError:
+                raise FormatError(f"bad float in {line!r}", ln) from None
+        rows.append(row)
+    # one contiguous array per column
+    return ProfileTable(*np.array(rows, dtype=float).reshape(-1, 4).T.copy())
+
+
+def read_profile_csv(path) -> ProfileTable:
+    return parse_text(path, _profile_from_text)

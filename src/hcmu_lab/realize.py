@@ -38,7 +38,8 @@ import numpy as np
 from .errors import FormatError, FrameDrift, PathLeavesDomain
 from .fields import GridDomain, ShapeField, lattice_legs, march_x
 from .profile import CurvatureProfile, HcmuParams, curvature_at, rk4_step
-from .textio import atomic_write, fmt17, grid_header, parse_header_comment
+from .textio import (atomic_write, fmt17, format_rows, grid_header,
+                     parse_header_comment, parse_text, record_runs)
 
 
 # -- the diagonal Codazzi family ------------------------------------------------
@@ -582,71 +583,114 @@ def verify_immersion(mesh: Mesh, family: DiagonalFamily,
 
 def export_mesh(mesh: Mesh, path):
     """Header comments, then v / vn / f records at 17 significant digits."""
+    v_row = "v" + " %.17g" * mesh.vertices.shape[1] + "\n"
+    vn_row = "vn" + " %.17g" * mesh.normals.shape[1] + "\n"
     with atomic_write(path) as fh:
         fh.write("# hcmu-mesh 1\n")
         fh.write(grid_header(mesh.nx, mesh.ny, mesh.hx, mesh.hy, mesh.x0,
                              mesh.y0))
         fh.write(f"# c = {fmt17(mesh.c)}\n")
-        for row in mesh.vertices:
-            fh.write("v " + " ".join(fmt17(v) for v in row) + "\n")
-        for row in mesh.normals:
-            fh.write("vn " + " ".join(fmt17(v) for v in row) + "\n")
-        for tri in mesh.faces:
-            fh.write(f"f {tri[0] + 1} {tri[1] + 1} {tri[2] + 1}\n")
+        fh.write(format_rows(v_row, mesh.vertices))
+        fh.write(format_rows(vn_row, mesh.normals))
+        fh.write(format_rows("f %d %d %d\n", mesh.faces + 1))
 
 
-def parse_mesh(path) -> Mesh:
+def _mesh_header(meta: dict, line: str, ln: int):
+    if not line[1:].strip().startswith("hcmu-mesh"):
+        meta.update(parse_header_comment(line, ln, ("c",)))
+
+
+def _require_mesh_header(meta: dict):
+    for key in ("nx", "ny", "hx", "hy", "x0", "y0", "c"):
+        if key not in meta:
+            raise FormatError(f"missing header entry for {key}")
+
+
+def _mesh(meta: dict, vertices: np.ndarray, normals: np.ndarray,
+          faces: np.ndarray) -> Mesh:
+    """The Mesh of checked records; faces still 1-based."""
+    dim = vertices.shape[1] if len(vertices) else (3 if meta["c"] == 0 else 4)
+    vertices = vertices.reshape(len(vertices), dim)
+    if not len(normals):
+        normals = np.zeros((len(vertices), dim))
+    try:
+        return Mesh(vertices, faces.reshape(len(faces), 3) - 1, normals,
+                    meta["nx"], meta["ny"], meta["hx"], meta["hy"],
+                    meta["x0"], meta["y0"], meta["c"])
+    except ValueError as e:  # records that disagree with the grid header
+        raise FormatError(str(e)) from None
+
+
+def _mesh_lines(text: str) -> Mesh:
+    """The mesh of any valid layout, read and checked line by line."""
     meta: dict = {}
     verts: list[list[float]] = []
     norms: list[list[float]] = []
     faces: list[list[int]] = []
     stage = 0  # 0: v, 1: vn, 2: f
-    with open(path) as fh:
-        for ln, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                if not line[1:].strip().startswith("hcmu-mesh"):
-                    meta.update(parse_header_comment(line, ln, ("c",)))
-                continue
-            parts = line.split()
-            try:
-                if parts[0] == "v":
-                    if stage != 0:
-                        raise FormatError("vertex after normals or faces", ln)
-                    if len(parts) not in (4, 5):
-                        raise FormatError("vertex needs 3 or 4 coordinates", ln)
-                    verts.append([float(t) for t in parts[1:]])
-                elif parts[0] == "vn":
-                    if stage > 1:
-                        raise FormatError("normal after faces", ln)
-                    stage = 1
-                    norms.append([float(t) for t in parts[1:]])
-                elif parts[0] == "f":
-                    stage = 2
-                    if len(parts) != 4:
-                        raise FormatError("face needs exactly 3 indices", ln)
-                    tri = [int(t) - 1 for t in parts[1:]]
-                    if min(tri) < 0 or max(tri) >= len(verts):
-                        raise FormatError("face index out of range", ln)
-                    faces.append(tri)
-                else:
-                    raise FormatError(f"unknown record {parts[0]!r}", ln)
-            except ValueError:
-                raise FormatError(f"bad number in {line!r}", ln) from None
-    for key in ("nx", "ny", "hx", "hy", "x0", "y0", "c"):
-        if key not in meta:
-            raise FormatError(f"missing header entry for {key}")
+    for ln, raw in enumerate(text.split("\n"), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            _mesh_header(meta, line, ln)
+            continue
+        parts = line.split()
+        try:
+            if parts[0] == "v":
+                if stage != 0:
+                    raise FormatError("vertex after normals or faces", ln)
+                if len(parts) not in (4, 5):
+                    raise FormatError("vertex needs 3 or 4 coordinates", ln)
+                verts.append([float(t) for t in parts[1:]])
+            elif parts[0] == "vn":
+                if stage > 1:
+                    raise FormatError("normal after faces", ln)
+                stage = 1
+                norms.append([float(t) for t in parts[1:]])
+            elif parts[0] == "f":
+                stage = 2
+                if len(parts) != 4:
+                    raise FormatError("face needs exactly 3 indices", ln)
+                tri = [int(t) for t in parts[1:]]
+                if min(tri) < 1 or max(tri) > len(verts):
+                    raise FormatError("face index out of range", ln)
+                faces.append(tri)
+            else:
+                raise FormatError(f"unknown record {parts[0]!r}", ln)
+        except ValueError:
+            raise FormatError(f"bad number in {line!r}", ln) from None
+    _require_mesh_header(meta)
     if norms and len(norms) != len(verts):
         raise FormatError("normal count disagrees with vertex count")
     dim = len(verts[0]) if verts else (3 if meta["c"] == 0 else 4)
     if any(len(v) != dim for v in verts) or any(len(v) != dim for v in norms):
         raise FormatError("inconsistent coordinate dimension")
-    vertices = np.array(verts).reshape(len(verts), dim)
-    normals = (np.array(norms).reshape(len(norms), dim)
-               if norms else np.zeros((len(verts), dim)))
-    face_arr = (np.array(faces, dtype=np.int64)
-                if faces else np.zeros((0, 3), dtype=np.int64))
-    return Mesh(vertices, face_arr, normals, meta["nx"], meta["ny"],
-                meta["hx"], meta["hy"], meta["x0"], meta["y0"], meta["c"])
+    return _mesh(meta, np.array(verts), np.array(norms),
+                 np.array(faces, dtype=np.int64))
+
+
+def _mesh_runs(text: str) -> Mesh:
+    """The mesh of the layout export_mesh writes, each record kind converted
+    in one call.  Raises ValueError where _mesh_lines may find a fault."""
+    comments, recs = record_runs(text, {"v": float, "vn": float,
+                                        "f": np.int64})
+    meta: dict = {}
+    for ln, line in enumerate(comments, start=1):
+        _mesh_header(meta, line.strip(), ln)
+    _require_mesh_header(meta)
+    verts, norms, faces = recs["v"], recs["vn"], recs["f"]
+    if ((len(verts) and verts.shape[1] not in (3, 4))
+            or (len(norms) and norms.shape != verts.shape)
+            or (len(faces) and faces.shape[1] != 3)
+            or (faces.size and not 1 <= faces.min() <= faces.max() <= len(verts))):
+        raise ValueError("records out of shape or range")
+    return _mesh(meta, verts, norms, faces)
+
+
+def _mesh_from_text(text: str, strict: bool) -> Mesh:
+    return _mesh_lines(text) if strict else _mesh_runs(text)
+
+
+def parse_mesh(path) -> Mesh:
+    return parse_text(path, _mesh_from_text)

@@ -3,12 +3,17 @@
 All floating-point output uses 17 significant digits, which round-trips IEEE
 doubles bit-identically through decimal.  Every output file is written
 through ``atomic_write``, so a failed write never leaves a partial file.
+Tables go out through one row template per record kind (``format_rows``) and
+come back through ``parse_text``, which converts each kind's tokens in one
+numpy call and falls back to a line-by-line pass only to name a bad line.
 """
 
 from __future__ import annotations
 
 import os
 from contextlib import contextmanager
+
+import numpy as np
 
 from .errors import FormatError
 
@@ -41,6 +46,94 @@ def atomic_write(path):
 
 def fmt17(x: float) -> str:
     return "%.17g" % x
+
+
+def format_rows(template: str, rows) -> str:
+    """Every row of a 2-D array rendered through one %-template.
+
+    template holds one conversion per column and ends the line, e.g.
+    ``"v %.17g %.17g %.17g\n"``.  The values pass through ``tolist()``, so
+    they render as Python floats and ints, digit for digit as their numpy
+    scalars would.
+    """
+    return (template * len(rows)) % tuple(rows.ravel().tolist())
+
+
+def _universal_newlines(text: str) -> str:
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
+def read_text(path) -> str:
+    """The text of a UTF-8 file, newlines translated as text mode does.
+
+    Bytes that do not decode raise FormatError naming their line.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return _universal_newlines(data.decode())
+    except UnicodeDecodeError as e:
+        ln = _universal_newlines(data[:e.start].decode()).count("\n") + 1
+        raise FormatError(f"not UTF-8 text ({e.reason})", ln) from None
+
+
+def record_runs(text: str, kinds: dict):
+    """Leading comment lines, and one array per record kind, read in bulk.
+
+    text must be laid out as the writers lay it out: ``#`` comment lines,
+    then one run of records per kind of kinds (a dict of kind -> dtype), in
+    its order, one record per line: the kind, a space, and as many numbers
+    as every other record of its run.  Returns (comment lines, {kind: array
+    of shape (records, numbers)}).  Any other layout, and any token that
+    does not convert, raises ValueError or OverflowError.
+    """
+    comments = []
+    pos = 0
+    while text.startswith("#", pos):
+        end = text.index("\n", pos)
+        comments.append(text[pos:end])
+        pos = end + 1
+    body = text[pos:]
+    counts = {kind: body.count(f"\n{kind} ") + body.startswith(f"{kind} ")
+              for kind in kinds}
+    if (sum(counts.values()) != body.count("\n")
+            or body and not body.endswith("\n")):
+        raise ValueError("not one record on every line")
+    # So every line starts with a kind name.  Each run below deletes one
+    # token in every width, as many as it has records, and converts the
+    # rest to numbers.  As many tokens are deleted as lines start with a
+    # name, and no name converts, so once the rest have converted the
+    # deleted tokens are the line starts: each line is one record.
+    tokens = body.split()
+    arrays = {}
+    end = len(tokens)
+    for kind in reversed(kinds):
+        n = counts[kind]
+        start = tokens.index(kind) if n else end
+        run = tokens[start:end]
+        width = len(run) // n if n else 1
+        if not width or len(run) != n * width:
+            raise ValueError(f"{kind} records of unequal width")
+        del run[::width]
+        arrays[kind] = np.array(run, dtype=kinds[kind]).reshape(n, width - 1)
+        end = start
+    return comments, arrays
+
+
+def parse_text(path, build):
+    """build(text, strict) on the text of the file at path.
+
+    The first pass (strict=False) keeps every record's tokens as text and
+    converts each record kind with one numpy call.  If that pass fails in any
+    way, the strict pass converts and checks each record on its own line, so
+    the error it raises names the first bad line, as a line-by-line reader's
+    would.
+    """
+    text = read_text(path)
+    try:
+        return build(text, False)
+    except (FormatError, ValueError, OverflowError):
+        return build(text, True)
 
 
 def grid_header(nx: int, ny: int, hx: float, hy: float, x0: float,

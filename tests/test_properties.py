@@ -1,6 +1,7 @@
 """Property tests: the K(x) oracle, the admissibility rule, polynomial
 division and gcd, Sturm counts and the grid header codec."""
 
+import struct
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from hcmu_lab.algebra import CubicData
 from hcmu_lab.errors import InadmissibleParams
+from hcmu_lab import profile
 from hcmu_lab.profile import curvature_at, implicit_x_of_K, validate_params
 from hcmu_lab.ratpoly import RationalPoly, count_roots_between, isolate_roots, poly_gcd
 from hcmu_lab.textio import grid_header, parse_grid_header
@@ -67,6 +69,94 @@ def test_oracle_saturates_beyond_double_resolution(prof, beyond, upper):
         assert curvature_at(params, k0, x) == k_lo
     ends = curvature_at(params, k0, np.array([-np.inf, np.inf]))
     assert list(ends) == [k_lo, k_hi]
+
+
+def _key(v: float) -> int:
+    """Order-preserving integer key of a double: adjacent doubles, adjacent
+    keys."""
+    b = struct.unpack("<q", struct.pack("<d", v))[0]
+    return b if b >= 0 else -(b & (2**63 - 1))
+
+
+def _double(k: int) -> float:
+    return struct.unpack("<d", struct.pack("<q", k if k >= 0 else -k - 2**63))[0]
+
+
+def full_bisection(params, k0, x):
+    """The oracle's search over all the doubles of (k2, k1), one point at a
+    time: bisect their keys down to two adjacent doubles with
+    x(lo) < x <= x(hi), then take the closer in x (hi on a tie)."""
+    xf = lambda K: implicit_x_of_K(params, k0, K)
+    lo = _key(np.nextafter(params.k2, params.k1))
+    hi = _key(np.nextafter(params.k1, params.k2))
+    g_lo, g_hi = xf(_double(lo)), xf(_double(hi))
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        g_mid = xf(_double(mid))
+        if g_mid < x:
+            lo, g_lo = mid, g_mid
+        else:
+            hi, g_hi = mid, g_mid
+    return _double(hi) if g_hi - x <= x - g_lo else _double(lo)
+
+
+def picked_pair(params, k0, x, K):
+    """The adjacent doubles lo < hi with x(lo) < x <= x(hi) of which K is
+    the closer in x (hi on a tie), or None if K is no such pick."""
+    xf = lambda v: implicit_x_of_K(params, k0, v)
+    below, above = np.nextafter(K, -np.inf), np.nextafter(K, np.inf)
+    for lo, hi in ((below, K), (K, above)):
+        if params.k2 < lo and hi < params.k1 and xf(lo) < x <= xf(hi):
+            if (hi if xf(hi) - x <= x - xf(lo) else lo) == K:
+                return lo, hi
+    return None
+
+
+def assert_oracle_contract(params, k0, x):
+    K = curvature_at(params, k0, x)
+    pair = picked_pair(params, k0, x, K)
+    assert pair is not None
+    ref = full_bisection(params, k0, x)
+    if K != ref:
+        # Both answers end on a bracketing pair, so x(K) falls somewhere
+        # between the two pairs: the answers may differ only where x(K) is
+        # not monotone on the doubles.
+        (_, hi1), (lo2, _) = sorted([pair, picked_pair(params, k0, x, ref)])
+        assert hi1 <= lo2
+        assert implicit_x_of_K(params, k0, hi1) > implicit_x_of_K(params, k0, lo2)
+
+
+@PROPERTY
+@given(profiles(), st.floats(0.0, 1.0),
+       st.sampled_from([0.0, 1e-15, -1e-12, 1e-6, -1e-3]))
+def test_oracle_picks_an_adjacent_pair_like_the_full_bisection(prof, frac, dx):
+    params, k0 = prof
+    K_at = params.k2 + (params.k1 - params.k2) * frac
+    assume(params.k2 < K_at < params.k1)
+    x = implicit_x_of_K(params, k0, K_at) + dx
+    x_lo, x_hi = implicit_x_of_K(params, k0, np.array([
+        np.nextafter(params.k2, params.k1), np.nextafter(params.k1, params.k2)]))
+    assume(x_lo < x < x_hi)  # the saturation property covers the rest
+    assert_oracle_contract(params, k0, x)
+
+
+def test_oracle_falls_back_to_the_full_bisection(monkeypatch):
+    # On the k2 side of the cusp kind, x(K) ~ -1/(K - k2), and Newton in the
+    # logit variable has not converged after its fixed steps at x = -30.
+    params = validate_params(2.0, -1.0)
+    batches = []
+    bisect = profile._bisect_keys
+
+    def spy(params, k0, t, *args):
+        batches.append(t.size)
+        return bisect(params, k0, t, *args)
+
+    monkeypatch.setattr(profile, "_bisect_keys", spy)
+    K = curvature_at(params, 0.5, np.array([-30.0, 0.25]))
+    assert batches == [1, 1]  # one point near its Newton guess, one far
+    for x in (-30.0, 0.25):
+        assert_oracle_contract(params, 0.5, x)
+    assert K[0] == full_bisection(params, 0.5, -30.0)
 
 
 dyadics = st.builds(lambda n, e: Fraction(n, 2**e), st.integers(-64, 64),
