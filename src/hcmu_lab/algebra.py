@@ -39,7 +39,7 @@ from .ratpoly import (
     isolate_roots,
     poly_to_line,
 )
-from .textio import write_lines
+from .textio import kv_records, write_lines
 
 
 def admissible_kind(k1, k2) -> str:
@@ -303,15 +303,7 @@ def certificate_from_lines(lines) -> Certificate:
     interval = None
     roots = []
     declared = None
-    for ln, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise FormatError(f"expected key=value, got {line!r}", ln)
-        key, value = line.split("=", 1)
-        key = key.strip()
-        value = value.strip()
+    for ln, key, value in kv_records(lines):
         try:
             if key == "verdict":
                 verdict = value

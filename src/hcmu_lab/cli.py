@@ -29,7 +29,7 @@ from .errors import (
     InadmissibleParams,
     NumericalFailure,
 )
-from .textio import write_kv_lines, write_lines
+from .textio import read_text, write_kv_lines, write_lines
 
 _CONFIG_KEYS = {
     "k1", "k2", "c", "k0", "k2_init", "grid", "origin", "seed", "tol",
@@ -82,24 +82,23 @@ def parse_config(path) -> Config:
     """Read ``key = value`` lines; '#' comments; unknown or duplicate keys fail."""
     values: dict[str, str] = {}
     try:
-        fh = open(path)
+        text = read_text(path, ConfigError)
     except OSError as e:
         raise ConfigError(f"cannot open config file: {e}") from None
-    with fh:
-        for ln, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"expected key = value, got {line!r}", ln)
-            key, value = (t.strip() for t in line.split("=", 1))
-            if key not in _CONFIG_KEYS:
-                raise ConfigError(f"unknown key {key!r}", ln)
-            if key in values:
-                raise ConfigError(f"duplicate key {key!r}", ln)
-            if not value:
-                raise ConfigError(f"empty value for key {key!r}", ln)
-            values[key] = value
+    for ln, raw in enumerate(text.split("\n"), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"expected key = value, got {line!r}", ln)
+        key, value = (t.strip() for t in line.split("=", 1))
+        if key not in _CONFIG_KEYS:
+            raise ConfigError(f"unknown key {key!r}", ln)
+        if key in values:
+            raise ConfigError(f"duplicate key {key!r}", ln)
+        if not value:
+            raise ConfigError(f"empty value for key {key!r}", ln)
+        values[key] = value
     return Config(values)
 
 

@@ -35,7 +35,7 @@ import numpy as np
 from .errors import PathLeavesDomain
 from .profile import CurvatureProfile, HcmuParams, curvature_at, rk4_step
 from .textio import (FormatError, atomic_write, format_rows, grid_header,
-                     parse_header_comment, parse_text)
+                     parse_header_comment, read_text, records_array)
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,10 +89,6 @@ class GridDomain:
     @property
     def K(self) -> np.ndarray:
         return self.K_half[::2]
-
-    @property
-    def ys(self) -> np.ndarray:
-        return self.y0 + self.hy * np.arange(self.ny)
 
     def node_count(self) -> int:
         return self.nx * self.ny
@@ -358,38 +354,45 @@ def write_field_csv(arr: np.ndarray, grid: GridDomain, path):
         fh.write(format_rows(",".join(["%.17g"] * arr.shape[1]) + "\n", arr))
 
 
-def _field_from_text(text: str, strict: bool) -> tuple[np.ndarray, dict]:
+def read_field_csv(path) -> tuple[np.ndarray, dict]:
+    lines = read_text(path).split("\n")
     meta: dict = {}
-    rows, lns = [], []
-    for ln, raw in enumerate(text.split("\n"), start=1):
+    tokens, widths, lns = [], [], []
+
+    def check_row(row, ln):
+        try:
+            list(map(float, row))
+        except ValueError:
+            raise FormatError(f"bad float in row {lines[ln - 1].strip()!r}",
+                              ln) from None
+
+    for ln, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line:
             continue
         if line.startswith("#"):
-            meta.update(parse_header_comment(line, ln))
+            try:
+                meta.update(parse_header_comment(line, ln))
+            except FormatError:
+                # a bad row on an earlier line comes first
+                records_array(tokens, widths, lns, float, check_row)
+                raise
             continue
         row = line.split(",")
-        if strict:
-            try:
-                row = list(map(float, row))
-            except ValueError:
-                raise FormatError(f"bad float in row {line!r}", ln) from None
-        rows.append(row)
+        tokens += row
+        widths.append(len(row))
         lns.append(ln)
+    arr = records_array(tokens, widths, lns, float, check_row)
     if "nx" not in meta:
         raise FormatError("missing nx,ny,hx,hy metadata line")
-    for row, ln in zip(rows, lns):
-        if len(row) != len(rows[0]):
-            raise FormatError(f"row has {len(row)} values, the first row "
-                              f"{len(rows[0])}", ln)
-    arr = np.array(rows, dtype=float)
+    if arr is None:
+        for width, ln in zip(widths, lns):
+            if width != widths[0]:
+                raise FormatError(f"row has {width} values, the first row "
+                                  f"{widths[0]}", ln)
     if arr.shape != (meta["nx"], meta["ny"]):
         raise FormatError(
             f"data shape {arr.shape} disagrees with metadata "
             f"({meta['nx']}, {meta['ny']})"
         )
     return arr, meta
-
-
-def read_field_csv(path) -> tuple[np.ndarray, dict]:
-    return parse_text(path, _field_from_text)

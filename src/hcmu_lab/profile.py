@@ -23,7 +23,7 @@ import numpy as np
 
 from .algebra import admissible_kind
 from .errors import FormatError, StepTooLarge
-from .textio import atomic_write, format_rows, parse_text
+from .textio import atomic_write, format_rows, read_text, records_array
 
 
 @dataclass(frozen=True)
@@ -403,26 +403,28 @@ def write_profile_csv(profile: CurvatureProfile, path):
         fh.write(format_rows("%.17g,%.17g,%.17g,%.17g\n", table))
 
 
-def _profile_from_text(text: str, strict: bool) -> ProfileTable:
-    lines = text.splitlines()
+def read_profile_csv(path) -> ProfileTable:
+    lines = read_text(path).splitlines()
     if not lines or lines[0].strip() != _PROFILE_HEADER:
         raise FormatError(f"missing profile header {_PROFILE_HEADER!r}", 1)
-    rows = []
+    tokens, lns = [], []
+
+    def check_row(row, ln):
+        try:
+            list(map(float, row))
+        except ValueError:
+            raise FormatError(f"bad float in {lines[ln - 1]!r}", ln) from None
+
     for ln, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
         row = line.split(",")
         if len(row) != 4:
+            # a bad row on an earlier line comes first
+            records_array(tokens, [4] * len(lns), lns, float, check_row)
             raise FormatError(f"expected 4 columns, got {len(row)}", ln)
-        if strict:
-            try:
-                row = list(map(float, row))
-            except ValueError:
-                raise FormatError(f"bad float in {line!r}", ln) from None
-        rows.append(row)
+        tokens += row
+        lns.append(ln)
+    table = records_array(tokens, [4] * len(lns), lns, float, check_row)
     # one contiguous array per column
-    return ProfileTable(*np.array(rows, dtype=float).reshape(-1, 4).T.copy())
-
-
-def read_profile_csv(path) -> ProfileTable:
-    return parse_text(path, _profile_from_text)
+    return ProfileTable(*table.reshape(-1, 4).T.copy())

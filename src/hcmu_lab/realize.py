@@ -39,7 +39,7 @@ from .errors import FormatError, FrameDrift, PathLeavesDomain
 from .fields import GridDomain, ShapeField, lattice_legs, march_x
 from .profile import CurvatureProfile, HcmuParams, curvature_at, rk4_step
 from .textio import (atomic_write, fmt17, format_rows, grid_header,
-                     parse_header_comment, parse_text, record_runs)
+                     parse_header_comment, read_text, records_array)
 
 
 # -- the diagonal Codazzi family ------------------------------------------------
@@ -595,102 +595,90 @@ def export_mesh(mesh: Mesh, path):
         fh.write(format_rows("f %d %d %d\n", mesh.faces + 1))
 
 
-def _mesh_header(meta: dict, line: str, ln: int):
-    if not line[1:].strip().startswith("hcmu-mesh"):
-        meta.update(parse_header_comment(line, ln, ("c",)))
-
-
-def _require_mesh_header(meta: dict):
-    for key in ("nx", "ny", "hx", "hy", "x0", "y0", "c"):
-        if key not in meta:
-            raise FormatError(f"missing header entry for {key}")
-
-
-def _mesh(meta: dict, vertices: np.ndarray, normals: np.ndarray,
-          faces: np.ndarray) -> Mesh:
-    """The Mesh of checked records; faces still 1-based."""
-    dim = vertices.shape[1] if len(vertices) else (3 if meta["c"] == 0 else 4)
-    vertices = vertices.reshape(len(vertices), dim)
-    if not len(normals):
-        normals = np.zeros((len(vertices), dim))
-    try:
-        return Mesh(vertices, faces.reshape(len(faces), 3) - 1, normals,
-                    meta["nx"], meta["ny"], meta["hx"], meta["hy"],
-                    meta["x0"], meta["y0"], meta["c"])
-    except ValueError as e:  # records that disagree with the grid header
-        raise FormatError(str(e)) from None
-
-
-def _mesh_lines(text: str) -> Mesh:
-    """The mesh of any valid layout, read and checked line by line."""
+def parse_mesh(path) -> Mesh:
+    """The mesh of a file in any valid layout, each record kind converted in
+    one numpy call; FormatError names the first bad line."""
+    lines = read_text(path).split("\n")
     meta: dict = {}
-    verts: list[list[float]] = []
-    norms: list[list[float]] = []
-    faces: list[list[int]] = []
+    # per kind: number tokens, tokens per record, line numbers
+    recs = {"v": ([], [], []), "vn": ([], [], []), "f": ([], [], [])}
     stage = 0  # 0: v, 1: vn, 2: f
-    for ln, raw in enumerate(text.split("\n"), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            _mesh_header(meta, line, ln)
-            continue
-        parts = line.split()
+
+    def check_record(row, ln, face=False):
         try:
-            if parts[0] == "v":
+            values = list(map(int if face else float, row))
+        except ValueError:
+            raise FormatError(f"bad number in {lines[ln - 1].strip()!r}",
+                              ln) from None
+        if face and not 1 <= min(values) <= max(values) <= len(recs["v"][1]):
+            raise FormatError("face index out of range", ln)
+
+    def arrays():
+        """The records read so far, converted and checked.
+
+        v records precede vn records, which precede f records, so checking
+        the kinds in that order finds the first bad record line.  Every v
+        record precedes every f record: the vertex count is each face's.
+        """
+        verts = records_array(*recs["v"], float, check_record)
+        norms = records_array(*recs["vn"], float, check_record)
+        faces = records_array(*recs["f"], np.int64,
+                              lambda row, ln: check_record(row, ln, True))
+        bad = np.flatnonzero((faces < 1) | (faces > len(recs["v"][1])))
+        if bad.size:
+            raise FormatError("face index out of range",
+                              recs["f"][2][bad[0] // 3])
+        return verts, norms, faces
+
+    for ln, raw in enumerate(lines, start=1):
+        parts = raw.split()
+        if not parts:
+            continue
+        kind = parts[0]
+        try:
+            if kind == "f":
+                stage = 2
+                if len(parts) != 4:
+                    raise FormatError("face needs exactly 3 indices", ln)
+            elif kind == "v":
                 if stage != 0:
                     raise FormatError("vertex after normals or faces", ln)
                 if len(parts) not in (4, 5):
                     raise FormatError("vertex needs 3 or 4 coordinates", ln)
-                verts.append([float(t) for t in parts[1:]])
-            elif parts[0] == "vn":
+            elif kind == "vn":
                 if stage > 1:
                     raise FormatError("normal after faces", ln)
                 stage = 1
-                norms.append([float(t) for t in parts[1:]])
-            elif parts[0] == "f":
-                stage = 2
-                if len(parts) != 4:
-                    raise FormatError("face needs exactly 3 indices", ln)
-                tri = [int(t) for t in parts[1:]]
-                if min(tri) < 1 or max(tri) > len(verts):
-                    raise FormatError("face index out of range", ln)
-                faces.append(tri)
+            elif kind.startswith("#"):
+                line = raw.strip()
+                if not line[1:].strip().startswith("hcmu-mesh"):
+                    meta.update(parse_header_comment(line, ln, ("c",)))
+                continue
             else:
-                raise FormatError(f"unknown record {parts[0]!r}", ln)
-        except ValueError:
-            raise FormatError(f"bad number in {line!r}", ln) from None
-    _require_mesh_header(meta)
-    if norms and len(norms) != len(verts):
+                raise FormatError(f"unknown record {kind!r}", ln)
+        except FormatError:
+            arrays()  # a bad record on an earlier line comes first
+            raise
+        tokens, widths, lns = recs[kind]
+        tokens += parts[1:]
+        widths.append(len(parts) - 1)
+        lns.append(ln)
+    verts, norms, faces = arrays()
+    for key in ("nx", "ny", "hx", "hy", "x0", "y0", "c"):
+        if key not in meta:
+            raise FormatError(f"missing header entry for {key}")
+    n_verts, n_norms = len(recs["v"][1]), len(recs["vn"][1])
+    if n_norms and n_norms != n_verts:
         raise FormatError("normal count disagrees with vertex count")
-    dim = len(verts[0]) if verts else (3 if meta["c"] == 0 else 4)
-    if any(len(v) != dim for v in verts) or any(len(v) != dim for v in norms):
+    dim = recs["v"][1][0] if n_verts else (3 if meta["c"] == 0 else 4)
+    if verts is None or norms is None or (n_norms and norms.shape[1] != dim):
         raise FormatError("inconsistent coordinate dimension")
-    return _mesh(meta, np.array(verts), np.array(norms),
-                 np.array(faces, dtype=np.int64))
-
-
-def _mesh_runs(text: str) -> Mesh:
-    """The mesh of the layout export_mesh writes, each record kind converted
-    in one call.  Raises ValueError where _mesh_lines may find a fault."""
-    comments, recs = record_runs(text, {"v": float, "vn": float,
-                                        "f": np.int64})
-    meta: dict = {}
-    for ln, line in enumerate(comments, start=1):
-        _mesh_header(meta, line.strip(), ln)
-    _require_mesh_header(meta)
-    verts, norms, faces = recs["v"], recs["vn"], recs["f"]
-    if ((len(verts) and verts.shape[1] not in (3, 4))
-            or (len(norms) and norms.shape != verts.shape)
-            or (len(faces) and faces.shape[1] != 3)
-            or (faces.size and not 1 <= faces.min() <= faces.max() <= len(verts))):
-        raise ValueError("records out of shape or range")
-    return _mesh(meta, verts, norms, faces)
-
-
-def _mesh_from_text(text: str, strict: bool) -> Mesh:
-    return _mesh_lines(text) if strict else _mesh_runs(text)
-
-
-def parse_mesh(path) -> Mesh:
-    return parse_text(path, _mesh_from_text)
+    verts = verts.reshape(n_verts, dim)
+    if not n_norms:
+        norms = np.zeros((n_verts, dim))
+    try:
+        return Mesh(verts, faces.reshape(len(faces), 3) - 1, norms,
+                    meta["nx"], meta["ny"], meta["hx"], meta["hy"],
+                    meta["x0"], meta["y0"], meta["c"])
+    except ValueError as e:  # records that disagree with the grid header
+        raise FormatError(str(e)) from None

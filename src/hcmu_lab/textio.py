@@ -3,9 +3,13 @@
 All floating-point output uses 17 significant digits, which round-trips IEEE
 doubles bit-identically through decimal.  Every output file is written
 through ``atomic_write``, so a failed write never leaves a partial file.
-Tables go out through one row template per record kind (``format_rows``) and
-come back through ``parse_text``, which converts each kind's tokens in one
-numpy call and falls back to a line-by-line pass only to name a bad line.
+Tables go out through one row template per record kind (``format_rows``).
+Each table reader walks the lines of its file once, checking on each line
+only what its text shows (record kind, order, token count), and then
+converts each record kind's tokens in one numpy call (``records_array``).
+A fault found on a line is raised only after the records before it have
+converted and passed their checks, so the error a reader raises is always
+that of the first bad line.
 """
 
 from __future__ import annotations
@@ -63,10 +67,11 @@ def _universal_newlines(text: str) -> str:
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
-def read_text(path) -> str:
+def read_text(path, error=FormatError) -> str:
     """The text of a UTF-8 file, newlines translated as text mode does.
 
-    Bytes that do not decode raise FormatError naming their line.
+    Bytes that do not decode raise error (FormatError or a subclass of it)
+    naming their line.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -74,66 +79,30 @@ def read_text(path) -> str:
         return _universal_newlines(data.decode())
     except UnicodeDecodeError as e:
         ln = _universal_newlines(data[:e.start].decode()).count("\n") + 1
-        raise FormatError(f"not UTF-8 text ({e.reason})", ln) from None
+        raise error(f"not UTF-8 text ({e.reason})", ln) from None
 
 
-def record_runs(text: str, kinds: dict):
-    """Leading comment lines, and one array per record kind, read in bulk.
+def records_array(tokens, widths, lns, dtype, check_row):
+    """Records of number tokens as one array of dtype, one row per record.
 
-    text must be laid out as the writers lay it out: ``#`` comment lines,
-    then one run of records per kind of kinds (a dict of kind -> dtype), in
-    its order, one record per line: the kind, a space, and as many numbers
-    as every other record of its run.  Returns (comment lines, {kind: array
-    of shape (records, numbers)}).  Any other layout, and any token that
-    does not convert, raises ValueError or OverflowError.
+    tokens holds the number tokens of all records, in line order; widths
+    holds each record's token count and lns its line number.  Records of
+    one width convert in one numpy call.  Only if their widths differ or
+    that call fails does check_row(row, ln) go over the records in line
+    order, to raise the FormatError of the first bad one.  If it raises
+    for none, the widths differ and the result is None.
     """
-    comments = []
-    pos = 0
-    while text.startswith("#", pos):
-        end = text.index("\n", pos)
-        comments.append(text[pos:end])
-        pos = end + 1
-    body = text[pos:]
-    counts = {kind: body.count(f"\n{kind} ") + body.startswith(f"{kind} ")
-              for kind in kinds}
-    if (sum(counts.values()) != body.count("\n")
-            or body and not body.endswith("\n")):
-        raise ValueError("not one record on every line")
-    # So every line starts with a kind name.  Each run below deletes one
-    # token in every width, as many as it has records, and converts the
-    # rest to numbers.  As many tokens are deleted as lines start with a
-    # name, and no name converts, so once the rest have converted the
-    # deleted tokens are the line starts: each line is one record.
-    tokens = body.split()
-    arrays = {}
-    end = len(tokens)
-    for kind in reversed(kinds):
-        n = counts[kind]
-        start = tokens.index(kind) if n else end
-        run = tokens[start:end]
-        width = len(run) // n if n else 1
-        if not width or len(run) != n * width:
-            raise ValueError(f"{kind} records of unequal width")
-        del run[::width]
-        arrays[kind] = np.array(run, dtype=kinds[kind]).reshape(n, width - 1)
-        end = start
-    return comments, arrays
-
-
-def parse_text(path, build):
-    """build(text, strict) on the text of the file at path.
-
-    The first pass (strict=False) keeps every record's tokens as text and
-    converts each record kind with one numpy call.  If that pass fails in any
-    way, the strict pass converts and checks each record on its own line, so
-    the error it raises names the first bad line, as a line-by-line reader's
-    would.
-    """
-    text = read_text(path)
-    try:
-        return build(text, False)
-    except (FormatError, ValueError, OverflowError):
-        return build(text, True)
+    shape = set(widths)
+    if len(shape) <= 1:
+        try:
+            return np.array(tokens, dtype).reshape(len(widths), *shape)
+        except (ValueError, OverflowError):
+            pass
+    end = 0
+    for width, ln in zip(widths, lns):
+        start, end = end, end + width
+        check_row(tokens[start:end], ln)
+    return None
 
 
 def grid_header(nx: int, ny: int, hx: float, hy: float, x0: float,
@@ -193,15 +162,22 @@ def write_kv_lines(pairs, path):
     write_lines((f"{key}={value}" for key, value in pairs), path)
 
 
+def kv_records(lines):
+    """(line number, key, value) of each ``key=value`` line, both stripped.
+
+    Blank lines and ``#`` comment lines are skipped; any other line without
+    ``=`` raises FormatError.
+    """
+    for ln, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise FormatError(f"expected key=value, got {line!r}", ln)
+        key, value = line.split("=", 1)
+        yield ln, key.strip(), value.strip()
+
+
 def read_kv_lines(path) -> dict[str, str]:
-    out: dict[str, str] = {}
-    with open(path) as fh:
-        for ln, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise FormatError(f"expected key=value, got {line!r}", ln)
-            key, value = line.split("=", 1)
-            out[key.strip()] = value.strip()
-    return out
+    return {key: value
+            for _, key, value in kv_records(read_text(path).split("\n"))}

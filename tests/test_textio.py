@@ -1,14 +1,20 @@
-"""The text codec of the mesh, field CSV and profile CSV formats: writers
-render value for value as ``"%.17g"``, readers give the values back bit for
-bit, and readers fail only with FormatError."""
+"""The text codec of the mesh, field CSV and profile CSV formats and the
+key=value readers: writers render value for value as ``"%.17g"``, readers
+give the values back bit for bit, read every file as the line-by-line
+reference readers below do, and fail only with FormatError."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hcmu_lab import fields, profile, realize
-from hcmu_lab.errors import FormatError
+from hcmu_lab.algebra import (
+    Certificate,
+    certificate_from_lines,
+    write_obstruction_file,
+)
+from hcmu_lab.cli import parse_config
+from hcmu_lab.errors import ConfigError, FormatError
 from hcmu_lab.fields import GridDomain, read_field_csv, write_field_csv
 from hcmu_lab.profile import (
     CurvatureProfile,
@@ -16,8 +22,14 @@ from hcmu_lab.profile import (
     validate_params,
     write_profile_csv,
 )
+from hcmu_lab.ratpoly import RationalPoly, poly_from_line
 from hcmu_lab.realize import Mesh, export_mesh, parse_mesh
-from hcmu_lab.textio import grid_header
+from hcmu_lab.textio import (
+    grid_header,
+    parse_header_comment,
+    read_kv_lines,
+    read_text,
+)
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
 PARAMS = validate_params(2, 1)
@@ -126,35 +138,158 @@ def test_csv_roundtrips_are_bit_identical(tmp_path_factory, field, table):
         prof.xs, prof.Ks, prof.mus, prof.phis)
 
 
+# -- the reference: line-by-line readers --------------------------------------
+# Each converts and checks every record on its own line, so the first fault in
+# the file is the one it raises.  The readers under test must give the same
+# arrays, or the same FormatError, on every file.
+
+
+def reference_mesh(text: str) -> Mesh:
+    meta: dict = {}
+    verts: list[list[float]] = []
+    norms: list[list[float]] = []
+    faces: list[list[int]] = []
+    stage = 0  # 0: v, 1: vn, 2: f
+    for ln, raw in enumerate(text.split("\n"), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            if not line[1:].strip().startswith("hcmu-mesh"):
+                meta.update(parse_header_comment(line, ln, ("c",)))
+            continue
+        parts = line.split()
+        try:
+            if parts[0] == "v":
+                if stage != 0:
+                    raise FormatError("vertex after normals or faces", ln)
+                if len(parts) not in (4, 5):
+                    raise FormatError("vertex needs 3 or 4 coordinates", ln)
+                verts.append([float(t) for t in parts[1:]])
+            elif parts[0] == "vn":
+                if stage > 1:
+                    raise FormatError("normal after faces", ln)
+                stage = 1
+                norms.append([float(t) for t in parts[1:]])
+            elif parts[0] == "f":
+                stage = 2
+                if len(parts) != 4:
+                    raise FormatError("face needs exactly 3 indices", ln)
+                tri = [int(t) for t in parts[1:]]
+                if min(tri) < 1 or max(tri) > len(verts):
+                    raise FormatError("face index out of range", ln)
+                faces.append(tri)
+            else:
+                raise FormatError(f"unknown record {parts[0]!r}", ln)
+        except ValueError:
+            raise FormatError(f"bad number in {line!r}", ln) from None
+    for key in ("nx", "ny", "hx", "hy", "x0", "y0", "c"):
+        if key not in meta:
+            raise FormatError(f"missing header entry for {key}")
+    if norms and len(norms) != len(verts):
+        raise FormatError("normal count disagrees with vertex count")
+    dim = len(verts[0]) if verts else (3 if meta["c"] == 0 else 4)
+    if any(len(v) != dim for v in verts) or any(len(v) != dim for v in norms):
+        raise FormatError("inconsistent coordinate dimension")
+    vertices = np.array(verts).reshape(len(verts), dim)
+    normals = np.array(norms) if norms else np.zeros((len(verts), dim))
+    try:
+        return Mesh(vertices,
+                    np.array(faces, dtype=np.int64).reshape(len(faces), 3) - 1,
+                    normals, meta["nx"], meta["ny"], meta["hx"], meta["hy"],
+                    meta["x0"], meta["y0"], meta["c"])
+    except ValueError as e:
+        raise FormatError(str(e)) from None
+
+
+def reference_field(text: str) -> tuple[np.ndarray, dict]:
+    meta: dict = {}
+    rows, lns = [], []
+    for ln, raw in enumerate(text.split("\n"), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            meta.update(parse_header_comment(line, ln))
+            continue
+        try:
+            rows.append(list(map(float, line.split(","))))
+        except ValueError:
+            raise FormatError(f"bad float in row {line!r}", ln) from None
+        lns.append(ln)
+    if "nx" not in meta:
+        raise FormatError("missing nx,ny,hx,hy metadata line")
+    for row, ln in zip(rows, lns):
+        if len(row) != len(rows[0]):
+            raise FormatError(f"row has {len(row)} values, the first row "
+                              f"{len(rows[0])}", ln)
+    arr = np.array(rows, dtype=float)
+    if arr.shape != (meta["nx"], meta["ny"]):
+        raise FormatError(
+            f"data shape {arr.shape} disagrees with metadata "
+            f"({meta['nx']}, {meta['ny']})"
+        )
+    return arr, meta
+
+
+def reference_profile(text: str) -> tuple[np.ndarray, ...]:
+    lines = text.splitlines()
+    if not lines or lines[0].strip() != "x,K,mu,phi":
+        raise FormatError("missing profile header 'x,K,mu,phi'", 1)
+    rows = []
+    for ln, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        row = line.split(",")
+        if len(row) != 4:
+            raise FormatError(f"expected 4 columns, got {len(row)}", ln)
+        try:
+            rows.append(list(map(float, row)))
+        except ValueError:
+            raise FormatError(f"bad float in {line!r}", ln) from None
+    return tuple(np.array(rows, dtype=float).reshape(-1, 4).T.copy())
+
+
+READERS = {"mesh.txt": (parse_mesh, reference_mesh),
+           "h11.csv": (read_field_csv, reference_field),
+           "profile.csv": (read_profile_csv, reference_profile)}
+
+
+def outcome(read, path):
+    try:
+        got = read(path)
+    except FormatError as err:
+        return str(err)
+    if isinstance(got, Mesh):
+        return bits(got.vertices, got.normals, got.faces), repr(
+            (got.nx, got.ny, got.hx, got.hy, got.x0, got.y0, got.c))
+    if isinstance(got, tuple) and len(got) == 2:
+        return bits(got[0]), repr(got[1])
+    return bits(*got)
+
+
+def assert_reads_as_reference(name, path):
+    """The reader's whole outcome on the file equals the reference's."""
+    read, reference = READERS[name]
+    got = outcome(read, path)
+    assert got == outcome(lambda p: reference(read_text(p)), path)
+    return got
+
+
 # -- the readers -------------------------------------------------------------------
 
 
 def written_files(tmp_path):
-    mesh = small_mesh(4, SPECIAL)
-    export_mesh(mesh, tmp_path / "mesh.txt")
+    export_mesh(small_mesh(4, SPECIAL), tmp_path / "mesh.txt")
     write_field_csv(np.ones((GRID.nx, GRID.ny)), GRID, tmp_path / "h11.csv")
     write_profile_csv(a_profile(SPECIAL[:8]), tmp_path / "profile.csv")
-    return {"mesh.txt": parse_mesh, "h11.csv": read_field_csv,
-            "profile.csv": read_profile_csv}
-
-
-def test_written_files_are_read_in_one_bulk_pass(tmp_path, monkeypatch):
-    passes = []
-    for module, name in ((realize, "_mesh_from_text"),
-                         (fields, "_field_from_text"),
-                         (profile, "_profile_from_text")):
-        build = getattr(module, name)
-        monkeypatch.setattr(module, name, lambda text, strict, build=build:
-                            passes.append(strict) or build(text, strict))
-    for name, read in written_files(tmp_path).items():
-        read(tmp_path / name)
-    assert passes == [False, False, False]
 
 
 @pytest.mark.parametrize("name", ["mesh.txt", "h11.csv", "profile.csv"])
 @pytest.mark.parametrize("at_line", [1, 3])
 def test_undecodable_bytes_raise_format_error(tmp_path, name, at_line):
-    read = written_files(tmp_path)[name]
+    written_files(tmp_path)
+    read = READERS[name][0]
     path = tmp_path / name
     lines = path.read_bytes().splitlines(keepends=True)
     lines[at_line - 1] = b"\xff" + lines[at_line - 1]
@@ -222,9 +357,40 @@ def test_mesh_layouts_off_the_bulk_path_read_as_line_by_line(tmp_path, edit,
     edit(lines)
     text = "\n".join(lines)
     path.write_text(text)
-    got = outcome(parse_mesh, path)
+    got = assert_reads_as_reference("mesh.txt", path)
     assert isinstance(got, str) == fails
-    assert got == outcome(lambda _: realize._mesh_lines(text), path)
+
+
+@pytest.mark.parametrize("name,edit,added,error", [
+    ("mesh.txt", {5: "v x 1 2 3"}, ["v 1 2 3 4"], "line 6: bad number"),
+    ("mesh.txt", {5: "v x 1 2 3"}, ["# bogus"], "line 6: bad number"),
+    ("mesh.txt", {10: "vn x 1 2 3"}, ["f 1 2"], "line 11: bad number"),
+    ("mesh.txt", {16: "f 0 1 2", 17: "f 1 x 2"}, [],
+     "line 17: face index out of range"),
+    ("mesh.txt", {16: "f 1 2 99999999999999999999", 17: "f 1 x 2"}, [],
+     "line 17: face index out of range"),
+    ("mesh.txt", {17: "f 99999999999999999999 x 1"}, [],
+     "line 18: bad number"),
+    ("mesh.txt", {19: "f 1 2 7"}, ["vn 1 2 3 4"],
+     "line 20: face index out of range"),
+    ("mesh.txt", {4: "v 1 2 3", 18: "f 1 2 x"}, [], "line 19: bad number"),
+    ("mesh.txt", {4: "v 1 2 3"}, [], "inconsistent coordinate dimension"),
+    ("h11.csv", {3: "1,x"}, ["# bogus"], "line 4: bad float"),
+    ("h11.csv", {3: "1,1", 5: "1,y"}, [], "line 6: bad float"),
+    ("h11.csv", {0: "", 4: "z"}, [], "line 5: bad float"),
+    ("h11.csv", {3: "1,1"}, [], "line 4: row has 2 values"),
+    ("profile.csv", {1: "0,x,0,0"}, ["1,2,3"], "line 2: bad float"),
+    ("profile.csv", {1: "0,0,0", 2: "x,0,0,0"}, [], "line 2: expected 4"),
+])
+def test_the_first_bad_line_is_the_one_reported(tmp_path, name, edit, added,
+                                                error):
+    written_files(tmp_path)
+    path = tmp_path / name
+    lines = path.read_text().split("\n")[:-1]
+    for i, line in edit.items():
+        lines[i] = line
+    path.write_text("\n".join(lines + added) + "\n")
+    assert assert_reads_as_reference(name, path).startswith(error)
 
 
 # Edits that keep most of a file readable, to reach the checks of every line.
@@ -242,30 +408,72 @@ def edited(text: str, changes) -> str:
     return text
 
 
-def outcome(read, path):
-    try:
-        got = read(path)
-    except FormatError as err:
-        return str(err)
-    if isinstance(got, Mesh):
-        return bits(got.vertices, got.normals, got.faces), repr(
-            (got.nx, got.ny, got.hx, got.hy, got.x0, got.y0, got.c))
-    if isinstance(got, tuple) and len(got) == 2:
-        return bits(got[0]), repr(got[1])
-    return bits(*got)
-
-
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(st.sampled_from(["mesh.txt", "h11.csv", "profile.csv"]), edits,
        st.binary(max_size=4))
 def test_edited_files_read_as_line_by_line_or_raise_format_error(
         tmp_path_factory, name, changes, junk):
     tmp = tmp_path_factory.mktemp("edit")
-    read = written_files(tmp)[name]
+    written_files(tmp)
     path = tmp / name
     path.write_bytes(edited(path.read_text(), changes).encode() + junk)
-    got = outcome(read, path)  # anything but FormatError propagates
-    if name == "mesh.txt" and not isinstance(got, str):
-        # the bulk reading agrees with the line-by-line one
-        text = path.read_bytes().decode().replace("\r\n", "\n").replace("\r", "\n")
-        assert outcome(lambda _: realize._mesh_lines(text), path) == got
+    # anything but FormatError propagates
+    assert_reads_as_reference(name, path)
+
+
+# -- the key=value readers ----------------------------------------------------
+
+
+def test_undecodable_key_value_files_raise_format_error(tmp_path):
+    (tmp_path / "report.txt").write_bytes(b"\xffa=1\n")
+    with pytest.raises(FormatError, match="line 1: not UTF-8"):
+        read_kv_lines(tmp_path / "report.txt")
+    (tmp_path / "run.cfg").write_bytes(b"\xffk1 = 2\n")
+    with pytest.raises(ConfigError, match="line 1: not UTF-8"):
+        parse_config(tmp_path / "run.cfg")
+
+
+KV_PIECES = ["\n", "=", " = ", "#", " ", "k1", "k2", "grid", "verdict",
+             "interval", "root_count", "root_interval", "no-root",
+             "roots-isolated", "0", "1/2", "-3", "1/0", "2.5", "x", "\xff"]
+kv_text = st.lists(st.one_of(st.sampled_from(KV_PIECES), st.text(max_size=4)),
+                   max_size=16).map("".join)
+
+
+@PROPERTY
+@given(kv_text, st.binary(max_size=8))
+def test_key_value_readers_fail_only_with_format_error(tmp_path_factory,
+                                                       text, junk):
+    path = tmp_path_factory.mktemp("kv") / "file.txt"
+    for data in (text.encode(), junk + text.encode(), text.encode() + junk):
+        path.write_bytes(data)
+        for read in (read_kv_lines, parse_config):
+            try:
+                read(path)
+            except FormatError:  # ConfigError is one
+                pass
+    for read in (lambda: certificate_from_lines(text.split("\n")),
+                 lambda: poly_from_line(text)):
+        try:
+            read()
+        except FormatError:
+            pass
+
+
+fractions = st.fractions(max_denominator=10**6).filter(
+    lambda q: abs(q.numerator) < 10**12)
+intervals = st.tuples(fractions, fractions)
+
+
+@PROPERTY
+@given(st.lists(fractions, max_size=5), intervals,
+       st.lists(intervals, max_size=3))
+def test_obstruction_file_reads_back_exactly(tmp_path_factory, coeffs,
+                                             interval, roots):
+    phi = RationalPoly(coeffs)
+    cert = Certificate(interval, not roots, tuple(roots))
+    path = tmp_path_factory.mktemp("obstruction") / "phi.txt"
+    write_obstruction_file(phi, cert, path)
+    first, *rest = path.read_text().split("\n")
+    assert poly_from_line(first) == phi
+    assert certificate_from_lines(rest) == cert
