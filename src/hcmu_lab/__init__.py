@@ -46,7 +46,7 @@ from .profile import (
     solve_curvature_ode,
     validate_params,
 )
-from .ratpoly import RationalFunction, RationalPoly
+from .ratpoly import RationalPoly
 from .realize import (
     DiagonalFamily,
     FrameState,

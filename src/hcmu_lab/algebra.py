@@ -10,6 +10,10 @@ extends d/dK and satisfies (mu^2)' = P', i.e.
 
     mu' = P' / (2 P) * mu.
 
+That division by P is the only one the kernel makes, so every element is
+stored as (a + b mu) / P^k with polynomials a, b: the arithmetic stays in
+Q[K] plus exact division by P, and needs no polynomial gcd.
+
 Two consequences used throughout the workbench, both exact:
 
     2 mu mu'          = P'(K)
@@ -32,7 +36,6 @@ from itertools import chain
 
 from .errors import AlgebraConsistencyError, FormatError, InadmissibleParams
 from .ratpoly import (
-    RationalFunction,
     RationalPoly,
     as_fraction,
     count_roots_between,
@@ -115,35 +118,41 @@ def expand_mu_square(params: CubicData) -> RationalPoly:
 
 
 class MuElement:
-    """Element a(K) + b(K) mu of the extension, with mu^2 = P(K).
+    """Element (a(K) + b(K) mu) / P(K)^k of the extension, with mu^2 = P(K).
 
-    a and b are reduced rational functions; equality therefore reduces to
-    componentwise equality.  Binary operations require matching P.
+    a and b are polynomials and k >= 0.  The triple is kept reduced (k = 0,
+    or P does not divide both a and b), which makes it unique: equality
+    compares components.  Binary operations require matching P.
     """
 
-    __slots__ = ("a", "b", "P")
+    __slots__ = ("a", "b", "k", "P")
 
-    def __init__(self, a, b, P: RationalPoly):
+    def __init__(self, a, b, P: RationalPoly, k: int = 0):
         if P.is_zero():
             raise ZeroDivisionError("extension over the zero polynomial")
-        self.a = a if isinstance(a, RationalFunction) else RationalFunction(a)
-        self.b = b if isinstance(b, RationalFunction) else RationalFunction(b)
-        self.P = P
+        a = a if isinstance(a, RationalPoly) else RationalPoly.constant(a)
+        b = b if isinstance(b, RationalPoly) else RationalPoly.constant(b)
+        while k:
+            qa, ra = divmod(a, P)
+            qb, rb = divmod(b, P)
+            if ra or rb:
+                break
+            a, b, k = qa, qb, k - 1
+        self.a, self.b, self.k, self.P = a, b, k, P
 
     # -- constructors --------------------------------------------------------
 
     @classmethod
     def mu(cls, P: RationalPoly) -> "MuElement":
-        return cls(RationalFunction.zero(), RationalFunction.one(), P)
+        return cls(0, 1, P)
 
     @classmethod
     def var(cls, P: RationalPoly) -> "MuElement":
-        return cls(RationalFunction(RationalPoly.x()), RationalFunction.zero(), P)
+        return cls(RationalPoly.x(), 0, P)
 
     @classmethod
     def scalar(cls, c, P: RationalPoly) -> "MuElement":
-        return cls(RationalFunction(RationalPoly.constant(as_fraction(c))),
-                   RationalFunction.zero(), P)
+        return cls(c, 0, P)
 
     # -- structure -----------------------------------------------------------
 
@@ -154,22 +163,21 @@ class MuElement:
     def as_polynomial(self) -> RationalPoly:
         if not self.is_pure():
             raise AlgebraConsistencyError("mu-component survives reduction")
-        return self.a.as_polynomial()
+        if self.k:
+            raise ValueError("element is not a polynomial")
+        return self.a
 
     def __eq__(self, other):
         if not isinstance(other, MuElement):
             return NotImplemented
-        return self.P == other.P and self.a == other.a and self.b == other.b
+        return (self.P == other.P and self.k == other.k and self.a == other.a
+                and self.b == other.b)
 
     def __hash__(self):
-        return hash((self.a, self.b, self.P))
+        return hash((self.a, self.b, self.k, self.P))
 
     def __repr__(self):
-        return f"MuElement(a={self.a!r}, b={self.b!r})"
-
-    def _check(self, other: "MuElement"):
-        if self.P != other.P:
-            raise ValueError("elements live over different cubics")
+        return f"MuElement(a={self.a!r}, b={self.b!r}, k={self.k})"
 
     # -- arithmetic ------------------------------------------------------------
 
@@ -177,13 +185,16 @@ class MuElement:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        self._check(other)
-        return MuElement(self.a + other.a, self.b + other.b, self.P)
+        # lift both operands to the denominator P^k
+        k = max(self.k, other.k)
+        s, o = self.P ** (k - self.k), self.P ** (k - other.k)
+        return MuElement(self.a * s + other.a * o, self.b * s + other.b * o,
+                         self.P, k)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MuElement(-self.a, -self.b, self.P)
+        return MuElement(-self.a, -self.b, self.P, self.k)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -201,47 +212,53 @@ class MuElement:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        self._check(other)
-        Prf = RationalFunction(self.P)
-        a = self.a * other.a + self.b * other.b * Prf
-        b = self.a * other.b + self.b * other.a
-        return MuElement(a, b, self.P)
+        a1, b1, a2, b2 = self.a, self.b, other.a, other.b
+        return MuElement(a1 * a2 + b1 * b2 * self.P, a1 * b2 + a2 * b1,
+                         self.P, self.k + other.k)
 
     __rmul__ = __mul__
 
     def _coerce(self, v):
-        if isinstance(v, MuElement):
-            return v
-        if isinstance(v, (int, Fraction)):
-            return MuElement.scalar(v, self.P)
-        if isinstance(v, (RationalPoly, RationalFunction)):
-            return MuElement(RationalFunction(v) if isinstance(v, RationalPoly) else v,
-                             RationalFunction.zero(), self.P)
-        return None
+        if isinstance(v, (int, Fraction, RationalPoly)):
+            return MuElement(v, 0, self.P)
+        if not isinstance(v, MuElement):
+            return None
+        if v.P != self.P:
+            raise ValueError("elements live over different cubics")
+        return v
 
     def evaluate(self, k0, mu0):
-        """Evaluate at a rational point where mu takes the rational value mu0."""
-        return self.a(k0) + self.b(k0) * mu0
+        """Evaluate at a rational point where mu takes the rational value mu0.
+
+        For k > 0 a root of P is a pole: ZeroDivisionError.
+        """
+        return (self.a(k0) + self.b(k0) * mu0) / self.P(k0) ** self.k
 
 
 def derive(elem: MuElement, P: RationalPoly | None = None) -> MuElement:
-    """d/dK on the extension: (a + b mu)' = a' + (b' + b P'/(2P)) mu."""
+    """d/dK on the extension, from mu' = P'/(2P) mu:
+
+    ((a + b mu)/P^k)' = (P a' - k P' a + (P b' + (1/2 - k) P' b) mu)/P^(k+1).
+    """
     if P is None:
         P = elem.P
     if P.is_zero():
         raise ZeroDivisionError("derivation over the zero polynomial")
     if P != elem.P:
         raise ValueError("element does not live over the supplied cubic")
-    ratio = RationalFunction(P.derivative(), 2 * P)
-    return MuElement(elem.a.derivative(), elem.b.derivative() + elem.b * ratio, P)
+    a, b, k = elem.a, elem.b, elem.k
+    dP = P.derivative()
+    return MuElement(P * a.derivative() - k * dP * a,
+                     P * b.derivative() + (Fraction(1, 2) - k) * dP * b,
+                     P, k + 1)
 
 
 def obstruction_poly(params: CubicData, c) -> RationalPoly:
     """The cubic Phi(K, c) whose identical vanishing the theory forbids.
 
     Built entirely inside the mu-algebra; the mu-component must cancel and
-    the rational-function part must clear to a polynomial of degree exactly
-    3, otherwise the cubic data is corrupted and we refuse to answer.
+    the denominator must clear, leaving a polynomial of degree exactly 3;
+    otherwise the cubic data is corrupted and we refuse to answer.
     """
     c = as_fraction(c)
     P = params.poly()
@@ -253,7 +270,7 @@ def obstruction_poly(params: CubicData, c) -> RationalPoly:
     phi_el = 4 * (mu2 * mu) * t * t + 4 * (mu1 * mu1) * t * t + 2 * (mu1 * mu) * t - mu * mu
     if not phi_el.is_pure():
         raise AlgebraConsistencyError("obstruction kept a mu-component")
-    if not phi_el.a.is_polynomial():
+    if phi_el.k:
         raise AlgebraConsistencyError("obstruction kept a denominator")
     phi = phi_el.as_polynomial()
     if phi.degree != 3:
@@ -309,12 +326,12 @@ def certificate_from_lines(lines) -> Certificate:
                 verdict = value
             elif key == "interval":
                 a, b = value.split()
-                interval = (Fraction(a), Fraction(b))
+                interval = (as_fraction(a), as_fraction(b))
             elif key == "root_count":
                 declared = int(value)
             elif key == "root_interval":
                 a, b = value.split()
-                roots.append((Fraction(a), Fraction(b)))
+                roots.append((as_fraction(a), as_fraction(b)))
             else:
                 raise FormatError(f"unknown certificate key {key!r}", ln)
         except (ValueError, ZeroDivisionError) as e:

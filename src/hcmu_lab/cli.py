@@ -29,6 +29,7 @@ from .errors import (
     InadmissibleParams,
     NumericalFailure,
 )
+from .ratpoly import as_fraction
 from .textio import read_text, write_kv_lines, write_lines
 
 _CONFIG_KEYS = {
@@ -53,13 +54,11 @@ class Config:
         return self.values[key]
 
     def fraction(self, key: str, default=None) -> Fraction:
-        raw = self.get(key)
+        raw = self.get(key, default)
         if raw is None:
-            if default is None:
-                raise ConfigError(f"missing required parameter {key!r}")
-            return Fraction(default)
+            raise ConfigError(f"missing required parameter {key!r}")
         try:
-            return Fraction(raw)
+            return as_fraction(raw)
         except (ValueError, ZeroDivisionError):
             raise ConfigError(
                 f"value for {key!r} is neither decimal nor rational: {raw!r}"
@@ -102,13 +101,13 @@ def parse_config(path) -> Config:
     return Config(values)
 
 
-def _merge(args: argparse.Namespace, flag_names: list[str]) -> Config:
+def _merge(args: argparse.Namespace) -> Config:
+    """The config file's values, overridden by every parameter flag given."""
     cfg = Config()
-    if getattr(args, "config", None):
+    if args.config:
         cfg = parse_config(args.config)
-    for name in flag_names:
-        val = getattr(args, name, None)
-        if val is not None:
+    for name, val in vars(args).items():
+        if val is not None and name not in ("command", "config", "threads"):
             cfg.values[name] = str(val)
     return cfg
 
@@ -124,7 +123,8 @@ def _grid_from(cfg: Config, params, k0) -> fields.GridDomain:
     raw = cfg.get("grid", "32,32,0.05,0.05")
     try:
         nx_s, ny_s, hx_s, hy_s = raw.split(",")
-        nx, ny, hx, hy = int(nx_s), int(ny_s), float(Fraction(hx_s)), float(Fraction(hy_s))
+        nx, ny = int(nx_s), int(ny_s)
+        hx, hy = float(as_fraction(hx_s)), float(as_fraction(hy_s))
     except (ValueError, ZeroDivisionError):
         raise ConfigError(f"grid must be nx,ny,hx,hy, got {raw!r}") from None
     origin_raw = cfg.get("origin")
@@ -134,7 +134,7 @@ def _grid_from(cfg: Config, params, k0) -> fields.GridDomain:
     else:
         try:
             x0_s, y0_s = origin_raw.split(",")
-            x0, y0 = float(Fraction(x0_s)), float(Fraction(y0_s))
+            x0, y0 = float(as_fraction(x0_s)), float(as_fraction(y0_s))
         except (ValueError, ZeroDivisionError):
             raise ConfigError(f"origin must be x0,y0, got {origin_raw!r}") from None
     return fields.GridDomain.create(params, k0, nx, ny, hx, hy, (x0, y0))
@@ -160,7 +160,7 @@ def _out_path(cfg: Config) -> str:
 
 
 def _cmd_obstruction(args) -> int:
-    cfg = _merge(args, ["k1", "k2", "c", "out"])
+    cfg = _merge(args)
     k1 = cfg.fraction("k1")
     k2 = cfg.fraction("k2")
     c = cfg.fraction("c", "0")
@@ -173,7 +173,7 @@ def _cmd_obstruction(args) -> int:
 
 
 def _cmd_profile(args) -> int:
-    cfg = _merge(args, ["k1", "k2", "c", "k0", "x_min", "x_max", "step", "out"])
+    cfg = _merge(args)
     params = _params_from(cfg)
     k0 = _default_k0(cfg, params)
     x_min = cfg.real("x_min", "-5")
@@ -187,7 +187,7 @@ def _cmd_profile(args) -> int:
 
 
 def _cmd_check_gc(args) -> int:
-    cfg = _merge(args, ["k1", "k2", "c", "k0", "h11", "h12", "h22", "out"])
+    cfg = _merge(args)
     params = _params_from(cfg)
     k0 = _default_k0(cfg, params)
     comps = {}
@@ -219,8 +219,7 @@ def _cmd_check_gc(args) -> int:
 
 
 def _cmd_optimize(args) -> int:
-    cfg = _merge(args, ["k1", "k2", "c", "k0", "grid", "origin", "seed",
-                        "tol", "max_iter", "constraint", "out"])
+    cfg = _merge(args)
     params = _params_from(cfg)
     k0 = _default_k0(cfg, params)
     grid = _grid_from(cfg, params, k0)
@@ -256,8 +255,7 @@ def _family_from(cfg: Config, params, k0, nx: int, hx: float, x0: float):
 
 
 def _cmd_realize(args) -> int:
-    cfg = _merge(args, ["k1", "k2", "c", "k0", "k2_init", "grid", "origin",
-                        "step", "x_min", "x_max", "out"])
+    cfg = _merge(args)
     params = _params_from(cfg)
     k0 = _default_k0(cfg, params)
     grid = _grid_from(cfg, params, k0)
@@ -270,8 +268,7 @@ def _cmd_realize(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    cfg = _merge(args, ["k1", "k2", "c", "k0", "k2_init", "mesh", "step",
-                        "x_min", "x_max", "out"])
+    cfg = _merge(args)
     params = _params_from(cfg)
     k0 = _default_k0(cfg, params)
     mesh = realize.parse_mesh(cfg.require("mesh"))

@@ -404,7 +404,7 @@ def write_profile_csv(profile: CurvatureProfile, path):
 
 
 def read_profile_csv(path) -> ProfileTable:
-    lines = read_text(path).splitlines()
+    lines = read_text(path).split("\n")
     if not lines or lines[0].strip() != _PROFILE_HEADER:
         raise FormatError(f"missing profile header {_PROFILE_HEADER!r}", 1)
     tokens, lns = [], []

@@ -1,10 +1,10 @@
-"""Exact univariate polynomial and rational-function arithmetic over Q.
+"""Exact univariate polynomial arithmetic over Q.
 
 Everything is built on fractions.Fraction; no floating point enters any
 arithmetic path in this module.  Polynomials are coefficient tuples indexed
-by degree.  Rational functions are kept in reduced canonical form (numerator
-and denominator coprime, denominator monic) so equality is decidable by
-comparing components.
+by degree, with exact division with remainder; the module has no rational
+functions (the mu-algebra's one denominator, a power of P, is kept by
+``algebra.MuElement``).
 
 Root counting and isolation use Sturm sequences, evaluated exactly at
 rational points.  Isolation builds one Sturm chain and bisects until its
@@ -18,6 +18,7 @@ returned non-degenerate interval, and never vanishes at its endpoints.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Iterable
 
@@ -30,12 +31,31 @@ from .errors import FormatError
 ISOLATION_WIDTH = Fraction(1, 2**32)
 
 
+# Largest decimal exponent, in absolute value, that text may carry.  It is
+# CPython's default int digit limit: Fraction('1e100000000') would build a
+# hundred-million-digit integer, in time growing faster than the exponent.
+MAX_DECIMAL_EXPONENT = 4300
+
+_EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)\s*\Z")
+
+
 def as_fraction(v) -> Fraction:
+    """v as an exact rational; the one place where text becomes a Fraction.
+
+    Text takes Fraction's forms ("-1/2", "1e-3", "2.5E+2").  Text whose
+    decimal exponent exceeds MAX_DECIMAL_EXPONENT in absolute value raises
+    ValueError before any integer is built from it.
+    """
     if isinstance(v, Fraction):
         return v
-    if isinstance(v, int) or isinstance(v, str):
-        return Fraction(v)
-    raise TypeError(f"not an exact rational: {v!r}")
+    if isinstance(v, str):
+        m = _EXPONENT.search(v)
+        if m and abs(int(m.group(1))) > MAX_DECIMAL_EXPONENT:
+            raise ValueError(f"decimal exponent of {v!r} exceeds "
+                             f"{MAX_DECIMAL_EXPONENT} in absolute value")
+    elif not isinstance(v, int):
+        raise TypeError(f"not an exact rational: {v!r}")
+    return Fraction(v)
 
 
 class RationalPoly:
@@ -365,121 +385,7 @@ def poly_from_line(line: str) -> RationalPoly:
     if not parts:
         raise FormatError("empty polynomial line")
     try:
-        cs = [Fraction(tok) for tok in parts]
+        cs = [as_fraction(tok) for tok in parts]
     except (ValueError, ZeroDivisionError) as e:
         raise FormatError(f"bad rational in polynomial line: {e}") from None
     return RationalPoly(reversed(cs))
-
-
-class RationalFunction:
-    """Quotient of two RationalPoly in reduced form with monic denominator."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num, den=None):
-        num = num if isinstance(num, RationalPoly) else RationalPoly.constant(num)
-        den = (
-            RationalPoly.one()
-            if den is None
-            else den
-            if isinstance(den, RationalPoly)
-            else RationalPoly.constant(den)
-        )
-        if den.is_zero():
-            raise ZeroDivisionError("rational function with zero denominator")
-        if num.is_zero():
-            self.num, self.den = RationalPoly.zero(), RationalPoly.one()
-            return
-        g = poly_gcd(num, den)
-        if g.degree > 0:
-            num, den = num // g, den // g
-        lead = den.leading
-        if lead != 1:
-            inv = 1 / lead
-            num, den = num * inv, den * inv
-        self.num, self.den = num, den
-
-    @classmethod
-    def zero(cls):
-        return cls(RationalPoly.zero())
-
-    @classmethod
-    def one(cls):
-        return cls(RationalPoly.one())
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def is_polynomial(self) -> bool:
-        return self.den == RationalPoly.one()
-
-    def as_polynomial(self) -> RationalPoly:
-        if not self.is_polynomial():
-            raise ValueError("rational function is not a polynomial")
-        return self.num
-
-    def __eq__(self, other):
-        if isinstance(other, RationalFunction):
-            return self.num == other.num and self.den == other.den
-        if isinstance(other, (int, Fraction, RationalPoly)):
-            return self == RationalFunction(other)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    def __repr__(self):
-        return f"RationalFunction({self.num!r}, {self.den!r})"
-
-    def __add__(self, other):
-        other = _coerce_rf(other)
-        if other is None:
-            return NotImplemented
-        return RationalFunction(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RationalFunction(-self.num, self.den)
-
-    def __sub__(self, other):
-        other = _coerce_rf(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = _coerce_rf(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
-    def __mul__(self, other):
-        other = _coerce_rf(other)
-        if other is None:
-            return NotImplemented
-        return RationalFunction(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def derivative(self) -> "RationalFunction":
-        n, d = self.num, self.den
-        return RationalFunction(
-            n.derivative() * d - n * d.derivative(), d * d
-        )
-
-    def __call__(self, x):
-        dv = self.den(x)
-        if dv == 0:
-            raise ZeroDivisionError(f"pole of rational function at {x}")
-        return self.num(x) / dv
-
-
-def _coerce_rf(v):
-    if isinstance(v, RationalFunction):
-        return v
-    if isinstance(v, (int, Fraction, RationalPoly)):
-        return RationalFunction(v)
-    return None

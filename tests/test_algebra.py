@@ -148,7 +148,44 @@ def test_evaluation_commutes_with_arithmetic():
     y = MuElement(RationalPoly((F(1, 3),)), RationalPoly((2, -1)), P)
     assert (x * y).evaluate(K0, mu0) == x.evaluate(K0, mu0) * y.evaluate(K0, mu0)
     assert (x + y).evaluate(K0, mu0) == x.evaluate(K0, mu0) + y.evaluate(K0, mu0)
-    assert derive(x, P) is not None  # derivation stays well-formed here
+    # d/dK from mu' = P'/(2P) mu, written out on the components of x
+    a, b, dP = x.a, x.b, P.derivative()
+    dx0 = (a.derivative()(K0)
+           + (b.derivative()(K0) + b(K0) * dP(K0) / (2 * P(K0))) * mu0)
+    dx = derive(x, P)
+    assert dx.evaluate(K0, mu0) == dx0
+    # products with the derivative carry a denominator P^k with k >= 1
+    for z in (dx * y, dx * dx, derive(dx, P) * x + dx):
+        assert z.k >= 1
+    assert (dx * y).evaluate(K0, mu0) == dx0 * y.evaluate(K0, mu0)
+    assert (dx * dx).evaluate(K0, mu0) == dx0 * dx0
+    assert (dx - y).evaluate(K0, mu0) == dx0 - y.evaluate(K0, mu0)
+
+
+def test_elements_are_kept_in_canonical_form():
+    # (a P^j + b P^j mu) / P^(k+j) reduces to (a + b mu) / P^k
+    rng = random.Random(41)
+    P = CubicData.from_extremes(F(5, 2), F(-5, 4)).poly()  # a cusp cubic
+    mk = lambda: RationalPoly([F(rng.randint(-6, 6), rng.randint(1, 4))
+                               for _ in range(rng.randint(1, 4))])
+    for _ in range(20):
+        a, b = mk(), mk()
+        # a times a non-constant factor of P: P still does not divide it
+        a = a * RationalPoly((F(5, 4), 1))
+        k, j = rng.randint(1, 3), rng.randint(1, 3)
+        x = MuElement(a, b, P, k)
+        assert (x.a, x.b, x.k) == (a, b, k)
+        y = MuElement(a * P ** j, b * P ** j, P, k + j)
+        assert (y.a, y.b, y.k) == (a, b, k)
+        assert x == y and hash(x) == hash(y)
+        assert x != MuElement(a, b, P, k + 1)
+        assert x - y == MuElement.scalar(0, P)
+    zero = MuElement(RationalPoly.zero(), RationalPoly.zero(), P, 3)
+    assert zero.k == 0 and zero == MuElement.scalar(0, P)
+    # mu' mu = P'/2 clears its denominator
+    mu = MuElement.mu(P)
+    assert (derive(mu) * mu).k == 0
+    assert derive(mu).k == 1
 
 
 def oracle_obstruction(cd: CubicData, c: F) -> RationalPoly:
@@ -184,8 +221,10 @@ def test_obstruction_at_k1_closed_form():
 
 def test_obstruction_random_leading_coefficient():
     rng = random.Random(777)
-    for _ in range(30):
+    for i in range(40):
         k1, k2 = random_admissible_pair(rng)
+        if i % 4 == 0:
+            k2 = -k1 / 2  # the cusp, which random_admissible_pair never draws
         c = random_rational(rng)
         cd = CubicData.from_extremes(k1, k2)
         phi = obstruction_poly(cd, c)

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -242,6 +243,19 @@ def test_file_errors_exit_1_with_one_error_line(tmp_path, capsys):
     assert len(err) == 2
     assert all(line.startswith("error: ") for line in err)
     assert "no-such-dir" in err[0] and "no-such.mesh" in err[1]
+
+
+def test_huge_exponents_exit_1_at_once(tmp_path, capsys):
+    out = str(tmp_path / "out.txt")
+    for argv in (["obstruction", "--k1", "1e100000000", "--k2", "1"],
+                 ["profile", "--k1", "2", "--k2", "1",
+                  "--step", "1e-100000000"]):
+        start = time.perf_counter()
+        assert run_cli(*argv, "--out", out) == 1
+        assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all("neither decimal nor rational" in line
+                                 for line in err)
 
 
 def test_verify_takes_the_mesh_from_a_config_file(tmp_path):

@@ -3,6 +3,8 @@ key=value readers: writers render value for value as ``"%.17g"``, readers
 give the values back bit for bit, read every file as the line-by-line
 reference readers below do, and fail only with FormatError."""
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -233,7 +235,7 @@ def reference_field(text: str) -> tuple[np.ndarray, dict]:
 
 
 def reference_profile(text: str) -> tuple[np.ndarray, ...]:
-    lines = text.splitlines()
+    lines = text.split("\n")
     if not lines or lines[0].strip() != "x,K,mu,phi":
         raise FormatError("missing profile header 'x,K,mu,phi'", 1)
     rows = []
@@ -381,6 +383,7 @@ def test_mesh_layouts_off_the_bulk_path_read_as_line_by_line(tmp_path, edit,
     ("h11.csv", {3: "1,1"}, [], "line 4: row has 2 values"),
     ("profile.csv", {1: "0,x,0,0"}, ["1,2,3"], "line 2: bad float"),
     ("profile.csv", {1: "0,0,0", 2: "x,0,0,0"}, [], "line 2: expected 4"),
+    ("profile.csv", {1: "\u2028", 2: "x,0,0,0"}, [], "line 3: bad float"),
 ])
 def test_the_first_bad_line_is_the_one_reported(tmp_path, name, edit, added,
                                                 error):
@@ -391,6 +394,14 @@ def test_the_first_bad_line_is_the_one_reported(tmp_path, name, edit, added,
         lines[i] = line
     path.write_text("\n".join(lines + added) + "\n")
     assert assert_reads_as_reference(name, path).startswith(error)
+
+
+def test_profile_rows_end_only_at_newlines(tmp_path):
+    path = tmp_path / "profile.csv"
+    path.write_text("x,K,mu,phi\n0,1,\x0c2,3\n")
+    table = read_profile_csv(path)
+    assert [col.tolist() for col in table] == [[0.0], [1.0], [2.0], [3.0]]
+    assert_reads_as_reference("profile.csv", path)
 
 
 # Edits that keep most of a file readable, to reach the checks of every line.
@@ -458,6 +469,13 @@ def test_key_value_readers_fail_only_with_format_error(tmp_path_factory,
             read()
         except FormatError:
             pass
+
+
+def test_huge_certificate_exponents_raise_format_error():
+    start = time.perf_counter()
+    with pytest.raises(FormatError, match="line 2: bad certificate value"):
+        certificate_from_lines(["verdict=no-root", "interval=0 1e100000000"])
+    assert time.perf_counter() - start < 1.0
 
 
 fractions = st.fractions(max_denominator=10**6).filter(
