@@ -38,6 +38,14 @@ _CONFIG_KEYS = {
     "out", "h11", "h12", "h22", "mesh",
 }
 
+# K1, K2 and c feed the exact kernel.  Phi's coefficients have up to about
+# seven times as many digits as these (1,400 at the bound, well under
+# CPython's 4,300-digit int-to-str limit), and the slowest bounded input
+# measured certifies in about 0.3 s; at 1,000 digits it took 2 s and
+# could not be written.
+MAX_EXACT_DIGITS = 200
+_EXACT_KEYS = ("k1", "k2", "c")
+
 
 @dataclass
 class Config:
@@ -58,11 +66,18 @@ class Config:
         if raw is None:
             raise ConfigError(f"missing required parameter {key!r}")
         try:
-            return as_fraction(raw)
+            value = as_fraction(raw)
         except (ValueError, ZeroDivisionError):
             raise ConfigError(
                 f"value for {key!r} is neither decimal nor rational: {raw!r}"
             ) from None
+        if key in _EXACT_KEYS and max(abs(value.numerator), value.denominator
+                                      ) >= 10 ** MAX_EXACT_DIGITS:
+            raise ConfigError(
+                f"value for {key!r} has more than {MAX_EXACT_DIGITS} digits "
+                "in its numerator or denominator"
+            )
+        return value
 
     def real(self, key: str, default=None) -> float:
         return float(self.fraction(key, default))

@@ -8,16 +8,26 @@ are discrete L2(domain) norms and survive grid refinement unchanged.
 
 The Codazzi block of the Jacobian is constant and assembled once; the Gauss
 block is affine in the unknowns and rebuilt per iteration.  Steps solve
-(J^T J + lam I) d = -J^T r.  That matrix is symmetric positive definite, so
-it is factored in SuperLU's symmetric mode: a minimum-degree ordering of
-A^T + A with pivots taken from the diagonal.  The damping lam follows the
-gain-ratio rule of Nielsen (1999) and Madsen, Nielsen & Tingleff (2004,
-*Methods for Non-Linear Least Squares Problems*, section 3.2): an accepted
-step scales lam by max(1/3, 1 - (2 rho - 1)^3), where rho is the actual
-over the predicted decrease, and a rejected step multiplies lam by nu,
-which doubles with every rejection in a row.  Only improving steps are
-taken, so the residual never increases.  Everything is deterministic for a
-fixed seed.
+(J^T J + lam I) d = -J^T r.  That matrix is symmetric positive definite and,
+with the unknowns in node-major order along the shorter grid axis, banded:
+a Codazzi row couples the nodes on either side of its own, so the
+half-bandwidth is 2 m min(nx, ny).  It is factored by LAPACK's band
+Cholesky (``dpbtrf`` through ``scipy.linalg.cholesky_banded``) in one
+Fortran-ordered band buffer per run, overwritten by every factorization.
+J^T J = J_c^T J_c + J_g^T J_g is assembled there without forming it as a
+sparse product: the constant Codazzi part is mapped to band positions once
+per problem, and each factorization scatters it, adds one m x m outer
+product of the Gauss row per node and adds lam on the diagonal (LAPACK
+Users' Guide, ``xPBTRF``).  A factorization that finds the matrix not
+positive definite counts as a rejected step.
+
+The damping lam follows the gain-ratio rule of Nielsen (1999) and Madsen,
+Nielsen & Tingleff (2004, *Methods for Non-Linear Least Squares Problems*,
+section 3.2): an accepted step scales lam by max(1/3, 1 - (2 rho - 1)^3),
+where rho is the actual over the predicted decrease, and a rejected step
+multiplies lam by nu, which doubles with every rejection in a row.  Only
+improving steps are taken, so the residual never increases.  Everything is
+deterministic for a fixed seed.
 """
 
 from __future__ import annotations
@@ -27,7 +37,8 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import splu
+from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
+from scipy.sparse.linalg import splu  # noqa: F401  unused; perfbench binds optimize.splu by name
 
 from .errors import NonFiniteIterate
 from .fields import GridDomain, ShapeField, TraceConstraint, codazzi_residual, gauss_residual
@@ -181,23 +192,34 @@ class _Problem:
                               shape=(2 * nint, self.m * N))
         return J
 
-    def jacobian(self, u: np.ndarray) -> sparse.csr_matrix:
+    def gauss_rows(self, u: np.ndarray) -> np.ndarray:
+        """The Gauss block of J: entry (a, k) is the weighted derivative of
+        node k's Gauss residual by its component a, the only ones it has."""
         N = self.N
         h11 = u[:N]
         h12 = u[N:2 * N]
-        rows = np.tile(np.arange(N), 2 if self.m == 2 else 3)
         if self.m == 3:
-            h22 = u[2 * N:]
-            cols = np.concatenate([np.arange(N), N + np.arange(N),
-                                   2 * N + np.arange(N)])
-            vals = np.concatenate([-h22, 2.0 * h12, -h11])
+            rows = [-u[2 * N:], 2.0 * h12, -h11]
         else:
-            h22 = self.trace - h11
-            cols = np.concatenate([np.arange(N), N + np.arange(N)])
-            vals = np.concatenate([h11 - h22, 2.0 * h12])
-        Jg = sparse.csr_matrix((self.w * vals, (rows, cols)),
+            rows = [h11 - (self.trace - h11), 2.0 * h12]
+        return self.w * np.stack(rows)
+
+    def jacobian(self, u: np.ndarray) -> sparse.csr_matrix:
+        N = self.N
+        node = np.tile(np.arange(N), self.m)
+        Jg = sparse.csr_matrix((self.gauss_rows(u).ravel(),
+                                (node, np.arange(self.m * N))),
                                shape=(N, self.m * N))
         return sparse.vstack([Jg, self._jc], format="csr")
+
+    def band_order(self) -> np.ndarray:
+        """Band position of every unknown: node-major along the shorter axis."""
+        nx, ny = self.grid.nx, self.grid.ny
+        node = np.arange(self.N)
+        if nx < ny:
+            i, j = np.divmod(node, ny)
+            node = j * nx + i
+        return (self.m * node + np.arange(self.m)[:, None]).ravel()
 
     # -- norms for the report ----------------------------------------------------
 
@@ -214,24 +236,81 @@ class _Problem:
         return gauss_max, gauss_l2, codazzi_max, codazzi_l2, total
 
 
-def _damped_step(JtJ: sparse.csc_matrix, g: np.ndarray,
-                 lam: float) -> np.ndarray:
-    """The step d solving (J^T J + lam I) d = -g.
+class _BandedNormal:
+    """J^T J = C + sum_k v_k v_k^T in LAPACK lower band storage.
 
-    The matrix is symmetric positive definite, so SuperLU orders it by
-    minimum degree on A^T + A and pivots on the diagonal.  Raises
-    RuntimeError when the factorization meets an exactly zero pivot.
+    C is a constant sparse symmetric matrix (the Codazzi part J_c^T J_c)
+    and v_k the Gauss row of node k, nonzero on its m unknowns, numbered
+    a N + k (a < m).  ``order`` gives each unknown's band position, and a
+    node's unknowns must be consecutive there.  The lower triangle of C and
+    of every outer product is mapped to positions in one Fortran-ordered
+    (kd + 1) x n buffer, ab[i - j, j] = A[i, j], once; ``assemble`` refills
+    that buffer for every factorization.
     """
-    A = JtJ + lam * sparse.identity(JtJ.shape[0], format="csc")
-    return splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                options=dict(SymmetricMode=True)).solve(-g)
+
+    def __init__(self, const, order: np.ndarray, m: int = 0):
+        # int32 indices and early dels keep set-up temporaries small: they
+        # stay resident next to the band buffer and count in peak memory
+        order = order.astype(np.int32)
+        n = len(order)
+        C = sparse.csr_matrix(const)
+        C.sum_duplicates()
+        r = np.repeat(order, np.diff(C.indptr))
+        c = order[C.indices]
+        low = r >= c
+        r, c = r[low], c[low]
+        self._const_val = C.data[low]
+        del low
+        self.kd = int(max(np.max(r - c, initial=0), m - 1))
+        self._const_pos = c.astype(np.int64) * (self.kd + 1) + (r - c)
+        del r, c
+        # entry (a, b), a >= b, of node k's outer product: ab[a - b, order[k] + b]
+        self._pairs = [(a, b, (order[:n // m] + b).astype(np.int64)
+                        * (self.kd + 1) + (a - b))
+                       for a in range(m) for b in range(a + 1)]
+        self._buf = np.zeros(n * (self.kd + 1))
+        self.ab = self._buf.reshape(n, self.kd + 1).T
+        self.order = order
+
+    @classmethod
+    def for_problem(cls, problem: "_Problem") -> "_BandedNormal":
+        return cls(problem._jc.T @ problem._jc, problem.band_order(), problem.m)
+
+    def assemble(self, lam: float, rows: np.ndarray | None = None) -> np.ndarray:
+        """Fill the buffer with C + sum_k v_k v_k^T + lam I, rows[a, k] = v_k[a]."""
+        buf = self._buf
+        buf.fill(0.0)
+        buf[self._const_pos] = self._const_val
+        for a, b, pos in self._pairs:
+            buf[pos] += rows[a] * rows[b]
+        self.ab[0] += lam
+        return self.ab
+
+
+def _damped_step(JtJ, g: np.ndarray, lam: float,
+                 rows: np.ndarray | None = None) -> np.ndarray:
+    """The step d solving (J^T J + lam I) d = -g, by banded Cholesky.
+
+    ``JtJ`` is a problem's `_BandedNormal`, with ``rows`` its current Gauss
+    rows, or a sparse symmetric J^T J, banded in the order it is given.  The
+    band buffer is factored in place.  Raises LinAlgError when the matrix is
+    not numerically positive definite.
+    """
+    if sparse.issparse(JtJ):
+        JtJ = _BandedNormal(JtJ, np.arange(JtJ.shape[0]))
+    cb = cholesky_banded(JtJ.assemble(lam, rows), overwrite_ab=True,
+                         lower=True, check_finite=False)
+    rhs = np.empty_like(g)
+    rhs[JtJ.order] = -g
+    x = cho_solve_banded((cb, True), rhs, overwrite_b=True, check_finite=False)
+    return x[JtJ.order]
 
 
 class _LMRun(NamedTuple):
     u: np.ndarray
     iterations: int         # accepted steps
     stop_reason: str        # converged | stalled | max_iter | lam_max
-    factorizations: int     # splu calls, failed ones included
+    factorizations: int     # band Cholesky calls, failed ones included
     rejected_steps: int
 
 
@@ -244,6 +323,7 @@ def _gauss_newton(problem: _Problem, u0: np.ndarray, tol: float,
     F = float(r @ r)
     lam, nu = 1e-3, 2.0
     iterations = factorizations = rejected = stall = 0
+    normal = _BandedNormal.for_problem(problem)
 
     while True:
         if np.sqrt(F) < tol:
@@ -255,14 +335,13 @@ def _gauss_newton(problem: _Problem, u0: np.ndarray, tol: float,
         if iterations >= max_iter:
             stop = "max_iter"
             break
-        J = problem.jacobian(u)
-        g = J.T @ r
-        JtJ = (J.T @ J).tocsc()
+        g = problem.jacobian(u).T @ r
+        rows = problem.gauss_rows(u)
         while lam <= _LAM_MAX:
             factorizations += 1
             try:
-                delta = _damped_step(JtJ, g, lam)
-            except RuntimeError:
+                delta = _damped_step(normal, g, lam, rows)
+            except LinAlgError:
                 rejected += 1
                 lam, nu = lam * nu, 2.0 * nu
                 continue

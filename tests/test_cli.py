@@ -258,6 +258,31 @@ def test_huge_exponents_exit_1_at_once(tmp_path, capsys):
                                  for line in err)
 
 
+def test_exact_parameters_are_bounded_in_digits(tmp_path, capsys):
+    out = str(tmp_path / "out.txt")
+    bound = cli.MAX_EXACT_DIGITS
+    at_bound = "9" * bound
+    assert run_cli("obstruction", "--k1", at_bound, "--k2", "1",
+                   "--c", f"1/{at_bound}", "--out", out) == 0
+    capsys.readouterr()
+    for argv in (["--k1", "1e1000", "--k2", "1"],
+                 ["--k1", f"1{at_bound}", "--k2", "1"],
+                 ["--k1", "2", f"--k2=-1/1{at_bound}"],
+                 ["--k1", "2", "--k2", "1", "--c", f"1e-{bound}"]):
+        start = time.perf_counter()
+        assert run_cli("obstruction", *argv, "--out", out) == 1
+        assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 4 and all(
+        line.startswith("error: value for ") and f"{bound} digits" in line
+        for line in err)
+    # the bound holds in every command, and on K1, K2 and c alone
+    assert run_cli("profile", "--k1", "1e1000", "--k2", "1",
+                   "--out", out) == 1
+    assert "digits" in capsys.readouterr().err
+    assert cli.Config({"tol": "1e-300"}).fraction("tol") == Fraction(1, 10 ** 300)
+
+
 def test_verify_takes_the_mesh_from_a_config_file(tmp_path):
     mesh_path = tmp_path / "mesh.txt"
     assert run_cli("realize", "--k1", "2", "--k2", "1", "--k0", "1.5",

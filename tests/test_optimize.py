@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import LinAlgError
 
+from hcmu_lab import optimize
 from hcmu_lab.errors import NonFiniteIterate
 from hcmu_lab.fields import (
     GridDomain,
@@ -11,7 +13,12 @@ from hcmu_lab.fields import (
     codazzi_residual,
     gauss_residual,
 )
-from hcmu_lab.optimize import _damped_step, _Problem, optimize_shape_field
+from hcmu_lab.optimize import (
+    _BandedNormal,
+    _damped_step,
+    _Problem,
+    optimize_shape_field,
+)
 from hcmu_lab.profile import solve_curvature_ode, validate_params
 from hcmu_lab.realize import family_shape_field, solve_codazzi_family
 
@@ -141,3 +148,57 @@ def test_damped_step_matches_a_dense_solve(constraint, lam):
     if lam == 1e-3:
         dense = np.linalg.solve(A, -g)
         assert np.linalg.norm(step - dense) <= 1e-10 * np.linalg.norm(dense)
+
+
+@pytest.mark.parametrize("constraint", ["minimal", "none"])   # m = 2, 3
+@pytest.mark.parametrize("nx, ny", [(8, 12), (12, 8)])
+def test_band_assembly_equals_the_normal_matrix(constraint, nx, ny):
+    grid = GridDomain.create(PARAMS, 1.5, nx, ny, 0.01, 0.01,
+                             origin=(-0.04, 0.0))
+    problem = _Problem(grid, 0.0, TraceConstraint(constraint))
+    u = problem.random_init(2)
+    J = problem.jacobian(u)
+    lam = 1e-3
+    normal = _BandedNormal.for_problem(problem)
+    # node-major along the shorter axis: a Codazzi row spans two node steps
+    assert normal.kd == 2 * problem.m * min(nx, ny)
+    ab = normal.assemble(lam, problem.gauss_rows(u))
+    n = u.size
+    lower = sum(np.diag(ab[d, :n - d], -d) for d in range(normal.kd + 1))
+    band = lower + np.tril(lower, -1).T
+    expected = np.empty((n, n))
+    order = normal.order
+    expected[np.ix_(order, order)] = (J.T @ J).toarray() + lam * np.eye(n)
+    assert np.allclose(band, expected, rtol=0,
+                       atol=1e-14 * np.max(np.abs(expected)))
+
+
+def test_a_failed_factorization_is_a_rejected_step(monkeypatch):
+    grid = GridDomain.create(PARAMS, 1.5, 12, 12, 0.01, 0.01,
+                             origin=(-0.06, 0.0))
+    run = lambda: optimize_shape_field(grid, 0.0, TraceConstraint("minimal"),
+                                       seed=4, max_iter=3, refine=False)[1]
+    clean = run()
+    assert clean.rejected_steps == 0
+
+    factor = optimize.cholesky_banded
+    step = optimize._damped_step
+    lams = []
+
+    def failing_once(*args, **kwargs):
+        if len(lams) == 1:
+            raise LinAlgError("1-th leading minor not positive definite")
+        return factor(*args, **kwargs)
+
+    def recording_step(JtJ, g, lam, rows=None):
+        lams.append(lam)
+        return step(JtJ, g, lam, rows)
+
+    monkeypatch.setattr(optimize, "cholesky_banded", failing_once)
+    monkeypatch.setattr(optimize, "_damped_step", recording_step)
+    rep = run()
+    # the failure is counted, lam is multiplied by nu = 2, and the run goes on
+    assert lams[:2] == [1e-3, 2e-3]
+    assert rep.rejected_steps == 1
+    assert rep.factorizations == clean.factorizations + 1
+    assert rep.iterations == clean.iterations == 3
