@@ -167,10 +167,6 @@ def _default_k0(cfg: Config, params) -> float:
     return k0
 
 
-def _out_path(cfg: Config) -> str:
-    return cfg.require("out")
-
-
 # -- subcommands -----------------------------------------------------------------
 
 
@@ -182,7 +178,7 @@ def _cmd_obstruction(args) -> int:
     cubic = algebra.CubicData.from_extremes(k1, k2)
     phi = algebra.obstruction_poly(cubic, c)
     cert = algebra.certify_nonvanishing(phi, (cubic.k2, cubic.k1))
-    algebra.write_obstruction_file(phi, cert, _out_path(cfg))
+    algebra.write_obstruction_file(phi, cert, cfg.require("out"))
     print(f"obstruction: {algebra.poly_to_line(phi)}; {cert}")
     return EXIT_OK
 
@@ -195,7 +191,7 @@ def _cmd_profile(args) -> int:
     x_max = cfg.real("x_max", "5")
     step = cfg.real("step", "0.001")
     prof = profile.solve_curvature_ode(params, k0, (x_min, x_max), step)
-    profile.write_profile_csv(prof, _out_path(cfg))
+    profile.write_profile_csv(prof, cfg.require("out"))
     print(f"profile: {prof.xs.size} samples, K in "
           f"[{prof.Ks[0]:.6g}, {prof.Ks[-1]:.6g}]")
     return EXIT_OK
@@ -228,7 +224,7 @@ def _cmd_check_gc(args) -> int:
         ("codazzi_max", "%.17g" % float(max(np.max(np.abs(c1)), np.max(np.abs(c2))))),
         ("codazzi_l2", "%.17g" % float(np.sqrt(area * (np.sum(c1 * c1) + np.sum(c2 * c2))))),
     ]
-    write_kv_lines(pairs, _out_path(cfg))
+    write_kv_lines(pairs, cfg.require("out"))
     print("check-gc: " + ", ".join(f"{k}={v}" for k, v in pairs))
     return EXIT_OK
 
@@ -248,7 +244,7 @@ def _cmd_optimize(args) -> int:
     _, report = optimize.optimize_shape_field(grid, params.c, constraint,
                                               seed=seed, tol=tol,
                                               max_iter=max_iter)
-    write_lines(report.to_lines(), _out_path(cfg))
+    write_lines(report.to_lines(), cfg.require("out"))
     print(f"optimize: converged={str(report.converged).lower()} "
           f"floor_l2={report.floor_l2:.6g}")
     return EXIT_OK
@@ -276,7 +272,7 @@ def _cmd_realize(args) -> int:
     grid = _grid_from(cfg, params, k0)
     family = _family_from(cfg, params, k0, grid.nx, grid.hx, grid.x0)
     mesh = realize.integrate_frame(family, grid)
-    realize.export_mesh(mesh, _out_path(cfg))
+    realize.export_mesh(mesh, cfg.require("out"))
     print(f"realize: {mesh.vertices.shape[0]} vertices, "
           f"{mesh.faces.shape[0]} faces, ambient dim {mesh.vertices.shape[1]}")
     return EXIT_OK
@@ -289,7 +285,7 @@ def _cmd_verify(args) -> int:
     mesh = realize.parse_mesh(cfg.require("mesh"))
     family = _family_from(cfg, params, k0, mesh.nx, mesh.hx, mesh.x0)
     report = realize.verify_immersion(mesh, family)
-    write_lines(report.to_lines(), _out_path(cfg))
+    write_lines(report.to_lines(), cfg.require("out"))
     print(f"verify: metric_rel_err={report.metric_rel_err:.3e} "
           f"weingarten_spread={report.weingarten_spread:.3e} "
           f"cmc={str(report.cmc_flag).lower()}")
@@ -317,7 +313,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p, *names):
         p.add_argument("--config", help="key = value file; flags override it")
         p.add_argument("--threads", type=int,
-                       help="cap internal parallelism (currently 1)")
+                       help="integer cap on parallelism (no effect: single-threaded)")
         p.add_argument("--out", help="output file (required, never implicit)")
         for n in names:
             flag = "--" + n.replace("_", "-")

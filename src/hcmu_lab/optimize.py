@@ -1,17 +1,19 @@
 """Damped Gauss-Newton minimization of the Gauss/Codazzi defect.
 
-The unknowns are the shape-field components at every node (two components
-when a trace constraint eliminates h22, three otherwise).  The residual
-vector stacks the Gauss defect at every node and both Codazzi defects at
-interior nodes, all weighted by sqrt(hx hy) so that the reported l2 norms
-are discrete L2(domain) norms and survive grid refinement unchanged.
+The unknowns are the shape-field components at every node (m = 2
+components when a trace constraint eliminates h22, m = 3 otherwise), packed
+in one order only: node-major along the shorter grid axis, a node's m
+components consecutive.  The residual vector stacks the Gauss defect at
+every node, in the same node order, and both Codazzi defects at interior
+nodes, all weighted by sqrt(hx hy) so that the reported l2 norms are
+discrete L2(domain) norms and survive grid refinement unchanged.
 
 The Codazzi block of the Jacobian is constant and assembled once; the Gauss
 block is affine in the unknowns and rebuilt per iteration.  Steps solve
 (J^T J + lam I) d = -J^T r.  That matrix is symmetric positive definite and,
-with the unknowns in node-major order along the shorter grid axis, banded:
-a Codazzi row couples the nodes on either side of its own, so the
-half-bandwidth is 2 m min(nx, ny).  It is factored by LAPACK's band
+in that order of the unknowns, banded: a Codazzi row couples the nodes on
+either side of its own, so the half-bandwidth is 2 m min(nx, ny) and the
+step needs no permutation.  It is factored by LAPACK's band
 Cholesky (``dpbtrf`` through ``scipy.linalg.cholesky_banded``) in one
 Fortran-ordered band buffer per run, overwritten by every factorization.
 J^T J = J_c^T J_c + J_g^T J_g is assembled there without forming it as a
@@ -112,51 +114,63 @@ class _Problem:
 
     # -- packing -------------------------------------------------------------
 
+    def _grid(self, v: np.ndarray) -> np.ndarray:
+        """The (k, nx, ny) view of v, which holds k values per node.
+
+        This is the one place that fixes the order of the unknowns and of the
+        Gauss rows: node-major along the shorter grid axis (j fastest unless
+        nx < ny), a node's values consecutive.
+        """
+        nx, ny = self.grid.nx, self.grid.ny
+        if nx < ny:
+            return v.reshape(ny, nx, -1).transpose(2, 1, 0)
+        return v.reshape(nx, ny, -1).transpose(2, 0, 1)
+
+    def _packed(self, comps) -> np.ndarray:
+        u = np.empty(self.m * self.N)
+        self._grid(u)[:] = comps
+        return u
+
     def pack(self, fld: ShapeField) -> np.ndarray:
-        parts = [fld.h11.ravel(), fld.h12.ravel()]
-        if self.m == 3:
-            parts.append(fld.h22.ravel())
-        return np.concatenate(parts)
+        return self._packed([fld.h11, fld.h12, fld.h22][:self.m])
 
     def unpack(self, u: np.ndarray) -> ShapeField:
-        g = self.grid
-        N = self.N
-        h11 = u[:N].reshape(g.nx, g.ny).copy()
-        h12 = u[N:2 * N].reshape(g.nx, g.ny).copy()
-        if self.m == 3:
-            h22 = u[2 * N:].reshape(g.nx, g.ny).copy()
-        else:
-            h22 = self.trace - h11
-        return ShapeField(g, h11, h12, h22, self.constraint)
+        h = self._grid(u)
+        h11 = h[0].copy()
+        h12 = h[1].copy()
+        h22 = h[2].copy() if self.m == 3 else self.trace - h11
+        return ShapeField(self.grid, h11, h12, h22, self.constraint)
 
     def random_init(self, seed: int) -> np.ndarray:
         rng = np.random.default_rng(seed)
-        return rng.uniform(-1.0, 1.0, self.m * self.N)
+        g = self.grid
+        return self._packed(rng.uniform(-1.0, 1.0, (self.m, g.nx, g.ny)))
 
     # -- residuals -------------------------------------------------------------
 
     def residual(self, u: np.ndarray) -> np.ndarray:
         fld = self.unpack(u)
+        rg = np.empty(self.N)
         with np.errstate(invalid="ignore", over="ignore"):
-            rg = gauss_residual(fld, self.c).ravel()
+            self._grid(rg)[0] = gauss_residual(fld, self.c)
             c1, c2 = codazzi_residual(fld)
         return self.w * np.concatenate([rg, c1.ravel(), c2.ravel()])
 
     def _assemble_codazzi_jacobian(self) -> sparse.csr_matrix:
         g = self.grid
-        nx, ny, N = g.nx, g.ny, self.N
+        nx, ny = g.nx, g.ny
         ii, jj = np.meshgrid(np.arange(1, nx - 1), np.arange(1, ny - 1),
                              indexing="ij")
         ii, jj = ii.ravel(), jj.ravel()
         nint = ii.size
-        node = lambda i, j: i * ny + j
+        column = self._grid(np.arange(self.m * self.N))
         inv_mu = 1.0 / g.mu[ii]
         dmu = g.dmu[ii]
         rows, cols, vals = [], [], []
 
-        def put(r, col_block, i, j, v):
+        def put(r, a, i, j, v):
             rows.append(r)
-            cols.append(col_block * N + node(i, j))
+            cols.append(column[a, i, j])
             vals.append(v)
 
         r1 = np.arange(nint)
@@ -178,7 +192,7 @@ class _Problem:
             put(r2, 2, ii, jj, 0.5 * dmu)
             put(r2, 0, ii, jj, -0.5 * dmu)
         else:
-            # h22 = trace - h11 folds every h22 column into block 0, negated
+            # h22 = trace - h11 folds every h22 column into h11's, negated
             put(r2, 0, ii + 1, jj, -cx)
             put(r2, 0, ii - 1, jj, cx)
             put(r2, 0, ii, jj, -dmu)
@@ -188,38 +202,25 @@ class _Problem:
         rows = np.concatenate([np.asarray(r, dtype=np.int64).ravel() for r in rows])
         cols = np.concatenate([np.asarray(c, dtype=np.int64).ravel() for c in cols])
         vals = np.concatenate([np.broadcast_to(v, (nint,)).ravel() for v in vals])
-        J = sparse.csr_matrix((self.w * vals, (rows, cols)),
-                              shape=(2 * nint, self.m * N))
-        return J
+        return sparse.csr_matrix((self.w * vals, (rows, cols)),
+                                 shape=(2 * nint, self.m * self.N))
 
     def gauss_rows(self, u: np.ndarray) -> np.ndarray:
         """The Gauss block of J: entry (a, k) is the weighted derivative of
         node k's Gauss residual by its component a, the only ones it has."""
-        N = self.N
-        h11 = u[:N]
-        h12 = u[N:2 * N]
+        h = u.reshape(self.N, self.m).T
         if self.m == 3:
-            rows = [-u[2 * N:], 2.0 * h12, -h11]
+            rows = [-h[2], 2.0 * h[1], -h[0]]
         else:
-            rows = [h11 - (self.trace - h11), 2.0 * h12]
+            rows = [h[0] - (self.trace - h[0]), 2.0 * h[1]]
         return self.w * np.stack(rows)
 
     def jacobian(self, u: np.ndarray) -> sparse.csr_matrix:
-        N = self.N
-        node = np.tile(np.arange(N), self.m)
-        Jg = sparse.csr_matrix((self.gauss_rows(u).ravel(),
-                                (node, np.arange(self.m * N))),
-                               shape=(N, self.m * N))
+        n = self.m * self.N
+        Jg = sparse.csr_matrix((self.gauss_rows(u).T.ravel(), np.arange(n),
+                                np.arange(0, n + 1, self.m)),
+                               shape=(self.N, n))
         return sparse.vstack([Jg, self._jc], format="csr")
-
-    def band_order(self) -> np.ndarray:
-        """Band position of every unknown: node-major along the shorter axis."""
-        nx, ny = self.grid.nx, self.grid.ny
-        node = np.arange(self.N)
-        if nx < ny:
-            i, j = np.divmod(node, ny)
-            node = j * nx + i
-        return (self.m * node + np.arange(self.m)[:, None]).ravel()
 
     # -- norms for the report ----------------------------------------------------
 
@@ -237,26 +238,24 @@ class _Problem:
 
 
 class _BandedNormal:
-    """J^T J = C + sum_k v_k v_k^T in LAPACK lower band storage.
+    """A problem's J^T J = C + sum_k v_k v_k^T in LAPACK lower band storage.
 
-    C is a constant sparse symmetric matrix (the Codazzi part J_c^T J_c)
-    and v_k the Gauss row of node k, nonzero on its m unknowns, numbered
-    a N + k (a < m).  ``order`` gives each unknown's band position, and a
-    node's unknowns must be consecutive there.  The lower triangle of C and
-    of every outer product is mapped to positions in one Fortran-ordered
-    (kd + 1) x n buffer, ab[i - j, j] = A[i, j], once; ``assemble`` refills
-    that buffer for every factorization.
+    C = J_c^T J_c is the constant Codazzi part and v_k the Gauss row of node
+    k, nonzero only on the node's m consecutive unknowns m k .. m k + m - 1.
+    The lower triangle of C and of every outer product is mapped to positions
+    in one Fortran-ordered (kd + 1) x n buffer, ab[i - j, j] = A[i, j], once;
+    ``assemble`` refills that buffer for every factorization.
     """
 
-    def __init__(self, const, order: np.ndarray, m: int = 0):
+    def __init__(self, problem: _Problem):
         # int32 indices and early dels keep set-up temporaries small: they
         # stay resident next to the band buffer and count in peak memory
-        order = order.astype(np.int32)
-        n = len(order)
-        C = sparse.csr_matrix(const)
+        m = problem.m
+        C = sparse.csr_matrix(problem._jc.T @ problem._jc)
         C.sum_duplicates()
-        r = np.repeat(order, np.diff(C.indptr))
-        c = order[C.indices]
+        n = C.shape[0]
+        r = np.repeat(np.arange(n, dtype=np.int32), np.diff(C.indptr))
+        c = C.indices
         low = r >= c
         r, c = r[low], c[low]
         self._const_val = C.data[low]
@@ -264,19 +263,14 @@ class _BandedNormal:
         self.kd = int(max(np.max(r - c, initial=0), m - 1))
         self._const_pos = c.astype(np.int64) * (self.kd + 1) + (r - c)
         del r, c
-        # entry (a, b), a >= b, of node k's outer product: ab[a - b, order[k] + b]
-        self._pairs = [(a, b, (order[:n // m] + b).astype(np.int64)
+        # entry (a, b), a >= b, of node k's outer product: ab[a - b, m k + b]
+        self._pairs = [(a, b, np.arange(b, n, m, dtype=np.int64)
                         * (self.kd + 1) + (a - b))
                        for a in range(m) for b in range(a + 1)]
         self._buf = np.zeros(n * (self.kd + 1))
         self.ab = self._buf.reshape(n, self.kd + 1).T
-        self.order = order
 
-    @classmethod
-    def for_problem(cls, problem: "_Problem") -> "_BandedNormal":
-        return cls(problem._jc.T @ problem._jc, problem.band_order(), problem.m)
-
-    def assemble(self, lam: float, rows: np.ndarray | None = None) -> np.ndarray:
+    def assemble(self, lam: float, rows: np.ndarray) -> np.ndarray:
         """Fill the buffer with C + sum_k v_k v_k^T + lam I, rows[a, k] = v_k[a]."""
         buf = self._buf
         buf.fill(0.0)
@@ -287,23 +281,19 @@ class _BandedNormal:
         return self.ab
 
 
-def _damped_step(JtJ, g: np.ndarray, lam: float,
-                 rows: np.ndarray | None = None) -> np.ndarray:
+def _damped_step(normal: _BandedNormal, g: np.ndarray, lam: float,
+                 rows: np.ndarray) -> np.ndarray:
     """The step d solving (J^T J + lam I) d = -g, by banded Cholesky.
 
-    ``JtJ`` is a problem's `_BandedNormal`, with ``rows`` its current Gauss
-    rows, or a sparse symmetric J^T J, banded in the order it is given.  The
-    band buffer is factored in place.  Raises LinAlgError when the matrix is
-    not numerically positive definite.
+    ``normal`` is the problem's `_BandedNormal` and ``rows`` its current
+    Gauss rows; ``g`` and the step are in the problem's order of unknowns,
+    which is the band order.  The band buffer is factored in place.  Raises
+    LinAlgError when the matrix is not numerically positive definite.
     """
-    if sparse.issparse(JtJ):
-        JtJ = _BandedNormal(JtJ, np.arange(JtJ.shape[0]))
-    cb = cholesky_banded(JtJ.assemble(lam, rows), overwrite_ab=True,
+    cb = cholesky_banded(normal.assemble(lam, rows), overwrite_ab=True,
                          lower=True, check_finite=False)
-    rhs = np.empty_like(g)
-    rhs[JtJ.order] = -g
-    x = cho_solve_banded((cb, True), rhs, overwrite_b=True, check_finite=False)
-    return x[JtJ.order]
+    return cho_solve_banded((cb, True), -g, overwrite_b=True,
+                            check_finite=False)
 
 
 class _LMRun(NamedTuple):
@@ -323,7 +313,7 @@ def _gauss_newton(problem: _Problem, u0: np.ndarray, tol: float,
     F = float(r @ r)
     lam, nu = 1e-3, 2.0
     iterations = factorizations = rejected = stall = 0
-    normal = _BandedNormal.for_problem(problem)
+    normal = _BandedNormal(problem)
 
     while True:
         if np.sqrt(F) < tol:
@@ -409,32 +399,23 @@ def optimize_shape_field(grid: GridDomain, c: float,
     and on its 2x refinement (the floor of an inconsistent constraint
     persists under refinement; a consistent one converges to zero).
     """
-    problem = _Problem(grid, c, constraint)
-    if init_field is not None:
-        u0 = problem.pack(init_field)
-    else:
-        u0 = problem.random_init(seed)
-    run = _gauss_newton(problem, u0, tol, max_iter)
-    fld = problem.unpack(run.u)
-    norms = problem.report_norms(fld)
-    history = [(grid.nx, grid.ny, norms[-1])]
-    factorizations, rejected = run.factorizations, run.rejected_steps
-
-    if refine:
-        fine = _refine_grid(grid)
-        fine_problem = _Problem(fine, c, constraint)
-        if init_field is not None:
-            uf0 = fine_problem.pack(_refine_field(init_field, fine))
+    results = []
+    for g in [grid] + ([_refine_grid(grid)] if refine else []):
+        problem = _Problem(g, c, constraint)
+        if init_field is None:
+            u0 = problem.random_init(seed)
+        elif g is grid:
+            u0 = problem.pack(init_field)
         else:
-            uf0 = fine_problem.random_init(seed)
-        fine_run = _gauss_newton(fine_problem, uf0, tol, max_iter)
-        fine_norms = fine_problem.report_norms(fine_problem.unpack(fine_run.u))
-        history.append((fine.nx, fine.ny, fine_norms[-1]))
-        factorizations += fine_run.factorizations
-        rejected += fine_run.rejected_steps
+            u0 = problem.pack(_refine_field(init_field, g))
+        run = _gauss_newton(problem, u0, tol, max_iter)
+        fld = problem.unpack(run.u)
+        results.append((run, fld, problem.report_norms(fld)))
 
-    report = ResidualReport(str(constraint), seed, run.iterations,
-                            run.stop_reason == "converged", *norms,
-                            tuple(history), run.stop_reason, factorizations,
-                            rejected)
+    run, fld, norms = results[0]
+    report = ResidualReport(
+        str(constraint), seed, run.iterations, run.stop_reason == "converged",
+        *norms, tuple((f.grid.nx, f.grid.ny, n[-1]) for _, f, n in results),
+        run.stop_reason, sum(r.factorizations for r, _, _ in results),
+        sum(r.rejected_steps for r, _, _ in results))
     return fld, report

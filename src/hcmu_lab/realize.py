@@ -388,9 +388,7 @@ def family_codazzi_gap(family: DiagonalFamily, x_range=None) -> float:
     """
     if family.xs.size < 5:
         raise ValueError("family too short to difference")
-    h = family.xs[1] - family.xs[0]
-    k2 = family.k2s
-    dk2 = (-k2[4:] + 8.0 * k2[3:-1] - 8.0 * k2[1:-3] + k2[:-4]) / (12.0 * h)
+    dk2 = _d4(family.k2s, family.xs[1] - family.xs[0], 0)
     mumup = 0.5 * family.params.mu_sq_prime(family.Ks[2:-2])
     rhs = 0.5 * mumup * (family.k1s[2:-2] - family.k2s[2:-2])
     gap = np.abs(dk2 - rhs)

@@ -1,10 +1,19 @@
-"""Shared helpers: seeded draws of admissible extremal-value pairs."""
+"""Shared helpers: seeded draws of admissible extremal-value pairs.
+
+Also sets OPENBLAS_NUM_THREADS to 1 unless it is set already: the LM band
+Cholesky makes many small BLAS calls, which a second thread slows down, and
+the variable only counts if it is set before numpy is first imported.
+"""
 
 from __future__ import annotations
 
-import math
-import random
-from fractions import Fraction
+import os
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import math  # noqa: E402
+import random  # noqa: E402
+from fractions import Fraction  # noqa: E402
 
 
 def random_admissible_pair(rng: random.Random) -> tuple[Fraction, Fraction]:

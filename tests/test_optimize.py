@@ -136,9 +136,8 @@ def test_damped_step_matches_a_dense_solve(constraint, lam):
     u = problem.random_init(0)
     J = problem.jacobian(u)
     g = J.T @ problem.residual(u)
-    JtJ = (J.T @ J).tocsc()
-    A = JtJ.toarray() + lam * np.eye(u.size)
-    step = _damped_step(JtJ, g, lam)
+    A = (J.T @ J).toarray() + lam * np.eye(u.size)
+    step = _damped_step(_BandedNormal(problem), g, lam, problem.gauss_rows(u))
     # backward error at the level of a dense LU's (about 1e-15 here)
     assert np.linalg.norm(A @ step + g) <= 1e-12 * np.linalg.norm(g)
     # forward error: J^T J is singular to working precision, so at
@@ -159,18 +158,59 @@ def test_band_assembly_equals_the_normal_matrix(constraint, nx, ny):
     u = problem.random_init(2)
     J = problem.jacobian(u)
     lam = 1e-3
-    normal = _BandedNormal.for_problem(problem)
+    normal = _BandedNormal(problem)
     # node-major along the shorter axis: a Codazzi row spans two node steps
     assert normal.kd == 2 * problem.m * min(nx, ny)
     ab = normal.assemble(lam, problem.gauss_rows(u))
     n = u.size
     lower = sum(np.diag(ab[d, :n - d], -d) for d in range(normal.kd + 1))
     band = lower + np.tril(lower, -1).T
-    expected = np.empty((n, n))
-    order = normal.order
-    expected[np.ix_(order, order)] = (J.T @ J).toarray() + lam * np.eye(n)
+    expected = (J.T @ J).toarray() + lam * np.eye(n)
     assert np.allclose(band, expected, rtol=0,
                        atol=1e-14 * np.max(np.abs(expected)))
+
+
+@pytest.mark.parametrize("constraint", ["minimal", "none"])   # m = 2, 3
+@pytest.mark.parametrize("nx, ny", [(8, 12), (12, 8)])
+def test_jacobian_is_the_derivative_of_the_residual(constraint, nx, ny):
+    grid = GridDomain.create(PARAMS, 1.5, nx, ny, 0.01, 0.01,
+                             origin=(-0.04, 0.0))
+    problem = _Problem(grid, 0.0, TraceConstraint(constraint))
+    u = problem.random_init(3)
+    delta = 0.1 * problem.random_init(4)
+    r = problem.residual(u)
+    gap = problem.residual(u + delta) - r - problem.jacobian(u) @ delta
+    # the residual is quadratic in the unknowns: what J misses is the Gauss
+    # term -w (d11 d22 - d12^2) of each node, whose m unknowns are consecutive
+    d = delta.reshape(-1, problem.m).T
+    d22 = d[2] if problem.m == 3 else -d[0]     # minimal: h22 = -h11
+    quad = -problem.w * (d[0] * d22 - d[1] * d[1])
+    N = problem.N
+    atol = 1e-13 * np.max(np.abs(r))
+    assert np.max(np.abs(quad)) > 1e3 * atol
+    assert np.allclose(gap[:N], quad, rtol=0, atol=atol)
+    assert np.allclose(gap[N:], 0.0, rtol=0, atol=atol)
+
+
+@pytest.mark.parametrize("constraint", ["minimal", "none"])   # m = 2, 3
+@pytest.mark.parametrize("nx, ny", [(8, 12), (12, 8)])
+def test_the_layout_round_trips(constraint, nx, ny):
+    grid = GridDomain.create(PARAMS, 1.5, nx, ny, 0.01, 0.01,
+                             origin=(-0.04, 0.0))
+    trace = TraceConstraint(constraint)
+    problem = _Problem(grid, 0.0, trace)
+    h11, h12, h22 = np.random.default_rng(5).uniform(-1.0, 1.0, (3, nx, ny))
+    if problem.m == 2:
+        h22 = -h11
+    fld = ShapeField(grid, h11, h12, h22, trace)
+    back = problem.unpack(problem.pack(fld))
+    for name in ("h11", "h12", "h22"):
+        assert np.array_equal(getattr(back, name), getattr(fld, name))
+    # a seed draws the same initial field whatever the order of the unknowns
+    draw = np.random.default_rng(6).uniform(-1.0, 1.0, (problem.m, nx, ny))
+    init = problem.unpack(problem.random_init(6))
+    comps = (init.h11, init.h12, init.h22)[:problem.m]
+    assert all(np.array_equal(a, b) for a, b in zip(comps, draw))
 
 
 def test_a_failed_factorization_is_a_rejected_step(monkeypatch):
@@ -190,9 +230,9 @@ def test_a_failed_factorization_is_a_rejected_step(monkeypatch):
             raise LinAlgError("1-th leading minor not positive definite")
         return factor(*args, **kwargs)
 
-    def recording_step(JtJ, g, lam, rows=None):
+    def recording_step(normal, g, lam, rows):
         lams.append(lam)
-        return step(JtJ, g, lam, rows)
+        return step(normal, g, lam, rows)
 
     monkeypatch.setattr(optimize, "cholesky_banded", failing_once)
     monkeypatch.setattr(optimize, "_damped_step", recording_step)
