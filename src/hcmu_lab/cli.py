@@ -15,8 +15,6 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
 from . import algebra, fields, optimize, profile, realize
 from .errors import (
     EXIT_INADMISSIBLE,
@@ -34,7 +32,7 @@ from .textio import read_text, write_kv_lines, write_lines
 
 _CONFIG_KEYS = {
     "k1", "k2", "c", "k0", "k2_init", "grid", "origin", "seed", "tol",
-    "max_iter", "step", "x_min", "x_max", "h", "constraint", "threads",
+    "max_iter", "step", "x_min", "x_max", "constraint", "threads",
     "out", "h11", "h12", "h22", "mesh",
 }
 
@@ -215,15 +213,9 @@ def _cmd_check_gc(args) -> int:
         (meta.get("x0", 0.0), meta.get("y0", 0.0)),
     )
     fld = fields.ShapeField(grid, comps["h11"], comps["h12"], comps["h22"])
-    rg = fields.gauss_residual(fld, params.c)
-    c1, c2 = fields.codazzi_residual(fld)
-    area = grid.cell_area()
-    pairs = [
-        ("gauss_max", "%.17g" % float(np.max(np.abs(rg)))),
-        ("gauss_l2", "%.17g" % float(np.sqrt(area * np.sum(rg * rg)))),
-        ("codazzi_max", "%.17g" % float(max(np.max(np.abs(c1)), np.max(np.abs(c2))))),
-        ("codazzi_l2", "%.17g" % float(np.sqrt(area * (np.sum(c1 * c1) + np.sum(c2 * c2))))),
-    ]
+    norms = fields.residual_norms(fld, params.c)
+    pairs = [(k, "%.17g" % v) for k, v in zip(
+        ("gauss_max", "gauss_l2", "codazzi_max", "codazzi_l2"), norms)]
     write_kv_lines(pairs, cfg.require("out"))
     print("check-gc: " + ", ".join(f"{k}={v}" for k, v in pairs))
     return EXIT_OK
@@ -302,8 +294,16 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises `ConfigError` (exit 1, one ``error:`` line) on a usage error
+    where argparse prints its usage block and exits 2; subparsers inherit it."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="hcmu-lab",
         description="Extremal-metric curvature profiles, integrability "
                     "certificates, and hypersurface realization.",
@@ -357,9 +357,9 @@ def main(argv: list[str] | None = None) -> int:
         argv = sys.argv[1:]
     try:
         return run(argv)
-    except SystemExit as e:
-        # argparse exits 2 on usage problems and 0 on --help
-        return EXIT_OK if (e.code in (0, None)) else EXIT_USAGE
+    except SystemExit:
+        # argparse exits only after --help; usage errors raise ConfigError
+        return EXIT_OK
     except InadmissibleParams as e:
         print(f"error: inadmissible parameters: {e}", file=sys.stderr)
         return EXIT_INADMISSIBLE

@@ -28,6 +28,7 @@ whose failure to close (holonomy per unit area) equals
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -107,6 +108,8 @@ class TraceConstraint:
     def __post_init__(self):
         if self.kind not in ("none", "minimal", "cmc"):
             raise ValueError(f"unknown constraint kind {self.kind!r}")
+        if not math.isfinite(self.H):
+            raise ValueError(f"mean curvature H must be finite, got {self.H}")
 
     @classmethod
     def parse(cls, text: str) -> "TraceConstraint":
@@ -189,6 +192,21 @@ def codazzi_residual(fld: ShapeField) -> tuple[np.ndarray, np.ndarray]:
     c1 = inv_mu * (dy_h11 - dx_h12) - dmu * mid12
     c2 = inv_mu * (dx_h22 - dy_h12) + 0.5 * dmu * (h22[1:-1, 1:-1] - h11[1:-1, 1:-1])
     return c1, c2
+
+
+def residual_norms(fld: ShapeField, c: float) -> tuple[float, ...]:
+    """(gauss_max, gauss_l2, codazzi_max, codazzi_l2, total_l2) of a field.
+
+    The l2 norms are discrete L2(domain) norms, weighted by the cell area;
+    total_l2 combines the Gauss and Codazzi ones.
+    """
+    area = fld.grid.cell_area()
+    rg = gauss_residual(fld, c)
+    cod = np.concatenate([r.ravel() for r in codazzi_residual(fld)])
+    gauss_l2 = float(np.sqrt(area * np.sum(rg * rg)))
+    codazzi_l2 = float(np.sqrt(area * np.sum(cod * cod)))
+    return (float(np.max(np.abs(rg))), gauss_l2, float(np.max(np.abs(cod))),
+            codazzi_l2, float(np.sqrt(gauss_l2 ** 2 + codazzi_l2 ** 2)))
 
 
 # -- the minimal-immersion transport system ----------------------------------

@@ -8,8 +8,10 @@ every node, in the same node order, and both Codazzi defects at interior
 nodes, all weighted by sqrt(hx hy) so that the reported l2 norms are
 discrete L2(domain) norms and survive grid refinement unchanged.
 
-The Codazzi block of the Jacobian is constant and assembled once; the Gauss
-block is affine in the unknowns and rebuilt per iteration.  Steps solve
+The Codazzi block of the Jacobian is constant and read once off
+``fields.codazzi_residual``, the one statement of the stencil, by probing it
+with one field per component and node class; the Gauss block is affine in
+the unknowns and rebuilt per iteration.  Steps solve
 (J^T J + lam I) d = -J^T r.  That matrix is symmetric positive definite and,
 in that order of the unknowns, banded: a Codazzi row couples the nodes on
 either side of its own, so the half-bandwidth is 2 m min(nx, ny) and the
@@ -43,7 +45,8 @@ from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
 from scipy.sparse.linalg import splu  # noqa: F401  unused; perfbench binds optimize.splu by name
 
 from .errors import NonFiniteIterate
-from .fields import GridDomain, ShapeField, TraceConstraint, codazzi_residual, gauss_residual
+from .fields import (GridDomain, ShapeField, TraceConstraint, codazzi_residual,
+                     gauss_residual, residual_norms)
 from .textio import fmt17
 
 _LAM_MIN = 1e-14
@@ -157,51 +160,41 @@ class _Problem:
         return self.w * np.concatenate([rg, c1.ravel(), c2.ravel()])
 
     def _assemble_codazzi_jacobian(self) -> sparse.csr_matrix:
+        """The Codazzi block of J, read off `codazzi_residual` by probing.
+
+        The rows are linear in h, and the row of interior node (i, j) reads
+        only (i, j), (i +- 1, j) and (i, j +- 1): five nodes in five classes
+        (i mod 3, j mod 3).  So the residual of the field that is 1 in
+        component a on class (ci, cj) and 0 elsewhere holds each row's
+        coefficient on the one node of that class it reads, at offset
+        ((ci - i + 1) % 3 - 1, (cj - j + 1) % 3 - 1), and an exact zero,
+        dropped, where it reads none.  With m = 2 the probe sets h22 = -h11,
+        the linear part of h22 = trace - h11 (Curtis, Powell & Reid 1974,
+        *J. Inst. Maths Applics* 13).
+        """
         g = self.grid
         nx, ny = g.nx, g.ny
-        ii, jj = np.meshgrid(np.arange(1, nx - 1), np.arange(1, ny - 1),
-                             indexing="ij")
-        ii, jj = ii.ravel(), jj.ravel()
-        nint = ii.size
+        nint = (nx - 2) * (ny - 2)
         column = self._grid(np.arange(self.m * self.N))
-        inv_mu = 1.0 / g.mu[ii]
-        dmu = g.dmu[ii]
+        i = np.arange(1, nx - 1)[:, None]
+        j = np.arange(1, ny - 1)[None, :]
+        probe = np.zeros((3, nx, ny))
         rows, cols, vals = [], [], []
-
-        def put(r, a, i, j, v):
-            rows.append(r)
-            cols.append(column[a, i, j])
-            vals.append(v)
-
-        r1 = np.arange(nint)
-        r2 = nint + np.arange(nint)
-        cy = 1.0 / (2.0 * g.hy) * inv_mu
-        cx = 1.0 / (2.0 * g.hx) * inv_mu
-
-        # C1 = inv_mu (dy h11 - dx h12) - dmu h12
-        put(r1, 0, ii, jj + 1, cy)
-        put(r1, 0, ii, jj - 1, -cy)
-        put(r1, 1, ii + 1, jj, -cx)
-        put(r1, 1, ii - 1, jj, cx)
-        put(r1, 1, ii, jj, -dmu)
-
-        # C2 = inv_mu (dx h22 - dy h12) + dmu/2 (h22 - h11)
-        if self.m == 3:
-            put(r2, 2, ii + 1, jj, cx)
-            put(r2, 2, ii - 1, jj, -cx)
-            put(r2, 2, ii, jj, 0.5 * dmu)
-            put(r2, 0, ii, jj, -0.5 * dmu)
-        else:
-            # h22 = trace - h11 folds every h22 column into h11's, negated
-            put(r2, 0, ii + 1, jj, -cx)
-            put(r2, 0, ii - 1, jj, cx)
-            put(r2, 0, ii, jj, -dmu)
-        put(r2, 1, ii, jj + 1, -cy)
-        put(r2, 1, ii, jj - 1, cy)
-
-        rows = np.concatenate([np.asarray(r, dtype=np.int64).ravel() for r in rows])
-        cols = np.concatenate([np.asarray(c, dtype=np.int64).ravel() for c in cols])
-        vals = np.concatenate([np.broadcast_to(v, (nint,)).ravel() for v in vals])
+        for a in range(self.m):
+            for ci in range(3):
+                for cj in range(3):
+                    probe[a, ci::3, cj::3] = 1.0
+                    h22 = probe[2] if self.m == 3 else -probe[0]
+                    fld = ShapeField(g, probe[0], probe[1], h22)
+                    r = np.concatenate(codazzi_residual(fld), axis=None)
+                    probe[a, ci::3, cj::3] = 0.0
+                    col = column[a, i + (ci - i + 1) % 3 - 1,
+                                 j + (cj - j + 1) % 3 - 1].ravel()
+                    hit = np.flatnonzero(r)
+                    rows.append(hit)
+                    cols.append(col[hit % nint])
+                    vals.append(r[hit])
+        rows, cols, vals = (np.concatenate(x) for x in (rows, cols, vals))
         return sparse.csr_matrix((self.w * vals, (rows, cols)),
                                  shape=(2 * nint, self.m * self.N))
 
@@ -221,20 +214,6 @@ class _Problem:
                                 np.arange(0, n + 1, self.m)),
                                shape=(self.N, n))
         return sparse.vstack([Jg, self._jc], format="csr")
-
-    # -- norms for the report ----------------------------------------------------
-
-    def report_norms(self, fld: ShapeField):
-        w2 = self.grid.hx * self.grid.hy
-        rg = gauss_residual(fld, self.c)
-        c1, c2 = codazzi_residual(fld)
-        gauss_max = float(np.max(np.abs(rg)))
-        gauss_l2 = float(np.sqrt(w2 * np.sum(rg * rg)))
-        cod = np.concatenate([c1.ravel(), c2.ravel()])
-        codazzi_max = float(np.max(np.abs(cod))) if cod.size else 0.0
-        codazzi_l2 = float(np.sqrt(w2 * np.sum(cod * cod)))
-        total = float(np.sqrt(gauss_l2 ** 2 + codazzi_l2 ** 2))
-        return gauss_max, gauss_l2, codazzi_max, codazzi_l2, total
 
 
 class _BandedNormal:
@@ -410,7 +389,7 @@ def optimize_shape_field(grid: GridDomain, c: float,
             u0 = problem.pack(_refine_field(init_field, g))
         run = _gauss_newton(problem, u0, tol, max_iter)
         fld = problem.unpack(run.u)
-        results.append((run, fld, problem.report_norms(fld)))
+        results.append((run, fld, residual_norms(fld, c)))
 
     run, fld, norms = results[0]
     report = ResidualReport(

@@ -1,8 +1,13 @@
+import argparse
+import contextlib
+import io
 import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hcmu_lab import algebra, cli, profile
 from hcmu_lab.errors import ConfigError
@@ -45,6 +50,10 @@ def test_parse_config_rejections(tmp_path):
     p.write_text("k1 = \n")
     with pytest.raises(ConfigError):
         cli.parse_config(p)
+    # no command reads h, so it is not a key
+    p.write_text("h = 0.5\n")
+    with pytest.raises(ConfigError, match="unknown key 'h'"):
+        cli.parse_config(p)
 
 
 def test_inadmissible_params_exit_2(tmp_path):
@@ -57,10 +66,55 @@ def test_inadmissible_params_exit_2(tmp_path):
     assert not out.exists()
 
 
-def test_usage_errors_exit_1(tmp_path):
+def test_usage_errors_exit_1(tmp_path, capsys):
     assert run_cli("no-such-command") == 1
     assert run_cli("profile", "--k1", "2", "--k2", "1") == 1  # missing --out
     assert run_cli() == 1
+    # a non-finite H is a usage error, not a numerical failure
+    out = str(tmp_path / "report.txt")
+    for h in ("nan", "inf", "1e400"):
+        assert run_cli("optimize", "--k1", "2", "--k2", "1",
+                       "--constraint", f"cmc:{h}", "--out", out) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 6 and all(line.startswith("error: ") for line in err)
+    assert all("finite" in line for line in err[3:])
+
+
+def _argv_vocabulary():
+    """The real subcommand names and every flag they take, bar --help."""
+    subs = next(a for a in cli._build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction))
+    flags = {o for p in subs.choices.values() for a in p._actions
+             for o in a.option_strings}
+    return sorted(subs.choices), sorted(flags - {"-h", "--help"})
+
+
+_COMMAND_NAMES, _FLAG_NAMES = _argv_vocabulary()
+_JUNK = ["1", "-1", "2/3", "x", "cmc:0.5", "minimal", "a.cfg", "32,32,0.01,0.01"]
+# each is rejected by argparse wherever it stands: an unknown option, or a
+# known one whose value does not convert
+_REJECTED = ["--bogus", "-z", "--threads=x", "--seed-x"]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.lists(st.sampled_from(_COMMAND_NAMES + _FLAG_NAMES + _JUNK),
+                max_size=8),
+       st.sampled_from(_REJECTED), st.integers(0, 8))
+def test_argv_errors_are_one_error_line_and_exit_1(tokens, bad, at):
+    argv = tokens[:at] + [bad] + tokens[at:]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    lines = err.getvalue().splitlines()
+    assert code == 1, argv
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    assert "Traceback" not in err.getvalue()
+
+
+def test_help_exits_0():
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert run_cli("optimize", "--help") == 0
+    assert "--constraint" in out.getvalue()
 
 
 def test_numerical_failure_exit_3(tmp_path):

@@ -49,6 +49,9 @@ def test_constraint_parsing():
     assert cm.kind == "cmc" and cm.trace_target() == 1.0
     with pytest.raises(ValueError):
         TraceConstraint.parse("weird")
+    for text in ("cmc:nan", "cmc:inf", "cmc:-inf", "cmc:1e400"):
+        with pytest.raises(ValueError, match="finite"):
+            TraceConstraint.parse(text)
 
 
 def test_shape_field_enforces_trace():

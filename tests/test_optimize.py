@@ -72,6 +72,27 @@ def test_minimal_constraint_floors_and_persists():
     assert rep.factorizations == 33
 
 
+@pytest.mark.parametrize("constraint", ["minimal", "cmc:0", "cmc:0.5", "cmc:1"])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_constrained_floor_is_the_umbilic_gauss_defect(constraint, seed):
+    # with trace 2H, det h = H^2 - (h11 - H)^2 - h12^2 <= H^2, so where
+    # K - c - H^2 > 0 every Gauss row is at least w (K - c - H^2); the
+    # umbilic field h = H I attains that with both Codazzi rows zero, so the
+    # floor is sqrt(hx hy ny sum over columns of (K - c - H^2)^2)
+    trace = TraceConstraint.parse(constraint)
+    H = trace.trace_target() / 2.0
+    grid = GridDomain.create(PARAMS, 1.5, 32, 32, 0.01, 0.01,
+                             origin=(-0.16, 0.0))
+    _, rep = optimize_shape_field(grid, 0.0, trace, seed=seed, max_iter=25)
+    grids = (grid, optimize._refine_grid(grid))
+    for g, (nx, ny, floor) in zip(grids, rep.refinement_history):
+        assert (nx, ny) == (g.nx, g.ny)
+        gap = g.K - 0.0 - H * H
+        assert np.min(gap) > 0.0
+        closed = math.sqrt(g.hx * g.hy * g.ny * np.sum(gap * gap))
+        assert abs(floor - closed) <= 1e-12 * closed
+
+
 def test_cmc_zero_equals_minimal_bitwise():
     grid = GridDomain.create(PARAMS, 1.5, 12, 12, 0.01, 0.01,
                              origin=(-0.06, 0.0))
