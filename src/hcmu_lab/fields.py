@@ -35,6 +35,7 @@ import numpy as np
 
 from .errors import PathLeavesDomain
 from .profile import CurvatureProfile, HcmuParams, curvature_at, rk4_step
+from .ratpoly import as_fraction
 from .textio import (FormatError, atomic_write, format_rows, grid_header,
                      parse_header_comment, read_text, records_array)
 
@@ -119,7 +120,12 @@ class TraceConstraint:
         if text == "minimal":
             return cls("minimal")
         if text.startswith("cmc:"):
-            return cls("cmc", float(text[4:]))
+            try:
+                H = float(as_fraction(text[4:]))
+            except (ValueError, ZeroDivisionError, OverflowError):
+                raise ValueError("mean curvature H must be a finite decimal "
+                                 f"or rational, got {text[4:]!r}") from None
+            return cls("cmc", H)
         raise ValueError(f"cannot parse constraint {text!r}")
 
     def trace_target(self) -> float | None:
@@ -131,7 +137,8 @@ class TraceConstraint:
 
     def __str__(self):
         if self.kind == "cmc":
-            return f"cmc:{self.H:g}"
+            # the shortest text that parses back to H; "cmc:1", not "cmc:1.0"
+            return f"cmc:{self.H!r}".removesuffix(".0")
         return self.kind
 
 

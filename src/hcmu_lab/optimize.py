@@ -30,7 +30,13 @@ Nielsen & Tingleff (2004, *Methods for Non-Linear Least Squares Problems*,
 section 3.2): an accepted step scales lam by max(1/3, 1 - (2 rho - 1)^3),
 where rho is the actual over the predicted decrease, and a rejected step
 multiplies lam by nu, which doubles with every rejection in a row.  Only
-improving steps are taken, so the residual never increases.  Everything is
+improving steps are taken, so the residual never increases.  A rejected
+step whose predicted decrease d . (lam d - g), g = J^T r, is at most
+8 eps |r|^2 ends the run on its floor (ibid., section 3): the linear model
+has no decrease left that |r|^2 can resolve, and more damping would only
+shorten a step that already fails.  The 2x refinement run starts from the
+coarse solution interpolated to the fine grid, which is nested iteration
+(Bornemann & Deuflhard 1996, *Numer. Math.* 75).  Everything is
 deterministic for a fixed seed.
 """
 
@@ -51,6 +57,7 @@ from .textio import fmt17
 
 _LAM_MIN = 1e-14
 _LAM_MAX = 1e12
+_FLOOR_EPS = 8.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -278,7 +285,9 @@ def _damped_step(normal: _BandedNormal, g: np.ndarray, lam: float,
 class _LMRun(NamedTuple):
     u: np.ndarray
     iterations: int         # accepted steps
-    stop_reason: str        # converged | stalled | max_iter | lam_max
+    # converged | stalled | max_iter | floor (a rejected step predicted a
+    # decrease of at most 8 eps |r|^2) | lam_max (damping passed its cap)
+    stop_reason: str
     factorizations: int     # band Cholesky calls, failed ones included
     rejected_steps: int
 
@@ -294,50 +303,51 @@ def _gauss_newton(problem: _Problem, u0: np.ndarray, tol: float,
     iterations = factorizations = rejected = stall = 0
     normal = _BandedNormal(problem)
 
-    while True:
+    stop = None
+    while stop is None:
         if np.sqrt(F) < tol:
             stop = "converged"
-            break
-        if stall >= 4:
+        elif stall >= 4:
             stop = "stalled"
-            break
-        if iterations >= max_iter:
+        elif iterations >= max_iter:
             stop = "max_iter"
-            break
-        g = problem.jacobian(u).T @ r
-        rows = problem.gauss_rows(u)
-        while lam <= _LAM_MAX:
-            factorizations += 1
-            try:
-                delta = _damped_step(normal, g, lam, rows)
-            except LinAlgError:
-                rejected += 1
-                lam, nu = lam * nu, 2.0 * nu
-                continue
-            if not np.all(np.isfinite(delta)):
-                raise NonFiniteIterate("non-finite Gauss-Newton step")
-            u_try = u + delta
-            r_try = problem.residual(u_try)
-            if not np.all(np.isfinite(r_try)):
-                raise NonFiniteIterate("optimizer diverged to non-finite residual")
-            F_try = float(r_try @ r_try)
-            if F_try < F:
-                # actual over predicted decrease of |r|^2; the linear model
-                # predicts delta . (lam delta - g) > 0
-                rho = (F - F_try) / float(delta @ (lam * delta - g))
-                drop = (F - F_try) / max(F_try, 1e-300)
-                u, r, F = u_try, r_try, F_try
-                lam = max(lam * max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3),
-                          _LAM_MIN)
-                nu = 2.0
-                iterations += 1
-                stall = stall + 1 if drop < 1e-9 else 0
-                break
-            rejected += 1
-            lam, nu = lam * nu, 2.0 * nu
         else:
-            stop = "lam_max"
-            break
+            g = problem.jacobian(u).T @ r
+            rows = problem.gauss_rows(u)
+            while lam <= _LAM_MAX:
+                factorizations += 1
+                try:
+                    delta = _damped_step(normal, g, lam, rows)
+                except LinAlgError:
+                    rejected += 1
+                    lam, nu = lam * nu, 2.0 * nu
+                    continue
+                if not np.all(np.isfinite(delta)):
+                    raise NonFiniteIterate("non-finite Gauss-Newton step")
+                u_try = u + delta
+                r_try = problem.residual(u_try)
+                if not np.all(np.isfinite(r_try)):
+                    raise NonFiniteIterate("optimizer diverged to non-finite residual")
+                F_try = float(r_try @ r_try)
+                # the linear model's predicted decrease of |r|^2
+                pred = float(delta @ (lam * delta - g))
+                if F_try < F:
+                    rho = (F - F_try) / pred
+                    drop = (F - F_try) / max(F_try, 1e-300)
+                    u, r, F = u_try, r_try, F_try
+                    lam = max(lam * max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3),
+                              _LAM_MIN)
+                    nu = 2.0
+                    iterations += 1
+                    stall = stall + 1 if drop < 1e-9 else 0
+                    break
+                rejected += 1
+                if pred <= _FLOOR_EPS * F:
+                    stop = "floor"
+                    break
+                lam, nu = lam * nu, 2.0 * nu
+            else:
+                stop = "lam_max"
 
     return _LMRun(u, iterations, stop, factorizations, rejected)
 
@@ -376,17 +386,23 @@ def optimize_shape_field(grid: GridDomain, c: float,
     Returns the optimized field on the requested grid together with a
     report whose refinement history holds the residual floor on this grid
     and on its 2x refinement (the floor of an inconsistent constraint
-    persists under refinement; a consistent one converges to zero).
+    persists under refinement; a consistent one converges to zero).  The
+    run on this grid starts from ``init_field`` or, without one, from the
+    random field of ``seed``; the 2x run starts from its result, refined
+    by `_refine_field`, so the seed varies only the coarse start.  A run
+    stops as converged, stalled, max_iter, floor (a rejected step whose
+    predicted decrease is at most 8 eps |r|^2) or lam_max (the damping
+    passed its cap, as after repeated failed factorizations).
     """
     results = []
     for g in [grid] + ([_refine_grid(grid)] if refine else []):
         problem = _Problem(g, c, constraint)
-        if init_field is None:
+        if results:
+            u0 = problem.pack(_refine_field(results[0][1], g))
+        elif init_field is None:
             u0 = problem.random_init(seed)
-        elif g is grid:
-            u0 = problem.pack(init_field)
         else:
-            u0 = problem.pack(_refine_field(init_field, g))
+            u0 = problem.pack(init_field)
         run = _gauss_newton(problem, u0, tol, max_iter)
         fld = problem.unpack(run.u)
         results.append((run, fld, residual_norms(fld, c)))

@@ -80,6 +80,26 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     assert all("finite" in line for line in err[3:])
 
 
+def test_constraint_takes_an_exact_rational(tmp_path, capsys):
+    def optimize(h):
+        out = tmp_path / "report.txt"
+        code = run_cli("optimize", "--k1", "2", "--k2", "1", "--k0", "1.5",
+                       "--grid", "8,8,0.01,0.01", "--max-iter", "3",
+                       "--constraint", f"cmc:{h}", "--out", str(out))
+        return code, out.read_text() if code == 0 else None
+
+    code, report = optimize("1/2")
+    assert code == 0 and "constraint=cmc:0.5\n" in report
+    assert optimize("0.5") == (0, report)
+    capsys.readouterr()
+    for h in ("1/0", "1e400"):
+        assert optimize(h) == (1, None)
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 2 and all(line.startswith("error: ") for line in lines)
+
+
 def _argv_vocabulary():
     """The real subcommand names and every flag they take, bar --help."""
     subs = next(a for a in cli._build_parser()._actions

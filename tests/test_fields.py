@@ -3,6 +3,9 @@ import pytest
 
 from fractions import Fraction
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from hcmu_lab.algebra import CubicData, obstruction_poly
 from hcmu_lab.errors import FormatError, PathLeavesDomain
 from hcmu_lab.fields import (
@@ -52,6 +55,29 @@ def test_constraint_parsing():
     for text in ("cmc:nan", "cmc:inf", "cmc:-inf", "cmc:1e400"):
         with pytest.raises(ValueError, match="finite"):
             TraceConstraint.parse(text)
+
+
+def test_constraint_parses_exact_rationals():
+    assert TraceConstraint.parse("cmc:1/2") == TraceConstraint.parse("cmc:0.5")
+    assert TraceConstraint.parse("cmc: -3/4 ").H == -0.75
+    assert TraceConstraint.parse("cmc:1/3").H == 1.0 / 3.0
+    # a zero denominator or a float overflow is one ValueError, as bad text is
+    for text in ("cmc:1/0", "cmc:1e400", "cmc:-1e400", "cmc:1e5000", "cmc:x"):
+        with pytest.raises(ValueError, match="finite decimal or rational"):
+            TraceConstraint.parse(text)
+
+
+def test_constraint_text_keeps_today_s_short_forms():
+    for text in ("none", "minimal", "cmc:0", "cmc:0.5", "cmc:1", "cmc:-2.5"):
+        assert str(TraceConstraint.parse(text)) == text
+    assert str(TraceConstraint.parse("cmc:0.1234567891")) == "cmc:0.1234567891"
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.floats(allow_nan=False, allow_infinity=False))
+def test_constraint_text_round_trips(H):
+    tc = TraceConstraint("cmc", H)
+    assert TraceConstraint.parse(str(tc)) == tc
 
 
 def test_shape_field_enforces_trace():

@@ -65,11 +65,12 @@ def test_minimal_constraint_floors_and_persists():
     assert f1 / f0 >= 0.9
     # constraint respected on the returned field
     assert np.max(np.abs(fld.h11 + fld.h22)) < 1e-12
-    # on the floor no damping up to the cap gives a smaller residual; the
-    # gain-ratio rule needs 33 factorizations over both grids where
-    # halving/doubling the damping needed 42
-    assert rep.stop_reason == "lam_max"
-    assert rep.factorizations == 33
+    # on the floor a rejected step whose predicted decrease is below what F
+    # resolves ends the run: 12 factorizations over both grids, where walking
+    # the damping up to its cap needed 33
+    assert rep.stop_reason == "floor"
+    assert rep.factorizations == 12
+    assert rep.rejected_steps == 2
 
 
 @pytest.mark.parametrize("constraint", ["minimal", "cmc:0", "cmc:0.5", "cmc:1"])
@@ -91,6 +92,42 @@ def test_constrained_floor_is_the_umbilic_gauss_defect(constraint, seed):
         assert np.min(gap) > 0.0
         closed = math.sqrt(g.hx * g.hy * g.ny * np.sum(gap * gap))
         assert abs(floor - closed) <= 1e-12 * closed
+
+
+def test_a_floor_stop_follows_a_rejected_step_at_the_closed_form_floor():
+    grid = GridDomain.create(PARAMS, 1.5, 16, 16, 0.01, 0.01,
+                             origin=(-0.08, 0.0))
+    _, rep = optimize_shape_field(grid, 0.0, TraceConstraint("minimal"),
+                                  seed=3, max_iter=30, refine=False)
+    assert rep.stop_reason == "floor"
+    assert rep.rejected_steps >= 1
+    closed = math.sqrt(grid.hx * grid.hy * grid.ny * np.sum(grid.K ** 2))
+    assert abs(rep.floor_l2 - closed) <= 1e-12 * closed
+
+
+@pytest.mark.parametrize("seeded", [False, True])
+def test_the_refinement_run_starts_from_the_refined_coarse_solution(
+        monkeypatch, seeded):
+    grid = GridDomain.create(PARAMS, 1.5, 8, 8, 0.01, 0.01,
+                             origin=(-0.04, 0.0))
+    init = family_seed(grid) if seeded else None
+    solve = optimize._gauss_newton
+    starts = []
+
+    def recording_solve(problem, u0, tol, max_iter):
+        starts.append((problem, u0.copy()))
+        return solve(problem, u0, tol, max_iter)
+
+    monkeypatch.setattr(optimize, "_gauss_newton", recording_solve)
+    fld, rep = optimize_shape_field(grid, 0.0, TraceConstraint("minimal"),
+                                    seed=2, max_iter=5, init_field=init)
+    assert rep.iterations > 0
+    (coarse, u_coarse), (fine, u_fine) = starts
+    assert (fine.grid.nx, fine.grid.ny) == (16, 16)
+    first = coarse.pack(init) if seeded else coarse.random_init(2)
+    assert np.array_equal(u_coarse, first)
+    assert np.array_equal(u_fine,
+                          fine.pack(optimize._refine_field(fld, fine.grid)))
 
 
 def test_cmc_zero_equals_minimal_bitwise():
