@@ -36,8 +36,12 @@ step whose predicted decrease d . (lam d - g), g = J^T r, is at most
 has no decrease left that |r|^2 can resolve, and more damping would only
 shorten a step that already fails.  The 2x refinement run starts from the
 coarse solution interpolated to the fine grid, which is nested iteration
-(Bornemann & Deuflhard 1996, *Numer. Math.* 75).  Everything is
-deterministic for a fixed seed.
+(Bornemann & Deuflhard 1996, *Numer. Math.* 75).  It takes the damping on
+too: the fine run begins at the coarse run's final lam, capped at the usual
+start 1e-3.  The gain-ratio rule lowers lam at most 3x per accepted step
+(ibid., section 3.2), so a fine run begun again at 1e-3 would spend its
+first factorizations walking lam back down to where the coarse run left it.
+Everything is deterministic for a fixed seed.
 """
 
 from __future__ import annotations
@@ -55,6 +59,7 @@ from .fields import (GridDomain, ShapeField, TraceConstraint, codazzi_residual,
                      gauss_residual, residual_norms)
 from .textio import fmt17
 
+_LAM_START = 1e-3
 _LAM_MIN = 1e-14
 _LAM_MAX = 1e12
 _FLOOR_EPS = 8.0 * np.finfo(float).eps
@@ -65,7 +70,8 @@ class ResidualReport:
     """Residual norms of the optimized field and how the optimizer got there.
 
     ``iterations``, ``converged`` and ``stop_reason`` describe the run on the
-    requested grid; ``factorizations`` and ``rejected_steps`` count over
+    requested grid and ``refinement_stop_reason`` the 2x run's stop (None
+    without one); ``factorizations`` and ``rejected_steps`` count over
     every grid of the refinement study.
     """
 
@@ -82,6 +88,7 @@ class ResidualReport:
     stop_reason: str
     factorizations: int
     rejected_steps: int
+    refinement_stop_reason: str | None
 
     @property
     def floor_l2(self) -> float:
@@ -106,6 +113,9 @@ class ResidualReport:
             f"factorizations={self.factorizations}",
             f"rejected_steps={self.rejected_steps}",
         ]
+        if self.refinement_stop_reason is not None:
+            nx, ny, _ = self.refinement_history[-1]
+            lines.append(f"stop_reason_{nx}x{ny}={self.refinement_stop_reason}")
         return lines
 
 
@@ -290,16 +300,18 @@ class _LMRun(NamedTuple):
     stop_reason: str
     factorizations: int     # band Cholesky calls, failed ones included
     rejected_steps: int
+    lam: float              # the damping the run ended with
 
 
 def _gauss_newton(problem: _Problem, u0: np.ndarray, tol: float,
-                  max_iter: int) -> _LMRun:
+                  max_iter: int, lam: float) -> _LMRun:
+    """Levenberg-Marquardt from u0 with starting damping lam."""
     u = u0.astype(float)
     r = problem.residual(u)
     if not np.all(np.isfinite(r)):
         raise NonFiniteIterate("non-finite residual at the initial field")
     F = float(r @ r)
-    lam, nu = 1e-3, 2.0
+    nu = 2.0
     iterations = factorizations = rejected = stall = 0
     normal = _BandedNormal(problem)
 
@@ -349,7 +361,7 @@ def _gauss_newton(problem: _Problem, u0: np.ndarray, tol: float,
             else:
                 stop = "lam_max"
 
-    return _LMRun(u, iterations, stop, factorizations, rejected)
+    return _LMRun(u, iterations, stop, factorizations, rejected, lam)
 
 
 def _refine_grid(grid: GridDomain) -> GridDomain:
@@ -389,10 +401,14 @@ def optimize_shape_field(grid: GridDomain, c: float,
     persists under refinement; a consistent one converges to zero).  The
     run on this grid starts from ``init_field`` or, without one, from the
     random field of ``seed``; the 2x run starts from its result, refined
-    by `_refine_field`, so the seed varies only the coarse start.  A run
-    stops as converged, stalled, max_iter, floor (a rejected step whose
-    predicted decrease is at most 8 eps |r|^2) or lam_max (the damping
-    passed its cap, as after repeated failed factorizations).
+    by `_refine_field`, so the seed varies only the coarse start.  The 2x
+    run also starts from the coarse run's final damping, capped at the
+    coarse run's start 1e-3 (Madsen, Nielsen & Tingleff 2004, section 3.2:
+    an accepted step lowers the damping at most 3x).  A run stops as
+    converged, stalled, max_iter, floor (a rejected step whose predicted
+    decrease is at most 8 eps |r|^2) or lam_max (the damping passed its
+    cap, as after repeated failed factorizations); the report gives the 2x
+    run's stop as ``refinement_stop_reason``.
     """
     results = []
     for g in [grid] + ([_refine_grid(grid)] if refine else []):
@@ -403,7 +419,8 @@ def optimize_shape_field(grid: GridDomain, c: float,
             u0 = problem.random_init(seed)
         else:
             u0 = problem.pack(init_field)
-        run = _gauss_newton(problem, u0, tol, max_iter)
+        lam = min(_LAM_START, results[0][0].lam) if results else _LAM_START
+        run = _gauss_newton(problem, u0, tol, max_iter, lam)
         fld = problem.unpack(run.u)
         results.append((run, fld, residual_norms(fld, c)))
 
@@ -412,5 +429,6 @@ def optimize_shape_field(grid: GridDomain, c: float,
         str(constraint), seed, run.iterations, run.stop_reason == "converged",
         *norms, tuple((f.grid.nx, f.grid.ny, n[-1]) for _, f, n in results),
         run.stop_reason, sum(r.factorizations for r, _, _ in results),
-        sum(r.rejected_steps for r, _, _ in results))
+        sum(r.rejected_steps for r, _, _ in results),
+        results[-1][0].stop_reason if refine else None)
     return fld, report

@@ -191,9 +191,12 @@ def test_optimize_reports_floor(tmp_path):
     assert float(rep["floor_l2"]) > 1e-4
     assert "floor_12x12" in rep and "floor_24x24" in rep
     # the optimizer's counters follow the residual keys, in this order
-    assert list(rep)[-5:] == ["floor_12x12", "floor_24x24", "stop_reason",
-                              "factorizations", "rejected_steps"]
+    assert list(rep)[-6:] == ["floor_12x12", "floor_24x24", "stop_reason",
+                              "factorizations", "rejected_steps",
+                              "stop_reason_24x24"]
     assert rep["stop_reason"] == "stalled"
+    assert rep["stop_reason_24x24"] in {"converged", "stalled", "max_iter",
+                                        "floor", "lam_max"}
     assert int(rep["factorizations"]) > int(rep["rejected_steps"]) >= 0
 
 

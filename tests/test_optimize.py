@@ -112,22 +112,97 @@ def test_the_refinement_run_starts_from_the_refined_coarse_solution(
                              origin=(-0.04, 0.0))
     init = family_seed(grid) if seeded else None
     solve = optimize._gauss_newton
-    starts = []
+    step = optimize._damped_step
+    starts, runs, lams = [], [], []
 
-    def recording_solve(problem, u0, tol, max_iter):
-        starts.append((problem, u0.copy()))
-        return solve(problem, u0, tol, max_iter)
+    def recording_solve(problem, u0, tol, max_iter, lam):
+        starts.append((problem, u0.copy(), len(lams)))
+        runs.append(solve(problem, u0, tol, max_iter, lam))
+        return runs[-1]
+
+    def recording_step(normal, g, lam, rows):
+        lams.append(lam)
+        return step(normal, g, lam, rows)
 
     monkeypatch.setattr(optimize, "_gauss_newton", recording_solve)
+    monkeypatch.setattr(optimize, "_damped_step", recording_step)
     fld, rep = optimize_shape_field(grid, 0.0, TraceConstraint("minimal"),
                                     seed=2, max_iter=5, init_field=init)
     assert rep.iterations > 0
-    (coarse, u_coarse), (fine, u_fine) = starts
+    (coarse, u_coarse, _), (fine, u_fine, k_fine) = starts
     assert (fine.grid.nx, fine.grid.ny) == (16, 16)
     first = coarse.pack(init) if seeded else coarse.random_init(2)
     assert np.array_equal(u_coarse, first)
     assert np.array_equal(u_fine,
                           fine.pack(optimize._refine_field(fld, fine.grid)))
+    # the coarse run starts at 1e-3 and the 2x run at the damping the
+    # coarse run ended with, which is below that cap here
+    assert lams[0] == 1e-3
+    assert runs[0].lam < 1e-3
+    assert lams[k_fine] == runs[0].lam
+
+
+def test_the_carried_damping_is_capped_at_the_initial_damping(monkeypatch):
+    # a coarse run that ends with its damping above 1e-3 (raised by rejected
+    # steps) hands on 1e-3, not its own value
+    grid = GridDomain.create(PARAMS, 1.5, 8, 8, 0.01, 0.01,
+                             origin=(-0.04, 0.0))
+    solve = optimize._gauss_newton
+    lams = []
+
+    def raised_damping(problem, u0, tol, max_iter, lam):
+        lams.append(lam)
+        return solve(problem, u0, tol, max_iter, lam)._replace(lam=1e6)
+
+    monkeypatch.setattr(optimize, "_gauss_newton", raised_damping)
+    optimize_shape_field(grid, 0.0, TraceConstraint("minimal"), seed=2,
+                         max_iter=5)
+    assert lams == [1e-3, 1e-3]
+
+
+def test_a_family_start_carries_the_damping_into_the_refinement_run():
+    # a perturbed family field: the 2x run begins at the coarse run's final
+    # damping and Gauss-Newton converges in 3 factorizations, where starting
+    # again from 1e-3 took 9
+    grid = GridDomain.create(PARAMS, 1.5, 16, 16, 0.01, 0.01,
+                             origin=(-0.08, 0.0))
+    fam = family_seed(grid)
+    noise = 1e-2 * np.random.default_rng(0).standard_normal((3, 16, 16))
+    start = ShapeField(grid, fam.h11 + noise[0], fam.h12 + noise[1],
+                       fam.h22 + noise[2])
+    run = lambda refine: optimize_shape_field(
+        grid, 0.0, TraceConstraint("none"), init_field=start, tol=1e-10,
+        max_iter=30, refine=refine)[1]
+    coarse, rep = run(False), run(True)
+    assert rep.refinement_stop_reason == "converged"
+    assert rep.refinement_history[-1][2] < 1e-10
+    assert (coarse.factorizations, rep.factorizations) == (8, 11)
+
+
+def test_a_worse_refined_start_carries_the_damping_too():
+    # a random start's solution is rough, and refining it raises |r|; the 2x
+    # run still begins at the coarse run's final damping (starting afresh
+    # from 1e-3 reaches only floor_16x16 = 3.1e-9, in 22 factorizations)
+    grid = GridDomain.create(PARAMS, 1.5, 8, 8, 0.01, 0.01,
+                             origin=(-0.04, 0.0))
+    none = TraceConstraint("none")
+    fld, _ = optimize_shape_field(grid, 0.0, none, seed=2, max_iter=40,
+                                  refine=False)
+    coarse = _Problem(grid, 0.0, none)
+    fine = _Problem(optimize._refine_grid(grid), 0.0, none)
+    r0 = coarse.residual(coarse.random_init(2))
+    r1 = fine.residual(fine.pack(optimize._refine_field(fld, fine.grid)))
+    assert r1 @ r1 > r0 @ r0
+    _, rep = optimize_shape_field(grid, 0.0, none, seed=2, max_iter=40)
+    assert rep.to_lines() == [
+        "constraint=none", "seed=2", "iterations=11", "converged=true",
+        "gauss_max=3.1652913623503309e-09", "gauss_l2=3.6169597278603804e-11",
+        "codazzi_max=5.103770097519833e-11",
+        "codazzi_l2=6.7922940889690918e-13",
+        "floor_l2=3.6175974346053129e-11", "floor_8x8=3.6175974346053129e-11",
+        "floor_16x16=6.8753654709957886e-11", "stop_reason=converged",
+        "factorizations=27", "rejected_steps=5",
+        "stop_reason_16x16=converged"]
 
 
 def test_cmc_zero_equals_minimal_bitwise():
