@@ -37,10 +37,11 @@ from itertools import chain
 from .errors import AlgebraConsistencyError, FormatError, InadmissibleParams
 from .ratpoly import (
     RationalPoly,
+    _isolate,
+    _sturm_prepare,
     as_fraction,
-    count_roots_between,
-    isolate_roots,
     poly_to_line,
+    sign_variations,
 )
 from .textio import kv_records, write_lines
 
@@ -256,18 +257,24 @@ def derive(elem: MuElement, P: RationalPoly | None = None) -> MuElement:
 def obstruction_poly(params: CubicData, c) -> RationalPoly:
     """The cubic Phi(K, c) whose identical vanishing the theory forbids.
 
-    Built entirely inside the mu-algebra; the mu-component must cancel and
-    the denominator must clear, leaving a polynomial of degree exactly 3;
-    otherwise the cubic data is corrupted and we refuse to answer.
+    Built entirely inside the mu-algebra, in Horner form in K - c:
+
+        Phi = ((4 mu'' mu + 4 mu'^2) (K-c) + 2 mu' mu) (K-c) - mu^2
+            = ((mu'' mu + mu'^2) s + mu' mu) s - mu^2,   s = 2 (K - c),
+
+    with the integer factors kept in the polynomial s, so the expansion
+    takes six products in the algebra, four of them between elements with
+    a mu-part.  The mu-component must cancel and the denominator must
+    clear, leaving a polynomial of degree exactly 3; otherwise the cubic
+    data is corrupted and we refuse to answer.
     """
     c = as_fraction(c)
     P = params.poly()
     mu = MuElement.mu(P)
     mu1 = derive(mu)
     mu2 = derive(mu1)
-    K = MuElement.var(P)
-    t = K - MuElement.scalar(c, P)
-    phi_el = 4 * (mu2 * mu) * t * t + 4 * (mu1 * mu1) * t * t + 2 * (mu1 * mu) * t - mu * mu
+    s = RationalPoly((-2 * c, 2))
+    phi_el = ((mu2 * mu + mu1 * mu1) * s + mu1 * mu) * s - mu * mu
     if not phi_el.is_pure():
         raise AlgebraConsistencyError("obstruction kept a mu-component")
     if phi_el.k:
@@ -357,10 +364,13 @@ def certify_nonvanishing(phi: RationalPoly, interval) -> Certificate:
         raise ValueError("zero polynomial cannot be certified nonvanishing")
     if not lo < hi:
         raise ValueError("degenerate interval")
-    n = count_roots_between(phi, lo, hi)
+    # one square-free part and one Sturm chain serve the count and the
+    # isolation
+    f, chain = _sturm_prepare(phi, lo, hi)
+    n = sign_variations(chain, lo) - sign_variations(chain, hi)
     if n == 0:
         return Certificate((lo, hi), True, ())
-    intervals = isolate_roots(phi, lo, hi)
+    intervals = _isolate(f, chain, lo, hi)
     if len(intervals) != n:
         raise AlgebraConsistencyError("isolation disagrees with Sturm count")
     return Certificate((lo, hi), False, tuple(intervals))

@@ -10,6 +10,7 @@ rationals (decimal literals are scaled integers, never binary floats).
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import dataclass, field
@@ -302,7 +303,14 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on first use.
+
+    It keeps no state between calls: each ``parse_args`` fills a fresh
+    Namespace, so a run, a usage error or ``--help`` leaves nothing behind
+    for the next call of `main` in the same process.
+    """
     top = _Parser(
         prog="hcmu-lab",
         description="Extremal-metric curvature profiles, integrability "
@@ -338,8 +346,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: list[str]) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     if getattr(args, "threads", None) is None:
         env = os.environ.get("HCMU_LAB_THREADS")
         if env is not None:

@@ -302,6 +302,17 @@ def _strip_endpoint_roots(p: RationalPoly, a: Fraction, b: Fraction) -> Rational
     return p
 
 
+def _sturm_prepare(p: RationalPoly, a: Fraction, b: Fraction):
+    """(f, chain): the square-free part of p with its roots at a and b
+    divided out, and the Sturm chain of f (empty when f is constant).
+
+    `_isolate` takes the same pair, so a caller that both counts and
+    isolates (``algebra.certify_nonvanishing``) builds each once.
+    """
+    f = _strip_endpoint_roots(squarefree_part(p), a, b)
+    return f, (sturm_sequence(f) if f.degree > 0 else [])
+
+
 def count_roots_between(p: RationalPoly, a, b) -> int:
     """Number of distinct real roots of p in the open interval (a, b)."""
     a, b = as_fraction(a), as_fraction(b)
@@ -309,10 +320,7 @@ def count_roots_between(p: RationalPoly, a, b) -> int:
         raise ValueError("need a < b")
     if p.is_zero():
         raise ValueError("zero polynomial has no root count")
-    p = _strip_endpoint_roots(squarefree_part(p), a, b)
-    if p.degree <= 0:
-        return 0
-    chain = sturm_sequence(p)
+    _, chain = _sturm_prepare(p, a, b)
     return sign_variations(chain, a) - sign_variations(chain, b)
 
 
@@ -330,7 +338,12 @@ def isolate_roots(p: RationalPoly, a, b) -> list[tuple[Fraction, Fraction]]:
         raise ValueError("need a < b")
     if p.is_zero():
         raise ValueError("cannot isolate roots of the zero polynomial")
-    work = _strip_endpoint_roots(squarefree_part(p), a, b)
+    return _isolate(*_sturm_prepare(p, a, b), a, b)
+
+
+def _isolate(f: RationalPoly, chain: list[RationalPoly], a: Fraction,
+             b: Fraction) -> list[tuple[Fraction, Fraction]]:
+    """`isolate_roots` on a pair (f, chain) made by `_sturm_prepare`."""
     found: list[tuple[Fraction, Fraction]] = []
 
     def narrow(f: RationalPoly, lo: Fraction, hi: Fraction):
@@ -364,8 +377,8 @@ def isolate_roots(p: RationalPoly, a, b) -> list[tuple[Fraction, Fraction]]:
         recurse(f, chain, lo, mid)
         recurse(f, chain, mid, hi)
 
-    if work.degree > 0:
-        recurse(work, sturm_sequence(work), a, b)
+    if f.degree > 0:
+        recurse(f, chain, a, b)
     found.sort(key=lambda iv: iv[0])
     return found
 

@@ -233,6 +233,28 @@ def test_obstruction_random_leading_coefficient():
         assert phi == oracle_obstruction(cd, c)
 
 
+def test_obstruction_takes_six_products_in_the_algebra(monkeypatch):
+    # Horner form in K - c: the four products mu'' mu, mu'^2, mu' mu and
+    # mu^2, then two by the polynomial 2 (K - c); the integer factors never
+    # become elements of their own
+    products = []
+    real = MuElement.__mul__
+
+    def counting(self, other):
+        products.append(isinstance(other, MuElement) and not self.is_pure()
+                        and not other.is_pure())
+        return real(self, other)
+
+    monkeypatch.setattr(MuElement, "__mul__", counting)
+    monkeypatch.setattr(MuElement, "__rmul__", counting)
+    for k1, k2, c in ((2, 1, F(21, 10)), (1, F(-1, 2), 0),
+                      (F(7, 4), F(-1, 3), -5)):
+        products.clear()
+        obstruction_poly(CubicData.from_extremes(k1, k2), c)
+        assert len(products) == 6
+        assert sum(products) == 4
+
+
 def test_certify_trivial_constant():
     cert = certify_nonvanishing(RationalPoly((F(5, 3),)), (0, 1))
     assert cert.root_free and cert.root_intervals == ()

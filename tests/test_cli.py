@@ -287,6 +287,49 @@ def test_byte_reproducibility(tmp_path):
     assert outs[0] == outs[1]
 
 
+def test_one_parser_serves_every_call_without_state(tmp_path):
+    # a run, an argv error, --help, a bad --config and the run again, in
+    # one process: the shared parser answers each exactly as a fresh one
+    bad_cfg = tmp_path / "bad.cfg"
+    bad_cfg.write_text("k1 = 2\nbogus = 1\n")
+
+    def obstruction(name):
+        return ["obstruction", "--k1", "2", "--k2", "1", "--c", "21/10",
+                "--out", str(tmp_path / name)]
+
+    def session(tag, fresh):
+        results = []
+        for argv in (obstruction(f"{tag}_first.txt"),
+                     ["optimize", "--k1", "2", "--bogus"],
+                     ["obstruction", "--help"],
+                     ["obstruction", "--config", str(bad_cfg),
+                      "--out", str(tmp_path / "never.txt")],
+                     obstruction(f"{tag}_again.txt")):
+            if fresh:
+                cli._build_parser.cache_clear()
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                code = cli.main(argv)
+            results.append((code, out.getvalue(), err.getvalue()))
+        return results
+
+    shared = session("shared", fresh=False)
+    assert session("fresh", fresh=True) == shared
+    assert [code for code, _, _ in shared] == [0, 1, 0, 1, 0]
+    assert shared[0][1:] == shared[4][1:]
+    assert shared[0][1].startswith("obstruction: ") and shared[0][2] == ""
+    for _, out, err in (shared[1], shared[3]):
+        assert out == "" and err.count("\n") == 1 and err.startswith("error: ")
+    assert "unknown key 'bogus'" in shared[3][2]
+    assert "--k1" in shared[2][1] and shared[2][2] == ""
+    files = {(tmp_path / f"{tag}_{run}.txt").read_bytes()
+             for tag in ("shared", "fresh") for run in ("first", "again")}
+    assert len(files) == 1
+    assert cli._build_parser() is cli._build_parser()
+    assert not (tmp_path / "never.txt").exists()
+
+
 def test_config_flags_override(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("k1 = 2\nk2 = 1\nk0 = 1.2\nstep = 0.01\n"

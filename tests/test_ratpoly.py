@@ -155,19 +155,19 @@ def test_isolation_builds_one_sturm_chain(monkeypatch):
     assert len(built) == 2
 
 
-def test_certificate_builds_two_squarefree_parts(monkeypatch):
+def test_certificate_builds_one_squarefree_part_and_one_chain(monkeypatch):
     calls = {"squarefree_part": 0, "sturm_sequence": 0}
     for name in calls:
         def counting(p, name=name, real=getattr(ratpoly, name)):
             calls[name] += 1
             return real(p)
         monkeypatch.setattr(ratpoly, name, counting)
-    # count_roots_between and isolate_roots take one square-free part and
-    # one chain each; the chain builder takes no square-free part of its own
+    # the root count and the isolation share one square-free part and one
+    # chain; the chain builder takes no square-free part of its own
     phi = obstruction_poly(CubicData.from_extremes(2, 1), F(21, 10))
     cert = certify_nonvanishing(phi, (1, 2))
     assert len(cert.root_intervals) == 1
-    assert calls == {"squarefree_part": 2, "sturm_sequence": 2}
+    assert calls == {"squarefree_part": 1, "sturm_sequence": 1}
 
 
 def test_sign_variations_ignores_zeros():
