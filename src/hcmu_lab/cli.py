@@ -5,6 +5,12 @@ Exit codes: 0 success, 1 usage/config/file error, 2 inadmissible params,
 3 numerical failure.  Identical (argv, config, seed) produce byte-identical
 output files; parameters that feed the exact kernel are parsed as exact
 rationals (decimal literals are scaled integers, never binary floats).
+
+`run` merges the config file, ``HCMU_LAB_THREADS`` and the flags into one
+`Config`, and every command reads its parameters from it: `Config.fraction`
+and `Config.real` take exact rationals (a float beyond the double range is
+a usage error), `Config.integer` takes non-negative integers, and the
+parts of ``grid`` and ``origin`` are read by the same two.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from .errors import (
     NumericalFailure,
 )
 from .ratpoly import as_fraction
-from .textio import read_text, write_kv_lines, write_lines
+from .textio import fmt17, kv_records, read_text, write_kv_lines, write_lines
 
 _CONFIG_KEYS = {
     "k1", "k2", "c", "k0", "k2_init", "grid", "origin", "seed", "tol",
@@ -48,22 +54,21 @@ _EXACT_KEYS = ("k1", "k2", "c")
 
 @dataclass
 class Config:
-    """Raw parameter bag: CLI flags override config-file entries."""
+    """Raw parameter bag: the merged config file, environment and flags."""
 
     values: dict[str, str] = field(default_factory=dict)
 
     def get(self, key: str, default=None):
         return self.values.get(key, default)
 
-    def require(self, key: str) -> str:
-        if key not in self.values:
-            raise ConfigError(f"missing required parameter {key!r}")
-        return self.values[key]
-
-    def fraction(self, key: str, default=None) -> Fraction:
-        raw = self.get(key, default)
+    def require(self, key: str, default=None) -> str:
+        raw = self.values.get(key, default)
         if raw is None:
             raise ConfigError(f"missing required parameter {key!r}")
+        return raw
+
+    def fraction(self, key: str, default=None) -> Fraction:
+        raw = self.require(key, default)
         try:
             value = as_fraction(raw)
         except (ValueError, ZeroDivisionError):
@@ -79,32 +84,36 @@ class Config:
         return value
 
     def real(self, key: str, default=None) -> float:
-        return float(self.fraction(key, default))
+        try:
+            return float(self.fraction(key, default))
+        except OverflowError:
+            raise ConfigError(f"value for {key!r} is beyond the double "
+                              f"range: {self.get(key, default)!r}") from None
 
     def integer(self, key: str, default=None) -> int:
-        raw = self.get(key, default)
-        if raw is None:
-            raise ConfigError(f"missing required parameter {key!r}")
+        raw = self.require(key, default)
         try:
-            return int(raw)
+            value = int(raw)
         except ValueError:
-            raise ConfigError(f"value for {key!r} is not an integer: {raw!r}") from None
+            value = None
+        if value is None or value < 0:
+            raise ConfigError(
+                f"value for {key!r} is not a non-negative integer: {raw!r}")
+        return value
 
 
 def parse_config(path) -> Config:
-    """Read ``key = value`` lines; '#' comments; unknown or duplicate keys fail."""
-    values: dict[str, str] = {}
+    """Read ``key = value`` lines into a Config.
+
+    A '#' comment may end any line; unknown, duplicate and empty keys fail.
+    """
     try:
         text = read_text(path, ConfigError)
     except OSError as e:
         raise ConfigError(f"cannot open config file: {e}") from None
-    for ln, raw in enumerate(text.split("\n"), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"expected key = value, got {line!r}", ln)
-        key, value = (t.strip() for t in line.split("=", 1))
+    values: dict[str, str] = {}
+    lines = (line.split("#", 1)[0] for line in text.split("\n"))
+    for ln, key, value in kv_records(lines, ConfigError):
         if key not in _CONFIG_KEYS:
             raise ConfigError(f"unknown key {key!r}", ln)
         if key in values:
@@ -115,15 +124,13 @@ def parse_config(path) -> Config:
     return Config(values)
 
 
-def _merge(args: argparse.Namespace) -> Config:
-    """The config file's values, overridden by every parameter flag given."""
-    cfg = Config()
-    if args.config:
-        cfg = parse_config(args.config)
-    for name, val in vars(args).items():
-        if val is not None and name not in ("command", "config", "threads"):
-            cfg.values[name] = str(val)
-    return cfg
+def _split(cfg: Config, key: str, names, default=None) -> Config:
+    """The comma-separated parts of key's value, as a Config keyed by names."""
+    raw = cfg.require(key, default)
+    parts = raw.split(",")
+    if len(parts) != len(names):
+        raise ConfigError(f"{key} must be {','.join(names)}, got {raw!r}")
+    return Config(dict(zip(names, parts)))
 
 
 def _params_from(cfg: Config) -> profile.HcmuParams:
@@ -134,23 +141,14 @@ def _params_from(cfg: Config) -> profile.HcmuParams:
 
 
 def _grid_from(cfg: Config, params, k0) -> fields.GridDomain:
-    raw = cfg.get("grid", "32,32,0.05,0.05")
-    try:
-        nx_s, ny_s, hx_s, hy_s = raw.split(",")
-        nx, ny = int(nx_s), int(ny_s)
-        hx, hy = float(as_fraction(hx_s)), float(as_fraction(hy_s))
-    except (ValueError, ZeroDivisionError):
-        raise ConfigError(f"grid must be nx,ny,hx,hy, got {raw!r}") from None
-    origin_raw = cfg.get("origin")
-    if origin_raw is None:
-        x0 = -0.5 * (nx - 1) * hx
-        y0 = 0.0
+    grid = _split(cfg, "grid", ("nx", "ny", "hx", "hy"), "32,32,0.05,0.05")
+    nx, ny = grid.integer("nx"), grid.integer("ny")
+    hx, hy = grid.real("hx"), grid.real("hy")
+    if cfg.get("origin") is None:
+        x0, y0 = -0.5 * (nx - 1) * hx, 0.0
     else:
-        try:
-            x0_s, y0_s = origin_raw.split(",")
-            x0, y0 = float(as_fraction(x0_s)), float(as_fraction(y0_s))
-        except (ValueError, ZeroDivisionError):
-            raise ConfigError(f"origin must be x0,y0, got {origin_raw!r}") from None
+        origin = _split(cfg, "origin", ("x0", "y0"))
+        x0, y0 = origin.real("x0"), origin.real("y0")
     return fields.GridDomain.create(params, k0, nx, ny, hx, hy, (x0, y0))
 
 
@@ -169,8 +167,7 @@ def _default_k0(cfg: Config, params) -> float:
 # -- subcommands -----------------------------------------------------------------
 
 
-def _cmd_obstruction(args) -> int:
-    cfg = _merge(args)
+def _cmd_obstruction(cfg: Config) -> int:
     k1 = cfg.fraction("k1")
     k2 = cfg.fraction("k2")
     c = cfg.fraction("c", "0")
@@ -182,8 +179,7 @@ def _cmd_obstruction(args) -> int:
     return EXIT_OK
 
 
-def _cmd_profile(args) -> int:
-    cfg = _merge(args)
+def _cmd_profile(cfg: Config) -> int:
     params = _params_from(cfg)
     k0 = _default_k0(cfg, params)
     x_min = cfg.real("x_min", "-5")
@@ -196,34 +192,26 @@ def _cmd_profile(args) -> int:
     return EXIT_OK
 
 
-def _cmd_check_gc(args) -> int:
-    cfg = _merge(args)
+def _cmd_check_gc(cfg: Config) -> int:
     params = _params_from(cfg)
     k0 = _default_k0(cfg, params)
-    comps = {}
-    meta = None
-    for name in ("h11", "h12", "h22"):
-        arr, m = fields.read_field_csv(cfg.require(name))
-        comps[name] = arr
-        if meta is None:
-            meta = m
-        elif (m["nx"], m["ny"]) != (meta["nx"], meta["ny"]):
-            raise ConfigError("field components disagree on grid shape")
-    grid = fields.GridDomain.create(
-        params, k0, meta["nx"], meta["ny"], meta["hx"], meta["hy"],
-        (meta.get("x0", 0.0), meta.get("y0", 0.0)),
-    )
-    fld = fields.ShapeField(grid, comps["h11"], comps["h12"], comps["h22"])
-    norms = fields.residual_norms(fld, params.c)
-    pairs = [(k, "%.17g" % v) for k, v in zip(
-        ("gauss_max", "gauss_l2", "codazzi_max", "codazzi_l2"), norms)]
+    comps, metas = zip(*(fields.read_field_csv(cfg.require(name))
+                         for name in ("h11", "h12", "h22")))
+    grids = {(m["nx"], m["ny"], m["hx"], m["hy"], m.get("x0", 0.0),
+              m.get("y0", 0.0)) for m in metas}
+    if len(grids) != 1:
+        raise ConfigError("field components disagree on their grid")
+    nx, ny, hx, hy, x0, y0 = grids.pop()
+    grid = fields.GridDomain.create(params, k0, nx, ny, hx, hy, (x0, y0))
+    norms = fields.residual_norms(fields.ShapeField(grid, *comps), params.c)
+    pairs = list(zip(("gauss_max", "gauss_l2", "codazzi_max", "codazzi_l2"),
+                     map(fmt17, norms)))
     write_kv_lines(pairs, cfg.require("out"))
     print("check-gc: " + ", ".join(f"{k}={v}" for k, v in pairs))
     return EXIT_OK
 
 
-def _cmd_optimize(args) -> int:
-    cfg = _merge(args)
+def _cmd_optimize(cfg: Config) -> int:
     params = _params_from(cfg)
     k0 = _default_k0(cfg, params)
     grid = _grid_from(cfg, params, k0)
@@ -258,8 +246,7 @@ def _family_from(cfg: Config, params, k0, nx: int, hx: float, x0: float):
                                         cfg.real("k2_init", "1"))
 
 
-def _cmd_realize(args) -> int:
-    cfg = _merge(args)
+def _cmd_realize(cfg: Config) -> int:
     params = _params_from(cfg)
     k0 = _default_k0(cfg, params)
     grid = _grid_from(cfg, params, k0)
@@ -271,8 +258,7 @@ def _cmd_realize(args) -> int:
     return EXIT_OK
 
 
-def _cmd_verify(args) -> int:
-    cfg = _merge(args)
+def _cmd_verify(cfg: Config) -> int:
     params = _params_from(cfg)
     k0 = _default_k0(cfg, params)
     mesh = realize.parse_mesh(cfg.require("mesh"))
@@ -320,7 +306,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p, *names):
         p.add_argument("--config", help="key = value file; flags override it")
-        p.add_argument("--threads", type=int,
+        p.add_argument("--threads",
                        help="integer cap on parallelism (no effect: single-threaded)")
         p.add_argument("--out", help="output file (required, never implicit)")
         for n in names:
@@ -346,17 +332,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: list[str]) -> int:
+    """Parse argv and run its command on the merged parameters.
+
+    A flag overrides ``HCMU_LAB_THREADS``, which overrides the config file.
+    """
     args = _build_parser().parse_args(argv)
-    if getattr(args, "threads", None) is None:
-        env = os.environ.get("HCMU_LAB_THREADS")
-        if env is not None:
-            try:
-                args.threads = int(env)
-            except ValueError:
-                raise ConfigError(
-                    f"HCMU_LAB_THREADS is not an integer: {env!r}"
-                ) from None
-    return _COMMANDS[args.command](args)
+    cfg = parse_config(args.config) if args.config else Config()
+    env = os.environ.get("HCMU_LAB_THREADS")
+    if env is not None:
+        cfg.values["threads"] = env
+    for name, val in vars(args).items():
+        if val is not None and name not in ("command", "config"):
+            cfg.values[name] = val
+    cfg.integer("threads", "0")  # no command reads the cap yet
+    return _COMMANDS[args.command](cfg)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -66,7 +66,7 @@ class GridDomain:
                hx: float, hy: float, origin=(0.0, 0.0)) -> "GridDomain":
         if nx < 8 or ny < 8:
             raise ValueError("grid needs nx, ny >= 8")
-        if hx <= 0 or hy <= 0:
+        if not (hx > 0 and hy > 0):
             raise ValueError("grid spacings must be positive")
         x0, y0 = float(origin[0]), float(origin[1])
         xs = x0 + hx * np.arange(nx)

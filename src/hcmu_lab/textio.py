@@ -14,6 +14,7 @@ that of the first bad line.
 
 from __future__ import annotations
 
+import math
 import os
 from contextlib import contextmanager
 
@@ -115,15 +116,23 @@ def grid_header(nx: int, ny: int, hx: float, hy: float, x0: float,
 def parse_grid_header(key: str, value: str) -> dict | None:
     """The entries of one grid header line, or None for another key.
 
-    Raises ValueError when the value does not parse.
+    Raises ValueError when the value does not parse or a spacing or
+    origin coordinate is not finite.
     """
     if key == "nx,ny,hx,hy":
         nx, ny, hx, hy = value.split(",")
-        return dict(nx=int(nx), ny=int(ny), hx=float(hx), hy=float(hy))
+        return dict(nx=int(nx), ny=int(ny), hx=_finite(hx), hy=_finite(hy))
     if key == "origin":
         x0, y0 = value.split(",")
-        return dict(x0=float(x0), y0=float(y0))
+        return dict(x0=_finite(x0), y0=_finite(y0))
     return None
+
+
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {text!r}")
+    return value
 
 
 def parse_header_comment(line: str, ln: int, float_keys=()) -> dict:
@@ -162,18 +171,18 @@ def write_kv_lines(pairs, path):
     write_lines((f"{key}={value}" for key, value in pairs), path)
 
 
-def kv_records(lines):
+def kv_records(lines, error=FormatError):
     """(line number, key, value) of each ``key=value`` line, both stripped.
 
     Blank lines and ``#`` comment lines are skipped; any other line without
-    ``=`` raises FormatError.
+    ``=`` raises error (FormatError or a subclass of it).
     """
     for ln, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise FormatError(f"expected key=value, got {line!r}", ln)
+            raise error(f"expected key=value, got {line!r}", ln)
         key, value = line.split("=", 1)
         yield ln, key.strip(), value.strip()
 

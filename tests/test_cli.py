@@ -1,8 +1,12 @@
 import argparse
 import contextlib
 import io
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -49,6 +53,9 @@ def test_parse_config_rejections(tmp_path):
     assert "duplicate" in str(err.value)
     p.write_text("k1 = \n")
     with pytest.raises(ConfigError):
+        cli.parse_config(p)
+    p.write_text("k1 = 2\nk2 1  # k2 = 1\n")
+    with pytest.raises(ConfigError, match="line 2: expected key=value"):
         cli.parse_config(p)
     # no command reads h, so it is not a key
     p.write_text("h = 0.5\n")
@@ -111,8 +118,10 @@ def _argv_vocabulary():
 
 _COMMAND_NAMES, _FLAG_NAMES = _argv_vocabulary()
 _JUNK = ["1", "-1", "2/3", "x", "cmc:0.5", "minimal", "a.cfg", "32,32,0.01,0.01"]
-# each is rejected by argparse wherever it stands: an unknown option, or a
-# known one whose value does not convert
+# each is rejected wherever it stands: an unknown option, or --threads=x,
+# which the run checks before its command unless a later --threads replaces
+# it (so none is drawn after it; test_threads_precedence_flag_env_config
+# checks that the last one wins)
 _REJECTED = ["--bogus", "-z", "--threads=x", "--seed-x"]
 
 
@@ -121,7 +130,8 @@ _REJECTED = ["--bogus", "-z", "--threads=x", "--seed-x"]
                 max_size=8),
        st.sampled_from(_REJECTED), st.integers(0, 8))
 def test_argv_errors_are_one_error_line_and_exit_1(tokens, bad, at):
-    argv = tokens[:at] + [bad] + tokens[at:]
+    after = [t for t in tokens[at:] if bad != "--threads=x" or t != "--threads"]
+    argv = tokens[:at] + [bad] + after
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
         code = cli.main(argv)
@@ -350,6 +360,136 @@ def test_threads_env_fallback(tmp_path, monkeypatch):
     monkeypatch.setenv("HCMU_LAB_THREADS", "2")
     assert run_cli("obstruction", "--k1", "2", "--k2", "1",
                    "--out", str(out)) == 0
+
+
+def test_threads_precedence_flag_env_config(tmp_path, monkeypatch):
+    # the flag overrides HCMU_LAB_THREADS, which overrides the config file;
+    # of repeated flags the last wins
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("k1 = 2\nk2 = 1\nthreads = lots\n")
+    out = tmp_path / "obs.txt"
+
+    def obstruction(*argv):
+        return run_cli("obstruction", "--config", str(cfg), *argv,
+                       "--out", str(out))
+
+    monkeypatch.setenv("HCMU_LAB_THREADS", "not-an-int")
+    assert obstruction() == 1
+    assert obstruction("--threads", "2") == 0
+    monkeypatch.setenv("HCMU_LAB_THREADS", "2")
+    assert obstruction() == 0
+    assert obstruction("--threads", "x") == 1
+    assert obstruction("--threads=x", "--threads", "1") == 0
+    assert obstruction("--threads", "1", "--threads=x") == 1
+    monkeypatch.delenv("HCMU_LAB_THREADS")
+    assert obstruction() == 1
+    assert obstruction("--threads", "0") == 0
+
+
+def _field_csv(hx="0.01", origin="0,0"):
+    rows = "0,0,0,0,0,0,0,0\n" * 8
+    return f"# nx,ny,hx,hy = 8,8,{hx},0.01\n# origin = {origin}\n{rows}"
+
+
+_K = ["--k1", "2", "--k2", "1"]
+_OPT = ["optimize", *_K, "--k0", "1.5", "--grid", "8,8,0.01,0.01"]
+_GC = ["check-gc", *_K, "--h11", "h11.csv", "--h12", "h12.csv",
+       "--h22", "h22.csv"]
+_FAILURES = [
+    # argv, files written first, HCMU_LAB_THREADS, exit code, the error's text
+    pytest.param(["profile", *_K, "--k0", "3"], {}, None, 2, "K2 < K0 < K1",
+                 id="k0-outside"),
+    pytest.param(["obstruction", "--k2", "1"], {}, None, 1, "'k1'",
+                 id="missing-k1"),
+    pytest.param(["verify", *_K], {}, None, 1, "'mesh'", id="missing-mesh"),
+    pytest.param([*_OPT, "--seed", "x"], {}, None, 1, "'seed'",
+                 id="non-integer"),
+    pytest.param(["obstruction", "--config", "missing.cfg"], {}, None, 1,
+                 "cannot open config file", id="unreadable-config"),
+    pytest.param(["optimize", *_K, "--grid", "8,8,0.01"], {}, None, 1,
+                 "grid must be nx,ny,hx,hy", id="grid-parts"),
+    pytest.param([*_OPT, "--origin", "0"], {}, None, 1,
+                 "origin must be x0,y0", id="origin-parts"),
+    pytest.param(["optimize", *_K, "--grid", "8,8,0.01,1/0"], {}, None, 1,
+                 "'hy'", id="grid-part-value"),
+    pytest.param(_GC, {"h11.csv": _field_csv(), "h12.csv": _field_csv("0.5"),
+                       "h22.csv": _field_csv()}, None, 1,
+                 "disagree on their grid", id="check-gc-hx"),
+    pytest.param(_GC, {"h11.csv": _field_csv(), "h12.csv": _field_csv(),
+                       "h22.csv": _field_csv(origin="7,0")}, None, 1,
+                 "disagree on their grid", id="check-gc-origin"),
+    pytest.param(_GC, {name: _field_csv("nan")
+                       for name in ("h11.csv", "h12.csv", "h22.csv")}, None,
+                 1, "bad header value '8,8,nan,0.01'", id="check-gc-nan-hx"),
+    pytest.param(["profile", *_K, "--step", "1e400"], {}, None, 1, "'step'",
+                 id="step-overflow"),
+    pytest.param([*_OPT, "--tol", "1e400"], {}, None, 1, "'tol'",
+                 id="tol-overflow"),
+    pytest.param(["optimize", *_K, "--grid", "32,32,1e400,0.01"], {}, None,
+                 1, "'hx'", id="grid-overflow"),
+    pytest.param([*_OPT, "--origin", "1e400,0"], {}, None, 1, "'x0'",
+                 id="origin-overflow"),
+    pytest.param(["realize", *_K, "--grid", "8,8,0.01,0.01",
+                  "--k2-init", "1e400"], {}, None, 1, "'k2_init'",
+                 id="k2-init-overflow"),
+    pytest.param([*_OPT, "--max-iter", "-3"], {}, None, 1, "'max_iter'",
+                 id="max-iter-negative"),
+    pytest.param([*_OPT, "--seed", "-1"], {}, None, 1, "'seed'",
+                 id="seed-negative"),
+    pytest.param(["optimize", *_K, "--grid=-8,8,0.01,0.01"], {}, None, 1,
+                 "'nx'", id="nx-negative"),
+    pytest.param(["obstruction", *_K, "--threads", "-1"], {}, None, 1,
+                 "'threads'", id="threads-negative"),
+    pytest.param(["obstruction", *_K], {}, "-1", 1, "'threads'",
+                 id="threads-env-negative"),
+    pytest.param(["obstruction", "--config", "run.cfg"],
+                 {"run.cfg": "k1 = 2\nk2 = 1\nthreads = lots\n"}, None, 1,
+                 "'threads'", id="threads-config-lots"),
+]
+
+
+@pytest.mark.parametrize("argv, files, threads, code, named", _FAILURES)
+def test_failures_are_one_error_line_and_write_nothing(
+        tmp_path, monkeypatch, capsys, argv, files, threads, code, named):
+    monkeypatch.chdir(tmp_path)
+    if threads is None:
+        monkeypatch.delenv("HCMU_LAB_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("HCMU_LAB_THREADS", threads)
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    assert run_cli(*argv, "--out", "out.txt") == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    assert named in lines[0]
+    assert not (tmp_path / "out.txt").exists()
+
+
+def test_module_entry_point_runs_in_a_fresh_interpreter(tmp_path):
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    env.pop("HCMU_LAB_THREADS", None)
+
+    def hcmu_lab(*argv):
+        return subprocess.run([sys.executable, "-m", "hcmu_lab.cli", *argv],
+                              cwd=tmp_path, env=env, capture_output=True,
+                              text=True, timeout=120)
+
+    done = hcmu_lab("obstruction", "--k1", "2", "--k2", "1", "--c", "0",
+                    "--out", "obstruction.txt")
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.startswith("obstruction: ")
+    lines = (tmp_path / "obstruction.txt").read_text().splitlines()
+    assert lines[0] == "-56/3 0 0 8" and "verdict=no-root" in lines
+    failed = hcmu_lab("profile", "--k1", "2", "--k2", "1", "--step", "1e400",
+                      "--out", "profile.csv")
+    assert failed.returncode == 1 and failed.stdout == ""
+    assert "Traceback" not in failed.stderr
+    assert failed.stderr.count("\n") == 1
+    assert failed.stderr.startswith("error: value for 'step'")
+    assert not (tmp_path / "profile.csv").exists()
 
 
 def test_file_errors_exit_1_with_one_error_line(tmp_path, capsys):
