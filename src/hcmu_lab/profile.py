@@ -118,8 +118,11 @@ def solve_curvature_ode(params: HcmuParams, k0: float, x_range=(-10.0, 10.0),
                         step: float = 1e-3) -> CurvatureProfile:
     """Integrate dK/dx = mu^2/2 with K(0) = k0 by classical RK4, both ways.
 
-    The returned grid always contains x = 0.  A step that breaks monotone
-    growth or exits the open bracket (k2, k1) raises StepTooLarge.
+    The returned grid is x = k step for -n_neg <= k <= n_pos, with
+    n_neg = round(-x_min/step) and n_pos = round(x_max/step), so it always
+    contains x = 0; a nonzero end of x_range that rounds to no step raises
+    ValueError.  A step that breaks monotone growth or exits the open
+    bracket (k2, k1) raises StepTooLarge.
     """
     if not params.k2 < k0 < params.k1:
         raise ValueError(f"K0 = {k0} not inside ({params.k2}, {params.k1})")
@@ -132,6 +135,9 @@ def solve_curvature_ode(params: HcmuParams, k0: float, x_range=(-10.0, 10.0),
     f = lambda stage, K: 0.5 * params.mu_sq(K)
     n_pos = int(round(x_max / step))
     n_neg = int(round(-x_min / step))
+    if (x_max > 0 and n_pos == 0) or (x_min < 0 and n_neg == 0):
+        raise ValueError(f"step {step} rounds a nonzero end of the x range "
+                         f"[{x_min}, {x_max}] to no step")
 
     fwd = [k0]
     for _ in range(n_pos):

@@ -6,8 +6,13 @@ h = diag(k1, k2) in the coframe w1 = mu dx, w2 = mu dy, with
     k1 = (K - c) / k2            (Gauss equation, exact by construction)
     dk2/dx = mu mu' (k1 - k2)/2  (Codazzi equation for the diagonal ansatz)
 
-K(x) is read from profile.curvature_at, one call per march; k2 is the only
-marched quantity, by RK4 from the anchor x = 0.
+K(x) is read from profile.curvature_at, one call per family or table, and
+nothing is marched: K is monotone in x (dK/dx = mu^2/2), and in the variable
+K the Codazzi equation has the first integral
+
+    P(K) (k2^2 - (K - c)) + Q(K) = const,   P = mu^2,  Q' = P,
+
+so k2 is evaluated from it, with the constant fixed by k2 at the anchor.
 
 Given such a field, the first-order frame system for the position X and the
 adapted frame (e1, e2, xi) in the flat model is integrated by RK4:
@@ -67,39 +72,33 @@ class DiagonalFamily:
         return float(self.xs[-1])
 
 
-def _half_lattice(xs: np.ndarray) -> np.ndarray:
-    """xs with the midpoint of every interval inserted between its ends."""
-    out = np.empty(2 * xs.size - 1)
-    out[::2] = xs
-    out[1::2] = xs[:-1] + 0.5 * np.diff(xs)
-    return out
+def _k2_of_K(params: HcmuParams, c: float, K0: float, k2_0: float, K):
+    """k2 of the diagonal family at curvature K, where k2(K0) = k2_0.
 
-
-def _k2_march(params: HcmuParams, c: float, K_half: np.ndarray, k2: float,
-              h: float):
-    """Yield k2 after each RK4 step of dk2/dx = mu mu' (k1 - k2)/2.
-
-    Step i runs from K_half[2i] through K_half[2i + 1] to K_half[2i + 2], the
-    curvature at its start, middle and end, so K is read, never marched.
-    k1 = (K - c)/k2 keeps the Gauss equation exact at every stage.
+    With P = mu^2 and Q' = P, the first integral P(K) (k2^2 - (K - c)) + Q(K)
+    = const gives k2^2; k2 keeps the sign of k2_0, and is nan where k2^2
+    would be negative.  Q(K) - Q(K0), the integral of the cubic P, is taken
+    by Simpson's rule, which is exact for it and, unlike the difference of
+    Q = -K^4/3 + (p1/2) K^2 + p0 K, adds only positive terms.
     """
-    rate = (0.25 * params.mu_sq_prime(K_half)).tolist()  # mu mu' / 2
-    gap = (K_half - c).tolist()
-    f = lambda k, v: rate[k] * (gap[k] / v - v)
-    k2 = np.float64(k2)  # IEEE semantics: k2 -> 0 gives inf, not an exception
-    for i in range(len(rate) // 2):
-        k2 = march_x(f, k2, i, i + 1, h)
-        yield k2
+    P, P0 = params.mu_sq(K), params.mu_sq(K0)
+    dQ = (K - K0) / 6.0 * (P0 + 4.0 * params.mu_sq(0.5 * (K + K0)) + P)
+    k2_sq = (K - c) + (P0 * (k2_0 * k2_0 - (K0 - c)) - dQ) / P
+    with np.errstate(invalid="ignore"):
+        return math.copysign(1.0, k2_0) * np.sqrt(k2_sq)
 
 
 def solve_codazzi_family(profile: CurvatureProfile, c: float,
                          k2_init: float) -> DiagonalFamily:
     """Sample the diagonal family on the profile grid, anchored at x = 0.
 
-    K comes from one curvature_at call on the grid and its midpoints (the
-    anchor sample is exactly profile.k0); k2 is marched out from the anchor
-    both ways.  If k2 reaches zero inside the range, the family is truncated
-    to the maximal subinterval around the anchor and flagged.
+    K comes from one curvature_at call on the grid (the anchor sample is
+    exactly profile.k0), and k2 from the first integral through k2_init at
+    the anchor.  Each way out from the anchor the family stops before the
+    first sample whose k2 is not finite, has changed sign, or jumps by more
+    than 0.25 |k2| from its neighbour (k2 -> 0 makes k1 = (K-c)/k2 singular
+    and the grid no longer resolves it); a family cut short of the profile
+    range is flagged truncated.
     """
     if k2_init == 0:
         raise ValueError("k2_init must be nonzero")
@@ -107,31 +106,23 @@ def solve_codazzi_family(profile: CurvatureProfile, c: float,
     anchor = int(np.argmin(np.abs(xs)))
     if abs(xs[anchor]) > 1e-9 * profile.step:
         raise ValueError("profile grid does not contain the anchor x = 0")
-    n = xs.size
-    K_half = curvature_at(profile.params, profile.k0, _half_lattice(xs))
-    K_half[2 * anchor] = profile.k0
+    Ks = curvature_at(profile.params, profile.k0, xs)
+    Ks[anchor] = profile.k0
+    k2s = _k2_of_K(profile.params, c, profile.k0, k2_init, Ks)
 
-    def leg(K_leg: np.ndarray, h: float) -> list[float]:
-        # stop at a sign change, and already when the fixed step stops
-        # resolving the local scale (k2 -> 0 makes k1 = (K-c)/k2 singular)
-        k2s = [float(k2_init)]
-        for k2 in _k2_march(profile.params, c, K_leg, k2_init, h):
-            if (not math.isfinite(k2) or k2 * k2_init <= 0
-                    or abs(k2 - k2s[-1]) > 0.25 * abs(k2s[-1])):
-                break
-            k2s.append(float(k2))
-        return k2s
+    def reach(k2: np.ndarray) -> int:
+        # the samples of a leg (anchor first) kept before its first bad one
+        with np.errstate(invalid="ignore"):
+            bad = (~np.isfinite(k2[1:]) | (k2[1:] * k2_init <= 0)
+                   | (np.abs(np.diff(k2)) > 0.25 * np.abs(k2[:-1])))
+        return 1 + int(np.argmax(bad)) if bad.any() else k2.size
 
-    fwd = leg(K_half[2 * anchor:], profile.step)
-    bwd = leg(K_half[2 * anchor::-1], -profile.step)
-    lo_ok, hi_ok = anchor - len(bwd) + 1, anchor + len(fwd) - 1
+    lo_ok = anchor - reach(k2s[anchor::-1]) + 1
+    hi_ok = anchor + reach(k2s[anchor:]) - 1
     sl = slice(lo_ok, hi_ok + 1)
-    Ks = K_half[::2][sl]
-    k2s = np.array(bwd[:0:-1] + fwd)
-    k1s = (Ks - c) / k2s
-    truncated = (lo_ok, hi_ok) != (0, n - 1)
+    truncated = (lo_ok, hi_ok) != (0, xs.size - 1)
     return DiagonalFamily(profile.params, float(c), float(k2_init), xs[sl],
-                          Ks, k1s, k2s, truncated)
+                          Ks[sl], (Ks[sl] - c) / k2s[sl], k2s[sl], truncated)
 
 
 def family_shape_field(family: DiagonalFamily, grid: GridDomain) -> ShapeField:
@@ -155,7 +146,9 @@ def minimal_attempt_inconsistency(params: HcmuParams, c: float,
     """Force the minimal diagonal ansatz k1 = -k2 and report what breaks.
 
     k2 follows its Codazzi equation dk2/dx = -mu mu' k2 from the umbilic
-    Gauss value at the left end; the returned defect is the leftover rate
+    Gauss value at the left end; in the variable K that is d(k2 P)/dK = 0,
+    so k2 = k2(x0) P(K0)/P(K) is evaluated, not marched.  The returned
+    defect is the leftover rate
 
         | 2 k2 k2' + mu^2/2 + 2 mu mu' k2^2 |
 
@@ -164,21 +157,14 @@ def minimal_attempt_inconsistency(params: HcmuParams, c: float,
     subinterval of (K2, K1).
     """
     xs = np.asarray(xs, dtype=float)
-    K_half = curvature_at(params, k0, _half_lattice(xs))
-    Ks = K_half[::2]
+    Ks = curvature_at(params, k0, xs)
     if c <= Ks[0]:
         raise ValueError("need c > K on the range for a real minimal seed")
-    # dk2/dx = -mu mu' k2, with K(x) exact at the RK4 stage points
-    rate = -0.5 * params.mu_sq_prime(K_half)
-    k2s = np.empty(xs.size)
-    k2s[0] = math.sqrt(c - Ks[0])
-    for i in range(xs.size - 1):
-        k2s[i + 1] = rk4_step(lambda stage, k2: rate[2 * i + stage] * k2,
-                              k2s[i], xs[i + 1] - xs[i])
+    P = params.mu_sq(Ks)
+    k2s = math.sqrt(c - Ks[0]) * P[0] / P
     mumup = 0.5 * params.mu_sq_prime(Ks)
     dk2 = -mumup * k2s
-    defect = np.abs(2.0 * k2s * dk2 + 0.5 * params.mu_sq(Ks)
-                    + 2.0 * mumup * k2s * k2s)
+    defect = np.abs(2.0 * k2s * dk2 + 0.5 * P + 2.0 * mumup * k2s * k2s)
     return k2s, Ks, defect
 
 
@@ -289,26 +275,16 @@ def family_tables(family: DiagonalFamily, x0: float, hx: float,
                   nx: int) -> FrameTables:
     """Coefficients on the half-step lattice x0 + k hx/2, 0 <= k <= 2(nx-1).
 
-    K comes from the closed-form inversion, asked once for the lattice, its
-    quarter steps and the leg from the family's anchor to x0; k2 is marched
-    along that leg and then across the lattice.
+    K comes from the closed-form inversion, asked once for the lattice, and
+    k2 from the family's first integral at those K.
     """
     params, c = family.params, family.c
     xs_half = x0 + 0.5 * hx * np.arange(2 * nx - 1)
     if xs_half[0] < family.x_min - 1e-12 or xs_half[-1] > family.x_max + 1e-12:
         raise ValueError("grid leaves the family range")
     anchor_k0 = float(family.Ks[int(np.argmin(np.abs(family.xs)))])
-    n0 = max(1, int(math.ceil(abs(x0) / (0.5 * hx))))
-    x_leg = _half_lattice(np.linspace(0.0, x0, n0 + 1))
-    K_all = curvature_at(params, anchor_k0,
-                         np.concatenate([x_leg, _half_lattice(xs_half)]))
-    K_leg, K_quarter = K_all[:x_leg.size], K_all[x_leg.size:]
-    K_leg[0] = anchor_k0
-
-    *_, k2_x0 = _k2_march(params, c, K_leg, family.k2_init, x0 / n0)
-    k2_half = np.array([k2_x0, *_k2_march(params, c, K_quarter, k2_x0,
-                                          0.5 * hx)])
-    K_half = K_quarter[::2]
+    K_half = curvature_at(params, anchor_k0, xs_half)
+    k2_half = _k2_of_K(params, c, anchor_k0, family.k2_init, K_half)
     mu = params.mu(K_half)
     s = 0.25 * params.mu_sq_prime(K_half)  # mu' mu / 2
     k1_half = (K_half - c) / k2_half

@@ -423,6 +423,8 @@ _FAILURES = [
                  1, "bad header value '8,8,nan,0.01'", id="check-gc-nan-hx"),
     pytest.param(["profile", *_K, "--step", "1e400"], {}, None, 1, "'step'",
                  id="step-overflow"),
+    pytest.param(["profile", *_K, "--step", "1e300"], {}, None, 1,
+                 "to no step", id="step-beyond-range"),
     pytest.param([*_OPT, "--tol", "1e400"], {}, None, 1, "'tol'",
                  id="tol-overflow"),
     pytest.param(["optimize", *_K, "--grid", "32,32,1e400,0.01"], {}, None,

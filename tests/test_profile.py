@@ -58,6 +58,17 @@ def test_huge_step_is_rejected():
         solve_curvature_ode(params, 1.5, (-4, 4), 2.0)
 
 
+def test_a_step_that_rounds_an_end_to_no_step_is_rejected():
+    params = validate_params(2, 1)
+    for x_range, step in (((-5, 5), 1e300), ((-5, 0.4), 1.0),
+                          ((-0.4, 5), 1.0)):
+        with pytest.raises(ValueError, match="to no step"):
+            solve_curvature_ode(params, 1.5, x_range, step)
+    # an end at x = 0 asks for no step
+    prof = solve_curvature_ode(params, 1.5, (0, 0.6), 0.5)
+    assert list(prof.xs) == [0.0, 0.5]
+
+
 def test_gauge_identity_along_profile():
     # dK/dx = mu^2/2 checked by central differences
     params = validate_params(2, 1)

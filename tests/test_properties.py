@@ -1,6 +1,9 @@
 """Property tests: the K(x) oracle, the admissibility rule, polynomial
-division and gcd, Sturm counts and the grid header codec."""
+division and gcd, Sturm counts, the grid header codec, and the closed forms
+that check the diagonal family and the minimal-ansatz transport."""
 
+import cmath
+import math
 import struct
 from fractions import Fraction
 
@@ -11,7 +14,10 @@ from hypothesis import strategies as st
 from hcmu_lab.algebra import CubicData
 from hcmu_lab.errors import InadmissibleParams
 from hcmu_lab import profile
-from hcmu_lab.profile import curvature_at, implicit_x_of_K, validate_params
+from hcmu_lab.fields import GridDomain, integrate_minimal_ansatz, transport_ansatz
+from hcmu_lab.profile import (curvature_at, implicit_x_of_K, rk4_step,
+                              solve_curvature_ode, validate_params)
+from hcmu_lab.realize import solve_codazzi_family
 from hcmu_lab.ratpoly import RationalPoly, count_roots_between, isolate_roots, poly_gcd
 from hcmu_lab.textio import grid_header, parse_grid_header
 
@@ -236,3 +242,106 @@ def test_grid_header_roundtrip(nx, ny, hx, hy, x0, y0):
         meta.update(parse_grid_header(key, value))
     assert meta == dict(nx=nx, ny=ny, hx=hx, hy=hy, x0=x0, y0=y0)
     assert parse_grid_header("c", "0") is None
+
+
+def march_k2(params, c, k0, k2, x_end, n):
+    """k2 at x_end by n RK4 steps of the Codazzi equation
+    dk2/dx = (P'/4)((K - c)/k2 - k2) from k2 at x = 0, K from the oracle at
+    every stage."""
+    h = x_end / n
+    K = curvature_at(params, k0, 0.5 * h * np.arange(2 * n + 1))
+    K[0] = k0
+    rate = 0.25 * params.mu_sq_prime(K)
+    for i in range(n):
+        k = 2 * i
+        k2 = rk4_step(lambda stage, v: rate[k + stage] * ((K[k + stage] - c) / v - v),
+                      k2, h)
+    return k2
+
+
+@PROPERTY
+@given(profiles(), st.floats(-1.0, 1.0), st.floats(0.5, 2.0), st.booleans(),
+       st.booleans())
+def test_family_k2_is_the_limit_of_rk4_at_fourth_order(prof, c_at, scale,
+                                                       negative, backward):
+    params, k0 = prof
+    c = k0 + c_at * (params.k1 - params.k2)
+    k2_init = math.copysign(scale * math.sqrt(abs(k0 - c) + params.k1 - params.k2),
+                            -1.0 if negative else 1.0)
+    span = 0.5 / params.k1 ** 2  # the x scale of both rates is 1/K1^2
+    sampled = solve_curvature_ode(params, k0, (-span, span), span / 64)
+    fam = solve_codazzi_family(sampled, c, k2_init)
+    end = 0 if backward else -1
+    assume(fam.xs[end] == sampled.xs[end])
+    closed = fam.k2s[end]
+    e_h, e_h2 = (abs(march_k2(params, c, k0, k2_init, fam.xs[end], n) - closed)
+                 for n in (32, 64))
+    # where the march's error falls to about 1e-12 |k2|, rounding starts to
+    # show in the ratio
+    assert e_h <= 1e-12 * abs(closed) or 12.0 < e_h / e_h2 < 20.0
+
+
+@st.composite
+def ansatz_grids(draw):
+    """A grid under an admissible profile, c > K1 and a nonzero h0; the
+    spacing is at most 0.02 on the x scale 1/K1^2."""
+    params, k0 = draw(profiles())
+    scale = params.k1 ** 2
+    c = params.k1 + draw(st.floats(0.05, 4.0)) * (params.k1 - params.k2)
+    h = draw(st.floats(0.002, 0.02)) / scale
+    origin = (draw(st.floats(-1.0, 1.0)) / scale, 0.0)
+    grid = GridDomain.create(params, k0, draw(st.integers(8, 40)), 8, h, h,
+                             origin)
+    h0 = complex(draw(st.floats(0.1, 2.0)), draw(st.floats(-2.0, 2.0)))
+    return grid, c, h0
+
+
+def ansatz_closed_form(grid, c):
+    """|h| relative to column 0, from h_x = alpha h integrated in K, and the
+    y rate beta of h_y = i beta h, per column."""
+    K, P = grid.K, grid.params.mu_sq(grid.K)
+    modulus = np.sqrt(P * (c - K) / (P[0] * (c - K[0])))
+    beta = 0.5 * grid.params.mu_sq_prime(K) + P / (4.0 * (K - c))
+    return modulus, beta
+
+
+def rk4_tolerance(grid, span):
+    """RK4's global error bound (K1^2 hx)^4 (K1^2 span) in units of the x
+    scale, plus rounding."""
+    scale = grid.params.k1 ** 2
+    return 1e-12 + (scale * grid.hx) ** 4 * scale * span
+
+
+@PROPERTY
+@given(ansatz_grids())
+def test_minimal_ansatz_matches_its_closed_form(case):
+    grid, c, h0 = case
+    modulus, beta = ansatz_closed_form(grid, c)
+    y = grid.hy * np.arange(grid.ny)
+    exact = h0 * modulus[:, None] * np.exp(1j * beta[:, None] * y)
+    h = integrate_minimal_ansatz(grid, c, h0).h
+    tol = rk4_tolerance(grid, grid.nx * grid.hx)
+    assert np.max(np.abs(h - exact) / np.abs(exact)) <= tol
+
+
+@PROPERTY
+@given(ansatz_grids(), st.data())
+def test_ansatz_transport_around_a_rectangle_matches_its_closed_form(case,
+                                                                    data):
+    grid, c, h0 = case
+    i0 = data.draw(st.integers(0, grid.nx - 3))
+    i1 = data.draw(st.integers(i0 + 2, grid.nx - 1))
+    j0 = data.draw(st.integers(0, grid.ny - 3))
+    j1 = data.draw(st.integers(j0 + 2, grid.ny - 1))
+    modulus, beta = ansatz_closed_form(grid, c)
+    ratio = modulus[i1] / modulus[i0]
+    dy = (j1 - j0) * grid.hy
+    # the y legs are exact rotations, so the x legs cancel around the loop
+    turn = cmath.exp(1j * beta[i1] * dy)
+    corners = [(i0, j0), (i1, j0), (i1, j1), (i0, j1), (i0, j0)]
+    expect = [h0 * ratio, h0 * ratio * turn, h0 * turn,
+              h0 * cmath.exp(1j * dy * (beta[i1] - beta[i0]))]
+    tol = rk4_tolerance(grid, 2 * (i1 - i0) * grid.hx)
+    for n, exact in enumerate(expect, start=2):
+        h = transport_ansatz(grid, c, h0, corners[:n])
+        assert abs(h - exact) <= tol * abs(exact)

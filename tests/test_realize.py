@@ -9,7 +9,6 @@ from hcmu_lab.errors import FormatError, FrameDrift, PathLeavesDomain
 from hcmu_lab.fields import GridDomain, codazzi_residual, gauss_residual
 from hcmu_lab.profile import (
     curvature_at,
-    rk4_step,
     solve_curvature_ode,
     validate_params,
 )
@@ -94,22 +93,63 @@ def test_family_curvature_comes_from_the_oracle(k1, k2, k0, c, k2_init):
 
 
 @pytest.mark.parametrize("c", [0.0, 1.0, -1.0])
-def test_family_tables_read_the_grid_curvature_and_march_k2(c):
+def test_family_tables_read_the_grid_curvature_and_keep_the_first_integral(c):
     params, fam = make_family(c=c)
     nx, hx, x0 = 21, 2e-3, -0.02
     tables = family_tables(fam, x0, hx, nx)
     grid = GridDomain.create(params, 1.5, nx, 8, hx, hx, origin=(x0, 0.0))
     assert tables.K.tobytes() == grid.K_half.tobytes()
-    # k2 across the lattice: RK4 of the Codazzi equation with K from the
-    # oracle at the start, middle and end of every half step
-    xs = x0 + 0.5 * hx * np.arange(2 * nx - 1)
-    k2s = [tables.k2[0]]
-    for a, b in zip(xs[:-1], xs[1:]):
-        K = curvature_at(params, 1.5, np.array([a, a + 0.5 * (b - a), b]))
-        rate = 0.25 * params.mu_sq_prime(K)
-        k2s.append(rk4_step(lambda st, k: rate[st] * ((K[st] - c) / k - k),
-                            k2s[-1], 0.5 * hx))
-    assert np.array(k2s).tobytes() == tables.k2.tobytes()
+    # k2 across the lattice keeps P (k2^2 - (K - c)) + Q constant, where
+    # P = mu^2 and Q' = P
+    K, k2 = tables.K, tables.k2
+    P = params.mu_sq(K)
+    Q = -K ** 4 / 3.0 + 0.5 * params.p1 * K ** 2 + params.p0 * K
+    terms = np.stack([P * k2 ** 2, P * (K - c), Q])
+    first_integral = terms[0] - terms[1] + terms[2]
+    assert np.ptp(first_integral) <= 1e-12 * np.max(np.abs(terms))
+
+
+# Sample indices x / 1e-3 of the family's ends on the profile over (-1, 1),
+# step 1e-3, for the benchmark's realize draws k2_init = 0.85, 0.86, ..., 1.15
+# (K1, K2, K0 = 2, 1, 1.5), as the RK4 march of k2 found them.
+_BENCH_ENDS = {
+    0.0: ([-646, -663, -681, -700, -719, -739, -761, -783, -807, -833, -860,
+           -889, -921, -955, -993] + [-1000] * 16,
+          [524, 532, 540, 547, 555, 564, 572, 580, 589, 597, 606, 615, 624,
+           634, 643, 653, 663, 674, 684, 695, 706, 717, 729, 741, 754, 766,
+           780, 794, 808, 823, 838]),
+    1.0: ([-1000] * 31, [1000] * 31),
+    -1.0: ([-392, -399, -406, -413, -420, -427, -435, -442, -450, -458, -466,
+            -474, -482, -491, -499, -508, -517, -526, -535, -544, -554, -563,
+            -573, -584, -594, -605, -616, -627, -638, -650, -662],
+           [404, 409, 414, 419, 425, 430, 435, 440, 446, 451, 457, 462, 468,
+            473, 479, 484, 490, 496, 502, 508, 514, 520, 526, 532, 539, 545,
+            551, 558, 565, 571, 578]),
+}
+
+
+def test_family_range_is_pinned_on_the_readme_and_benchmark_inputs():
+    # (c, k2_init, profile half-width, x_min / 1e-3, x_max / 1e-3)
+    pad = 0.05 + 101 * 1e-3 + 0.5  # the README realize grid's default range
+    cases = [(0.0, 1.0, pad, -651, 651), (1.0, 1.0, pad, -651, 651),
+             (-1.0, 1.0, pad, -508, 484)]
+    # the benchmark's converge draws
+    cases += [(0.0, 1.0, 1.0, -1000, 653), (0.0, -1.0, 1.0, -1000, 653),
+              (0.0, 2.0, 1.0, -1000, 1000), (0.0, 0.5, 1.0, -271, 302)]
+    for c, (los, his) in _BENCH_ENDS.items():
+        cases += [(c, (85 + n) / 100, 1.0, lo, hi)
+                  for n, (lo, hi) in enumerate(zip(los, his))]
+    wrong = []
+    for c, k2_init, span, lo, hi in cases:
+        params = validate_params(2, 1, c=c)
+        prof = solve_curvature_ode(params, 1.5, (-span, span), 1e-3)
+        fam = solve_codazzi_family(prof, c, k2_init)
+        n_end = round(span / 1e-3)
+        expect = (lo, hi, (lo, hi) != (-n_end, n_end))
+        got = (round(fam.x_min / 1e-3), round(fam.x_max / 1e-3), fam.truncated)
+        if got != expect:
+            wrong.append((c, k2_init, got, expect))
+    assert len(cases) == 100 and not wrong
 
 
 def test_family_rejects_zero_init():
