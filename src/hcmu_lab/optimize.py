@@ -34,13 +34,17 @@ improving steps are taken, so the residual never increases.  A rejected
 step whose predicted decrease d . (lam d - g), g = J^T r, is at most
 8 eps |r|^2 ends the run on its floor (ibid., section 3): the linear model
 has no decrease left that |r|^2 can resolve, and more damping would only
-shorten a step that already fails.  The 2x refinement run starts from the
-coarse solution interpolated to the fine grid, which is nested iteration
-(Bornemann & Deuflhard 1996, *Numer. Math.* 75).  It takes the damping on
-too: the fine run begins at the coarse run's final lam, capped at the usual
-start 1e-3.  The gain-ratio rule lowers lam at most 3x per accepted step
-(ibid., section 3.2), so a fine run begun again at 1e-3 would spend its
-first factorizations walking lam back down to where the coarse run left it.
+shorten a step that already fails.  With A = J^T J that decrease is
+g^T (A + lam I)^-1 g + lam |d|^2 <= 2 |g|^2 / lam (ibid., section 3.2), so
+a trial whose bound is at most 8 eps |r|^2 is not factored: it counts as a
+rejected step and ends the run on its floor.  The 2x refinement run starts
+from the coarse solution interpolated to the fine grid, which is nested
+iteration (Bornemann & Deuflhard 1996, *Numer. Math.* 75).  It takes the
+damping on too: the fine run begins at the coarse run's final lam, capped
+at the usual start 1e-3.  The gain-ratio rule lowers lam at most 3x per
+accepted step (ibid., section 3.2), so a fine run begun again at 1e-3
+would spend its first factorizations walking lam back down to where the
+coarse run left it.
 Everything is deterministic for a fixed seed.
 """
 
@@ -295,8 +299,9 @@ def _damped_step(normal: _BandedNormal, g: np.ndarray, lam: float,
 class _LMRun(NamedTuple):
     u: np.ndarray
     iterations: int         # accepted steps
-    # converged | stalled | max_iter | floor (a rejected step predicted a
-    # decrease of at most 8 eps |r|^2) | lam_max (damping passed its cap)
+    # converged | stalled | max_iter | floor (a rejected step's predicted
+    # decrease, or the bound 2 |g|^2 / lam on it of a trial rejected
+    # unfactored, was at most 8 eps |r|^2) | lam_max (damping passed its cap)
     stop_reason: str
     factorizations: int     # band Cholesky calls, failed ones included
     rejected_steps: int
@@ -325,8 +330,15 @@ def _gauss_newton(problem: _Problem, u0: np.ndarray, tol: float,
             stop = "max_iter"
         else:
             g = problem.jacobian(u).T @ r
+            gg = float(g @ g)
             rows = problem.gauss_rows(u)
             while lam <= _LAM_MAX:
+                # the step's predicted decrease is at most 2 |g|^2 / lam, so
+                # a trial whose bound F cannot resolve is rejected unfactored
+                if 2.0 * gg / lam <= _FLOOR_EPS * F:
+                    rejected += 1
+                    stop = "floor"
+                    break
                 factorizations += 1
                 try:
                     delta = _damped_step(normal, g, lam, rows)
@@ -406,9 +418,11 @@ def optimize_shape_field(grid: GridDomain, c: float,
     coarse run's start 1e-3 (Madsen, Nielsen & Tingleff 2004, section 3.2:
     an accepted step lowers the damping at most 3x).  A run stops as
     converged, stalled, max_iter, floor (a rejected step whose predicted
-    decrease is at most 8 eps |r|^2) or lam_max (the damping passed its
-    cap, as after repeated failed factorizations); the report gives the 2x
-    run's stop as ``refinement_stop_reason``.
+    decrease is at most 8 eps |r|^2, or a trial whose bound 2 |g|^2 / lam
+    on that decrease is, which is not factored and counts as a rejected
+    step) or lam_max (the damping passed its cap, as after repeated failed
+    factorizations); the report gives the 2x run's stop as
+    ``refinement_stop_reason``.
     """
     results = []
     for g in [grid] + ([_refine_grid(grid)] if refine else []):

@@ -25,6 +25,10 @@ from .algebra import admissible_kind
 from .errors import FormatError, StepTooLarge
 from .textio import atomic_write, format_rows, read_text, records_array
 
+# RK4 steps one profile may take, n_neg + n_pos: 50x the 20,000 of the
+# README's profile over [-10, 10] at step 1e-3
+MAX_PROFILE_STEPS = 10 ** 6
+
 
 @dataclass(frozen=True)
 class HcmuParams:
@@ -120,8 +124,9 @@ def solve_curvature_ode(params: HcmuParams, k0: float, x_range=(-10.0, 10.0),
 
     The returned grid is x = k step for -n_neg <= k <= n_pos, with
     n_neg = round(-x_min/step) and n_pos = round(x_max/step), so it always
-    contains x = 0; a nonzero end of x_range that rounds to no step raises
-    ValueError.  A step that breaks monotone growth or exits the open
+    contains x = 0; a nonzero end of x_range that rounds to no step, or
+    n_neg + n_pos above MAX_PROFILE_STEPS, raises ValueError before the
+    first step.  A step that breaks monotone growth or exits the open
     bracket (k2, k1) raises StepTooLarge.
     """
     if not params.k2 < k0 < params.k1:
@@ -133,11 +138,16 @@ def solve_curvature_ode(params: HcmuParams, k0: float, x_range=(-10.0, 10.0),
         raise ValueError("x_range must contain 0, the anchor of K(0) = K0")
 
     f = lambda stage, K: 0.5 * params.mu_sq(K)
-    n_pos = int(round(x_max / step))
-    n_neg = int(round(-x_min / step))
+    # a count clamped to one past the cap is still over it, and an
+    # infinite quotient (a subnormal step) becomes a number round accepts
+    n_pos = round(min(x_max / step, MAX_PROFILE_STEPS + 1))
+    n_neg = round(min(-x_min / step, MAX_PROFILE_STEPS + 1))
     if (x_max > 0 and n_pos == 0) or (x_min < 0 and n_neg == 0):
         raise ValueError(f"step {step} rounds a nonzero end of the x range "
                          f"[{x_min}, {x_max}] to no step")
+    if n_neg + n_pos > MAX_PROFILE_STEPS:
+        raise ValueError(f"step {step} takes more than {MAX_PROFILE_STEPS} "
+                         f"steps over the x range [{x_min}, {x_max}]")
 
     fwd = [k0]
     for _ in range(n_pos):

@@ -204,7 +204,8 @@ def test_optimize_reports_floor(tmp_path):
     assert list(rep)[-6:] == ["floor_12x12", "floor_24x24", "stop_reason",
                               "factorizations", "rejected_steps",
                               "stop_reason_24x24"]
-    assert rep["stop_reason"] == "stalled"
+    assert rep["stop_reason"] == "floor"
+    assert (rep["factorizations"], rep["rejected_steps"]) == ("10", "2")
     assert rep["stop_reason_24x24"] in {"converged", "stalled", "max_iter",
                                         "floor", "lam_max"}
     assert int(rep["factorizations"]) > int(rep["rejected_steps"]) >= 0
@@ -518,6 +519,33 @@ def test_huge_exponents_exit_1_at_once(tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 2 and all("neither decimal nor rational" in line
                                  for line in err)
+
+
+def test_a_profile_beyond_the_step_cap_fails_before_its_first_step(
+        tmp_path, capsys):
+    # 1e-300 would plan 5e300 RK4 steps on [-5, 5]; 1e-320, a subnormal,
+    # makes 5/step infinite, which round() could not take
+    mesh = str(tmp_path / "s.mesh")
+    assert run_cli("realize", *_K, "--grid", "8,8,0.01,0.01",
+                   "--out", mesh) == 0
+    capsys.readouterr()
+    out = tmp_path / "out.txt"
+    for argv in (["profile", *_K, "--step", "1e-300"],
+                 ["profile", *_K, "--step", "1e-320"],
+                 ["realize", *_K, "--grid", "8,8,0.01,0.01",
+                  "--step", "1e-300"],
+                 ["verify", *_K, "--mesh", mesh, "--step", "1e-300"]):
+        start = time.perf_counter()
+        assert run_cli(*argv, "--out", str(out)) == 1
+        assert time.perf_counter() - start < 1.0
+        assert not out.exists()
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 4
+    assert all(line.startswith("error: step ") and
+               f"more than {profile.MAX_PROFILE_STEPS} steps" in line
+               for line in lines), lines
 
 
 def test_exact_parameters_are_bounded_in_digits(tmp_path, capsys):

@@ -65,11 +65,12 @@ def test_minimal_constraint_floors_and_persists():
     assert f1 / f0 >= 0.9
     # constraint respected on the returned field
     assert np.max(np.abs(fld.h11 + fld.h22)) < 1e-12
-    # on the floor a rejected step whose predicted decrease is below what F
-    # resolves ends the run: 12 factorizations over both grids, where walking
-    # the damping up to its cap needed 33
+    # on the floor a trial whose predicted decrease is bounded, by 2 |g|^2 /
+    # lam, below what F resolves is rejected unfactored and ends the run: 10
+    # factorizations over both grids, where factoring that trial needed 12
+    # and walking the damping up to its cap needed 33
     assert rep.stop_reason == "floor"
-    assert rep.factorizations == 12
+    assert rep.factorizations == 10
     assert rep.rejected_steps == 2
 
 
@@ -103,6 +104,53 @@ def test_a_floor_stop_follows_a_rejected_step_at_the_closed_form_floor():
     assert rep.rejected_steps >= 1
     closed = math.sqrt(grid.hx * grid.hy * grid.ny * np.sum(grid.K ** 2))
     assert abs(rep.floor_l2 - closed) <= 1e-12 * closed
+
+
+@pytest.mark.parametrize("n, seed, stop", [(16, 3, "floor"),
+                                           (32, 0, "stalled")])
+def test_no_trial_is_factored_whose_decrease_bound_is_under_the_floor(
+        monkeypatch, n, seed, stop):
+    # the 16x16 run ends on the bound; the 32x32 run factors a trial whose
+    # bound 2 |g|^2 / lam is 1.17 x 8 eps F, the nearest above, and stalls
+    grid = GridDomain.create(PARAMS, 1.5, n, n, 0.01, 0.01,
+                             origin=(-n * 0.005, 0.0))
+    problem = _Problem(grid, 0.0, TraceConstraint("minimal"))
+    iterates, trials = [], []
+    jacobian = problem.jacobian
+    step = optimize._damped_step
+
+    def recording_jacobian(u):
+        iterates.append(u.copy())
+        trials.append([])
+        return jacobian(u)
+
+    def recording_step(normal, g, lam, rows):
+        trials[-1].append((g.copy(), lam))
+        return step(normal, g, lam, rows)
+
+    monkeypatch.setattr(problem, "jacobian", recording_jacobian)
+    monkeypatch.setattr(optimize, "_damped_step", recording_step)
+    run = optimize._gauss_newton(problem, problem.random_init(seed), 1e-8,
+                                 30, 1e-3)
+    assert run.stop_reason == stop
+    assert run.factorizations == sum(map(len, trials))
+
+    def bound_over_floor(u, g, lam):
+        r = problem.residual(u)
+        return 2.0 * float(g @ g) / lam / (optimize._FLOOR_EPS * float(r @ r))
+
+    ratios = [bound_over_floor(u, g, lam)
+              for u, made in zip(iterates, trials) for g, lam in made]
+    assert min(ratios) > 1.0
+    if stop == "floor":
+        # the run ends on a trial it did not factor, at the damping it
+        # returns, whose bound is under the floor
+        u = iterates[-1]
+        g = jacobian(u).T @ problem.residual(u)
+        assert run.lam not in [lam for _, lam in trials[-1]]
+        assert bound_over_floor(u, g, run.lam) <= 1.0
+    else:
+        assert min(ratios) < 2.0
 
 
 @pytest.mark.parametrize("seeded", [False, True])

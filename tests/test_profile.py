@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from hcmu_lab import profile
 from hcmu_lab.errors import FormatError, InadmissibleParams, StepTooLarge
 from hcmu_lab.profile import (
     closed_form_agreement,
@@ -67,6 +68,18 @@ def test_a_step_that_rounds_an_end_to_no_step_is_rejected():
     # an end at x = 0 asks for no step
     prof = solve_curvature_ode(params, 1.5, (0, 0.6), 0.5)
     assert list(prof.xs) == [0.0, 0.5]
+
+
+def test_a_step_count_above_the_cap_is_rejected(monkeypatch):
+    params = validate_params(2, 1)
+    for step in (1e-300, 5e-324):
+        with pytest.raises(ValueError, match="more than 1000000 steps"):
+            solve_curvature_ode(params, 1.5, (-5, 5), step)
+    # n_neg + n_pos at the cap passes and one more fails
+    monkeypatch.setattr(profile, "MAX_PROFILE_STEPS", 100)
+    assert solve_curvature_ode(params, 1.5, (-0.5, 0.5), 0.01).xs.size == 101
+    with pytest.raises(ValueError, match="more than 100 steps"):
+        solve_curvature_ode(params, 1.5, (-0.5, 0.51), 0.01)
 
 
 def test_gauge_identity_along_profile():

@@ -1,6 +1,7 @@
 """Property tests: the K(x) oracle, the admissibility rule, polynomial
-division and gcd, Sturm counts, the grid header codec, and the closed forms
-that check the diagonal family and the minimal-ansatz transport."""
+division and gcd, Sturm counts, the grid header codec, the closed forms
+that check the diagonal family and the minimal-ansatz transport, and the
+bound on a damped step's predicted decrease."""
 
 import cmath
 import math
@@ -14,7 +15,9 @@ from hypothesis import strategies as st
 from hcmu_lab.algebra import CubicData
 from hcmu_lab.errors import InadmissibleParams
 from hcmu_lab import profile
-from hcmu_lab.fields import GridDomain, integrate_minimal_ansatz, transport_ansatz
+from hcmu_lab.fields import (GridDomain, TraceConstraint,
+                             integrate_minimal_ansatz, transport_ansatz)
+from hcmu_lab.optimize import _BandedNormal, _damped_step, _Problem
 from hcmu_lab.profile import (curvature_at, implicit_x_of_K, rk4_step,
                               solve_curvature_ode, validate_params)
 from hcmu_lab.realize import solve_codazzi_family
@@ -345,3 +348,28 @@ def test_ansatz_transport_around_a_rectangle_matches_its_closed_form(case,
     for n, exact in enumerate(expect, start=2):
         h = transport_ansatz(grid, c, h0, corners[:n])
         assert abs(h - exact) <= tol * abs(exact)
+
+
+@PROPERTY
+@given(profiles(), st.integers(8, 11), st.integers(8, 11),
+       st.sampled_from(["none", "minimal", "cmc:0.5"]), st.floats(-5.0, -1.0),
+       st.integers(0, 2**16), st.floats(-10.0, 6.0))
+def test_a_damped_step_predicts_at_most_twice_g_squared_over_lam(
+        prof, nx, ny, constraint, log_h, seed, log_lam):
+    # with A = J^T J and d = -(A + lam I)^-1 g, d . (lam d - g) =
+    # d^T (A + 2 lam I) d <= 2 |g|^2 / lam, tight as lam / |A| grows: the
+    # bound on which the LM declines to factor a trial.  The slack is
+    # rounding: n eps for each of the two n-term dot products, pred's and
+    # |g|^2's, and (kd + 2) eps <= n eps for the band Cholesky's backward
+    # error where lam dominates A, the one regime where the bound is tight.
+    params, k0 = prof
+    h = 10.0 ** log_h / params.k1 ** 2
+    grid = GridDomain.create(params, k0, nx, ny, h, h, (-nx * h / 2, 0.0))
+    problem = _Problem(grid, params.k1, TraceConstraint.parse(constraint))
+    u = problem.random_init(seed)
+    g = problem.jacobian(u).T @ problem.residual(u)
+    lam = 10.0 ** log_lam
+    d = _damped_step(_BandedNormal(problem), g, lam, problem.gauss_rows(u))
+    pred = float(d @ (lam * d - g))
+    slack = 3 * g.size * np.finfo(float).eps
+    assert pred <= 2.0 * float(g @ g) / lam * (1.0 + slack)
