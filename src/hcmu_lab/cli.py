@@ -11,6 +11,11 @@ rationals (decimal literals are scaled integers, never binary floats).
 and `Config.real` take exact rationals (a float beyond the double range is
 a usage error), `Config.integer` takes non-negative integers, and the
 parts of ``grid`` and ``origin`` are read by the same two.
+
+Each command imports the modules it calls when it runs, so `obstruction`
+loads neither numpy nor scipy and only `optimize` loads scipy.  That also
+lets `run` cap OpenBLAS's threads (``OPENBLAS_NUM_THREADS``) from the merged
+``threads`` before numpy first loads; see `_blas_threads`.
 """
 
 from __future__ import annotations
@@ -22,7 +27,6 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import algebra, fields, optimize, profile, realize
 from .errors import (
     EXIT_INADMISSIBLE,
     EXIT_NUMERICAL,
@@ -134,6 +138,7 @@ def _split(cfg: Config, key: str, names, default=None) -> Config:
 
 
 def _params_from(cfg: Config) -> profile.HcmuParams:
+    from . import profile
     k1 = cfg.real("k1")
     k2 = cfg.real("k2")
     c = cfg.real("c", "0")
@@ -141,6 +146,7 @@ def _params_from(cfg: Config) -> profile.HcmuParams:
 
 
 def _grid_from(cfg: Config, params, k0) -> fields.GridDomain:
+    from . import fields
     grid = _split(cfg, "grid", ("nx", "ny", "hx", "hy"), "32,32,0.05,0.05")
     nx, ny = grid.integer("nx"), grid.integer("ny")
     hx, hy = grid.real("hx"), grid.real("hy")
@@ -168,6 +174,7 @@ def _default_k0(cfg: Config, params) -> float:
 
 
 def _cmd_obstruction(cfg: Config) -> int:
+    from . import algebra
     k1 = cfg.fraction("k1")
     k2 = cfg.fraction("k2")
     c = cfg.fraction("c", "0")
@@ -180,6 +187,7 @@ def _cmd_obstruction(cfg: Config) -> int:
 
 
 def _cmd_profile(cfg: Config) -> int:
+    from . import profile
     params = _params_from(cfg)
     k0 = _default_k0(cfg, params)
     x_min = cfg.real("x_min", "-5")
@@ -193,6 +201,7 @@ def _cmd_profile(cfg: Config) -> int:
 
 
 def _cmd_check_gc(cfg: Config) -> int:
+    from . import fields
     params = _params_from(cfg)
     k0 = _default_k0(cfg, params)
     comps, metas = zip(*(fields.read_field_csv(cfg.require(name))
@@ -212,6 +221,7 @@ def _cmd_check_gc(cfg: Config) -> int:
 
 
 def _cmd_optimize(cfg: Config) -> int:
+    from . import fields, optimize
     params = _params_from(cfg)
     k0 = _default_k0(cfg, params)
     grid = _grid_from(cfg, params, k0)
@@ -237,6 +247,7 @@ def _family_from(cfg: Config, params, k0, nx: int, hx: float, x0: float):
     Unless the config sets x_min or x_max, the profile spans the grid's
     columns and the anchor x = 0 with 0.5 to spare on either side.
     """
+    from . import profile, realize
     x_pad = abs(x0) + nx * hx + 0.5
     x_min = cfg.real("x_min", str(-x_pad))
     x_max = cfg.real("x_max", str(x_pad))
@@ -247,6 +258,7 @@ def _family_from(cfg: Config, params, k0, nx: int, hx: float, x0: float):
 
 
 def _cmd_realize(cfg: Config) -> int:
+    from . import realize
     params = _params_from(cfg)
     k0 = _default_k0(cfg, params)
     grid = _grid_from(cfg, params, k0)
@@ -259,6 +271,7 @@ def _cmd_realize(cfg: Config) -> int:
 
 
 def _cmd_verify(cfg: Config) -> int:
+    from . import realize
     params = _params_from(cfg)
     k0 = _default_k0(cfg, params)
     mesh = realize.parse_mesh(cfg.require("mesh"))
@@ -307,7 +320,8 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p, *names):
         p.add_argument("--config", help="key = value file; flags override it")
         p.add_argument("--threads",
-                       help="integer cap on parallelism (no effect: single-threaded)")
+                       help="cap on BLAS threads, at most the CPU count; 0 for "
+                            "no cap (default 1)")
         p.add_argument("--out", help="output file (required, never implicit)")
         for n in names:
             flag = "--" + n.replace("_", "-")
@@ -331,6 +345,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
+def _blas_threads(cfg: Config) -> str | None:
+    """The ``OPENBLAS_NUM_THREADS`` value that the merged cfg asks for.
+
+    A ``threads`` value n > 0 gives min(n, CPU count) and 0 gives None, no
+    cap.  Without one the cap is 1, or None where the environment sets the
+    variable already.  OpenBLAS reads the variable once, when numpy loads,
+    so `run` writes the value only in a process that has not loaded numpy.
+    """
+    if cfg.get("threads") is None:
+        return None if "OPENBLAS_NUM_THREADS" in os.environ else "1"
+    threads = cfg.integer("threads")
+    return str(min(threads, os.cpu_count() or 1)) if threads else None
+
+
 def run(argv: list[str]) -> int:
     """Parse argv and run its command on the merged parameters.
 
@@ -344,7 +372,9 @@ def run(argv: list[str]) -> int:
     for name, val in vars(args).items():
         if val is not None and name not in ("command", "config"):
             cfg.values[name] = val
-    cfg.integer("threads", "0")  # no command reads the cap yet
+    threads = _blas_threads(cfg)
+    if threads is not None and "numpy" not in sys.modules:
+        os.environ["OPENBLAS_NUM_THREADS"] = threads
     return _COMMANDS[args.command](cfg)
 
 

@@ -51,17 +51,46 @@ Everything is deterministic for a fixed seed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from importlib import import_module
 from typing import NamedTuple
 
 import numpy as np
-from scipy import sparse
-from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
-from scipy.sparse.linalg import splu  # noqa: F401  unused; perfbench binds optimize.splu by name
+from numpy.linalg import LinAlgError  # scipy.linalg raises this very class
 
 from .errors import NonFiniteIterate
 from .fields import (GridDomain, ShapeField, TraceConstraint, codazzi_residual,
                      gauss_residual, residual_norms)
 from .textio import fmt17
+
+# The scipy names this module calls through its globals, as (module,
+# attribute or None for the module itself).  They are bound on first use
+# (`_bind_scipy`), so that importing this module does not import scipy.
+# splu is unused; perfbench binds optimize.splu by name.
+_SCIPY = {"sparse": ("scipy.sparse", None),
+          "cholesky_banded": ("scipy.linalg", "cholesky_banded"),
+          "cho_solve_banded": ("scipy.linalg", "cho_solve_banded"),
+          "splu": ("scipy.sparse.linalg", "splu")}
+
+
+def _bind_scipy() -> None:
+    """Bind every `_SCIPY` name into this module's globals.
+
+    A name bound already (by an earlier call, or patched by a test) is kept.
+    """
+    for name, (module, attr) in _SCIPY.items():
+        value = import_module(module)
+        if attr is not None:
+            value = getattr(value, attr)
+        globals().setdefault(name, value)
+
+
+def __getattr__(name):
+    # serves the scipy names to readers from outside before their first use
+    if name not in _SCIPY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind_scipy()
+    return globals()[name]
+
 
 _LAM_START = 1e-3
 _LAM_MIN = 1e-14
@@ -127,6 +156,7 @@ class _Problem:
     """Residual/Jacobian assembly for one grid and constraint."""
 
     def __init__(self, grid: GridDomain, c: float, constraint: TraceConstraint):
+        _bind_scipy()
         self.grid = grid
         self.c = c
         self.constraint = constraint

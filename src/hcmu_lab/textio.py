@@ -18,8 +18,6 @@ import math
 import os
 from contextlib import contextmanager
 
-import numpy as np
-
 from .errors import FormatError
 
 
@@ -93,6 +91,8 @@ def records_array(tokens, widths, lns, dtype, check_row):
     order, to raise the FormatError of the first bad one.  If it raises
     for none, the widths differ and the result is None.
     """
+    import numpy as np  # here, so that the exact kernel's files load without it
+
     shape = set(widths)
     if len(shape) <= 1:
         try:

@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import io
+import json
 import os
 import subprocess
 import sys
@@ -493,6 +494,76 @@ def test_module_entry_point_runs_in_a_fresh_interpreter(tmp_path):
     assert failed.stderr.count("\n") == 1
     assert failed.stderr.startswith("error: value for 'step'")
     assert not (tmp_path / "profile.csv").exists()
+
+
+# Runs `import hcmu_lab`, then each argv read from stdin through cli.main,
+# all in one fresh interpreter, and prints as JSON whether numpy and scipy
+# are loaded after each step, with the exit code and OPENBLAS_NUM_THREADS;
+# the first step also lists the exported names that dir() leaves out.
+_LOADS = """
+import json, os, sys
+loaded = lambda: ["numpy" in sys.modules, "scipy" in sys.modules]
+import hcmu_lab
+steps = [loaded() + [sorted(set(hcmu_lab.__all__) - set(dir(hcmu_lab)))]]
+from hcmu_lab.cli import main
+for argv in sys.stdin.read().splitlines():
+    code = main(argv.split())
+    steps.append([code, *loaded(), os.environ.get("OPENBLAS_NUM_THREADS")])
+print(json.dumps(steps))
+"""
+
+
+def test_each_command_loads_only_what_it_needs(tmp_path):
+    for name in ("h11", "h12", "h22"):
+        (tmp_path / f"{name}.csv").write_text(_field_csv())
+    k = "--k1 2 --k2 1 --k0 1.5"
+    commands = [
+        "obstruction --k1 2 --k2 1 --out obstruction.txt",
+        f"profile {k} --x-min -0.5 --x-max 0.5 --step 0.01 --out profile.csv",
+        f"realize {k} --grid 21,11,0.002,0.002 --origin=-0.02,0 "
+        "--out mesh.txt",
+        f"verify {k} --mesh mesh.txt --out verify.txt",
+        f"check-gc {k} --h11 h11.csv --h12 h12.csv --h22 h22.csv "
+        "--out gc.txt",
+        f"optimize {k} --grid 8,8,0.01,0.01 --max-iter 2 --out opt.txt",
+    ]
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    env.pop("HCMU_LAB_THREADS", None)
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    done = subprocess.run([sys.executable, "-c", _LOADS],
+                          input="\n".join(commands), cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    steps = json.loads(done.stdout.splitlines()[-1])
+    # (exit code, numpy loaded, scipy loaded, the BLAS cap: 1 by default)
+    assert steps == [[False, False, []],
+                     [0, False, False, "1"],
+                     [0, True, False, "1"],
+                     [0, True, False, "1"],
+                     [0, True, False, "1"],
+                     [0, True, False, "1"],
+                     [0, True, True, "1"]]
+
+
+def test_the_blas_cap_is_clamped_and_set_only_before_numpy(monkeypatch,
+                                                            tmp_path):
+    cap = cli._blas_threads
+    cpus = str(os.cpu_count() or 1)
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    assert cap(cli.Config()) == "1"
+    assert cap(cli.Config({"threads": "1"})) == "1"
+    assert cap(cli.Config({"threads": str(10**6)})) == cpus
+    assert cap(cli.Config({"threads": "0"})) is None
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    assert cap(cli.Config()) is None
+    assert cap(cli.Config({"threads": str(10**6)})) == cpus
+    with pytest.raises(ConfigError, match="'threads'"):
+        cap(cli.Config({"threads": "-2"}))
+    # numpy is loaded in this process, so a run leaves the variable alone
+    assert run_cli("obstruction", "--k1", "2", "--k2", "1", "--threads",
+                   str(10**6), "--out", str(tmp_path / "obs.txt")) == 0
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
 
 
 def test_file_errors_exit_1_with_one_error_line(tmp_path, capsys):
