@@ -69,6 +69,8 @@ class GridDomain:
         if not (hx > 0 and hy > 0):
             raise ValueError("grid spacings must be positive")
         x0, y0 = float(origin[0]), float(origin[1])
+        if not (math.isfinite(x0) and math.isfinite(y0)):
+            raise ValueError("grid origin must be finite")
         xs = x0 + hx * np.arange(nx)
         K_half = curvature_at(params, k0,
                               x0 + 0.5 * hx * np.arange(2 * nx - 1))

@@ -131,10 +131,10 @@ def solve_curvature_ode(params: HcmuParams, k0: float, x_range=(-10.0, 10.0),
     """
     if not params.k2 < k0 < params.k1:
         raise ValueError(f"K0 = {k0} not inside ({params.k2}, {params.k1})")
-    if step <= 0:
+    if not step > 0:
         raise ValueError("step must be positive")
     x_min, x_max = float(x_range[0]), float(x_range[1])
-    if x_min > 0 or x_max < 0:
+    if not x_min <= 0 <= x_max:
         raise ValueError("x_range must contain 0, the anchor of K(0) = K0")
 
     f = lambda stage, K: 0.5 * params.mu_sq(K)
@@ -193,20 +193,38 @@ def _log_terms(params: HcmuParams, k0: float):
     return pairs, inv_pair
 
 
-def implicit_x_of_K(params: HcmuParams, k0: float, K):
-    """Closed-form x(K) with x(k0) = 0, valid on the open interval (k2, k1)."""
-    arr = np.asarray(K, dtype=float)
+def _x_evaluator(params: HcmuParams, k0: float):
+    """x(K) with x(k0) = 0 as a function of a float array K in (k2, k1).
+
+    The anchor is checked and the terms in k0 (ln|k0 - r_i|, and 1/(k0 - r)
+    for the cusp kind) are computed here, once; the function checks nothing.
+    """
     if not params.k2 < k0 < params.k1:
         raise ValueError(f"anchor K0 = {k0} outside ({params.k2}, {params.k1})")
+    pairs, inv_pair = _log_terms(params, k0)
+    logs = [(r, L, math.log(abs(k0 - r))) for r, L in pairs]
+    if inv_pair is not None:
+        r_inv, C = inv_pair
+        inv0 = 1.0 / (k0 - r_inv)
+
+    def x_of(K):
+        out = 0.0
+        for r, L, log0 in logs:
+            out = out + L * (np.log(np.abs(K - r)) - log0)
+        if inv_pair is not None:
+            out = out + C * (1.0 / (K - r_inv) - inv0)
+        return out
+
+    return x_of
+
+
+def implicit_x_of_K(params: HcmuParams, k0: float, K):
+    """Closed-form x(K) with x(k0) = 0, valid on the open interval (k2, k1)."""
+    x_of = _x_evaluator(params, k0)
+    arr = np.asarray(K, dtype=float)
     if np.any(arr <= params.k2) or np.any(arr >= params.k1):
         raise ValueError(f"K outside the open interval ({params.k2}, {params.k1})")
-    pairs, inv_pair = _log_terms(params, k0)
-    out = np.zeros_like(arr)
-    for r, L in pairs:
-        out = out + L * (np.log(np.abs(arr - r)) - math.log(abs(k0 - r)))
-    if inv_pair is not None:
-        r, C = inv_pair
-        out = out + C * (1.0 / (arr - r) - 1.0 / (k0 - r))
+    out = x_of(arr)
     if np.isscalar(K) or arr.ndim == 0:
         return float(out)
     return out
@@ -227,13 +245,17 @@ def _key_double(k):
     return np.where(k < 0, -k | _SIGN, k).view(float)
 
 
+def _mid_key(lo, hi):
+    return (lo >> 1) + (hi >> 1) + (lo & hi & 1)  # floor mean, no overflow
+
+
 # Newton steps that start every point's search, and the half-width in keys
 # of the bracket then checked around their result.
 _NEWTON_STEPS = 5
 _BRACKET_PAD = 16
 
 
-def _newton_guess(params: HcmuParams, k0: float, t, k_ends):
+def _newton_guess(params: HcmuParams, x_of, k0: float, t, k_ends):
     """K near the solution of x(K) = t, from Newton steps in the logit
     variable u = ln((K - k2)/(k1 - K)).
 
@@ -241,33 +263,41 @@ def _newton_guess(params: HcmuParams, k0: float, t, k_ends):
     bounded at k1, and at k2 too for the conical kind.  Each step moves K by
     K(u + du) - K(u), so K keeps its own relative accuracy near 0.
     """
-    k1, k2 = params.k1, params.k2
+    k1, k2, k3 = params.k1, params.k2, params.k3
+    width = k1 - k2
+    k_lo, k_hi = k_ends
     K = np.full(t.shape, float(k0))
     for i in range(_NEWTON_STEPS):
         # x(k0) = 0 by construction, so the first step evaluates nothing
-        gap = t - implicit_x_of_K(params, k0, K) if i else t
-        du = gap * (K - params.k3) * (k1 - k2) / 1.5
+        gap = t - x_of(K) if i else t
+        du = gap * (K - k3) * width / 1.5
         # with a = K - k2, b = k1 - K and e = exp(-|du|), the form for the
-        # sign of du whose denominator adds positive terms
+        # sign of du whose denominator adds positive terms, the minus sign
+        # of the form for du >= 0 moved into its denominator
         a, b = K - k2, k1 - K
-        em, e = np.expm1(-np.abs(du)), np.exp(-np.abs(du))
-        step = np.where(du < 0, a * b * em / (b + a * e),
-                        -a * b * em / (a + b * e))
-        K = np.clip(K + step, *k_ends)
+        neg_abs = -np.abs(du)
+        e = np.exp(neg_abs)
+        step = a * b * np.expm1(neg_abs) / np.where(du < 0, b + a * e,
+                                                    -(a + b * e))
+        K = np.minimum(np.maximum(K + step, k_lo), k_hi)
     return K
 
 
-def _bisect_keys(params: HcmuParams, k0: float, t, lo, hi, g_lo, g_hi):
+def _bisect_keys(x_of, t, lo, hi, g_lo, g_hi, g_mid):
     """Bisect the key brackets [lo, hi], with g_lo < t <= g_hi, down to two
-    adjacent doubles, and return the one whose x(K) lies closer to t."""
-    while True:
-        mid = (lo >> 1) + (hi >> 1) + (lo & hi & 1)  # floor mean, no overflow
-        if not np.any(mid > lo):
-            break
-        g_mid = implicit_x_of_K(params, k0, _key_double(mid))
+    adjacent doubles, and return the one whose x(K) lies closer to t.
+
+    g_mid is x(K) at the first midpoint, which the caller evaluates with
+    its other points; later midpoints are evaluated here.
+    """
+    mid = _mid_key(lo, hi)
+    while (mid > lo).any():
+        if g_mid is None:
+            g_mid = x_of(_key_double(mid))
         below = g_mid < t
         lo, g_lo = np.where(below, mid, lo), np.where(below, g_mid, g_lo)
         hi, g_hi = np.where(below, hi, mid), np.where(below, g_hi, g_mid)
+        mid, g_mid = _mid_key(lo, hi), None
     return _key_double(np.where(g_hi - t <= t - g_lo, hi, lo))
 
 
@@ -276,10 +306,11 @@ def curvature_at(params: HcmuParams, k0: float, x):
 
     x is a scalar or an array, and the result is of the same kind.  The
     result is one of two adjacent doubles lo < hi with x(lo) < x <= x(hi),
-    the one whose x(K) lies closer to x (hi on a tie).  Each point takes a
-    few Newton steps from k0 in the logit variable (``_newton_guess``); two
-    x(K) evaluations then check that the doubles 16 keys below and above
-    the guess bracket x, and bisecting that bracket takes 5 rounds.  Points
+    the one whose x(K) lies closer to x (hi on a tie); a NaN x gives NaN.
+    Each point takes a few Newton steps from k0 in the logit variable
+    (``_newton_guess``); the doubles 16 keys below and above the guess are
+    then checked to bracket x, in one x(K) evaluation that also takes the
+    bracket's midpoint, and bisecting that bracket takes 5 rounds.  Points
     whose check fails (where x(K) is flat or not monotone on the doubles,
     or Newton has not converged, as on the k2 side of the cusp kind) are
     bisected, as a batch of their own, over all the doubles of (k2, k1),
@@ -289,29 +320,35 @@ def curvature_at(params: HcmuParams, k0: float, x):
     resolution the result saturates at the nearest representable K inside
     the interval.
     """
+    x_of = _x_evaluator(params, k0)
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     k_ends = np.array([np.nextafter(params.k2, params.k1),
                        np.nextafter(params.k1, params.k2)])
-    x_lo, x_hi = implicit_x_of_K(params, k0, k_ends)
-    K = np.where(xs <= x_lo, k_ends[0], k_ends[1])
+    key_ends = _double_key(k_ends)
+    # the ends, and the first midpoint of the full-interval bisection
+    key_mid = _mid_key(*key_ends)
+    x_lo, x_hi, x_mid = x_of(_key_double(np.append(key_ends, key_mid)))
+    K = np.where(xs <= x_lo, k_ends[0], np.where(xs >= x_hi, k_ends[1], np.nan))
     inside = (xs > x_lo) & (xs < x_hi)
     t = xs[inside]
 
-    key_ends = _double_key(k_ends)
-    key = _double_key(_newton_guess(params, k0, t, k_ends))
-    lo = np.clip(key - _BRACKET_PAD, *key_ends)
-    hi = np.clip(key + _BRACKET_PAD, *key_ends)
-    g_lo, g_hi = np.split(
-        implicit_x_of_K(params, k0, _key_double(np.concatenate([lo, hi]))), 2)
+    # the guess lies inside k_ends, so each end of its bracket has one bound
+    key = _double_key(_newton_guess(params, x_of, k0, t, k_ends))
+    lo = np.maximum(key - _BRACKET_PAD, key_ends[0])
+    hi = np.minimum(key + _BRACKET_PAD, key_ends[1])
+    mid = _mid_key(lo, hi)
+    g_lo, g_hi, g_mid = np.split(
+        x_of(_key_double(np.concatenate([lo, hi, mid]))), 3)
     near = (g_lo < t) & (t <= g_hi)
     far = ~near
     n_far = np.count_nonzero(far)
     found = np.empty(t.shape)
-    found[near] = _bisect_keys(params, k0, t[near], lo[near], hi[near],
-                               g_lo[near], g_hi[near])
-    found[far] = _bisect_keys(params, k0, t[far], np.full(n_far, key_ends[0]),
+    found[near] = _bisect_keys(x_of, t[near], lo[near], hi[near], g_lo[near],
+                               g_hi[near], g_mid[near])
+    found[far] = _bisect_keys(x_of, t[far], np.full(n_far, key_ends[0]),
                               np.full(n_far, key_ends[1]),
-                              np.full(n_far, x_lo), np.full(n_far, x_hi))
+                              np.full(n_far, x_lo), np.full(n_far, x_hi),
+                              np.full(n_far, x_mid))
     K[inside] = found
     if np.ndim(x) == 0:
         return float(K[0])

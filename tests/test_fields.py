@@ -36,6 +36,12 @@ def test_grid_requires_minimum_size():
         GridDomain.create(PARAMS, 1.5, 4, 8, 0.1, 0.1)
 
 
+def test_grid_rejects_a_non_finite_origin():
+    for origin in ((np.nan, 0.0), (np.inf, 0.0), (-np.inf, 0.0), (0.0, np.nan)):
+        with pytest.raises(ValueError, match="origin must be finite"):
+            GridDomain.create(PARAMS, 1.5, 8, 8, 0.1, 0.1, origin=origin)
+
+
 def test_grid_background_matches_profile():
     prof = solve_curvature_ode(PARAMS, 1.5, (-1, 1), 1e-3)
     grid = GridDomain.from_profile(prof, 11, 8, 0.1, 0.1, origin=(-0.5, 0.0))

@@ -82,6 +82,15 @@ def test_a_step_count_above_the_cap_is_rejected(monkeypatch):
         solve_curvature_ode(params, 1.5, (-0.5, 0.51), 0.01)
 
 
+def test_a_nan_step_or_range_end_is_rejected_by_name():
+    params = validate_params(2, 1)
+    with pytest.raises(ValueError, match="step must be positive"):
+        solve_curvature_ode(params, 1.5, (-5, 5), math.nan)
+    for x_range in ((math.nan, 5), (-5, math.nan)):
+        with pytest.raises(ValueError, match="x_range must contain 0"):
+            solve_curvature_ode(params, 1.5, x_range, 1e-3)
+
+
 def test_gauge_identity_along_profile():
     # dK/dx = mu^2/2 checked by central differences
     params = validate_params(2, 1)
@@ -170,6 +179,15 @@ def test_inversion_roundtrip():
     for x in (-2.5, -0.3, 0.0, 1.2, 2.9):
         K = curvature_at(params, 1.5, x)
         assert abs(implicit_x_of_K(params, 1.5, K) - x) < 1e-10
+
+
+def test_a_nan_x_gives_nan():
+    for params, k0 in ((validate_params(2, 1), 1.5),
+                       (validate_params(2, -1), 0.5)):
+        assert math.isnan(curvature_at(params, k0, math.nan))
+        K = curvature_at(params, k0, np.array([-np.inf, math.nan, 0.0, np.inf]))
+        assert math.isnan(K[1]) and not np.isnan(K[[0, 2, 3]]).any()
+        assert K[2] == curvature_at(params, k0, 0.0)
 
 
 def test_round_sphere_curvature_residual_second_order():

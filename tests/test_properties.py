@@ -91,14 +91,9 @@ def _double(k: int) -> float:
     return struct.unpack("<d", struct.pack("<q", k if k >= 0 else -k - 2**63))[0]
 
 
-def full_bisection(params, k0, x):
-    """The oracle's search over all the doubles of (k2, k1), one point at a
-    time: bisect their keys down to two adjacent doubles with
-    x(lo) < x <= x(hi), then take the closer in x (hi on a tie)."""
-    xf = lambda K: implicit_x_of_K(params, k0, K)
-    lo = _key(np.nextafter(params.k2, params.k1))
-    hi = _key(np.nextafter(params.k1, params.k2))
-    g_lo, g_hi = xf(_double(lo)), xf(_double(hi))
+def bisect_pair(xf, x, lo, hi, g_lo, g_hi):
+    """Bisect the keys [lo, hi], with g_lo < x <= g_hi, down to two adjacent
+    doubles, then take the closer in x (hi on a tie)."""
     while hi - lo > 1:
         mid = (lo + hi) // 2
         g_mid = xf(_double(mid))
@@ -107,6 +102,56 @@ def full_bisection(params, k0, x):
         else:
             hi, g_hi = mid, g_mid
     return _double(hi) if g_hi - x <= x - g_lo else _double(lo)
+
+
+def full_bisection(params, k0, x):
+    """The oracle's search over all the doubles of (k2, k1), one point at a
+    time: bisect their keys down to two adjacent doubles with
+    x(lo) < x <= x(hi), then take the closer in x (hi on a tie)."""
+    xf = lambda K: implicit_x_of_K(params, k0, K)
+    lo = _key(np.nextafter(params.k2, params.k1))
+    hi = _key(np.nextafter(params.k1, params.k2))
+    return bisect_pair(xf, x, lo, hi, xf(_double(lo)), xf(_double(hi)))
+
+
+def reference_search(params, k0, x):
+    """The search that curvature_at documents, for one point: (K, path),
+    path "end", "near" or "far".
+
+    x(K) and the exponentials are evaluated on one-element arrays.  5
+    Newton steps from k0 in u = ln((K - k2)/(k1 - K)), where
+    dx/du = 1.5/((K - k3)(k1 - k2)), each clamped to the doubles inside
+    (k2, k1); the doubles 16 keys either side of the result, if x(K)
+    brackets x there, are bisected ("near"), and otherwise all the doubles
+    of (k2, k1) are ("far").
+    """
+    one = lambda f, v: f(np.array([v]))[0]
+    xf = lambda K: one(lambda a: implicit_x_of_K(params, k0, a), K)
+    k1, k2, k3 = params.k1, params.k2, params.k3
+    k_lo, k_hi = np.nextafter(k2, k1), np.nextafter(k1, k2)
+    if math.isnan(x):
+        return math.nan, "end"
+    if x <= xf(k_lo):
+        return k_lo, "end"
+    if x >= xf(k_hi):
+        return k_hi, "end"
+    K = k0
+    for i in range(5):
+        gap = x - xf(K) if i else x
+        du = gap * (K - k3) * (k1 - k2) / 1.5
+        a, b = K - k2, k1 - K
+        e, em = one(np.exp, -abs(du)), one(np.expm1, -abs(du))
+        if du < 0:
+            step = a * b * em / (b + a * e)
+        else:
+            step = -a * b * em / (a + b * e)
+        K = min(max(K + step, k_lo), k_hi)
+    key = _key(K)
+    lo, hi = max(key - 16, _key(k_lo)), min(key + 16, _key(k_hi))
+    g_lo, g_hi = xf(_double(lo)), xf(_double(hi))
+    if g_lo < x <= g_hi:
+        return bisect_pair(xf, x, lo, hi, g_lo, g_hi), "near"
+    return full_bisection(params, k0, x), "far"
 
 
 def picked_pair(params, k0, x, K):
@@ -156,9 +201,9 @@ def test_oracle_falls_back_to_the_full_bisection(monkeypatch):
     batches = []
     bisect = profile._bisect_keys
 
-    def spy(params, k0, t, *args):
+    def spy(x_of, t, *args):
         batches.append(t.size)
-        return bisect(params, k0, t, *args)
+        return bisect(x_of, t, *args)
 
     monkeypatch.setattr(profile, "_bisect_keys", spy)
     K = curvature_at(params, 0.5, np.array([-30.0, 0.25]))
@@ -166,6 +211,75 @@ def test_oracle_falls_back_to_the_full_bisection(monkeypatch):
     for x in (-30.0, 0.25):
         assert_oracle_contract(params, 0.5, x)
     assert K[0] == full_bisection(params, 0.5, -30.0)
+
+
+@PROPERTY
+@given(profiles(), st.lists(xs_any, min_size=1, max_size=20))
+def test_oracle_is_the_documented_search_bit_for_bit(prof, xs):
+    params, k0 = prof
+    K = curvature_at(params, k0, np.array(xs))
+    ref = [reference_search(params, k0, x)[0] for x in xs]
+    assert K.tobytes() == np.array(ref).tobytes()
+
+
+@PROPERTY
+@given(st.floats(0.25, 8.0), st.floats(0.002, 0.05), st.floats(0.05, 0.95),
+       st.floats(0.0, 1.0))
+def test_oracle_is_the_documented_search_where_x_of_K_is_not_monotone(
+        k1, near_cusp, at_k0, phase):
+    # conical pairs near the cusp pair: the partial fractions of x(K) then
+    # have large weights that cancel, x(K) is not monotone on the doubles,
+    # and the pair the search ends on depends on every midpoint it takes;
+    # x sweeps values that x(K) takes there
+    params = validate_params(k1, -0.5 * k1 + 1.5 * k1 * near_cusp)
+    k0 = params.k2 + (params.k1 - params.k2) * at_k0
+    K_at = params.k2 + (params.k1 - params.k2) * (np.arange(16) + phase) / 16
+    x = implicit_x_of_K(params, k0,
+                        K_at[(params.k2 < K_at) & (K_at < params.k1)])
+    ref = [reference_search(params, k0, v)[0] for v in x]
+    assert curvature_at(params, k0, x).tobytes() == np.array(ref).tobytes()
+
+
+@PROPERTY
+@given(st.floats(-60.0, -0.5), st.floats(-0.5, 0.5))
+def test_oracle_is_the_documented_search_on_the_cusp_fallback(x_far, x):
+    # (2, -1) anchored at 0.5: every x below -0.5 takes the full bisection
+    params = validate_params(2.0, -1.0)
+    K = curvature_at(params, 0.5, np.array([x_far, x]))
+    (K_far, path), (K_near, _) = (reference_search(params, 0.5, v)
+                                  for v in (x_far, x))
+    assert path == "far"
+    assert K.tobytes() == np.array([K_far, K_near]).tobytes()
+
+
+def test_an_all_near_call_builds_x_of_K_once_and_evaluates_it_ten_times(
+        monkeypatch):
+    # the ends (with the full bisection's first midpoint), 4 Newton steps,
+    # the bracket with its midpoint, and 4 more rounds of bisection
+    built, sizes = [], []
+    log_terms, evaluator = profile._log_terms, profile._x_evaluator
+
+    def counting_terms(*args):
+        built.append(args)
+        return log_terms(*args)
+
+    def counting_evaluator(params, k0):
+        x_of = evaluator(params, k0)
+
+        def counted(K):
+            sizes.append(np.size(K))
+            return x_of(K)
+        return counted
+
+    monkeypatch.setattr(profile, "_log_terms", counting_terms)
+    monkeypatch.setattr(profile, "_x_evaluator", counting_evaluator)
+    for params, k0 in ((validate_params(2.0, 1.0), 1.5),
+                       (validate_params(2.0, -1.0), 0.5)):
+        built.clear()
+        sizes.clear()
+        curvature_at(params, k0, -0.02 + 5e-4 * np.arange(81))
+        assert len(built) == 1
+        assert sizes == [3] + [81] * 4 + [3 * 81] + [81] * 4
 
 
 dyadics = st.builds(lambda n, e: Fraction(n, 2**e), st.integers(-64, 64),
