@@ -244,17 +244,19 @@ def _cmd_optimize(cfg: Config) -> int:
 def _family_from(cfg: Config, params, k0, nx: int, hx: float, x0: float):
     """The diagonal family for a grid of nx columns hx apart from x0.
 
-    Unless the config sets x_min or x_max, the profile spans the grid's
-    columns and the anchor x = 0 with 0.5 to spare on either side.
+    The family is sampled on the x lattice that `profile` would write, with
+    K from the closed form; no profile is marched.  Unless the config sets
+    x_min or x_max, the lattice spans the grid's columns and the anchor
+    x = 0 with 0.5 to spare on either side.
     """
     from . import profile, realize
     x_pad = abs(x0) + nx * hx + 0.5
     x_min = cfg.real("x_min", str(-x_pad))
     x_max = cfg.real("x_max", str(x_pad))
     step = cfg.real("step", "0.001")
-    prof = profile.solve_curvature_ode(params, k0, (x_min, x_max), step)
-    return realize.solve_codazzi_family(prof, params.c,
-                                        cfg.real("k2_init", "1"))
+    xs, _ = profile._x_lattice((x_min, x_max), step)
+    return realize.sample_codazzi_family(params, k0, xs, step, params.c,
+                                         cfg.real("k2_init", "1"))
 
 
 def _cmd_realize(cfg: Config) -> int:

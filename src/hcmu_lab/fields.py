@@ -36,8 +36,8 @@ import numpy as np
 from .errors import PathLeavesDomain
 from .profile import CurvatureProfile, HcmuParams, curvature_at, rk4_step
 from .ratpoly import as_fraction
-from .textio import (FormatError, atomic_write, format_rows, grid_header,
-                     parse_header_comment, read_text, records_array)
+from .textio import (FormatError, atomic_write, csv_block, format_rows,
+                     grid_header, line_runs, parse_header_comment, read_text)
 
 
 @dataclass(frozen=True, eq=False)
@@ -381,42 +381,50 @@ def write_field_csv(arr: np.ndarray, grid: GridDomain, path):
         fh.write(format_rows(",".join(["%.17g"] * arr.shape[1]) + "\n", arr))
 
 
+def _is_row(line: str) -> bool:
+    line = line.strip()
+    return bool(line) and not line.startswith("#")
+
+
 def read_field_csv(path) -> tuple[np.ndarray, dict]:
+    """One component and its grid metadata.
+
+    Each run of rows converts in one numpy call; a run that does not, and
+    every comment line, is read line by line.  FormatError names the first
+    bad line.
+    """
     lines = read_text(path).split("\n")
     meta: dict = {}
-    tokens, widths, lns = [], [], []
+    blocks = []  # (line number of the first row, rows of one width)
 
-    def check_row(row, ln):
-        try:
-            list(map(float, row))
-        except ValueError:
-            raise FormatError(f"bad float in row {lines[ln - 1].strip()!r}",
-                              ln) from None
-
-    for ln, raw in enumerate(lines, start=1):
+    def read_line(ln, raw):
         line = raw.strip()
         if not line:
-            continue
+            return
         if line.startswith("#"):
-            try:
-                meta.update(parse_header_comment(line, ln))
-            except FormatError:
-                # a bad row on an earlier line comes first
-                records_array(tokens, widths, lns, float, check_row)
-                raise
-            continue
-        row = line.split(",")
-        tokens += row
-        widths.append(len(row))
-        lns.append(ln)
-    arr = records_array(tokens, widths, lns, float, check_row)
+            meta.update(parse_header_comment(line, ln))
+            return
+        try:
+            blocks.append((ln, np.array([list(map(float, line.split(",")))])))
+        except ValueError:
+            raise FormatError(f"bad float in row {line!r}", ln) from None
+
+    for is_row, start, stop in line_runs(lines, _is_row):
+        block = csv_block(lines[start:stop]) if is_row else None
+        if block is None:
+            for ln in range(start + 1, stop + 1):
+                read_line(ln, lines[ln - 1])
+        else:
+            blocks.append((start + 1, block))
     if "nx" not in meta:
         raise FormatError("missing nx,ny,hx,hy metadata line")
-    if arr is None:
-        for width, ln in zip(widths, lns):
-            if width != widths[0]:
-                raise FormatError(f"row has {width} values, the first row "
-                                  f"{widths[0]}", ln)
+    widths = [block.shape[1] for _, block in blocks]
+    for (ln, _), width in zip(blocks, widths):
+        if width != widths[0]:
+            raise FormatError(f"row has {width} values, the first row "
+                              f"{widths[0]}", ln)
+    arr = (np.concatenate([block for _, block in blocks]) if blocks
+           else np.zeros(0))
     if arr.shape != (meta["nx"], meta["ny"]):
         raise FormatError(
             f"data shape {arr.shape} disagrees with metadata "

@@ -23,7 +23,8 @@ import numpy as np
 
 from .algebra import admissible_kind
 from .errors import FormatError, StepTooLarge
-from .textio import atomic_write, format_rows, read_text, records_array
+from .textio import (atomic_write, csv_block, format_rows, line_runs,
+                     read_text)
 
 # RK4 steps one profile may take, n_neg + n_pos: 50x the 20,000 of the
 # README's profile over [-10, 10] at step 1e-3
@@ -118,26 +119,19 @@ def rk4_step(f, y, h):
     return y + (h / 6.0) * (s1 + 2.0 * s2 + 2.0 * s3 + s4)
 
 
-def solve_curvature_ode(params: HcmuParams, k0: float, x_range=(-10.0, 10.0),
-                        step: float = 1e-3) -> CurvatureProfile:
-    """Integrate dK/dx = mu^2/2 with K(0) = k0 by classical RK4, both ways.
+def _x_lattice(x_range, step):
+    """The lattice x = k step, -n_neg <= k <= n_pos, of an x range, and n_neg.
 
-    The returned grid is x = k step for -n_neg <= k <= n_pos, with
-    n_neg = round(-x_min/step) and n_pos = round(x_max/step), so it always
-    contains x = 0; a nonzero end of x_range that rounds to no step, or
-    n_neg + n_pos above MAX_PROFILE_STEPS, raises ValueError before the
-    first step.  A step that breaks monotone growth or exits the open
-    bracket (k2, k1) raises StepTooLarge.
+    n_neg = round(-x_min/step) and n_pos = round(x_max/step), so the lattice
+    always contains x = 0, at index n_neg.  A step that is not positive, a
+    range that does not contain 0, a nonzero end of it that rounds to no
+    step, or n_neg + n_pos above MAX_PROFILE_STEPS raises ValueError.
     """
-    if not params.k2 < k0 < params.k1:
-        raise ValueError(f"K0 = {k0} not inside ({params.k2}, {params.k1})")
     if not step > 0:
         raise ValueError("step must be positive")
     x_min, x_max = float(x_range[0]), float(x_range[1])
     if not x_min <= 0 <= x_max:
         raise ValueError("x_range must contain 0, the anchor of K(0) = K0")
-
-    f = lambda stage, K: 0.5 * params.mu_sq(K)
     # a count clamped to one past the cap is still over it, and an
     # infinite quotient (a subnormal step) becomes a number round accepts
     n_pos = round(min(x_max / step, MAX_PROFILE_STEPS + 1))
@@ -148,7 +142,27 @@ def solve_curvature_ode(params: HcmuParams, k0: float, x_range=(-10.0, 10.0),
     if n_neg + n_pos > MAX_PROFILE_STEPS:
         raise ValueError(f"step {step} takes more than {MAX_PROFILE_STEPS} "
                          f"steps over the x range [{x_min}, {x_max}]")
+    return step * np.arange(-n_neg, n_pos + 1), n_neg
 
+
+def solve_curvature_ode(params: HcmuParams, k0: float, x_range=(-10.0, 10.0),
+                        step: float = 1e-3) -> CurvatureProfile:
+    """Integrate dK/dx = mu^2/2 with K(0) = k0 by classical RK4, both ways.
+
+    The returned grid is the lattice of ``_x_lattice``: x = k step for
+    -n_neg <= k <= n_pos, with n_neg = round(-x_min/step) and
+    n_pos = round(x_max/step), so it always contains x = 0; a nonzero end
+    of x_range that rounds to no step, or n_neg + n_pos above
+    MAX_PROFILE_STEPS, raises ValueError before the first step.  A step
+    that breaks monotone growth or exits the open bracket (k2, k1) raises
+    StepTooLarge.
+    """
+    if not params.k2 < k0 < params.k1:
+        raise ValueError(f"K0 = {k0} not inside ({params.k2}, {params.k1})")
+    xs, n_neg = _x_lattice(x_range, step)
+    n_pos = xs.size - 1 - n_neg
+
+    f = lambda stage, K: 0.5 * params.mu_sq(K)
     fwd = [k0]
     for _ in range(n_pos):
         fwd.append(rk4_step(f, fwd[-1], step))
@@ -157,7 +171,6 @@ def solve_curvature_ode(params: HcmuParams, k0: float, x_range=(-10.0, 10.0),
         bwd.append(rk4_step(f, bwd[-1], -step))
 
     Ks = np.array(bwd[::-1] + fwd[1:])
-    xs = step * np.arange(-n_neg, n_pos + 1)
 
     if not (np.all(Ks > params.k2) and np.all(Ks < params.k1)):
         raise StepTooLarge(
@@ -456,28 +469,39 @@ def write_profile_csv(profile: CurvatureProfile, path):
         fh.write(format_rows("%.17g,%.17g,%.17g,%.17g\n", table))
 
 
+def _nonblank(line: str) -> bool:
+    return bool(line.strip())
+
+
 def read_profile_csv(path) -> ProfileTable:
+    """The four columns of a profile CSV.
+
+    Each run of nonblank lines converts in one numpy call; a run that does
+    not is read line by line, and FormatError names the first bad line.
+    """
     lines = read_text(path).split("\n")
     if not lines or lines[0].strip() != _PROFILE_HEADER:
         raise FormatError(f"missing profile header {_PROFILE_HEADER!r}", 1)
-    tokens, lns = [], []
+    rows, blocks = lines[1:], []
 
-    def check_row(row, ln):
-        try:
-            list(map(float, row))
-        except ValueError:
-            raise FormatError(f"bad float in {lines[ln - 1]!r}", ln) from None
-
-    for ln, line in enumerate(lines[1:], start=2):
+    def read_line(ln, line):
         if not line.strip():
-            continue
+            return
         row = line.split(",")
         if len(row) != 4:
-            # a bad row on an earlier line comes first
-            records_array(tokens, [4] * len(lns), lns, float, check_row)
             raise FormatError(f"expected 4 columns, got {len(row)}", ln)
-        tokens += row
-        lns.append(ln)
-    table = records_array(tokens, [4] * len(lns), lns, float, check_row)
+        try:
+            blocks.append(np.array([list(map(float, row))]))
+        except ValueError:
+            raise FormatError(f"bad float in {line!r}", ln) from None
+
+    for nonblank, start, stop in line_runs(rows, _nonblank):
+        block = csv_block(rows[start:stop]) if nonblank else None
+        if block is None or block.shape[1] != 4:
+            for i in range(start, stop):
+                read_line(i + 2, rows[i])  # the header is line 1
+        else:
+            blocks.append(block)
+    table = np.concatenate(blocks) if blocks else np.zeros((0, 4))
     # one contiguous array per column
-    return ProfileTable(*table.reshape(-1, 4).T.copy())
+    return ProfileTable(*table.T.copy())

@@ -44,7 +44,7 @@ from .errors import FormatError, FrameDrift, PathLeavesDomain
 from .fields import GridDomain, ShapeField, lattice_legs, march_x
 from .profile import CurvatureProfile, HcmuParams, curvature_at, rk4_step
 from .textio import (atomic_write, fmt17, format_rows, grid_header,
-                     parse_header_comment, read_text, records_array)
+                     line_runs, parse_header_comment, read_text, record_block)
 
 
 # -- the diagonal Codazzi family ------------------------------------------------
@@ -88,27 +88,28 @@ def _k2_of_K(params: HcmuParams, c: float, K0: float, k2_0: float, K):
         return math.copysign(1.0, k2_0) * np.sqrt(k2_sq)
 
 
-def solve_codazzi_family(profile: CurvatureProfile, c: float,
-                         k2_init: float) -> DiagonalFamily:
-    """Sample the diagonal family on the profile grid, anchored at x = 0.
+def sample_codazzi_family(params: HcmuParams, k0: float, xs: np.ndarray,
+                          step: float, c: float,
+                          k2_init: float) -> DiagonalFamily:
+    """Sample the diagonal family on a uniform grid xs of spacing step,
+    anchored at x = 0, where K = k0 and k2 = k2_init.
 
     K comes from one curvature_at call on the grid (the anchor sample is
-    exactly profile.k0), and k2 from the first integral through k2_init at
-    the anchor.  Each way out from the anchor the family stops before the
+    exactly k0), and k2 from the first integral through k2_init at the
+    anchor.  Each way out from the anchor the family stops before the
     first sample whose k2 is not finite, has changed sign, or jumps by more
     than 0.25 |k2| from its neighbour (k2 -> 0 makes k1 = (K-c)/k2 singular
-    and the grid no longer resolves it); a family cut short of the profile
-    range is flagged truncated.
+    and the grid no longer resolves it); a family cut short of the grid is
+    flagged truncated.
     """
     if k2_init == 0:
         raise ValueError("k2_init must be nonzero")
-    xs = profile.xs
     anchor = int(np.argmin(np.abs(xs)))
-    if abs(xs[anchor]) > 1e-9 * profile.step:
+    if abs(xs[anchor]) > 1e-9 * step:
         raise ValueError("profile grid does not contain the anchor x = 0")
-    Ks = curvature_at(profile.params, profile.k0, xs)
-    Ks[anchor] = profile.k0
-    k2s = _k2_of_K(profile.params, c, profile.k0, k2_init, Ks)
+    Ks = curvature_at(params, k0, xs)
+    Ks[anchor] = k0
+    k2s = _k2_of_K(params, c, k0, k2_init, Ks)
 
     def reach(k2: np.ndarray) -> int:
         # the samples of a leg (anchor first) kept before its first bad one
@@ -121,8 +122,16 @@ def solve_codazzi_family(profile: CurvatureProfile, c: float,
     hi_ok = anchor + reach(k2s[anchor:]) - 1
     sl = slice(lo_ok, hi_ok + 1)
     truncated = (lo_ok, hi_ok) != (0, xs.size - 1)
-    return DiagonalFamily(profile.params, float(c), float(k2_init), xs[sl],
-                          Ks[sl], (Ks[sl] - c) / k2s[sl], k2s[sl], truncated)
+    return DiagonalFamily(params, float(c), float(k2_init), xs[sl], Ks[sl],
+                          (Ks[sl] - c) / k2s[sl], k2s[sl], truncated)
+
+
+def solve_codazzi_family(profile: CurvatureProfile, c: float,
+                         k2_init: float) -> DiagonalFamily:
+    """sample_codazzi_family on the profile grid; the profile's K samples
+    are not read, since K comes from the closed form."""
+    return sample_codazzi_family(profile.params, profile.k0, profile.xs,
+                                 profile.step, c, k2_init)
 
 
 def family_shape_field(family: DiagonalFamily, grid: GridDomain) -> ShapeField:
@@ -508,8 +517,13 @@ def verify_immersion(mesh: Mesh, family: DiagonalFamily,
     The induced metric comes from differences of the vertices, the shape
     operator from differences of the stored normals.  The sampled (K, H)
     pairs are grouped per grid column (K is a function of x alone), so
-    single-valuedness of the mean curvature is the column spread.
+    single-valuedness of the mean curvature is the column spread.  A mesh
+    and a family in different ambient spaces (mesh.c != family.c) raise
+    ValueError.
     """
+    if mesh.c != family.c:
+        raise ValueError(f"the mesh lies in the space form c = {mesh.c}, "
+                         f"the family in c = {family.c}")
     nx, ny = mesh.nx, mesh.ny
     forms = recover_fundamental_forms(mesh)
     tables = family_tables(family, mesh.x0, mesh.hx, nx)
@@ -569,90 +583,94 @@ def export_mesh(mesh: Mesh, path):
         fh.write(format_rows("f %d %d %d\n", mesh.faces + 1))
 
 
+# record kind of a line by its first two characters, the stage of the file
+# that kind begins, and the error of a record of that kind in a later stage
+_MESH_KINDS = {"v ": "v", "vn": "vn", "f ": "f"}
+_MESH_STAGE = {"v": 0, "vn": 1, "f": 2}
+_MESH_ORDER = {"v": "vertex after normals or faces",
+               "vn": "normal after faces"}
+
+
 def parse_mesh(path) -> Mesh:
-    """The mesh of a file in any valid layout, each record kind converted in
-    one numpy call; FormatError names the first bad line."""
+    """The mesh of a file in any valid layout; FormatError names the first
+    bad line.
+
+    Each run of lines that begin ``v ``, ``vn`` or ``f `` converts in one
+    numpy call; a run that does not convert or fails a check of its kind,
+    and every other line, is read line by line.
+    """
     lines = read_text(path).split("\n")
     meta: dict = {}
-    # per kind: number tokens, tokens per record, line numbers
-    recs = {"v": ([], [], []), "vn": ([], [], []), "f": ([], [], [])}
+    blocks = {"v": [], "vn": [], "f": []}  # per kind: row arrays, in order
+    rows = dict.fromkeys(blocks, 0)
     stage = 0  # 0: v, 1: vn, 2: f
 
-    def check_record(row, ln, face=False):
-        try:
-            values = list(map(int if face else float, row))
-        except ValueError:
-            raise FormatError(f"bad number in {lines[ln - 1].strip()!r}",
-                              ln) from None
-        if face and not 1 <= min(values) <= max(values) <= len(recs["v"][1]):
-            raise FormatError("face index out of range", ln)
+    def add(kind, arr):
+        nonlocal stage
+        stage = _MESH_STAGE[kind]
+        blocks[kind].append(arr)
+        rows[kind] += len(arr)
 
-    def arrays():
-        """The records read so far, converted and checked.
+    def read_block(kind, run) -> bool:
+        arr = record_block(run, kind, np.int64 if kind == "f" else float)
+        if arr is None or stage > _MESH_STAGE[kind]:
+            return False
+        width = arr.shape[1]
+        if kind == "v" and width not in (3, 4):
+            return False
+        if kind == "f" and not (width == 3 and 1 <= arr.min()
+                                and arr.max() <= rows["v"]):
+            return False
+        add(kind, arr)
+        return True
 
-        v records precede vn records, which precede f records, so checking
-        the kinds in that order finds the first bad record line.  Every v
-        record precedes every f record: the vertex count is each face's.
-        """
-        verts = records_array(*recs["v"], float, check_record)
-        norms = records_array(*recs["vn"], float, check_record)
-        faces = records_array(*recs["f"], np.int64,
-                              lambda row, ln: check_record(row, ln, True))
-        bad = np.flatnonzero((faces < 1) | (faces > len(recs["v"][1])))
-        if bad.size:
-            raise FormatError("face index out of range",
-                              recs["f"][2][bad[0] // 3])
-        return verts, norms, faces
-
-    for ln, raw in enumerate(lines, start=1):
+    def read_line(ln, raw):
         parts = raw.split()
         if not parts:
-            continue
+            return
         kind = parts[0]
+        if kind.startswith("#"):
+            line = raw.strip()
+            if not line[1:].strip().startswith("hcmu-mesh"):
+                meta.update(parse_header_comment(line, ln, ("c",)))
+            return
+        if kind not in _MESH_STAGE:
+            raise FormatError(f"unknown record {kind!r}", ln)
+        if stage > _MESH_STAGE[kind]:
+            raise FormatError(_MESH_ORDER[kind], ln)
+        if kind == "v" and len(parts) not in (4, 5):
+            raise FormatError("vertex needs 3 or 4 coordinates", ln)
+        if kind == "f" and len(parts) != 4:
+            raise FormatError("face needs exactly 3 indices", ln)
         try:
-            if kind == "f":
-                stage = 2
-                if len(parts) != 4:
-                    raise FormatError("face needs exactly 3 indices", ln)
-            elif kind == "v":
-                if stage != 0:
-                    raise FormatError("vertex after normals or faces", ln)
-                if len(parts) not in (4, 5):
-                    raise FormatError("vertex needs 3 or 4 coordinates", ln)
-            elif kind == "vn":
-                if stage > 1:
-                    raise FormatError("normal after faces", ln)
-                stage = 1
-            elif kind.startswith("#"):
-                line = raw.strip()
-                if not line[1:].strip().startswith("hcmu-mesh"):
-                    meta.update(parse_header_comment(line, ln, ("c",)))
-                continue
-            else:
-                raise FormatError(f"unknown record {kind!r}", ln)
-        except FormatError:
-            arrays()  # a bad record on an earlier line comes first
-            raise
-        tokens, widths, lns = recs[kind]
-        tokens += parts[1:]
-        widths.append(len(parts) - 1)
-        lns.append(ln)
-    verts, norms, faces = arrays()
+            values = list(map(int if kind == "f" else float, parts[1:]))
+        except ValueError:
+            raise FormatError(f"bad number in {raw.strip()!r}", ln) from None
+        if kind == "f" and not 1 <= min(values) <= max(values) <= rows["v"]:
+            raise FormatError("face index out of range", ln)
+        add(kind, np.array([values], np.int64 if kind == "f" else float))
+
+    for key, start, stop in line_runs(lines, lambda line: line[:2]):
+        kind = _MESH_KINDS.get(key)
+        if kind is None or not read_block(kind, lines[start:stop]):
+            for ln in range(start + 1, stop + 1):
+                read_line(ln, lines[ln - 1])
     for key in ("nx", "ny", "hx", "hy", "x0", "y0", "c"):
         if key not in meta:
             raise FormatError(f"missing header entry for {key}")
-    n_verts, n_norms = len(recs["v"][1]), len(recs["vn"][1])
+    n_verts, n_norms = rows["v"], rows["vn"]
     if n_norms and n_norms != n_verts:
         raise FormatError("normal count disagrees with vertex count")
-    dim = recs["v"][1][0] if n_verts else (3 if meta["c"] == 0 else 4)
-    if verts is None or norms is None or (n_norms and norms.shape[1] != dim):
+    dim = blocks["v"][0].shape[1] if n_verts else (3 if meta["c"] == 0 else 4)
+    if any(arr.shape[1] != dim for arr in blocks["v"] + blocks["vn"]):
         raise FormatError("inconsistent coordinate dimension")
-    verts = verts.reshape(n_verts, dim)
-    if not n_norms:
-        norms = np.zeros((n_verts, dim))
+    verts = np.concatenate(blocks["v"]) if n_verts else np.zeros((0, dim))
+    norms = (np.concatenate(blocks["vn"]) if n_norms
+             else np.zeros((n_verts, dim)))
+    faces = (np.concatenate(blocks["f"]) if rows["f"]
+             else np.zeros((0, 3), np.int64))
     try:
-        return Mesh(verts, faces.reshape(len(faces), 3) - 1, norms,
-                    meta["nx"], meta["ny"], meta["hx"], meta["hy"],
-                    meta["x0"], meta["y0"], meta["c"])
+        return Mesh(verts, faces - 1, norms, meta["nx"], meta["ny"],
+                    meta["hx"], meta["hy"], meta["x0"], meta["y0"], meta["c"])
     except ValueError as e:  # records that disagree with the grid header
         raise FormatError(str(e)) from None

@@ -4,16 +4,17 @@ All floating-point output uses 17 significant digits, which round-trips IEEE
 doubles bit-identically through decimal.  Every output file is written
 through ``atomic_write``, so a failed write never leaves a partial file.
 Tables go out through one row template per record kind (``format_rows``).
-Each table reader walks the lines of its file once, checking on each line
-only what its text shows (record kind, order, token count), and then
-converts each record kind's tokens in one numpy call (``records_array``).
-A fault found on a line is raised only after the records before it have
-converted and passed their checks, so the error a reader raises is always
-that of the first bad line.
+Each table reader splits its file into runs of lines of one kind
+(``line_runs``) and converts each run of records in one numpy call
+(``record_block``, ``csv_block``).  Only a run that does not convert, or
+fails a check of its kind, and the few lines of no record kind, are read
+line by line, in line order, so the error a reader raises is always that
+of the first bad line.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from contextlib import contextmanager
@@ -81,29 +82,54 @@ def read_text(path, error=FormatError) -> str:
         raise error(f"not UTF-8 text ({e.reason})", ln) from None
 
 
-def records_array(tokens, widths, lns, dtype, check_row):
-    """Records of number tokens as one array of dtype, one row per record.
+def line_runs(lines, key):
+    """(k, start, stop) of each maximal run lines[start:stop] of lines that
+    the function key maps to one value k, in line order."""
+    start = 0
+    for k, run in itertools.groupby(lines, key):
+        stop = start + len(list(run))
+        yield k, start, stop
+        start = stop
 
-    tokens holds the number tokens of all records, in line order; widths
-    holds each record's token count and lns its line number.  Records of
-    one width convert in one numpy call.  Only if their widths differ or
-    that call fails does check_row(row, ln) go over the records in line
-    order, to raise the FormatError of the first bad one.  If it raises
-    for none, the widths differ and the result is None.
+
+def record_block(lines, kind: str, dtype):
+    """The records of a run of lines as one array of dtype, or None.
+
+    Every line must begin with a token that is not a number.  The result
+    has one row per line, the numbers after its first token, and is given
+    only if every first token is kind, every other token converts and the
+    lines hold the same number of tokens.  The check is made on the run's
+    tokens, not line by line: where the other tokens all convert, the
+    first tokens can only sit where the rows begin.
     """
     import numpy as np  # here, so that the exact kernel's files load without it
 
-    shape = set(widths)
-    if len(shape) <= 1:
-        try:
-            return np.array(tokens, dtype).reshape(len(widths), *shape)
-        except (ValueError, OverflowError):
-            pass
-    end = 0
-    for width, ln in zip(widths, lns):
-        start, end = end, end + width
-        check_row(tokens[start:end], ln)
-    return None
+    tokens = " ".join(lines).split()
+    n = len(lines)
+    width = len(tokens) // n
+    if len(tokens) != n * width or tokens[::width].count(kind) != n:
+        return None
+    del tokens[::width]
+    try:
+        return np.array(tokens, dtype).reshape(n, width - 1)
+    except (ValueError, OverflowError):
+        return None
+
+
+def csv_block(lines):
+    """The comma-separated rows of a run of lines as one float array, one
+    row per line, or None where their widths differ or a value does not
+    convert."""
+    import numpy as np
+
+    commas = [line.count(",") for line in lines]
+    if commas.count(commas[0]) != len(commas):
+        return None
+    try:
+        return np.array(",".join(lines).split(","), float).reshape(
+            len(lines), commas[0] + 1)
+    except ValueError:
+        return None
 
 
 def grid_header(nx: int, ny: int, hx: float, hy: float, x0: float,

@@ -234,13 +234,13 @@ def test_realize_verify_chain(tmp_path):
 
 def test_realize_profile_range_follows_the_grid(tmp_path, monkeypatch):
     ranges = []
-    solve = profile.solve_curvature_ode
+    lattice = profile._x_lattice
 
-    def recording_solve(params, k0, x_range, step):
+    def recording_lattice(x_range, step):
         ranges.append(x_range)
-        return solve(params, k0, x_range, step)
+        return lattice(x_range, step)
 
-    monkeypatch.setattr(profile, "solve_curvature_ode", recording_solve)
+    monkeypatch.setattr(profile, "_x_lattice", recording_lattice)
     argv = ["realize", "--k1", "2", "--k2", "1", "--k0", "1.5", "--k2-init",
             "1", "--grid", "21,11,0.002,0.002", "--origin=-0.02,0"]
     derived, fixed = tmp_path / "derived.mesh", tmp_path / "fixed.mesh"
@@ -251,6 +251,35 @@ def test_realize_profile_range_follows_the_grid(tmp_path, monkeypatch):
     assert ranges == [(-x_pad, x_pad), (-2.0, 2.0)]
     # the mesh depends on the grid alone, not on how far the family reaches
     assert derived.read_bytes() == fixed.read_bytes()
+
+
+def test_realize_and_verify_march_no_profile(tmp_path, monkeypatch):
+    def no_march(*args):
+        raise AssertionError("realize and verify take K from the closed form")
+
+    monkeypatch.setattr(profile, "solve_curvature_ode", no_march)
+    args = ["--k1", "2", "--k2", "1", "--c=-1", "--k0", "1.5", "--k2-init",
+            "1"]
+    mesh, rep = str(tmp_path / "surface.mesh"), str(tmp_path / "verify.txt")
+    assert run_cli("realize", *args, "--grid", "21,11,0.002,0.002",
+                   "--origin=-0.02,0", "--out", mesh) == 0
+    assert run_cli("verify", *args, "--mesh", mesh, "--out", rep) == 0
+    assert float(read_kv_lines(rep)["metric_rel_err"]) < 1e-6
+
+
+@pytest.mark.parametrize("x_range", [[], ["--x-min", "-20", "--x-max", "20"]],
+                         ids=["grid-range", "wide-range"])
+def test_a_coarse_realize_step_truncates_the_family(tmp_path, capsys,
+                                                    x_range):
+    # K is closed form, so no step is too large for it (an RK4 profile at
+    # step 0.3 leaves (K2, K1) on [-20, 20]); at this step k2 jumps by more
+    # than a quarter two samples out from the anchor, so the family keeps
+    # 4 samples, too few to difference
+    out = tmp_path / "surface.mesh"
+    assert run_cli("realize", *_K, "--k0", "1.5", "--grid", "8,8,0.01,0.01",
+                   "--step", "0.3", *x_range, "--out", str(out)) == 1
+    assert capsys.readouterr().err == "error: family too short to difference\n"
+    assert not out.exists()
 
 
 def test_check_gc_roundtrip(tmp_path):
@@ -436,6 +465,11 @@ _FAILURES = [
     pytest.param(["realize", *_K, "--grid", "8,8,0.01,0.01",
                   "--k2-init", "1e400"], {}, None, 1, "'k2_init'",
                  id="k2-init-overflow"),
+    pytest.param(["verify", *_K, "--mesh", "s.mesh"],
+                 {"s.mesh": "# nx,ny,hx,hy = 0,0,0.01,0.01\n# origin = 0,0\n"
+                            "# c = -1\n"}, None, 1,
+                 "mesh lies in the space form c = -1.0, the family in c = 0.0",
+                 id="verify-c-disagrees"),
     pytest.param([*_OPT, "--max-iter", "-3"], {}, None, 1, "'max_iter'",
                  id="max-iter-negative"),
     pytest.param([*_OPT, "--seed", "-1"], {}, None, 1, "'seed'",

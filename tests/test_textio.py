@@ -346,10 +346,46 @@ def normal_first(lines):
     lines[4], lines[i] = lines[i], lines[4]
 
 
+# edits at the boundaries of the runs of one record kind
+
+
+def comment_between_runs(lines):
+    lines[10:10] = ["# c = 0"]
+
+
+def blank_between_runs(lines):
+    lines[10:10] = ["", "  "]
+
+
+def no_normals(lines):
+    lines[:] = [line for line in lines if not line.startswith("vn ")]
+
+
+def single_record_runs(lines):
+    lines[:] = [part for line in lines for part in (line, "")]
+
+
+def formfeed_in_first_records(lines):
+    lines[4] = lines[4].replace(" ", " \x0c", 1)
+    lines[10] = lines[10].replace(" ", "\x0c", 1)
+
+
+def underscore_in_first_records(lines):
+    lines[4] = "v 1_0 2 3"
+    lines[16] = "f 0_1 4 2"
+
+
+def wide_vertex_run(lines):
+    lines[7:10] = [line + " 0" for line in lines[7:10]]
+
+
 @pytest.mark.parametrize("edit,fails", [
     (split_record, True), (join_records, True), (five_coordinates, True),
     (quad_faces, True), (normal_first, True), (blank_and_comment, False),
-    (tab_after_kind, False),
+    (tab_after_kind, False), (comment_between_runs, False),
+    (blank_between_runs, False), (no_normals, False),
+    (single_record_runs, False), (formfeed_in_first_records, False),
+    (underscore_in_first_records, False), (wide_vertex_run, True),
 ])
 def test_mesh_layouts_off_the_bulk_path_read_as_line_by_line(tmp_path, edit,
                                                              fails):
@@ -384,6 +420,29 @@ def test_mesh_layouts_off_the_bulk_path_read_as_line_by_line(tmp_path, edit,
     ("profile.csv", {1: "0,x,0,0"}, ["1,2,3"], "line 2: bad float"),
     ("profile.csv", {1: "0,0,0", 2: "x,0,0,0"}, [], "line 2: expected 4"),
     ("profile.csv", {1: "\u2028", 2: "x,0,0,0"}, [], "line 3: bad float"),
+    # at the boundaries of the runs of one record kind
+    ("mesh.txt", {4: "v 1_0 x 0 0"}, [], "line 5: bad number"),
+    ("mesh.txt", {9: "v 1 2 3 x"}, [], "line 10: bad number"),
+    ("mesh.txt", {10: "vn\x0c1_0 1 2 y"}, [], "line 11: bad number"),
+    ("mesh.txt", {10: "# bogus"}, [], "line 11: bad header comment"),
+    ("mesh.txt", {15: "v 1 2 3 4"}, [],
+     "line 16: vertex after normals or faces"),
+    ("mesh.txt", {5: "", 6: "v x 0 0 0", 7: ""}, [], "line 7: bad number"),
+    ("mesh.txt", {16: "f 1 2 7"}, [], "line 17: face index out of range"),
+    ("mesh.txt", {18: "f 0 1 2"}, [], "line 19: face index out of range"),
+    ("mesh.txt", {19: "f 1 2 x"}, [], "line 20: bad number"),
+    ("mesh.txt", {12: "vnx 1 2 3 4"}, [], "line 13: unknown record 'vnx'"),
+    ("h11.csv", {9: "1,1,1"}, [], "line 10: row has 3 values"),
+    ("h11.csv", {5: "", 6: "1,1"}, [], "line 7: row has 2 values"),
+    ("h11.csv", {8: "1,1,1,1,1,1,1,1,1,1", 9: "1,1,1,1,1,1"}, [],
+     "line 9: row has 10 values"),
+    ("h11.csv", {5: "# c = 0", 6: "1,x,1,1,1,1,1,1"}, [],
+     "line 6: unknown header key"),
+    ("h11.csv", {5: "", 6: "1_0,x,1,1,1,1,1,1"}, [], "line 7: bad float"),
+    ("profile.csv", {}, ["1,2,3,4", "", "1,x,3,4"], "line 6: bad float"),
+    ("profile.csv", {}, ["1,2,3,4,5"], "line 4: expected 4 columns, got 5"),
+    ("profile.csv", {1: "0,0,0", 2: "0,0,0"}, [],
+     "line 2: expected 4 columns, got 3"),
 ])
 def test_the_first_bad_line_is_the_one_reported(tmp_path, name, edit, added,
                                                 error):
