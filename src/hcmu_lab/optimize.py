@@ -11,7 +11,10 @@ discrete L2(domain) norms and survive grid refinement unchanged.
 The Codazzi block of the Jacobian is constant and read once off
 ``fields.codazzi_residual``, the one statement of the stencil, by probing it
 with one field per component and node class; the Gauss block is affine in
-the unknowns and rebuilt per iteration.  Steps solve
+the unknowns and rebuilt per iteration.  No J is stacked: g = J^T r is one
+``np.bincount`` over the Gauss entries, node order, and then the Codazzi
+entries in CSR order, the order in which the sparse product sums each
+component, so g is that product bit for bit.  Steps solve
 (J^T J + lam I) d = -J^T r.  That matrix is symmetric positive definite and,
 in that order of the unknowns, banded: a Codazzi row couples the nodes on
 either side of its own, so the half-bandwidth is 2 m min(nx, ny) and the
@@ -153,7 +156,7 @@ class ResidualReport:
 
 
 class _Problem:
-    """Residual/Jacobian assembly for one grid and constraint."""
+    """Residual, Jacobian blocks and gradient for one grid and constraint."""
 
     def __init__(self, grid: GridDomain, c: float, constraint: TraceConstraint):
         _bind_scipy()
@@ -165,6 +168,13 @@ class _Problem:
         self.w = np.sqrt(grid.hx * grid.hy)
         self.trace = constraint.trace_target()
         self._jc = self._assemble_codazzi_jacobian()
+        # g = J^T r sums into column j the Gauss entry first, then J_c's
+        # entries in CSR order: the order of the sparse product J^T r
+        jc = self._jc
+        self._grad_cols = np.concatenate([np.arange(self.m * self.N),
+                                          jc.indices])
+        self._jc_rows = self.N + np.repeat(np.arange(jc.shape[0]),
+                                           np.diff(jc.indptr))
 
     # -- packing -------------------------------------------------------------
 
@@ -259,12 +269,12 @@ class _Problem:
             rows = [h[0] - (self.trace - h[0]), 2.0 * h[1]]
         return self.w * np.stack(rows)
 
-    def jacobian(self, u: np.ndarray) -> sparse.csr_matrix:
-        n = self.m * self.N
-        Jg = sparse.csr_matrix((self.gauss_rows(u).T.ravel(), np.arange(n),
-                                np.arange(0, n + 1, self.m)),
-                               shape=(self.N, n))
-        return sparse.vstack([Jg, self._jc], format="csr")
+    def gradient(self, rows: np.ndarray, r: np.ndarray) -> np.ndarray:
+        """g = J^T r from the Gauss rows of the iterate and its residual r,
+        as one bincount over J's entries in the sparse product's order."""
+        w = np.concatenate([(rows * r[:self.N]).T.ravel(),
+                            self._jc.data * r[self._jc_rows]])
+        return np.bincount(self._grad_cols, w, minlength=self.m * self.N)
 
 
 class _BandedNormal:
@@ -359,9 +369,9 @@ def _gauss_newton(problem: _Problem, u0: np.ndarray, tol: float,
         elif iterations >= max_iter:
             stop = "max_iter"
         else:
-            g = problem.jacobian(u).T @ r
-            gg = float(g @ g)
             rows = problem.gauss_rows(u)
+            g = problem.gradient(rows, r)
+            gg = float(g @ g)
             while lam <= _LAM_MAX:
                 # the step's predicted decrease is at most 2 |g|^2 / lam, so
                 # a trial whose bound F cannot resolve is rejected unfactored

@@ -39,3 +39,17 @@ def fraction_sqrt(q: Fraction) -> Fraction | None:
     if rn * rn == n and rd * rd == d:
         return Fraction(rn, rd)
     return None
+
+
+def lm_jacobian(problem, u):
+    """The LM problem's sparse Jacobian J = [J_g; J_c] at u, stacked from its
+    Gauss rows (one row per node, on the node's m consecutive unknowns) and
+    its constant Codazzi block."""
+    import numpy as np
+    from scipy import sparse
+
+    n = problem.m * problem.N
+    Jg = sparse.csr_matrix((problem.gauss_rows(u).T.ravel(), np.arange(n),
+                            np.arange(0, n + 1, problem.m)),
+                           shape=(problem.N, n))
+    return sparse.vstack([Jg, problem._jc], format="csr")

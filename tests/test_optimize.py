@@ -22,6 +22,8 @@ from hcmu_lab.optimize import (
 from hcmu_lab.profile import solve_curvature_ode, validate_params
 from hcmu_lab.realize import family_shape_field, solve_codazzi_family
 
+from conftest import lm_jacobian
+
 PARAMS = validate_params(2, 1)
 
 
@@ -116,19 +118,19 @@ def test_no_trial_is_factored_whose_decrease_bound_is_under_the_floor(
                              origin=(-n * 0.005, 0.0))
     problem = _Problem(grid, 0.0, TraceConstraint("minimal"))
     iterates, trials = [], []
-    jacobian = problem.jacobian
+    gauss_rows = problem.gauss_rows
     step = optimize._damped_step
 
-    def recording_jacobian(u):
+    def recording_rows(u):
         iterates.append(u.copy())
         trials.append([])
-        return jacobian(u)
+        return gauss_rows(u)
 
     def recording_step(normal, g, lam, rows):
         trials[-1].append((g.copy(), lam))
         return step(normal, g, lam, rows)
 
-    monkeypatch.setattr(problem, "jacobian", recording_jacobian)
+    monkeypatch.setattr(problem, "gauss_rows", recording_rows)
     monkeypatch.setattr(optimize, "_damped_step", recording_step)
     run = optimize._gauss_newton(problem, problem.random_init(seed), 1e-8,
                                  30, 1e-3)
@@ -146,7 +148,7 @@ def test_no_trial_is_factored_whose_decrease_bound_is_under_the_floor(
         # the run ends on a trial it did not factor, at the damping it
         # returns, whose bound is under the floor
         u = iterates[-1]
-        g = jacobian(u).T @ problem.residual(u)
+        g = problem.gradient(gauss_rows(u), problem.residual(u))
         assert run.lam not in [lam for _, lam in trials[-1]]
         assert bound_over_floor(u, g, run.lam) <= 1.0
     else:
@@ -315,7 +317,7 @@ def test_damped_step_matches_a_dense_solve(constraint, lam):
                              origin=(-0.06, 0.0))
     problem = _Problem(grid, 0.0, TraceConstraint(constraint))
     u = problem.random_init(0)
-    J = problem.jacobian(u)
+    J = lm_jacobian(problem, u)
     g = J.T @ problem.residual(u)
     A = (J.T @ J).toarray() + lam * np.eye(u.size)
     step = _damped_step(_BandedNormal(problem), g, lam, problem.gauss_rows(u))
@@ -337,7 +339,7 @@ def test_band_assembly_equals_the_normal_matrix(constraint, nx, ny):
                              origin=(-0.04, 0.0))
     problem = _Problem(grid, 0.0, TraceConstraint(constraint))
     u = problem.random_init(2)
-    J = problem.jacobian(u)
+    J = lm_jacobian(problem, u)
     lam = 1e-3
     normal = _BandedNormal(problem)
     # node-major along the shorter axis: a Codazzi row spans two node steps
@@ -360,7 +362,7 @@ def test_jacobian_is_the_derivative_of_the_residual(constraint, nx, ny):
     u = problem.random_init(3)
     delta = 0.1 * problem.random_init(4)
     r = problem.residual(u)
-    gap = problem.residual(u + delta) - r - problem.jacobian(u) @ delta
+    gap = problem.residual(u + delta) - r - lm_jacobian(problem, u) @ delta
     # the residual is quadratic in the unknowns: what J misses is the Gauss
     # term -w (d11 d22 - d12^2) of each node, whose m unknowns are consecutive
     d = delta.reshape(-1, problem.m).T

@@ -1,7 +1,8 @@
 """Property tests: the K(x) oracle, the admissibility rule, polynomial
 division and gcd, Sturm counts, the grid header codec, the closed forms
-that check the diagonal family and the minimal-ansatz transport, and the
-bound on a damped step's predicted decrease."""
+that check the diagonal family and the minimal-ansatz transport, the bound
+on a damped step's predicted decrease and the LM gradient's summation
+order."""
 
 import cmath
 import math
@@ -23,6 +24,8 @@ from hcmu_lab.profile import (curvature_at, implicit_x_of_K, rk4_step,
 from hcmu_lab.realize import solve_codazzi_family
 from hcmu_lab.ratpoly import RationalPoly, count_roots_between, isolate_roots, poly_gcd
 from hcmu_lab.textio import grid_header, parse_grid_header
+
+from conftest import lm_jacobian
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -481,9 +484,28 @@ def test_a_damped_step_predicts_at_most_twice_g_squared_over_lam(
     grid = GridDomain.create(params, k0, nx, ny, h, h, (-nx * h / 2, 0.0))
     problem = _Problem(grid, params.k1, TraceConstraint.parse(constraint))
     u = problem.random_init(seed)
-    g = problem.jacobian(u).T @ problem.residual(u)
+    rows = problem.gauss_rows(u)
+    g = problem.gradient(rows, problem.residual(u))
     lam = 10.0 ** log_lam
-    d = _damped_step(_BandedNormal(problem), g, lam, problem.gauss_rows(u))
+    d = _damped_step(_BandedNormal(problem), g, lam, rows)
     pred = float(d @ (lam * d - g))
     slack = 3 * g.size * np.finfo(float).eps
     assert pred <= 2.0 * float(g @ g) / lam * (1.0 + slack)
+
+
+@PROPERTY
+@given(profiles(), st.integers(8, 13), st.integers(8, 13),
+       st.sampled_from(["none", "minimal", "cmc:0.5"]), st.floats(-5.0, -1.0),
+       st.integers(0, 2**16), st.floats(-2.0, 2.0))
+def test_the_lm_gradient_is_the_sparse_product_bit_for_bit(
+        prof, nx, ny, constraint, log_h, seed, c):
+    # one bincount over the Gauss entries and then J_c's in CSR order sums
+    # each component in the order of the sparse product J^T r
+    params, k0 = prof
+    h = 10.0 ** log_h / params.k1 ** 2
+    grid = GridDomain.create(params, k0, nx, ny, h, h, (-nx * h / 2, 0.0))
+    problem = _Problem(grid, c, TraceConstraint.parse(constraint))
+    u = problem.random_init(seed)
+    r = problem.residual(u)
+    g = problem.gradient(problem.gauss_rows(u), r)
+    assert g.tobytes() == (lm_jacobian(problem, u).T @ r).tobytes()
