@@ -1,4 +1,4 @@
-"""Damped Gauss-Newton minimization of the Gauss/Codazzi defect.
+"""Damped Newton/Gauss-Newton minimization of the Gauss/Codazzi defect.
 
 The unknowns are the shape-field components at every node (m = 2
 components when a trace constraint eliminates h22, m = 3 otherwise), packed
@@ -15,17 +15,28 @@ the unknowns and rebuilt per iteration.  No J is stacked: g = J^T r is one
 ``np.bincount`` over the Gauss entries, node order, and then the Codazzi
 entries in CSR order, the order in which the sparse product sums each
 component, so g is that product bit for bit.  Steps solve
-(J^T J + lam I) d = -J^T r.  That matrix is symmetric positive definite and,
-in that order of the unknowns, banded: a Codazzi row couples the nodes on
-either side of its own, so the half-bandwidth is 2 m min(nx, ny) and the
-step needs no permutation.  It is factored by LAPACK's band
-Cholesky (``dpbtrf`` through ``scipy.linalg.cholesky_banded``) in one
-Fortran-ordered band buffer per run, overwritten by every factorization.
-J^T J = J_c^T J_c + J_g^T J_g is assembled there without forming it as a
-sparse product: the constant Codazzi part is mapped to band positions once
-per problem, and each factorization scatters it, adds one m x m outer
-product of the Gauss row per node and adds lam on the diagonal (LAPACK
-Users' Guide, ``xPBTRF``).  A factorization that finds the matrix not
+(J^T J + S + lam I) d = -J^T r.  With m = 3, S = 0: Gauss-Newton, since
+the Gauss residual's Hessian in (h11, h12, h22) is indefinite.  With m = 2
+the model is Newton's: node k's residual r_k = w (K - c - t h11 + h11^2 +
+h12^2), t the trace, has the Hessian 2 w I in its two unknowns, so the
+exact term S = sum_k r_k Hess r_k adds 2 w r_k to the node's two diagonal
+entries.  It is clipped at r_k = 0, which keeps S positive semidefinite.
+Where K - c - H^2 > 0 at every node, as on the contrast grid, the floor
+is a large residual, and Gauss-Newton converges there only linearly
+(Nocedal & Wright 2006, *Numerical Optimization*, ch. 10); NL2SOL adds S
+for such problems (Dennis, Gay & Welsch 1981, *ACM TOMS* 7), and here S
+is exact and block-diagonal, so no quasi-Newton update is needed.  The
+matrix is symmetric positive definite and, in that order of the unknowns,
+banded: a Codazzi row couples the nodes on either side of its own, so the
+half-bandwidth is 2 m min(nx, ny) and the step needs no permutation.  It
+is factored by LAPACK's band Cholesky (``dpbtrf`` through
+``scipy.linalg.cholesky_banded``) in one Fortran-ordered band buffer per
+run, overwritten by every factorization.  J^T J = J_c^T J_c + J_g^T J_g is
+assembled there without forming it as a sparse product: the constant
+Codazzi part is mapped to band positions once per problem, and each
+factorization scatters it, adds one m x m outer product of the Gauss row
+per node and adds S and lam on the diagonal (LAPACK Users' Guide,
+``xPBTRF``).  A factorization that finds the matrix not
 positive definite counts as a rejected step.
 
 The damping lam follows the gain-ratio rule of Nielsen (1999) and Madsen,
@@ -35,9 +46,10 @@ where rho is the actual over the predicted decrease, and a rejected step
 multiplies lam by nu, which doubles with every rejection in a row.  Only
 improving steps are taken, so the residual never increases.  A rejected
 step whose predicted decrease d . (lam d - g), g = J^T r, is at most
-8 eps |r|^2 ends the run on its floor (ibid., section 3): the linear model
-has no decrease left that |r|^2 can resolve, and more damping would only
-shorten a step that already fails.  With A = J^T J that decrease is
+8 eps |r|^2 ends the run on its floor (ibid., section 3): the model has
+no decrease left that |r|^2 can resolve, and more damping would only
+shorten a step that already fails.  With A = J^T J + S, positive
+semidefinite, and d = -(A + lam I)^-1 g that decrease is
 g^T (A + lam I)^-1 g + lam |d|^2 <= 2 |g|^2 / lam (ibid., section 3.2), so
 a trial whose bound is at most 8 eps |r|^2 is not factored: it counts as a
 rejected step and ends the run on its floor.  The 2x refinement run starts
@@ -269,6 +281,19 @@ class _Problem:
             rows = [h[0] - (self.trace - h[0]), 2.0 * h[1]]
         return self.w * np.stack(rows)
 
+    def second_order(self, r: np.ndarray) -> np.ndarray | None:
+        """The diagonal of S = sum_k r_k H_k, H_k the Hessian of node k's
+        Gauss residual, per node and clipped at 0; None with m = 3.
+
+        With m = 2 node k's residual w (K - c - t h11 + h11^2 + h12^2) has
+        H_k = 2 w I on its two unknowns, so S adds 2 w r_k to both of their
+        diagonal entries.  Clipping r_k at 0 keeps S positive semidefinite.
+        With m = 3, H_k is indefinite, and the model stays Gauss-Newton's.
+        """
+        if self.m == 3:
+            return None
+        return 2.0 * self.w * np.maximum(r[:self.N], 0.0)
+
     def gradient(self, rows: np.ndarray, r: np.ndarray) -> np.ndarray:
         """g = J^T r from the Gauss rows of the iterate and its residual r,
         as one bincount over J's entries in the sparse product's order."""
@@ -304,33 +329,40 @@ class _BandedNormal:
         self._const_pos = c.astype(np.int64) * (self.kd + 1) + (r - c)
         del r, c
         # entry (a, b), a >= b, of node k's outer product: ab[a - b, m k + b]
+        self.m = m
         self._pairs = [(a, b, np.arange(b, n, m, dtype=np.int64)
                         * (self.kd + 1) + (a - b))
                        for a in range(m) for b in range(a + 1)]
         self._buf = np.zeros(n * (self.kd + 1))
         self.ab = self._buf.reshape(n, self.kd + 1).T
 
-    def assemble(self, lam: float, rows: np.ndarray) -> np.ndarray:
-        """Fill the buffer with C + sum_k v_k v_k^T + lam I, rows[a, k] = v_k[a]."""
+    def assemble(self, lam: float, rows: np.ndarray,
+                 second: np.ndarray | None) -> np.ndarray:
+        """Fill the buffer with C + sum_k v_k v_k^T + S + lam I, rows[a, k] =
+        v_k[a] and S the diagonal that is ``second[k]`` on node k's m
+        unknowns (no S when ``second`` is None)."""
         buf = self._buf
         buf.fill(0.0)
         buf[self._const_pos] = self._const_val
         for a, b, pos in self._pairs:
             buf[pos] += rows[a] * rows[b]
+        if second is not None:
+            self.ab[0] += np.repeat(second, self.m)
         self.ab[0] += lam
         return self.ab
 
 
 def _damped_step(normal: _BandedNormal, g: np.ndarray, lam: float,
-                 rows: np.ndarray) -> np.ndarray:
-    """The step d solving (J^T J + lam I) d = -g, by banded Cholesky.
+                 rows: np.ndarray, second: np.ndarray | None) -> np.ndarray:
+    """The step d solving (J^T J + S + lam I) d = -g, by banded Cholesky.
 
-    ``normal`` is the problem's `_BandedNormal` and ``rows`` its current
-    Gauss rows; ``g`` and the step are in the problem's order of unknowns,
-    which is the band order.  The band buffer is factored in place.  Raises
-    LinAlgError when the matrix is not numerically positive definite.
+    ``normal`` is the problem's `_BandedNormal`, ``rows`` its current Gauss
+    rows and ``second`` its `_Problem.second_order` term S (None: S = 0);
+    ``g`` and the step are in the problem's order of unknowns, which is the
+    band order.  The band buffer is factored in place.  Raises LinAlgError
+    when the matrix is not numerically positive definite.
     """
-    cb = cholesky_banded(normal.assemble(lam, rows), overwrite_ab=True,
+    cb = cholesky_banded(normal.assemble(lam, rows, second), overwrite_ab=True,
                          lower=True, check_finite=False)
     return cho_solve_banded((cb, True), -g, overwrite_b=True,
                             check_finite=False)
@@ -372,6 +404,7 @@ def _gauss_newton(problem: _Problem, u0: np.ndarray, tol: float,
             rows = problem.gauss_rows(u)
             g = problem.gradient(rows, r)
             gg = float(g @ g)
+            second = problem.second_order(r)
             while lam <= _LAM_MAX:
                 # the step's predicted decrease is at most 2 |g|^2 / lam, so
                 # a trial whose bound F cannot resolve is rejected unfactored
@@ -381,7 +414,7 @@ def _gauss_newton(problem: _Problem, u0: np.ndarray, tol: float,
                     break
                 factorizations += 1
                 try:
-                    delta = _damped_step(normal, g, lam, rows)
+                    delta = _damped_step(normal, g, lam, rows, second)
                 except LinAlgError:
                     rejected += 1
                     lam, nu = lam * nu, 2.0 * nu
@@ -393,7 +426,7 @@ def _gauss_newton(problem: _Problem, u0: np.ndarray, tol: float,
                 if not np.all(np.isfinite(r_try)):
                     raise NonFiniteIterate("optimizer diverged to non-finite residual")
                 F_try = float(r_try @ r_try)
-                # the linear model's predicted decrease of |r|^2
+                # the model's predicted decrease of |r|^2
                 pred = float(delta @ (lam * delta - g))
                 if F_try < F:
                     rho = (F - F_try) / pred

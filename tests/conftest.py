@@ -53,3 +53,29 @@ def lm_jacobian(problem, u):
                             np.arange(0, n + 1, problem.m)),
                            shape=(problem.N, n))
     return sparse.vstack([Jg, problem._jc], format="csr")
+
+
+def lm_second_order(problem, u):
+    """The LM model's second-order term S at u as a dense matrix.
+
+    With m = 2 it is sum_k max(r_k, 0) H_k over the nodes' weighted Gauss
+    residuals r_k, H_k the Hessian of r_k, read here off the Gauss rows by
+    differencing: they are affine in u, so a unit step gives H_k to
+    rounding.  With m = 3 the model is Gauss-Newton's, S = 0.
+    """
+    import numpy as np
+
+    n = problem.m * problem.N
+    S = np.zeros((n, n))
+    if problem.m == 3:
+        return S
+    r = np.maximum(problem.residual(u)[:problem.N], 0.0)
+    rows = problem.gauss_rows(u)
+    node = np.arange(problem.N) * problem.m
+    for b in range(problem.m):
+        e = np.zeros(n)
+        e[node + b] = 1.0
+        H = problem.gauss_rows(u + e) - rows    # H[a, k] = H_k[a, b]
+        for a in range(problem.m):
+            S[node + a, node + b] = r * H[a]
+    return S

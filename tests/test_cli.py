@@ -206,7 +206,7 @@ def test_optimize_reports_floor(tmp_path):
                               "factorizations", "rejected_steps",
                               "stop_reason_24x24"]
     assert rep["stop_reason"] == "floor"
-    assert (rep["factorizations"], rep["rejected_steps"]) == ("10", "2")
+    assert (rep["factorizations"], rep["rejected_steps"]) == ("9", "2")
     assert rep["stop_reason_24x24"] in {"converged", "stalled", "max_iter",
                                         "floor", "lam_max"}
     assert int(rep["factorizations"]) > int(rep["rejected_steps"]) >= 0

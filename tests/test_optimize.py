@@ -22,7 +22,7 @@ from hcmu_lab.optimize import (
 from hcmu_lab.profile import solve_curvature_ode, validate_params
 from hcmu_lab.realize import family_shape_field, solve_codazzi_family
 
-from conftest import lm_jacobian
+from conftest import lm_jacobian, lm_second_order
 
 PARAMS = validate_params(2, 1)
 
@@ -68,11 +68,12 @@ def test_minimal_constraint_floors_and_persists():
     # constraint respected on the returned field
     assert np.max(np.abs(fld.h11 + fld.h22)) < 1e-12
     # on the floor a trial whose predicted decrease is bounded, by 2 |g|^2 /
-    # lam, below what F resolves is rejected unfactored and ends the run: 10
-    # factorizations over both grids, where factoring that trial needed 12
-    # and walking the damping up to its cap needed 33
+    # lam, below what F resolves is rejected unfactored and ends the run: 9
+    # factorizations over both grids with the Newton term, where
+    # Gauss-Newton needed 10, factoring that trial 12 and walking the
+    # damping up to its cap 33
     assert rep.stop_reason == "floor"
-    assert rep.factorizations == 10
+    assert rep.factorizations == 9
     assert rep.rejected_steps == 2
 
 
@@ -109,11 +110,11 @@ def test_a_floor_stop_follows_a_rejected_step_at_the_closed_form_floor():
 
 
 @pytest.mark.parametrize("n, seed, stop", [(16, 3, "floor"),
-                                           (32, 0, "stalled")])
+                                           (32, 0, "floor")])
 def test_no_trial_is_factored_whose_decrease_bound_is_under_the_floor(
         monkeypatch, n, seed, stop):
-    # the 16x16 run ends on the bound; the 32x32 run factors a trial whose
-    # bound 2 |g|^2 / lam is 1.17 x 8 eps F, the nearest above, and stalls
+    # with the Newton term both runs reach the floor in 8 accepted steps and
+    # end on the bound: a trial whose 2 |g|^2 / lam is under 8 eps F
     grid = GridDomain.create(PARAMS, 1.5, n, n, 0.01, 0.01,
                              origin=(-n * 0.005, 0.0))
     problem = _Problem(grid, 0.0, TraceConstraint("minimal"))
@@ -126,16 +127,17 @@ def test_no_trial_is_factored_whose_decrease_bound_is_under_the_floor(
         trials.append([])
         return gauss_rows(u)
 
-    def recording_step(normal, g, lam, rows):
+    def recording_step(normal, g, lam, *rest):
         trials[-1].append((g.copy(), lam))
-        return step(normal, g, lam, rows)
+        return step(normal, g, lam, *rest)
 
     monkeypatch.setattr(problem, "gauss_rows", recording_rows)
     monkeypatch.setattr(optimize, "_damped_step", recording_step)
     run = optimize._gauss_newton(problem, problem.random_init(seed), 1e-8,
                                  30, 1e-3)
     assert run.stop_reason == stop
-    assert run.factorizations == sum(map(len, trials))
+    assert run.factorizations == sum(map(len, trials)) == 8
+    assert run.rejected_steps == 1
 
     def bound_over_floor(u, g, lam):
         r = problem.residual(u)
@@ -144,15 +146,12 @@ def test_no_trial_is_factored_whose_decrease_bound_is_under_the_floor(
     ratios = [bound_over_floor(u, g, lam)
               for u, made in zip(iterates, trials) for g, lam in made]
     assert min(ratios) > 1.0
-    if stop == "floor":
-        # the run ends on a trial it did not factor, at the damping it
-        # returns, whose bound is under the floor
-        u = iterates[-1]
-        g = problem.gradient(gauss_rows(u), problem.residual(u))
-        assert run.lam not in [lam for _, lam in trials[-1]]
-        assert bound_over_floor(u, g, run.lam) <= 1.0
-    else:
-        assert min(ratios) < 2.0
+    # the run ends on a trial it did not factor, at the damping it returns,
+    # whose bound is under the floor
+    u = iterates[-1]
+    g = problem.gradient(gauss_rows(u), problem.residual(u))
+    assert trials[-1] == []
+    assert bound_over_floor(u, g, run.lam) <= 1.0
 
 
 @pytest.mark.parametrize("seeded", [False, True])
@@ -170,9 +169,9 @@ def test_the_refinement_run_starts_from_the_refined_coarse_solution(
         runs.append(solve(problem, u0, tol, max_iter, lam))
         return runs[-1]
 
-    def recording_step(normal, g, lam, rows):
+    def recording_step(normal, g, lam, *rest):
         lams.append(lam)
-        return step(normal, g, lam, rows)
+        return step(normal, g, lam, *rest)
 
     monkeypatch.setattr(optimize, "_gauss_newton", recording_solve)
     monkeypatch.setattr(optimize, "_damped_step", recording_step)
@@ -310,17 +309,23 @@ def test_non_finite_seed_is_reported():
                              init_field=bad, refine=False)
 
 
-@pytest.mark.parametrize("constraint", ["minimal", "none"])   # m = 2, 3
+# m = 2 with Gauss residuals of one sign and of both signs, and m = 3
+NEWTON_CASES = ["minimal", "cmc:2", "none"]
+
+
+@pytest.mark.parametrize("constraint", NEWTON_CASES)
 @pytest.mark.parametrize("lam", [1e-3, 1e-14])
 def test_damped_step_matches_a_dense_solve(constraint, lam):
     grid = GridDomain.create(PARAMS, 1.5, 12, 12, 0.01, 0.01,
                              origin=(-0.06, 0.0))
-    problem = _Problem(grid, 0.0, TraceConstraint(constraint))
+    problem = _Problem(grid, 0.0, TraceConstraint.parse(constraint))
     u = problem.random_init(0)
     J = lm_jacobian(problem, u)
-    g = J.T @ problem.residual(u)
-    A = (J.T @ J).toarray() + lam * np.eye(u.size)
-    step = _damped_step(_BandedNormal(problem), g, lam, problem.gauss_rows(u))
+    r = problem.residual(u)
+    g = J.T @ r
+    A = (J.T @ J).toarray() + lm_second_order(problem, u) + lam * np.eye(u.size)
+    step = _damped_step(_BandedNormal(problem), g, lam, problem.gauss_rows(u),
+                        problem.second_order(r))
     # backward error at the level of a dense LU's (about 1e-15 here)
     assert np.linalg.norm(A @ step + g) <= 1e-12 * np.linalg.norm(g)
     # forward error: J^T J is singular to working precision, so at
@@ -332,23 +337,29 @@ def test_damped_step_matches_a_dense_solve(constraint, lam):
         assert np.linalg.norm(step - dense) <= 1e-10 * np.linalg.norm(dense)
 
 
-@pytest.mark.parametrize("constraint", ["minimal", "none"])   # m = 2, 3
+@pytest.mark.parametrize("constraint", NEWTON_CASES)
 @pytest.mark.parametrize("nx, ny", [(8, 12), (12, 8)])
 def test_band_assembly_equals_the_normal_matrix(constraint, nx, ny):
     grid = GridDomain.create(PARAMS, 1.5, nx, ny, 0.01, 0.01,
                              origin=(-0.04, 0.0))
-    problem = _Problem(grid, 0.0, TraceConstraint(constraint))
+    problem = _Problem(grid, 0.0, TraceConstraint.parse(constraint))
     u = problem.random_init(2)
     J = lm_jacobian(problem, u)
+    rg = problem.residual(u)[:problem.N]
+    if constraint == "cmc:2":
+        # K - c - H^2 < 0: the clip at 0 acts on some nodes and not others
+        assert np.min(rg) < 0.0 < np.max(rg)
     lam = 1e-3
     normal = _BandedNormal(problem)
     # node-major along the shorter axis: a Codazzi row spans two node steps
     assert normal.kd == 2 * problem.m * min(nx, ny)
-    ab = normal.assemble(lam, problem.gauss_rows(u))
+    ab = normal.assemble(lam, problem.gauss_rows(u),
+                         problem.second_order(problem.residual(u)))
     n = u.size
     lower = sum(np.diag(ab[d, :n - d], -d) for d in range(normal.kd + 1))
     band = lower + np.tril(lower, -1).T
-    expected = (J.T @ J).toarray() + lam * np.eye(n)
+    expected = ((J.T @ J).toarray() + lm_second_order(problem, u)
+                + lam * np.eye(n))
     assert np.allclose(band, expected, rtol=0,
                        atol=1e-14 * np.max(np.abs(expected)))
 
@@ -413,9 +424,9 @@ def test_a_failed_factorization_is_a_rejected_step(monkeypatch):
             raise LinAlgError("1-th leading minor not positive definite")
         return factor(*args, **kwargs)
 
-    def recording_step(normal, g, lam, rows):
+    def recording_step(normal, g, lam, *rest):
         lams.append(lam)
-        return step(normal, g, lam, rows)
+        return step(normal, g, lam, *rest)
 
     monkeypatch.setattr(optimize, "cholesky_banded", failing_once)
     monkeypatch.setattr(optimize, "_damped_step", recording_step)

@@ -473,21 +473,26 @@ def test_ansatz_transport_around_a_rectangle_matches_its_closed_form(case,
        st.integers(0, 2**16), st.floats(-10.0, 6.0))
 def test_a_damped_step_predicts_at_most_twice_g_squared_over_lam(
         prof, nx, ny, constraint, log_h, seed, log_lam):
-    # with A = J^T J and d = -(A + lam I)^-1 g, d . (lam d - g) =
-    # d^T (A + 2 lam I) d <= 2 |g|^2 / lam, tight as lam / |A| grows: the
-    # bound on which the LM declines to factor a trial.  The slack is
-    # rounding: n eps for each of the two n-term dot products, pred's and
-    # |g|^2's, and (kd + 2) eps <= n eps for the band Cholesky's backward
-    # error where lam dominates A, the one regime where the bound is tight.
+    # with A = J^T J + S, S the clipped second-order term (positive
+    # semidefinite; 0 with m = 3), and d = -(A + lam I)^-1 g, the model's
+    # decrease d . (lam d - g) = d^T (A + 2 lam I) d <= 2 |g|^2 / lam, tight
+    # as lam / |A| grows: the bound on which the LM declines to factor a
+    # trial.  The slack is rounding: n eps for each of the two n-term dot
+    # products, pred's and |g|^2's, and (kd + 2) eps <= n eps for the band
+    # Cholesky's backward error where lam dominates A, the one regime where
+    # the bound is tight.  With c = K1 above every K of the grid, a Gauss
+    # residual K - c - det h can take either sign, so the clip acts.
     params, k0 = prof
     h = 10.0 ** log_h / params.k1 ** 2
     grid = GridDomain.create(params, k0, nx, ny, h, h, (-nx * h / 2, 0.0))
     problem = _Problem(grid, params.k1, TraceConstraint.parse(constraint))
     u = problem.random_init(seed)
     rows = problem.gauss_rows(u)
-    g = problem.gradient(rows, problem.residual(u))
+    r = problem.residual(u)
+    g = problem.gradient(rows, r)
     lam = 10.0 ** log_lam
-    d = _damped_step(_BandedNormal(problem), g, lam, rows)
+    d = _damped_step(_BandedNormal(problem), g, lam, rows,
+                     problem.second_order(r))
     pred = float(d @ (lam * d - g))
     slack = 3 * g.size * np.finfo(float).eps
     assert pred <= 2.0 * float(g @ g) / lam * (1.0 + slack)
