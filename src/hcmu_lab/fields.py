@@ -167,7 +167,7 @@ class ShapeField:
         target = self.constraint.trace_target()
         if target is not None:
             gap = np.max(np.abs(self.h11 + self.h22 - target))
-            if gap > 1e-12:
+            if not gap <= 1e-12:  # a NaN gap fails too
                 raise ValueError(
                     f"trace constraint violated by {gap:.3e} "
                     f"(target {target})"

@@ -111,6 +111,21 @@ _LAM_START = 1e-3
 _LAM_MIN = 1e-14
 _LAM_MAX = 1e12
 _FLOOR_EPS = 8.0 * np.finfo(float).eps
+# The cap on the doubles of one LM band buffer (512 MiB).  With the 2x
+# refinement it admits square grids up to 101x101 at m = 2 and 77x77 at
+# m = 3; the 32x32 grids in use need at most 4.7M doubles on their 2x grid.
+MAX_BAND_DOUBLES = 2 ** 26
+
+
+def _unknowns_per_node(constraint: TraceConstraint) -> int:
+    """m: h11, h12 and h22, or h11 and h12 where a trace fixes h22."""
+    return 3 if constraint.kind == "none" else 2
+
+
+def _band_doubles(m: int, nx: int, ny: int) -> int:
+    """The doubles of the band buffer of an nx x ny grid, m N (kd + 1),
+    with the half-bandwidth kd = 2 m min(nx, ny)."""
+    return m * nx * ny * (2 * m * min(nx, ny) + 1)
 
 
 @dataclass(frozen=True)
@@ -176,7 +191,7 @@ class _Problem:
         self.c = c
         self.constraint = constraint
         self.N = grid.nx * grid.ny
-        self.m = 3 if constraint.kind == "none" else 2
+        self.m = _unknowns_per_node(constraint)
         self.w = np.sqrt(grid.hx * grid.hy)
         self.trace = constraint.trace_target()
         self._jc = self._assemble_codazzi_jacobian()
@@ -495,8 +510,18 @@ def optimize_shape_field(grid: GridDomain, c: float,
     on that decrease is, which is not factored and counts as a rejected
     step) or lam_max (the damping passed its cap, as after repeated failed
     factorizations); the report gives the 2x run's stop as
-    ``refinement_stop_reason``.
+    ``refinement_stop_reason``.  A grid, or its 2x refinement, whose band
+    buffer would hold more than MAX_BAND_DOUBLES doubles raises ValueError
+    before anything is allocated.
     """
+    m = _unknowns_per_node(constraint)
+    for k in (1, 2) if refine else (1,):
+        nx, ny = k * grid.nx, k * grid.ny
+        if _band_doubles(m, nx, ny) > MAX_BAND_DOUBLES:
+            raise ValueError(
+                f"a {nx}x{ny} grid needs an LM band of "
+                f"{_band_doubles(m, nx, ny)} doubles, more than "
+                f"{MAX_BAND_DOUBLES}")
     results = []
     for g in [grid] + ([_refine_grid(grid)] if refine else []):
         problem = _Problem(g, c, constraint)

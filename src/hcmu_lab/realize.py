@@ -333,7 +333,8 @@ def integrate_frame_tables(tables: FrameTables, nx: int, ny: int, hx: float,
         rows.append(rk4_step(lambda stage, T: Ay @ T, rows[-1], hy))
     S = np.stack(rows, axis=1)  # (nx, ny, 4, dim), node (i, j) at [i, j]
     drift = _frame_defect(S, c, sig)
-    bad = np.argwhere(drift > frame_tol)  # i-major, like the node order
+    # i-major, like the node order; a NaN drift fails the gate too
+    bad = np.argwhere(~(drift <= frame_tol))
     if bad.size:
         i, j = bad[0]
         raise FrameDrift(
@@ -355,7 +356,7 @@ def integrate_frame(family: DiagonalFamily, grid: GridDomain,
     """
     span = (grid.x0 - grid.hx, grid.x0 + grid.nx * grid.hx)
     gap = family_codazzi_gap(family, x_range=span)
-    if gap > residual_gate:
+    if not gap <= residual_gate:  # a NaN gap fails too
         raise ValueError(
             f"family Codazzi gap {gap:.3e} exceeds the integrability gate "
             f"{residual_gate:g}"

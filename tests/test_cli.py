@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hcmu_lab import algebra, cli, profile
+from hcmu_lab import algebra, cli, optimize, profile
 from hcmu_lab.errors import ConfigError
 from hcmu_lab.profile import read_profile_csv
 from hcmu_lab.ratpoly import ISOLATION_WIDTH
@@ -210,6 +210,18 @@ def test_optimize_reports_floor(tmp_path):
     assert rep["stop_reason_24x24"] in {"converged", "stalled", "max_iter",
                                         "floor", "lam_max"}
     assert int(rep["factorizations"]) > int(rep["rejected_steps"]) >= 0
+
+
+def test_a_grid_above_the_band_cap_is_a_usage_error(tmp_path, monkeypatch,
+                                                    capsys):
+    # the 2x run of an 8x8 minimal grid needs a band of 33280 doubles
+    monkeypatch.setattr(optimize, "MAX_BAND_DOUBLES", 33279)
+    out = tmp_path / "opt.txt"
+    assert run_cli(*_OPT, "--constraint", "minimal", "--out", str(out)) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == ["error: a 16x16 grid needs an LM band of 33280 doubles, "
+                     "more than 33279"]
+    assert not out.exists()
 
 
 def test_realize_verify_chain(tmp_path):
@@ -470,6 +482,9 @@ _FAILURES = [
                             "# c = -1\n"}, None, 1,
                  "mesh lies in the space form c = -1.0, the family in c = 0.0",
                  id="verify-c-disagrees"),
+    pytest.param(["realize", *_K, "--k0", "1.5",
+                  "--grid", "12,9,1e-3,1e300"], {}, None, 3,
+                 "frame drift nan at node (0, 1)", id="realize-nan-frame"),
     pytest.param([*_OPT, "--max-iter", "-3"], {}, None, 1, "'max_iter'",
                  id="max-iter-negative"),
     pytest.param([*_OPT, "--seed", "-1"], {}, None, 1, "'seed'",

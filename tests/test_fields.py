@@ -94,6 +94,15 @@ def test_shape_field_enforces_trace():
         ShapeField(grid, z + 1.0, z, z, TraceConstraint("minimal"))
 
 
+def test_a_nan_trace_fails_the_trace_check():
+    grid = small_grid()
+    z = np.zeros((grid.nx, grid.ny))
+    h11 = z.copy()
+    h11[3, 4] = np.nan
+    with pytest.raises(ValueError, match="trace constraint violated by nan"):
+        ShapeField(grid, h11, z, -h11, TraceConstraint("minimal"))
+
+
 def test_gauss_residual_zero_field():
     grid = small_grid()
     z = np.zeros((grid.nx, grid.ny))

@@ -353,6 +353,7 @@ def test_band_assembly_equals_the_normal_matrix(constraint, nx, ny):
     normal = _BandedNormal(problem)
     # node-major along the shorter axis: a Codazzi row spans two node steps
     assert normal.kd == 2 * problem.m * min(nx, ny)
+    assert normal.ab.size == optimize._band_doubles(problem.m, nx, ny)
     ab = normal.assemble(lam, problem.gauss_rows(u),
                          problem.second_order(problem.residual(u)))
     n = u.size
@@ -436,3 +437,35 @@ def test_a_failed_factorization_is_a_rejected_step(monkeypatch):
     assert rep.rejected_steps == 1
     assert rep.factorizations == clean.factorizations + 1
     assert rep.iterations == clean.iterations == 3
+
+
+def test_a_band_above_the_cap_is_rejected_before_any_problem_is_built(
+        monkeypatch):
+    # the largest grids in use, the 2x runs of 32x32 at m = 2 and m = 3,
+    # are well inside the cap
+    assert optimize._band_doubles(3, 64, 64) <= optimize.MAX_BAND_DOUBLES / 8
+    grid = GridDomain.create(PARAMS, 1.5, 8, 8, 0.01, 0.01,
+                             origin=(-0.04, 0.0))
+    minimal, none = TraceConstraint("minimal"), TraceConstraint("none")
+    # 8x8 at m = 2: 2 * 64 * 33 = 4224 doubles; 16x16: 2 * 256 * 65 = 33280
+    monkeypatch.setattr(optimize, "MAX_BAND_DOUBLES", 33280)
+    _, rep = optimize_shape_field(grid, 0.0, minimal, seed=1, max_iter=1)
+    assert len(rep.refinement_history) == 2
+
+    def no_problem(*args):
+        raise AssertionError("a problem was built")
+
+    monkeypatch.setattr(optimize, "_Problem", no_problem)
+    monkeypatch.setattr(optimize, "MAX_BAND_DOUBLES", 33279)
+    with pytest.raises(ValueError, match="a 16x16 grid needs an LM band of "
+                                         "33280 doubles, more than 33279"):
+        optimize_shape_field(grid, 0.0, minimal)
+    monkeypatch.setattr(optimize, "MAX_BAND_DOUBLES", 4223)
+    with pytest.raises(ValueError, match="a 8x8 grid needs an LM band of "
+                                         "4224 doubles"):
+        optimize_shape_field(grid, 0.0, minimal, refine=False)
+    # 8x8 at m = 3: 3 * 64 * 49 = 9408 doubles
+    monkeypatch.setattr(optimize, "MAX_BAND_DOUBLES", 9407)
+    with pytest.raises(ValueError, match="a 8x8 grid needs an LM band of "
+                                         "9408 doubles"):
+        optimize_shape_field(grid, 0.0, none, refine=False)

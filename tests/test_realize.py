@@ -353,6 +353,25 @@ def test_integrability_gate_rejects_corrupt_family():
         integrate_frame(fam, grid)
 
 
+def test_integrability_gate_rejects_a_nan_gap():
+    params, fam = make_family()
+    anchor = int(np.argmin(np.abs(fam.xs)))
+    fam.k2s[anchor + 2] = np.nan
+    grid = GridDomain.create(params, 1.5, 11, 8, 1e-3, 1e-3,
+                             origin=(-0.005, 0.0))
+    with pytest.raises(ValueError, match="family Codazzi gap nan exceeds"):
+        integrate_frame(fam, grid)
+
+
+def test_a_nan_frame_fails_the_drift_gate():
+    # a nan drift is not <= frame_tol: the first nan node is reported
+    n, h = 8, 0.02
+    tables = sphere_tables(n)
+    with np.errstate(invalid="ignore", over="ignore"):
+        with pytest.raises(FrameDrift, match=r"drift nan at node \(0, 1\)"):
+            integrate_frame_tables(tables, n, n, h, 1e300, 0.0, 0.0, 0.0)
+
+
 def test_mesh_roundtrip_bit_identical(tmp_path):
     params, fam = make_family(c=1.0)
     grid = GridDomain.create(params, 1.5, 9, 9, 1e-3, 1e-3,
