@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import PathLeavesDomain
-from .profile import CurvatureProfile, HcmuParams, curvature_at, rk4_step
+from .profile import HcmuParams, curvature_at, rk4_step
 from .ratpoly import as_fraction
 from .textio import (FormatError, atomic_write, csv_block, format_rows,
                      grid_header, line_runs, parse_header_comment, read_text)
@@ -78,24 +78,9 @@ class GridDomain:
         return cls(params, float(k0), nx, ny, float(hx), float(hy), x0, y0,
                    xs, K_half, params.mu(K), params.dmu_dK(K))
 
-    @classmethod
-    def from_profile(cls, profile: CurvatureProfile, nx: int, ny: int,
-                     hx: float, hy: float, origin=(0.0, 0.0)) -> "GridDomain":
-        x0 = float(origin[0])
-        x1 = x0 + (nx - 1) * hx
-        if x0 < profile.x_min or x1 > profile.x_max:
-            raise ValueError(
-                f"grid [{x0}, {x1}] leaves the profile range "
-                f"[{profile.x_min}, {profile.x_max}]"
-            )
-        return cls.create(profile.params, profile.k0, nx, ny, hx, hy, origin)
-
     @property
     def K(self) -> np.ndarray:
         return self.K_half[::2]
-
-    def node_count(self) -> int:
-        return self.nx * self.ny
 
     def cell_area(self) -> float:
         return self.hx * self.hy

@@ -28,15 +28,16 @@ for such problems (Dennis, Gay & Welsch 1981, *ACM TOMS* 7), and here S
 is exact and block-diagonal, so no quasi-Newton update is needed.  The
 matrix is symmetric positive definite and, in that order of the unknowns,
 banded: a Codazzi row couples the nodes on either side of its own, so the
-half-bandwidth is 2 m min(nx, ny) and the step needs no permutation.  It
-is factored by LAPACK's band Cholesky (``dpbtrf`` through
-``scipy.linalg.cholesky_banded``) in one Fortran-ordered band buffer per
-run, overwritten by every factorization.  J^T J = J_c^T J_c + J_g^T J_g is
-assembled there without forming it as a sparse product: the constant
-Codazzi part is mapped to band positions once per problem, and each
-factorization scatters it, adds one m x m outer product of the Gauss row
-per node and adds S and lam on the diagonal (LAPACK Users' Guide,
-``xPBTRF``).  A factorization that finds the matrix not
+half-bandwidth is kd = 2 m min(nx, ny) (`_half_bandwidth`, which also sizes
+the buffer and its cap) and the step needs no permutation.  It is factored
+by LAPACK's band Cholesky (``dpbtrf`` through ``scipy.linalg.cholesky_banded``)
+in one Fortran-ordered band buffer per run, overwritten by every
+factorization.  J^T J = J_c^T J_c + J_g^T J_g is assembled there: the lower
+triangle of the constant J_c^T J_c, one sparse product per problem, is
+mapped from COO to band positions once, and each factorization scatters
+it, adds the Gauss rows' m x m outer products through strided band views,
+one per entry (a, b), and adds S and lam on the diagonal (LAPACK Users'
+Guide, ``xPBTRF``).  A factorization that finds the matrix not
 positive definite counts as a rejected step.
 
 The damping lam follows the gain-ratio rule of Nielsen (1999) and Madsen,
@@ -122,10 +123,15 @@ def _unknowns_per_node(constraint: TraceConstraint) -> int:
     return 3 if constraint.kind == "none" else 2
 
 
+def _half_bandwidth(m: int, nx: int, ny: int) -> int:
+    """kd of the LM band on an nx x ny grid: a Codazzi row couples the nodes
+    two steps apart along the shorter axis, the node-major one."""
+    return 2 * m * min(nx, ny)
+
+
 def _band_doubles(m: int, nx: int, ny: int) -> int:
-    """The doubles of the band buffer of an nx x ny grid, m N (kd + 1),
-    with the half-bandwidth kd = 2 m min(nx, ny)."""
-    return m * nx * ny * (2 * m * min(nx, ny) + 1)
+    """The doubles of the band buffer of an nx x ny grid, m N (kd + 1)."""
+    return m * nx * ny * (_half_bandwidth(m, nx, ny) + 1)
 
 
 @dataclass(frozen=True)
@@ -194,14 +200,11 @@ class _Problem:
         self.m = _unknowns_per_node(constraint)
         self.w = np.sqrt(grid.hx * grid.hy)
         self.trace = constraint.trace_target()
-        self._jc = self._assemble_codazzi_jacobian()
+        self._jc = jc = self._assemble_codazzi_jacobian()
         # g = J^T r sums into column j the Gauss entry first, then J_c's
         # entries in CSR order: the order of the sparse product J^T r
-        jc = self._jc
-        self._grad_cols = np.concatenate([np.arange(self.m * self.N),
-                                          jc.indices])
-        self._jc_rows = self.N + np.repeat(np.arange(jc.shape[0]),
-                                           np.diff(jc.indptr))
+        self._grad_cols = np.concatenate([np.arange(self.m * self.N), jc.col])
+        self._jc_rows = self.N + jc.row
 
     # -- packing -------------------------------------------------------------
 
@@ -247,8 +250,9 @@ class _Problem:
             c1, c2 = codazzi_residual(fld)
         return self.w * np.concatenate([rg, c1.ravel(), c2.ravel()])
 
-    def _assemble_codazzi_jacobian(self) -> sparse.csr_matrix:
-        """The Codazzi block of J, read off `codazzi_residual` by probing.
+    def _assemble_codazzi_jacobian(self) -> sparse.coo_matrix:
+        """The Codazzi block of J, read off `codazzi_residual` by probing,
+        in COO form with its entries in CSR order.
 
         The rows are linear in h, and the row of interior node (i, j) reads
         only (i, j), (i +- 1, j) and (i, j +- 1): five nodes in five classes
@@ -274,7 +278,8 @@ class _Problem:
                     probe[a, ci::3, cj::3] = 1.0
                     h22 = probe[2] if self.m == 3 else -probe[0]
                     fld = ShapeField(g, probe[0], probe[1], h22)
-                    r = np.concatenate(codazzi_residual(fld), axis=None)
+                    with np.errstate(invalid="ignore", over="ignore"):
+                        r = np.concatenate(codazzi_residual(fld), axis=None)
                     probe[a, ci::3, cj::3] = 0.0
                     col = column[a, i + (ci - i + 1) % 3 - 1,
                                  j + (cj - j + 1) % 3 - 1].ravel()
@@ -284,7 +289,7 @@ class _Problem:
                     vals.append(r[hit])
         rows, cols, vals = (np.concatenate(x) for x in (rows, cols, vals))
         return sparse.csr_matrix((self.w * vals, (rows, cols)),
-                                 shape=(2 * nint, self.m * self.N))
+                                 shape=(2 * nint, self.m * self.N)).tocoo()
 
     def gauss_rows(self, u: np.ndarray) -> np.ndarray:
         """The Gauss block of J: entry (a, k) is the weighted derivative of
@@ -323,32 +328,19 @@ class _BandedNormal:
 
     C = J_c^T J_c is the constant Codazzi part and v_k the Gauss row of node
     k, nonzero only on the node's m consecutive unknowns m k .. m k + m - 1.
-    The lower triangle of C and of every outer product is mapped to positions
-    in one Fortran-ordered (kd + 1) x n buffer, ab[i - j, j] = A[i, j], once;
-    ``assemble`` refills that buffer for every factorization.
+    The buffer is Fortran-ordered, ab[i - j, j] = A[i, j] with ab of shape
+    (kd + 1) x n; C's lower triangle is mapped to buffer positions once, and
+    ``assemble`` refills the buffer for every factorization.
     """
 
     def __init__(self, problem: _Problem):
-        # int32 indices and early dels keep set-up temporaries small: they
-        # stay resident next to the band buffer and count in peak memory
-        m = problem.m
-        C = sparse.csr_matrix(problem._jc.T @ problem._jc)
-        C.sum_duplicates()
-        n = C.shape[0]
-        r = np.repeat(np.arange(n, dtype=np.int32), np.diff(C.indptr))
-        c = C.indices
-        low = r >= c
-        r, c = r[low], c[low]
-        self._const_val = C.data[low]
-        del low
-        self.kd = int(max(np.max(r - c, initial=0), m - 1))
-        self._const_pos = c.astype(np.int64) * (self.kd + 1) + (r - c)
-        del r, c
+        m, g = problem.m, problem.grid
+        self.kd = _half_bandwidth(m, g.nx, g.ny)
+        C = sparse.tril(problem._jc.T @ problem._jc, format="coo")
+        self._const_pos = C.col * (self.kd + 1) + (C.row - C.col)
+        self._const_val = C.data
         self.m = m
-        # entry (a, b), a >= b, of node k's outer product: ab[a - b, m k + b]
-        self._pairs = [(a, b, np.arange(b, n, m, dtype=np.int64)
-                        * (self.kd + 1) + (a - b))
-                       for a in range(m) for b in range(a + 1)]
+        n = m * problem.N
         self._buf = np.zeros(n * (self.kd + 1))
         self.ab = self._buf.reshape(n, self.kd + 1).T
 
@@ -357,15 +349,17 @@ class _BandedNormal:
         """Fill the buffer with C + sum_k v_k v_k^T + S + lam I, rows[a, k] =
         v_k[a] and S the diagonal that is ``second[k]`` on node k's m
         unknowns (no S when ``second`` is None)."""
-        buf = self._buf
-        buf.fill(0.0)
-        buf[self._const_pos] = self._const_val
-        for a, b, pos in self._pairs:
-            buf[pos] += rows[a] * rows[b]
+        ab, m = self.ab, self.m
+        self._buf.fill(0.0)
+        self._buf[self._const_pos] = self._const_val
+        # entry (a, b), a >= b, of node k's outer product: ab[a - b, m k + b]
+        for a in range(m):
+            for b in range(a + 1):
+                ab[a - b, b::m] += rows[a] * rows[b]
         if second is not None:
-            self.ab[0] += np.repeat(second, self.m)
-        self.ab[0] += lam
-        return self.ab
+            ab[0] += np.repeat(second, m)
+        ab[0] += lam
+        return ab
 
 
 def _damped_step(normal: _BandedNormal, g: np.ndarray, lam: float,

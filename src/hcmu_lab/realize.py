@@ -326,11 +326,13 @@ def integrate_frame_tables(tables: FrameTables, nx: int, ny: int, hx: float,
     Ay = Ay[0:2 * nx - 1:2]  # the columns' coefficients
     rate = lambda k, T: Ax[k] @ T
     spine = [_initial_frame(c).as_matrix()]
-    for i in range(1, nx):
-        spine.append(march_x(rate, spine[-1], i - 1, i, hx))
-    rows = [np.stack(spine)]
-    for _ in range(1, ny):
-        rows.append(rk4_step(lambda stage, T: Ay @ T, rows[-1], hy))
+    # an overflow or NaN is left to the drift gate, which checks every node
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(1, nx):
+            spine.append(march_x(rate, spine[-1], i - 1, i, hx))
+        rows = [np.stack(spine)]
+        for _ in range(1, ny):
+            rows.append(rk4_step(lambda stage, T: Ay @ T, rows[-1], hy))
     S = np.stack(rows, axis=1)  # (nx, ny, 4, dim), node (i, j) at [i, j]
     drift = _frame_defect(S, c, sig)
     # i-major, like the node order; a NaN drift fails the gate too

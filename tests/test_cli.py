@@ -485,6 +485,11 @@ _FAILURES = [
     pytest.param(["realize", *_K, "--k0", "1.5",
                   "--grid", "12,9,1e-3,1e300"], {}, None, 3,
                  "frame drift nan at node (0, 1)", id="realize-nan-frame"),
+    pytest.param(["optimize", *_K, "--grid", "12,9,1e-320,0.5",
+                  "--max-iter", "3", "--constraint", "minimal",
+                  "--origin=-1e308,0.5"], {}, None, 3,
+                 "non-finite residual at the initial field",
+                 id="optimize-overflow"),
     pytest.param([*_OPT, "--max-iter", "-3"], {}, None, 1, "'max_iter'",
                  id="max-iter-negative"),
     pytest.param([*_OPT, "--seed", "-1"], {}, None, 1, "'seed'",

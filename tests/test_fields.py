@@ -44,11 +44,10 @@ def test_grid_rejects_a_non_finite_origin():
 
 def test_grid_background_matches_profile():
     prof = solve_curvature_ode(PARAMS, 1.5, (-1, 1), 1e-3)
-    grid = GridDomain.from_profile(prof, 11, 8, 0.1, 0.1, origin=(-0.5, 0.0))
+    grid = GridDomain.create(prof.params, prof.k0, 11, 8, 0.1, 0.1,
+                             origin=(-0.5, 0.0))
     idx = np.rint((grid.xs - prof.xs[0]) / prof.step).astype(int)
     assert np.max(np.abs(grid.K - prof.Ks[idx])) < 1e-10
-    with pytest.raises(ValueError):
-        GridDomain.from_profile(prof, 11, 8, 0.3, 0.1, origin=(-0.5, 0.0))
 
 
 def test_constraint_parsing():

@@ -294,7 +294,7 @@ def test_l2_max_consistency_invariant():
                              origin=(-0.06, 0.0))
     _, rep = optimize_shape_field(grid, 0.0, TraceConstraint("minimal"),
                                   seed=1, max_iter=10, refine=False)
-    n = grid.node_count()
+    n = grid.nx * grid.ny
     assert rep.gauss_l2 <= rep.gauss_max * math.sqrt(n) + 1e-15
     assert rep.codazzi_l2 <= rep.codazzi_max * math.sqrt(n) + 1e-15
 
@@ -362,6 +362,25 @@ def test_band_assembly_equals_the_normal_matrix(constraint, nx, ny):
                 + lam * np.eye(n))
     assert np.allclose(band, expected, rtol=0,
                        atol=1e-14 * np.max(np.abs(expected)))
+
+
+@pytest.mark.parametrize("constraint", ["minimal", "none"])   # m = 2, 3
+@pytest.mark.parametrize("nx, ny", [(8, 12), (12, 8)])
+def test_band_constant_is_the_codazzi_product_bit_for_bit(constraint, nx, ny):
+    grid = GridDomain.create(PARAMS, 1.5, nx, ny, 0.01, 0.01,
+                             origin=(-0.04, 0.0))
+    problem = _Problem(grid, 0.0, TraceConstraint.parse(constraint))
+    normal = _BandedNormal(problem)
+    C = (problem._jc.T @ problem._jc).toarray()
+    kd, n = normal.kd, C.shape[0]
+    # kd is C's half-bandwidth exactly: nothing lies outside the band, and
+    # its outermost diagonal is not empty
+    assert not np.any(np.tril(C, -kd - 1)) and np.any(np.diag(C, -kd))
+    expected = np.zeros((kd + 1, n))
+    for d in range(kd + 1):
+        expected[d, :n - d] = np.diag(C, -d)
+    ab = normal.assemble(0.0, np.zeros((problem.m, problem.N)), None)
+    assert np.array_equal(ab, expected)
 
 
 @pytest.mark.parametrize("constraint", ["minimal", "none"])   # m = 2, 3
