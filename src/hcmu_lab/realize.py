@@ -6,13 +6,16 @@ h = diag(k1, k2) in the coframe w1 = mu dx, w2 = mu dy, with
     k1 = (K - c) / k2            (Gauss equation, exact by construction)
     dk2/dx = mu mu' (k1 - k2)/2  (Codazzi equation for the diagonal ansatz)
 
-K(x) is read from profile.curvature_at, one call per family or table, and
-nothing is marched: K is monotone in x (dK/dx = mu^2/2), and in the variable
-K the Codazzi equation has the first integral
+K(x) is read from profile.curvature_at, one call for the family's samples,
+while the frame tables read the grid's K (GridDomain.create inverts it once
+on the half-step lattice); nothing is marched: K is monotone in x
+(dK/dx = mu^2/2), and in the variable K the Codazzi equation has the first
+integral
 
     P(K) (k2^2 - (K - c)) + Q(K) = const,   P = mu^2,  Q' = P,
 
-so k2 is evaluated from it, with the constant fixed by k2 at the anchor.
+so k2 is evaluated from it, with the constant fixed by k2 = k2_init at the
+anchor x = 0, where K = k0.
 
 Given such a field, the first-order frame system for the position X and the
 adapted frame (e1, e2, xi) in the flat model is integrated by RK4:
@@ -40,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FormatError, FrameDrift, PathLeavesDomain
+from .errors import FormatError, FrameDrift, NumericalFailure, PathLeavesDomain
 from .fields import GridDomain, ShapeField, lattice_legs, march_x
 from .profile import CurvatureProfile, HcmuParams, curvature_at, rk4_step
 from .textio import (atomic_write, fmt17, format_rows, grid_header,
@@ -52,9 +55,11 @@ from .textio import (atomic_write, fmt17, format_rows, grid_header,
 
 @dataclass(frozen=True, eq=False)
 class DiagonalFamily:
-    """Sampled diagonal solution (k1, k2) over a curvature profile grid."""
+    """Sampled diagonal solution (k1, k2) over a curvature profile grid,
+    anchored at x = 0, where K = k0 and k2 = k2_init."""
 
     params: HcmuParams
+    k0: float
     c: float
     k2_init: float
     xs: np.ndarray
@@ -122,8 +127,13 @@ def sample_codazzi_family(params: HcmuParams, k0: float, xs: np.ndarray,
     hi_ok = anchor + reach(k2s[anchor:]) - 1
     sl = slice(lo_ok, hi_ok + 1)
     truncated = (lo_ok, hi_ok) != (0, xs.size - 1)
-    return DiagonalFamily(params, float(c), float(k2_init), xs[sl], Ks[sl],
-                          (Ks[sl] - c) / k2s[sl], k2s[sl], truncated)
+    # a k2_init too small for the first integral to resolve gives k2 = 0,
+    # so k1 = inf, at the anchor; the family is then cut to that one
+    # sample, which family_codazzi_gap rejects as too short
+    with np.errstate(divide="ignore", invalid="ignore"):
+        k1s = (Ks[sl] - c) / k2s[sl]
+    return DiagonalFamily(params, float(k0), float(c), float(k2_init), xs[sl],
+                          Ks[sl], k1s, k2s[sl], truncated)
 
 
 def solve_codazzi_family(profile: CurvatureProfile, c: float,
@@ -195,13 +205,14 @@ class FrameState:
 
 @dataclass(frozen=True, eq=False)
 class FrameTables:
-    """Coefficients on the half-step grid along x: index k is x0 + k hx/2."""
+    """Frame coefficients on a grid's half-step lattice: index k is
+    x0 + k hx/2, so the grid's columns are the even entries.  K itself is
+    the grid's (GridDomain.K_half)."""
 
     mu: np.ndarray
     s: np.ndarray   # mu' mu / 2
     k1: np.ndarray
     k2: np.ndarray
-    K: np.ndarray
 
 
 @dataclass(eq=False)
@@ -280,24 +291,25 @@ def _frame_defect(S: np.ndarray, c: float, sig: np.ndarray) -> np.ndarray:
     return dev.max(axis=(-2, -1))
 
 
-def family_tables(family: DiagonalFamily, x0: float, hx: float,
-                  nx: int) -> FrameTables:
-    """Coefficients on the half-step lattice x0 + k hx/2, 0 <= k <= 2(nx-1).
+def family_tables(family: DiagonalFamily, grid: GridDomain) -> FrameTables:
+    """Coefficients on the grid's half-step lattice x0 + k hx/2.
 
-    K comes from the closed-form inversion, asked once for the lattice, and
-    k2 from the family's first integral at those K.
+    K is the grid's K_half, so nothing is inverted here, and k2 comes from
+    the family's first integral at those K, through k2_init at k0.  A grid
+    on another curvature profile (K1, K2 or K0), or one whose columns leave
+    the family's range, raises ValueError.
     """
     params, c = family.params, family.c
-    xs_half = x0 + 0.5 * hx * np.arange(2 * nx - 1)
-    if xs_half[0] < family.x_min - 1e-12 or xs_half[-1] > family.x_max + 1e-12:
+    if ((grid.params.k1, grid.params.k2, grid.k0)
+            != (params.k1, params.k2, family.k0)):
+        raise ValueError("grid and family lie on different curvature "
+                         "profiles (K1, K2, K0)")
+    if grid.xs[0] < family.x_min - 1e-12 or grid.xs[-1] > family.x_max + 1e-12:
         raise ValueError("grid leaves the family range")
-    anchor_k0 = float(family.Ks[int(np.argmin(np.abs(family.xs)))])
-    K_half = curvature_at(params, anchor_k0, xs_half)
-    k2_half = _k2_of_K(params, c, anchor_k0, family.k2_init, K_half)
-    mu = params.mu(K_half)
-    s = 0.25 * params.mu_sq_prime(K_half)  # mu' mu / 2
-    k1_half = (K_half - c) / k2_half
-    return FrameTables(mu, s, k1_half, k2_half, K_half)
+    K = grid.K_half
+    k2 = _k2_of_K(params, c, family.k0, family.k2_init, K)
+    s = 0.25 * params.mu_sq_prime(K)  # mu' mu / 2
+    return FrameTables(params.mu(K), s, (K - c) / k2, k2)
 
 
 def _mesh_faces(nx: int, ny: int) -> np.ndarray:
@@ -363,7 +375,7 @@ def integrate_frame(family: DiagonalFamily, grid: GridDomain,
             f"family Codazzi gap {gap:.3e} exceeds the integrability gate "
             f"{residual_gate:g}"
         )
-    tables = family_tables(family, grid.x0, grid.hx, grid.nx)
+    tables = family_tables(family, grid)
     return integrate_frame_tables(tables, grid.nx, grid.ny, grid.hx, grid.hy,
                                   grid.x0, grid.y0, family.c, frame_tol)
 
@@ -392,7 +404,7 @@ def family_codazzi_gap(family: DiagonalFamily, x_range=None) -> float:
 def transport_frame(family: DiagonalFamily, grid: GridDomain,
                     nodes) -> FrameState:
     """Integrate the frame from the grid origin along a lattice polyline."""
-    tables = family_tables(family, grid.x0, grid.hx, grid.nx)
+    tables = family_tables(family, grid)
     Ax, Ay = _frame_matrices(tables, family.c)
     S = _initial_frame(family.c).as_matrix()
     nodes = list(nodes)
@@ -520,17 +532,34 @@ def verify_immersion(mesh: Mesh, family: DiagonalFamily,
     The induced metric comes from differences of the vertices, the shape
     operator from differences of the stored normals.  The sampled (K, H)
     pairs are grouped per grid column (K is a function of x alone), so
-    single-valuedness of the mean curvature is the column spread.  A mesh
-    and a family in different ambient spaces (mesh.c != family.c) raise
-    ValueError.
+    single-valuedness of the mean curvature is the column spread.  The
+    reference values come from the grid of the mesh header, which must keep
+    the grid rules of GridDomain.create.  A mesh and a family in different
+    ambient spaces (mesh.c != family.c) raise ValueError; a report field
+    that is not finite raises NumericalFailure naming the first one.
     """
     if mesh.c != family.c:
         raise ValueError(f"the mesh lies in the space form c = {mesh.c}, "
                          f"the family in c = {family.c}")
-    nx, ny = mesh.nx, mesh.ny
+    grid = GridDomain.create(family.params, family.k0, mesh.nx, mesh.ny,
+                             mesh.hx, mesh.hy, (mesh.x0, mesh.y0))
+    tables = family_tables(family, grid)
+    # a mesh that does not resolve the family gives nan or inf here, which
+    # the finiteness check below reports
+    with np.errstate(all="ignore"):
+        report = _compare_forms(mesh, grid, tables, cmc_tol)
+    for name, value in vars(report).items():
+        if not math.isfinite(value):
+            raise NumericalFailure(f"{name} is {value}: the mesh does not "
+                                   "resolve the family")
+    return report
+
+
+def _compare_forms(mesh: Mesh, grid: GridDomain, tables: FrameTables,
+                   cmc_tol: float) -> ImmersionReport:
+    """The report of verify_immersion, which may hold nan or inf."""
     forms = recover_fundamental_forms(mesh)
-    tables = family_tables(family, mesh.x0, mesh.hx, nx)
-    mu = tables.mu[::2]
+    mu = grid.mu
     k1_ref = tables.k1[::2]
     k2_ref = tables.k2[::2]
 
@@ -560,7 +589,7 @@ def verify_immersion(mesh: Mesh, family: DiagonalFamily,
         )))
 
     K_disc, valid = angle_defect_curvature(mesh)
-    K_ref = np.repeat(tables.K[::2], ny)
+    K_ref = np.repeat(grid.K, grid.ny)
     gauss_rel = float(np.max(
         np.abs(K_disc[valid] - K_ref[valid]) / np.abs(K_ref[valid])
     ))

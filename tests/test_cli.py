@@ -279,6 +279,50 @@ def test_realize_and_verify_march_no_profile(tmp_path, monkeypatch):
     assert float(read_kv_lines(rep)["metric_rel_err"]) < 1e-6
 
 
+def test_verify_of_an_unresolved_mesh_fails_without_a_report(tmp_path, capsys):
+    # realize accepts hy = 1e-320 (every row of the mesh is the spine), but
+    # verify's report would read nan
+    args = [*_K, "--c=-1", "--k0", "1.5", "--k2-init", "-1"]
+    mesh, rep = tmp_path / "m.mesh", tmp_path / "v.txt"
+    assert run_cli("realize", *args, "--grid", "11,10,1e-3,1e-320",
+                   "--out", str(mesh)) == 0
+    capsys.readouterr()
+    assert run_cli("verify", *args, "--mesh", str(mesh), "--out",
+                   str(rep)) == 3
+    assert capsys.readouterr().err == (
+        "error: numerical failure: k2_rel_err is nan: the mesh does not "
+        "resolve the family\n")
+    assert not rep.exists()
+
+
+def test_readme_realize_and_verify_each_invert_two_lattices(tmp_path,
+                                                            monkeypatch):
+    # one curvature_at call for the grid and one for the family's samples;
+    # the frame tables read the grid's K
+    from hcmu_lab import fields, realize
+    calls = []
+
+    def counting(inverse):
+        def wrapper(*args):
+            calls.append(np.size(args[2]))
+            return inverse(*args)
+        return wrapper
+
+    for module in (fields, realize):
+        monkeypatch.setattr(module, "curvature_at",
+                            counting(module.curvature_at))
+    k = [*_K, "--k0", "1.5", "--k2-init", "1"]
+    mesh = str(tmp_path / "surface.mesh")
+    assert run_cli("realize", *k, "--grid", "101,41,1e-3,1e-3",
+                   "--origin=-0.05,0", "--out", mesh) == 0
+    # the half-step lattice of 101 columns, then x in +-0.651 at step 1e-3
+    assert calls == [201, 1303]
+    calls.clear()
+    assert run_cli("verify", *k, "--mesh", mesh,
+                   "--out", str(tmp_path / "verify.txt")) == 0
+    assert calls == [1303, 201]
+
+
 @pytest.mark.parametrize("x_range", [[], ["--x-min", "-20", "--x-max", "20"]],
                          ids=["grid-range", "wide-range"])
 def test_a_coarse_realize_step_truncates_the_family(tmp_path, capsys,
@@ -435,6 +479,15 @@ def _field_csv(hx="0.01", origin="0,0"):
 
 
 _K = ["--k1", "2", "--k2", "1"]
+
+
+def _mesh_text(nx, ny, hx, hy, rows):
+    """A mesh file on the grid (nx, ny, hx, hy) at the origin (0, 0), in
+    R^3, with the given vertex lines and no normals or faces."""
+    return (f"# nx,ny,hx,hy = {nx},{ny},{hx},{hy}\n# origin = 0,0\n"
+            f"# c = 0\n{rows}")
+
+
 _OPT = ["optimize", *_K, "--k0", "1.5", "--grid", "8,8,0.01,0.01"]
 _GC = ["check-gc", *_K, "--h11", "h11.csv", "--h12", "h12.csv",
        "--h22", "h22.csv"]
@@ -485,6 +538,18 @@ _FAILURES = [
     pytest.param(["realize", *_K, "--k0", "1.5",
                   "--grid", "12,9,1e-3,1e300"], {}, None, 3,
                  "frame drift nan at node (0, 1)", id="realize-nan-frame"),
+    pytest.param(["verify", *_K, "--mesh", "s.mesh"],
+                 {"s.mesh": _mesh_text(7, 7, 0.01, 0.01, "v 0 0 0\n" * 49)},
+                 None, 1, "grid needs nx, ny >= 8", id="verify-7x7"),
+    # rows 1e-320 apart in y, as realize writes them: each column's point
+    # repeats ny times, so the recovered g22 is 0 and k2 is 0/0
+    pytest.param(["verify", *_K, "--k0", "1.5", "--mesh", "s.mesh"],
+                 {"s.mesh": _mesh_text(11, 10, 1e-3, 1e-320, "".join(
+                     f"v {i} 0 0\n" for i in range(11) for _ in range(10)))},
+                 None, 3, "k2_rel_err is nan", id="verify-nan-report"),
+    pytest.param(["realize", *_K, "--k0", "1.5", "--k2-init", "1e-10",
+                  "--grid", "8,8,1e-3,1e-3"], {}, None, 1,
+                 "family too short to difference", id="realize-tiny-k2-init"),
     pytest.param(["optimize", *_K, "--grid", "12,9,1e-320,0.5",
                   "--max-iter", "3", "--constraint", "minimal",
                   "--origin=-1e308,0.5"], {}, None, 3,

@@ -13,9 +13,11 @@ from hcmu_lab.profile import (
     validate_params,
 )
 from hcmu_lab.ratpoly import RationalPoly
+from hcmu_lab import realize
 from hcmu_lab.realize import (
     FrameTables,
     _initial_frame,
+    _k2_of_K,
     Mesh,
     ambient_inner,
     ambient_signature,
@@ -29,6 +31,7 @@ from hcmu_lab.realize import (
     minimal_attempt_inconsistency,
     parse_mesh,
     recover_fundamental_forms,
+    sample_codazzi_family,
     solve_codazzi_family,
     transport_frame,
     verify_immersion,
@@ -93,15 +96,37 @@ def test_family_curvature_comes_from_the_oracle(k1, k2, k0, c, k2_init):
 
 
 @pytest.mark.parametrize("c", [0.0, 1.0, -1.0])
+@pytest.mark.parametrize("k1,k2,k0", [(2, 1, 1.5), (2, -1, 0.5),
+                                      (3, 0.5, 1.8)])
+def test_family_tables_equal_an_inversion_on_the_half_lattice(k1, k2, k0, c):
+    # the reference inverts K on x0 + k hx/2 itself, from the family's
+    # anchor sample, and takes k2 from the first integral through it
+    params = validate_params(k1, k2, c=c)
+    fam = sample_codazzi_family(params, k0, 1e-3 * np.arange(-1000, 1001),
+                                1e-3, c, 1.0)
+    anchor_K = fam.Ks[int(np.argmin(np.abs(fam.xs)))]
+    for nx, hx, x0 in [(21, 2e-3, -0.02), (9, 7e-3, -0.03)]:
+        grid = GridDomain.create(params, k0, nx, 8, hx, hx, origin=(x0, 0.0))
+        tables = family_tables(fam, grid)
+        K = curvature_at(params, anchor_K,
+                         x0 + 0.5 * hx * np.arange(2 * nx - 1))
+        ref_k2 = _k2_of_K(params, c, anchor_K, fam.k2_init, K)
+        ref = FrameTables(params.mu(K), 0.25 * params.mu_sq_prime(K),
+                          (K - c) / ref_k2, ref_k2)
+        for name in ("mu", "s", "k1", "k2"):
+            assert (getattr(tables, name).tobytes()
+                    == getattr(ref, name).tobytes()), (nx, name)
+
+
+@pytest.mark.parametrize("c", [0.0, 1.0, -1.0])
 def test_family_tables_read_the_grid_curvature_and_keep_the_first_integral(c):
     params, fam = make_family(c=c)
     nx, hx, x0 = 21, 2e-3, -0.02
-    tables = family_tables(fam, x0, hx, nx)
     grid = GridDomain.create(params, 1.5, nx, 8, hx, hx, origin=(x0, 0.0))
-    assert tables.K.tobytes() == grid.K_half.tobytes()
+    tables = family_tables(fam, grid)
     # k2 across the lattice keeps P (k2^2 - (K - c)) + Q constant, where
     # P = mu^2 and Q' = P
-    K, k2 = tables.K, tables.k2
+    K, k2 = grid.K_half, tables.k2
     P = params.mu_sq(K)
     Q = -K ** 4 / 3.0 + 0.5 * params.p1 * K ** 2 + params.p0 * K
     terms = np.stack([P * k2 ** 2, P * (K - c), Q])
@@ -126,6 +151,41 @@ _BENCH_ENDS = {
             473, 479, 484, 490, 496, 502, 508, 514, 520, 526, 532, 539, 545,
             551, 558, 565, 571, 578]),
 }
+
+
+def test_family_tables_reject_a_grid_on_another_profile():
+    params, fam = make_family()
+    grid = GridDomain.create(params, 1.5, 9, 8, 1e-3, 1e-3,
+                             origin=(-0.004, 0.0))
+    assert family_tables(fam, grid).k2.size == 17
+    other_k0 = GridDomain.create(params, 1.4, 9, 8, 1e-3, 1e-3,
+                                 origin=(-0.004, 0.0))
+    other_k2 = GridDomain.create(validate_params(2, 0.5), 1.5, 9, 8, 1e-3,
+                                 1e-3, origin=(-0.004, 0.0))
+    for other in (other_k0, other_k2):
+        with pytest.raises(ValueError, match="different curvature profiles"):
+            family_tables(fam, other)
+    beyond = GridDomain.create(params, 1.5, 9, 8, 1e-3, 1e-3,
+                               origin=(fam.x_max, 0.0))
+    with pytest.raises(ValueError, match="leaves the family range"):
+        family_tables(fam, beyond)
+
+
+def test_the_frame_layer_inverts_no_curvature(monkeypatch):
+    # integrate, transport and verify read K from a grid, which
+    # GridDomain.create inverts through fields.curvature_at
+    params, fam = make_family(c=1.0)
+    grid = GridDomain.create(params, 1.5, 21, 11, 1e-3, 1e-3,
+                             origin=(-0.01, 0.0))
+
+    def no_inversion(*args):
+        raise AssertionError("the frame layer reads K from the grid")
+
+    monkeypatch.setattr(realize, "curvature_at", no_inversion)
+    mesh = integrate_frame(fam, grid)
+    frame = transport_frame(fam, grid, [(0, 0), (20, 0), (20, 10)])
+    assert np.linalg.norm(frame.X - mesh.vertices[-1]) < 1e-12
+    assert verify_immersion(mesh, fam).metric_rel_err < 1e-6
 
 
 def test_family_range_is_pinned_on_the_readme_and_benchmark_inputs():
@@ -196,7 +256,7 @@ def test_minimal_attempt_defect_matches_exact_algebra():
 def sphere_tables(n):
     m = 2 * n - 1
     one = np.ones(m)
-    return FrameTables(one, np.zeros(m), one, one, one)
+    return FrameTables(one, np.zeros(m), one, one)
 
 
 def test_unit_sphere_sanity():
@@ -272,9 +332,10 @@ def node_by_node_frames(tables, nx, ny, hx, hy, c):
 
 @pytest.mark.parametrize("c", [0.0, 1.0, -1.0])
 def test_lockstep_march_matches_the_node_by_node_reference(c):
-    _, fam = make_family(c=c)
+    params, fam = make_family(c=c)
     nx, ny, h = 21, 11, 1e-3
-    tables = family_tables(fam, -0.01, h, nx)
+    grid = GridDomain.create(params, 1.5, nx, ny, h, h, origin=(-0.01, 0.0))
+    tables = family_tables(fam, grid)
     mesh = integrate_frame_tables(tables, nx, ny, h, h, -0.01, 0.0, c)
     frames, _ = node_by_node_frames(tables, nx, ny, h, h, c)
     # same arithmetic up to summation order: a few ulps of O(1) entries
@@ -328,8 +389,7 @@ def test_angle_defect_tracks_curvature():
                              origin=(-0.2, 0.0))
     mesh = integrate_frame(fam, grid)
     K_disc, valid = angle_defect_curvature(mesh)
-    tables = family_tables(fam, grid.x0, grid.hx, grid.nx)
-    K_ref = np.repeat(tables.K[::2], grid.ny)
+    K_ref = np.repeat(grid.K, grid.ny)
     rel = np.abs(K_disc[valid] - K_ref[valid]) / np.abs(K_ref[valid])
     assert np.max(rel) < 0.02
 
