@@ -49,18 +49,30 @@ improving steps are taken, so the residual never increases.  A rejected
 step whose predicted decrease d . (lam d - g), g = J^T r, is at most
 8 eps |r|^2 ends the run on its floor (ibid., section 3): the model has
 no decrease left that |r|^2 can resolve, and more damping would only
-shorten a step that already fails.  With A = J^T J + S, positive
-semidefinite, and d = -(A + lam I)^-1 g that decrease is
-g^T (A + lam I)^-1 g + lam |d|^2 <= 2 |g|^2 / lam (ibid., section 3.2), so
-a trial whose bound is at most 8 eps |r|^2 is not factored: it counts as a
-rejected step and ends the run on its floor.  The 2x refinement run starts
-from the coarse solution interpolated to the fine grid, which is nested
-iteration (Bornemann & Deuflhard 1996, *Numer. Math.* 75).  It takes the
-damping on too: the fine run begins at the coarse run's final lam, capped
-at the usual start 1e-3.  The gain-ratio rule lowers lam at most 3x per
-accepted step (ibid., section 3.2), so a fine run begun again at 1e-3
-would spend its first factorizations walking lam back down to where the
-coarse run left it.
+shorten a step that already fails.  With B = J^T J + S + lam I, at least
+lam I because S is clipped, and d = -B^-1 g that decrease is
+g^T B^-1 g + lam |d|^2 <= 2 g^T B^-1 g (ibid., section 3.2), and for any
+x, with z = g - B x computed explicitly, g^T B^-1 g <= g.x + x.z +
+|z|^2 / lam; x = 0 gives the bound 2 |g|^2 / lam.  Before a trial is
+factored, conjugate gradients on B x = g, one matrix-free product with B
+per iteration (`_Problem.normal_operator`), look for an x whose bound is
+at most eps |r|^2 / 2, one ulp of |r|^2 or less (Golub & Meurant 2010,
+*Matrices, Moments and Quadrature*).  A trial so bounded is not factored:
+it counts as a rejected step and ends the run on its floor.  The
+threshold sits well under 8 eps |r|^2, because at 8 eps |r|^2 the proof
+would end coarse runs a useful step early.  CG gives up once its lower
+bound on g^T B^-1 g puts the proof out of reach, which is after the first
+product on a trial off the floor, or after `_CG_PRODUCTS` products; it
+never makes a step, so every step taken is the band Cholesky's.  The band
+buffer is allocated at a run's first factorization, so a run whose first
+trial is proved on the floor, like a 2x run that starts there, allocates
+none.  The 2x refinement run starts from the coarse solution interpolated
+to the fine grid, which is nested iteration (Bornemann & Deuflhard 1996,
+*Numer. Math.* 75).  It takes the damping on too: the fine run begins at
+the coarse run's final lam, capped at the usual start 1e-3.  The
+gain-ratio rule lowers lam at most 3x per accepted step (ibid., section
+3.2), so a fine run begun again at 1e-3 would spend its first
+factorizations walking lam back down to where the coarse run left it.
 Everything is deterministic for a fixed seed.
 """
 
@@ -112,6 +124,10 @@ _LAM_START = 1e-3
 _LAM_MIN = 1e-14
 _LAM_MAX = 1e12
 _FLOOR_EPS = 8.0 * np.finfo(float).eps
+# A trial whose decrease CG bounds by _CERTIFY_EPS F, at most one ulp of F,
+# is rejected unfactored; CG gives up after _CG_PRODUCTS products with B.
+_CERTIFY_EPS = 0.5 * np.finfo(float).eps
+_CG_PRODUCTS = 16
 # The cap on the doubles of one LM band buffer (512 MiB).  With the 2x
 # refinement it admits square grids up to 101x101 at m = 2 and 77x77 at
 # m = 3; the 32x32 grids in use need at most 4.7M doubles on their 2x grid.
@@ -201,6 +217,7 @@ class _Problem:
         self.w = np.sqrt(grid.hx * grid.hy)
         self.trace = constraint.trace_target()
         self._jc = jc = self._assemble_codazzi_jacobian()
+        self._jct = jc.T
         # g = J^T r sums into column j the Gauss entry first, then J_c's
         # entries in CSR order: the order of the sparse product J^T r
         self._grad_cols = np.concatenate([np.arange(self.m * self.N), jc.col])
@@ -314,6 +331,21 @@ class _Problem:
             return None
         return 2.0 * self.w * np.maximum(r[:self.N], 0.0)
 
+    def normal_operator(self, rows: np.ndarray, second: np.ndarray | None,
+                        lam: float):
+        """v -> (J^T J + S + lam I) v, matrix-free: J_c^T (J_c v), each
+        node's Gauss outer product v_k (v_k . v), and S and lam on the
+        diagonal, for the Gauss rows ``rows`` and the S of ``second``."""
+        jc, jct, m = self._jc, self._jct, self.m
+        diag = lam if second is None else np.repeat(second, m) + lam
+
+        def product(v: np.ndarray) -> np.ndarray:
+            node = v.reshape(self.N, m).T
+            gauss = rows * np.einsum("ak,ak->k", rows, node)
+            return jct @ (jc @ v) + gauss.T.ravel() + diag * v
+
+        return product
+
     def gradient(self, rows: np.ndarray, r: np.ndarray) -> np.ndarray:
         """g = J^T r from the Gauss rows of the iterate and its residual r,
         as one bincount over J's entries in the sparse product's order."""
@@ -336,7 +368,7 @@ class _BandedNormal:
     def __init__(self, problem: _Problem):
         m, g = problem.m, problem.grid
         self.kd = _half_bandwidth(m, g.nx, g.ny)
-        C = sparse.tril(problem._jc.T @ problem._jc, format="coo")
+        C = sparse.tril(problem._jct @ problem._jc, format="coo")
         self._const_pos = C.col * (self.kd + 1) + (C.row - C.col)
         self._const_val = C.data
         self.m = m
@@ -378,14 +410,67 @@ def _damped_step(normal: _BandedNormal, g: np.ndarray, lam: float,
                             check_finite=False)
 
 
+def _decrease_bound(problem: _Problem, rows: np.ndarray,
+                    second: np.ndarray | None, g: np.ndarray, lam: float,
+                    target: float) -> float:
+    """An upper bound, at most ``target``, on the predicted decrease of the
+    damped step, proved by conjugate gradients without factoring; inf when
+    none is found.
+
+    With B = J^T J + S + lam I, which is at least lam I, and d = -B^-1 g the
+    decrease is g^T B^-1 g + lam |d|^2 <= 2 g^T B^-1 g.  For any x, with
+    z = g - B x computed explicitly, g^T B^-1 g = g.x + x.z + z^T B^-1 z
+    <= g.x + x.z + |z|^2 / lam, and CG on B x = g gives the lower bound
+    sum_k alpha_k |z_k|^2 <= g^T B^-1 g (Golub & Meurant 2010, *Matrices,
+    Moments and Quadrature*).  x = 0 needs no product; CG stops as soon as
+    twice that lower bound exceeds ``target``, after _CG_PRODUCTS products
+    with B, or on a curvature p^T B p that is not finite and positive.  It
+    produces no step, only the bound.
+    """
+    def upper(x, z):
+        return 2.0 * (float(g @ x) + float(x @ z) + float(z @ z) / lam)
+
+    zz = float(g @ g)
+    if 2.0 * zz / lam <= target:   # the bound at x = 0
+        return 2.0 * zz / lam
+    product = problem.normal_operator(rows, second, lam)
+    x = np.zeros_like(g)
+    z, p = g.copy(), g.copy()
+    lower, products = 0.0, 0
+    while products < _CG_PRODUCTS:
+        q = product(p)
+        products += 1
+        pq = float(p @ q)
+        if not (np.isfinite(pq) and pq > 0.0):
+            break
+        alpha = zz / pq
+        lower += alpha * zz
+        if 2.0 * lower > target:
+            break
+        x += alpha * p
+        z -= alpha * q
+        # the recurrence's z only screens: rounding parts it from g - B x,
+        # and the bound holds for the explicit residual alone
+        if upper(x, z) <= target:
+            products += 1
+            bound = upper(x, g - product(x))
+            if bound <= target:
+                return bound
+        zz, zz_old = float(z @ z), zz
+        p = z + (zz / zz_old) * p
+    return np.inf
+
+
 class _LMRun(NamedTuple):
     u: np.ndarray
     iterations: int         # accepted steps
     # converged | stalled | max_iter | floor (a rejected step's predicted
-    # decrease, or the bound 2 |g|^2 / lam on it of a trial rejected
-    # unfactored, was at most 8 eps |r|^2) | lam_max (damping passed its cap)
+    # decrease was at most 8 eps |r|^2, or a trial was rejected unfactored,
+    # its decrease bounded by CG at most eps |r|^2 / 2) | lam_max (damping
+    # passed its cap)
     stop_reason: str
-    factorizations: int     # band Cholesky calls, failed ones included
+    factorizations: int     # band Cholesky calls, failed ones included;
+                            # with none, the run allocated no band
     rejected_steps: int
     lam: float              # the damping the run ended with
 
@@ -400,7 +485,7 @@ def _gauss_newton(problem: _Problem, u0: np.ndarray, tol: float,
     F = float(r @ r)
     nu = 2.0
     iterations = factorizations = rejected = stall = 0
-    normal = _BandedNormal(problem)
+    normal = None   # the band, allocated at the run's first factorization
 
     stop = None
     while stop is None:
@@ -413,15 +498,17 @@ def _gauss_newton(problem: _Problem, u0: np.ndarray, tol: float,
         else:
             rows = problem.gauss_rows(u)
             g = problem.gradient(rows, r)
-            gg = float(g @ g)
             second = problem.second_order(r)
             while lam <= _LAM_MAX:
-                # the step's predicted decrease is at most 2 |g|^2 / lam, so
-                # a trial whose bound F cannot resolve is rejected unfactored
-                if 2.0 * gg / lam <= _FLOOR_EPS * F:
+                # a trial whose decrease CG bounds under one ulp of F is
+                # rejected unfactored
+                if _decrease_bound(problem, rows, second, g, lam,
+                                   _CERTIFY_EPS * F) < np.inf:
                     rejected += 1
                     stop = "floor"
                     break
+                if normal is None:
+                    normal = _BandedNormal(problem)
                 factorizations += 1
                 try:
                     delta = _damped_step(normal, g, lam, rows, second)
@@ -501,10 +588,10 @@ def optimize_shape_field(grid: GridDomain, c: float,
     coarse run's start 1e-3 (Madsen, Nielsen & Tingleff 2004, section 3.2:
     an accepted step lowers the damping at most 3x).  A run stops as
     converged, stalled, max_iter, floor (a rejected step whose predicted
-    decrease is at most 8 eps |r|^2, or a trial whose bound 2 |g|^2 / lam
-    on that decrease is, which is not factored and counts as a rejected
-    step) or lam_max (the damping passed its cap, as after repeated failed
-    factorizations); the report gives the 2x run's stop as
+    decrease is at most 8 eps |r|^2, or a trial whose decrease conjugate
+    gradients bound by eps |r|^2 / 2, which is not factored and counts as
+    a rejected step) or lam_max (the damping passed its cap, as after
+    repeated failed factorizations); the report gives the 2x run's stop as
     ``refinement_stop_reason``.  A grid, or its 2x refinement, whose band
     buffer would hold more than MAX_BAND_DOUBLES doubles raises ValueError
     before anything is allocated.

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import LinAlgError
 
 from hcmu_lab import optimize
@@ -67,13 +69,14 @@ def test_minimal_constraint_floors_and_persists():
     assert f1 / f0 >= 0.9
     # constraint respected on the returned field
     assert np.max(np.abs(fld.h11 + fld.h22)) < 1e-12
-    # on the floor a trial whose predicted decrease is bounded, by 2 |g|^2 /
-    # lam, below what F resolves is rejected unfactored and ends the run: 9
-    # factorizations over both grids with the Newton term, where
-    # Gauss-Newton needed 10, factoring that trial 12 and walking the
-    # damping up to its cap 33
+    # on the floor a trial whose predicted decrease CG bounds below what F
+    # resolves is rejected unfactored and ends the run: 8 factorizations
+    # over both grids, none of them on the 2x grid, whose start CG proves
+    # on the floor; 9 when only the bound 2 |g|^2 / lam was tried, 10 with
+    # Gauss-Newton, 12 factoring that trial and 33 walking the damping up
+    # to its cap
     assert rep.stop_reason == "floor"
-    assert rep.factorizations == 9
+    assert rep.factorizations == 8
     assert rep.rejected_steps == 2
 
 
@@ -152,6 +155,121 @@ def test_no_trial_is_factored_whose_decrease_bound_is_under_the_floor(
     g = problem.gradient(gauss_rows(u), problem.residual(u))
     assert trials[-1] == []
     assert bound_over_floor(u, g, run.lam) <= 1.0
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(8, 12), st.integers(8, 12),
+       st.sampled_from(["minimal", "cmc:2", "none"]),
+       st.integers(0, 2 ** 32 - 1), st.floats(-8.0, 2.0), st.floats(-4.0, 4.0))
+def test_the_cg_bound_holds_on_the_factored_step(nx, ny, constraint, seed,
+                                                 log_lam, log_scale):
+    # m = 2 with Gauss residuals of one sign and of both signs, and m = 3;
+    # the target is 2 g^T B^-1 g scaled by 2^s, |s| <= 4, so that CG both
+    # gives up and runs on to certify or to its cap
+    grid = GridDomain.create(PARAMS, 1.5, nx, ny, 0.01, 0.01,
+                             origin=(-0.04, 0.0))
+    problem = _Problem(grid, 0.0, TraceConstraint.parse(constraint))
+    u = problem.random_init(seed)
+    r = problem.residual(u)
+    rows, second = problem.gauss_rows(u), problem.second_order(r)
+    g = problem.gradient(rows, r)
+    lam = 10.0 ** log_lam
+    d = _damped_step(_BandedNormal(problem), g, lam, rows, second)
+    pred = float(d @ (lam * d - g))
+    gBg = -float(g @ d)
+    target = 2.0 * gBg * 2.0 ** log_scale
+    bound = optimize._decrease_bound(problem, rows, second, g, lam, target)
+    # a bound is found only under the target, and it bounds the decrease
+    # of the step the band Cholesky takes: certification never fires on a
+    # step whose decrease exceeds the target
+    assert bound == np.inf or bound <= target
+    assert pred <= bound
+    # and it is a bound on 2 g^T B^-1 g, to rounding, before the factor 2
+    # that pred <= 2 g^T B^-1 g leaves
+    assert 2.0 * gBg <= bound * (1.0 + 1e-12)
+
+
+def test_a_certified_refinement_run_builds_no_band(monkeypatch):
+    # the 2x run of the 16x16 minimal case starts on its floor: CG proves the
+    # first trial's decrease under one ulp of F, so that run factors nothing
+    # and never allocates its band
+    grid = GridDomain.create(PARAMS, 1.5, 16, 16, 0.01, 0.01,
+                             origin=(-0.08, 0.0))
+    band, solve = optimize._BandedNormal, optimize._gauss_newton
+    bound, operator = optimize._decrease_bound, _Problem.normal_operator
+    built, runs, trials, products = [], [], [], []
+
+    def counting_band(problem):
+        built.append(problem.grid.nx)
+        return band(problem)
+
+    def recording_solve(problem, *args):
+        runs.append(solve(problem, *args))
+        return runs[-1]
+
+    def recording_operator(self, *args):
+        product = operator(self, *args)
+
+        def recorded(v):
+            products.append((v.copy(), product(v)))
+            return products[-1][1]
+
+        return recorded
+
+    def recording_bound(problem, *args):
+        products.clear()
+        trials.append((problem, args, bound(problem, *args), products[:]))
+        return trials[-1][2]
+
+    monkeypatch.setattr(optimize, "_BandedNormal", counting_band)
+    monkeypatch.setattr(optimize, "_gauss_newton", recording_solve)
+    monkeypatch.setattr(optimize, "_decrease_bound", recording_bound)
+    monkeypatch.setattr(_Problem, "normal_operator", recording_operator)
+    _, rep = optimize_shape_field(grid, 0.0, TraceConstraint("minimal"),
+                                  seed=3, max_iter=30)
+    assert built == [16]
+    assert [(run.stop_reason, run.factorizations) for run in runs] == [
+        ("floor", 8), ("floor", 0)]
+    assert rep.refinement_stop_reason == "floor"
+    assert rep.factorizations == 8
+    # CG gives up after one product on each of the 8 factored trials; the
+    # coarse run's last trial is bounded at x = 0, with no product
+    counts = [len(made) for *_, made in trials]
+    assert counts[:-1] == [1] * 8 + [0] and counts[-1] > 1
+    # the certified trial: its bound is the explicit-residual bound at the
+    # last vector B was applied to, it is under one ulp of F, and it bounds
+    # the decrease of the step that factoring would have taken
+    problem, (rows, second, g, lam, target), b, made = trials[-1]
+    assert problem.grid.nx == 32
+    x, Bx = made[-1]
+    z = g - Bx
+    explicit = 2.0 * (float(g @ x) + float(x @ z) + float(z @ z) / lam)
+    assert abs(b - explicit) <= 1e-12 * explicit
+    r = problem.residual(runs[-1].u)
+    assert b <= target == optimize._CERTIFY_EPS * float(r @ r)
+    d = _damped_step(band(problem), g, lam, rows, second)
+    assert 0.0 < float(d @ (lam * d - g)) <= b
+
+
+@pytest.mark.parametrize("constraint", ["minimal", "none"])   # m = 2, 3
+def test_a_stationary_start_ends_on_its_floor_unfactored(monkeypatch,
+                                                         constraint):
+    # the zero field has no Gauss rows and no Codazzi residual, so g = 0:
+    # the bound at x = 0 is 0, and the run ends with no product and no band
+    grid = GridDomain.create(PARAMS, 1.5, 8, 8, 0.01, 0.01,
+                             origin=(-0.04, 0.0))
+    z = np.zeros((8, 8))
+
+    def refused(*args):
+        raise AssertionError("a product or a band was made")
+
+    monkeypatch.setattr(optimize, "_BandedNormal", refused)
+    monkeypatch.setattr(_Problem, "normal_operator", refused)
+    _, rep = optimize_shape_field(grid, 0.0, TraceConstraint(constraint),
+                                  init_field=ShapeField(grid, z, z, z),
+                                  refine=False)
+    assert (rep.stop_reason, rep.iterations) == ("floor", 0)
+    assert (rep.factorizations, rep.rejected_steps) == (0, 1)
 
 
 @pytest.mark.parametrize("seeded", [False, True])
