@@ -1,10 +1,14 @@
 """Deterministic command-line front end.
 
-Subcommands: obstruction | profile | check-gc | optimize | realize | verify.
-Exit codes: 0 success, 1 usage/config/file error, 2 inadmissible params,
-3 numerical failure.  Identical (argv, config, seed) produce byte-identical
-output files; parameters that feed the exact kernel are parsed as exact
-rationals (decimal literals are scaled integers, never binary floats).
+Subcommands: obstruction | profile | check-gc | optimize | realize | verify,
+each declared once in `_COMMANDS` with its function, its help text and the
+parameters it reads; the subparsers, the config-file keys and the dispatch
+are built from that table.  Exit codes: 0 success, 1 usage/config/file
+error, 2 inadmissible params, 3 numerical failure; a workbench error
+carries its code and the label of its one ``error:`` line (`errors`).
+Identical (argv, config, seed) produce byte-identical output files;
+parameters that feed the exact kernel are parsed as exact rationals
+(decimal literals are scaled integers, never binary floats).
 
 `run` merges the config file, ``HCMU_LAB_THREADS`` and the flags into one
 `Config`, and every command reads its parameters from it: `Config.fraction`
@@ -27,25 +31,10 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import (
-    EXIT_INADMISSIBLE,
-    EXIT_NUMERICAL,
-    EXIT_OK,
-    EXIT_USAGE,
-    ConfigError,
-    FormatError,
-    HcmuError,
-    InadmissibleParams,
-    NumericalFailure,
-)
+from .errors import (EXIT_OK, EXIT_USAGE, ConfigError, HcmuError,
+                     InadmissibleParams)
 from .ratpoly import as_fraction
 from .textio import fmt17, kv_records, read_text, write_kv_lines, write_lines
-
-_CONFIG_KEYS = {
-    "k1", "k2", "c", "k0", "k2_init", "grid", "origin", "seed", "tol",
-    "max_iter", "step", "x_min", "x_max", "constraint", "threads",
-    "out", "h11", "h12", "h22", "mesh",
-}
 
 # K1, K2 and c feed the exact kernel.  Phi's coefficients have up to about
 # seven times as many digits as these (1,400 at the bound, well under
@@ -137,12 +126,20 @@ def _split(cfg: Config, key: str, names, default=None) -> Config:
     return Config(dict(zip(names, parts)))
 
 
-def _params_from(cfg: Config) -> profile.HcmuParams:
+def _params_from(cfg: Config) -> tuple[profile.HcmuParams, float]:
+    """cfg's admissible (K1, K2, c), and K0: cfg's k0 or (K1 + K2) / 2."""
     from . import profile
-    k1 = cfg.real("k1")
-    k2 = cfg.real("k2")
-    c = cfg.real("c", "0")
-    return profile.validate_params(k1, k2, c)
+    params = profile.validate_params(cfg.real("k1"), cfg.real("k2"),
+                                     cfg.real("c", "0"))
+    if cfg.get("k0") is not None:
+        k0 = cfg.real("k0")
+    else:
+        k0 = 0.5 * (params.k1 + params.k2)
+    if not params.k2 < k0 < params.k1:
+        raise InadmissibleParams(
+            f"K0 = {k0} violates K2 < K0 < K1", "K2 < K0 < K1"
+        )
+    return params, k0
 
 
 def _grid_from(cfg: Config, params, k0) -> fields.GridDomain:
@@ -158,22 +155,10 @@ def _grid_from(cfg: Config, params, k0) -> fields.GridDomain:
     return fields.GridDomain.create(params, k0, nx, ny, hx, hy, (x0, y0))
 
 
-def _default_k0(cfg: Config, params) -> float:
-    if cfg.get("k0") is not None:
-        k0 = cfg.real("k0")
-    else:
-        k0 = 0.5 * (params.k1 + params.k2)
-    if not params.k2 < k0 < params.k1:
-        raise InadmissibleParams(
-            f"K0 = {k0} violates K2 < K0 < K1", "K2 < K0 < K1"
-        )
-    return k0
-
-
 # -- subcommands -----------------------------------------------------------------
 
 
-def _cmd_obstruction(cfg: Config) -> int:
+def _cmd_obstruction(cfg: Config) -> None:
     from . import algebra
     k1 = cfg.fraction("k1")
     k2 = cfg.fraction("k2")
@@ -183,13 +168,11 @@ def _cmd_obstruction(cfg: Config) -> int:
     cert = algebra.certify_nonvanishing(phi, (cubic.k2, cubic.k1))
     algebra.write_obstruction_file(phi, cert, cfg.require("out"))
     print(f"obstruction: {algebra.poly_to_line(phi)}; {cert}")
-    return EXIT_OK
 
 
-def _cmd_profile(cfg: Config) -> int:
+def _cmd_profile(cfg: Config) -> None:
     from . import profile
-    params = _params_from(cfg)
-    k0 = _default_k0(cfg, params)
+    params, k0 = _params_from(cfg)
     x_min = cfg.real("x_min", "-5")
     x_max = cfg.real("x_max", "5")
     step = cfg.real("step", "0.001")
@@ -197,13 +180,11 @@ def _cmd_profile(cfg: Config) -> int:
     profile.write_profile_csv(prof, cfg.require("out"))
     print(f"profile: {prof.xs.size} samples, K in "
           f"[{prof.Ks[0]:.6g}, {prof.Ks[-1]:.6g}]")
-    return EXIT_OK
 
 
-def _cmd_check_gc(cfg: Config) -> int:
+def _cmd_check_gc(cfg: Config) -> None:
     from . import fields
-    params = _params_from(cfg)
-    k0 = _default_k0(cfg, params)
+    params, k0 = _params_from(cfg)
     comps, metas = zip(*(fields.read_field_csv(cfg.require(name))
                          for name in ("h11", "h12", "h22")))
     grids = {(m["nx"], m["ny"], m["hx"], m["hy"], m.get("x0", 0.0),
@@ -213,17 +194,14 @@ def _cmd_check_gc(cfg: Config) -> int:
     nx, ny, hx, hy, x0, y0 = grids.pop()
     grid = fields.GridDomain.create(params, k0, nx, ny, hx, hy, (x0, y0))
     norms = fields.residual_norms(fields.ShapeField(grid, *comps), params.c)
-    pairs = list(zip(("gauss_max", "gauss_l2", "codazzi_max", "codazzi_l2"),
-                     map(fmt17, norms)))
+    pairs = list(zip(fields.NORM_NAMES[:4], map(fmt17, norms)))
     write_kv_lines(pairs, cfg.require("out"))
     print("check-gc: " + ", ".join(f"{k}={v}" for k, v in pairs))
-    return EXIT_OK
 
 
-def _cmd_optimize(cfg: Config) -> int:
+def _cmd_optimize(cfg: Config) -> None:
     from . import fields, optimize
-    params = _params_from(cfg)
-    k0 = _default_k0(cfg, params)
+    params, k0 = _params_from(cfg)
     grid = _grid_from(cfg, params, k0)
     try:
         constraint = fields.TraceConstraint.parse(cfg.get("constraint", "none"))
@@ -238,7 +216,6 @@ def _cmd_optimize(cfg: Config) -> int:
     write_lines(report.to_lines(), cfg.require("out"))
     print(f"optimize: converged={str(report.converged).lower()} "
           f"floor_l2={report.floor_l2:.6g}")
-    return EXIT_OK
 
 
 def _family_from(cfg: Config, params, k0, nx: int, hx: float, x0: float):
@@ -259,23 +236,20 @@ def _family_from(cfg: Config, params, k0, nx: int, hx: float, x0: float):
                                          cfg.real("k2_init", "1"))
 
 
-def _cmd_realize(cfg: Config) -> int:
+def _cmd_realize(cfg: Config) -> None:
     from . import realize
-    params = _params_from(cfg)
-    k0 = _default_k0(cfg, params)
+    params, k0 = _params_from(cfg)
     grid = _grid_from(cfg, params, k0)
     family = _family_from(cfg, params, k0, grid.nx, grid.hx, grid.x0)
     mesh = realize.integrate_frame(family, grid)
     realize.export_mesh(mesh, cfg.require("out"))
     print(f"realize: {mesh.vertices.shape[0]} vertices, "
           f"{mesh.faces.shape[0]} faces, ambient dim {mesh.vertices.shape[1]}")
-    return EXIT_OK
 
 
-def _cmd_verify(cfg: Config) -> int:
+def _cmd_verify(cfg: Config) -> None:
     from . import realize
-    params = _params_from(cfg)
-    k0 = _default_k0(cfg, params)
+    params, k0 = _params_from(cfg)
     mesh = realize.parse_mesh(cfg.require("mesh"))
     family = _family_from(cfg, params, k0, mesh.nx, mesh.hx, mesh.x0)
     report = realize.verify_immersion(mesh, family)
@@ -283,17 +257,28 @@ def _cmd_verify(cfg: Config) -> int:
     print(f"verify: metric_rel_err={report.metric_rel_err:.3e} "
           f"weingarten_spread={report.weingarten_spread:.3e} "
           f"cmc={str(report.cmc_flag).lower()}")
-    return EXIT_OK
 
 
+# name: (function, help text, the parameters it reads in --help order)
 _COMMANDS = {
-    "obstruction": _cmd_obstruction,
-    "profile": _cmd_profile,
-    "check-gc": _cmd_check_gc,
-    "optimize": _cmd_optimize,
-    "realize": _cmd_realize,
-    "verify": _cmd_verify,
+    "obstruction": (_cmd_obstruction, "emit obstruction cubic + certificate",
+                    ("k1", "k2", "c")),
+    "profile": (_cmd_profile, "emit curvature profile CSV",
+                ("k1", "k2", "c", "k0", "x_min", "x_max", "step")),
+    "check-gc": (_cmd_check_gc, "residual report for a shape field",
+                 ("k1", "k2", "c", "k0", "h11", "h12", "h22")),
+    "optimize": (_cmd_optimize, "constrained residual minimization",
+                 ("k1", "k2", "c", "k0", "grid", "origin", "seed", "tol",
+                  "max_iter", "constraint")),
+    "realize": (_cmd_realize, "integrate a frame into a mesh",
+                ("k1", "k2", "c", "k0", "k2_init", "grid", "origin", "step",
+                 "x_min", "x_max")),
+    "verify": (_cmd_verify, "re-check a realized mesh",
+               ("k1", "k2", "c", "k0", "k2_init", "mesh", "step", "x_min",
+                "x_max")),
 }
+_CONFIG_KEYS = {"threads", "out"}.union(
+    *(params for _, _, params in _COMMANDS.values()))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -318,32 +303,15 @@ def _build_parser() -> argparse.ArgumentParser:
                     "certificates, and hypersurface realization.",
     )
     sub = top.add_subparsers(dest="command", required=True)
-
-    def common(p, *names):
+    for name, (_, help_text, params) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="key = value file; flags override it")
         p.add_argument("--threads",
                        help="cap on BLAS threads, at most the CPU count; 0 for "
                             "no cap (default 1)")
         p.add_argument("--out", help="output file (required, never implicit)")
-        for n in names:
-            flag = "--" + n.replace("_", "-")
-            p.add_argument(flag, dest=n)
-
-    p = sub.add_parser("obstruction", help="emit obstruction cubic + certificate")
-    common(p, "k1", "k2", "c")
-    p = sub.add_parser("profile", help="emit curvature profile CSV")
-    common(p, "k1", "k2", "c", "k0", "x_min", "x_max", "step")
-    p = sub.add_parser("check-gc", help="residual report for a shape field")
-    common(p, "k1", "k2", "c", "k0", "h11", "h12", "h22")
-    p = sub.add_parser("optimize", help="constrained residual minimization")
-    common(p, "k1", "k2", "c", "k0", "grid", "origin", "seed", "tol",
-           "max_iter", "constraint")
-    p = sub.add_parser("realize", help="integrate a frame into a mesh")
-    common(p, "k1", "k2", "c", "k0", "k2_init", "grid", "origin", "step",
-           "x_min", "x_max")
-    p = sub.add_parser("verify", help="re-check a realized mesh")
-    common(p, "k1", "k2", "c", "k0", "k2_init", "mesh", "step", "x_min",
-           "x_max")
+        for n in params:
+            p.add_argument("--" + n.replace("_", "-"), dest=n)
     return top
 
 
@@ -377,7 +345,8 @@ def run(argv: list[str]) -> int:
     threads = _blas_threads(cfg)
     if threads is not None and "numpy" not in sys.modules:
         os.environ["OPENBLAS_NUM_THREADS"] = threads
-    return _COMMANDS[args.command](cfg)
+    _COMMANDS[args.command][0](cfg)
+    return EXIT_OK
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -388,18 +357,9 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit:
         # argparse exits only after --help; usage errors raise ConfigError
         return EXIT_OK
-    except InadmissibleParams as e:
-        print(f"error: inadmissible parameters: {e}", file=sys.stderr)
-        return EXIT_INADMISSIBLE
-    except NumericalFailure as e:
-        print(f"error: numerical failure: {e}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except (ConfigError, FormatError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
     except HcmuError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        print(f"error: {e.label}{e}", file=sys.stderr)
+        return e.exit_code
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE

@@ -1,13 +1,21 @@
-"""Shared exception types and process exit codes."""
+"""Shared exception types and the process exit codes.
+
+Each `HcmuError` carries the exit code of the CLI process it ends and the
+label that prefixes its ``error:`` line: 1 for malformed input
+(`FormatError`, `ConfigError`), 2 for inadmissible parameters and 3 for a
+numerical failure or any other workbench error.  `EXIT_OK` ends a run, and
+`EXIT_USAGE` a ValueError or OSError from outside the workbench's types.
+"""
 
 EXIT_OK = 0
 EXIT_USAGE = 1
-EXIT_INADMISSIBLE = 2
-EXIT_NUMERICAL = 3
 
 
 class HcmuError(Exception):
     """Base class for all workbench errors."""
+
+    exit_code = 3
+    label = ""
 
 
 class InadmissibleParams(HcmuError):
@@ -16,6 +24,9 @@ class InadmissibleParams(HcmuError):
     ``violated`` names the inequality that failed, e.g. ``"K1 > 0"``.
     """
 
+    exit_code = 2
+    label = "inadmissible parameters: "
+
     def __init__(self, message: str, violated: str):
         super().__init__(message)
         self.violated = violated
@@ -23,6 +34,8 @@ class InadmissibleParams(HcmuError):
 
 class NumericalFailure(HcmuError):
     """A numerical procedure could not meet its contract."""
+
+    label = "numerical failure: "
 
 
 class StepTooLarge(NumericalFailure):
@@ -47,6 +60,8 @@ class AlgebraConsistencyError(HcmuError):
 
 class FormatError(HcmuError):
     """Malformed serialized data; carries the offending line number."""
+
+    exit_code = EXIT_USAGE
 
     def __init__(self, message: str, line_no: int | None = None):
         if line_no is not None:

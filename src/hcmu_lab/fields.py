@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import PathLeavesDomain
+from .errors import NumericalFailure, PathLeavesDomain
 from .profile import HcmuParams, curvature_at, rk4_step
 from .ratpoly import as_fraction
 from .textio import (FormatError, atomic_write, csv_block, format_rows,
@@ -75,8 +75,12 @@ class GridDomain:
         K_half = curvature_at(params, k0,
                               x0 + 0.5 * hx * np.arange(2 * nx - 1))
         K = K_half[::2]
+        # mu and dmu overflow for extreme K1 and K2; each run on the grid
+        # gates its own results on finiteness
+        with np.errstate(over="ignore", invalid="ignore"):
+            mu, dmu = params.mu(K), params.dmu_dK(K)
         return cls(params, float(k0), nx, ny, float(hx), float(hy), x0, y0,
-                   xs, K_half, params.mu(K), params.dmu_dK(K))
+                   xs, K_half, mu, dmu)
 
     @property
     def K(self) -> np.ndarray:
@@ -188,19 +192,32 @@ def codazzi_residual(fld: ShapeField) -> tuple[np.ndarray, np.ndarray]:
     return c1, c2
 
 
+NORM_NAMES = ("gauss_max", "gauss_l2", "codazzi_max", "codazzi_l2", "total_l2")
+
+
 def residual_norms(fld: ShapeField, c: float) -> tuple[float, ...]:
-    """(gauss_max, gauss_l2, codazzi_max, codazzi_l2, total_l2) of a field.
+    """The residual norms of a field, named by NORM_NAMES.
 
     The l2 norms are discrete L2(domain) norms, weighted by the cell area;
-    total_l2 combines the Gauss and Codazzi ones.
+    total_l2 combines the Gauss and Codazzi ones.  A norm that is not
+    finite raises NumericalFailure naming the first one.
     """
     area = fld.grid.cell_area()
-    rg = gauss_residual(fld, c)
-    cod = np.concatenate([r.ravel() for r in codazzi_residual(fld)])
-    gauss_l2 = float(np.sqrt(area * np.sum(rg * rg)))
-    codazzi_l2 = float(np.sqrt(area * np.sum(cod * cod)))
-    return (float(np.max(np.abs(rg))), gauss_l2, float(np.max(np.abs(cod))),
-            codazzi_l2, float(np.sqrt(gauss_l2 ** 2 + codazzi_l2 ** 2)))
+    # an overflow, or a cell area of 0 times an infinite sum, gives nan or
+    # inf here, which the finiteness check below reports
+    with np.errstate(over="ignore", invalid="ignore"):
+        rg = gauss_residual(fld, c)
+        cod = np.concatenate([r.ravel() for r in codazzi_residual(fld)])
+        gauss_l2 = float(np.sqrt(area * np.sum(rg * rg)))
+        codazzi_l2 = float(np.sqrt(area * np.sum(cod * cod)))
+        norms = (float(np.max(np.abs(rg))), gauss_l2,
+                 float(np.max(np.abs(cod))), codazzi_l2,
+                 float(np.sqrt(gauss_l2 ** 2 + codazzi_l2 ** 2)))
+    for name, value in zip(NORM_NAMES, norms):
+        if not math.isfinite(value):
+            raise NumericalFailure(f"{name} is {value}: the residual is "
+                                   "beyond the double range")
+    return norms
 
 
 # -- the minimal-immersion transport system ----------------------------------

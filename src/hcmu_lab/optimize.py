@@ -262,9 +262,8 @@ class _Problem:
     def residual(self, u: np.ndarray) -> np.ndarray:
         fld = self.unpack(u)
         rg = np.empty(self.N)
-        with np.errstate(invalid="ignore", over="ignore"):
-            self._grid(rg)[0] = gauss_residual(fld, self.c)
-            c1, c2 = codazzi_residual(fld)
+        self._grid(rg)[0] = gauss_residual(fld, self.c)
+        c1, c2 = codazzi_residual(fld)
         return self.w * np.concatenate([rg, c1.ravel(), c2.ravel()])
 
     def _assemble_codazzi_jacobian(self) -> sparse.coo_matrix:
@@ -475,6 +474,9 @@ class _LMRun(NamedTuple):
     lam: float              # the damping the run ended with
 
 
+# an overflow or NaN anywhere in the run is left to its gates: the
+# finiteness checks, CG's curvature test and the band factorization
+@np.errstate(over="ignore", invalid="ignore")
 def _gauss_newton(problem: _Problem, u0: np.ndarray, tol: float,
                   max_iter: int, lam: float) -> _LMRun:
     """Levenberg-Marquardt from u0 with starting damping lam."""
@@ -594,7 +596,8 @@ def optimize_shape_field(grid: GridDomain, c: float,
     repeated failed factorizations); the report gives the 2x run's stop as
     ``refinement_stop_reason``.  A grid, or its 2x refinement, whose band
     buffer would hold more than MAX_BAND_DOUBLES doubles raises ValueError
-    before anything is allocated.
+    before anything is allocated, and a residual norm that is not finite
+    raises NumericalFailure (`residual_norms`).
     """
     m = _unknowns_per_node(constraint)
     for k in ((1, 2) if refine else (1,)):

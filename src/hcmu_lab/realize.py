@@ -49,6 +49,12 @@ from .profile import CurvatureProfile, HcmuParams, curvature_at, rk4_step
 from .textio import (atomic_write, fmt17, format_rows, grid_header,
                      line_runs, parse_header_comment, read_text, record_block)
 
+# The largest family Codazzi gap that `integrate_frame` integrates, and the
+# range of H's column means, relative to max(1, their largest |H|), under
+# which `verify_immersion` flags the mesh CMC.
+RESIDUAL_GATE = 1e-6
+CMC_TOL = 1e-6
+
 
 # -- the diagonal Codazzi family ------------------------------------------------
 
@@ -361,8 +367,7 @@ def integrate_frame_tables(tables: FrameTables, nx: int, ny: int, hx: float,
 
 
 def integrate_frame(family: DiagonalFamily, grid: GridDomain,
-                    frame_tol: float = 1e-6,
-                    residual_gate: float = 1e-6) -> Mesh:
+                    frame_tol: float = 1e-6) -> Mesh:
     """Realize the family over a grid; requires the family to be integrable.
 
     The Codazzi rate of the sampled family is checked by finite differences
@@ -370,10 +375,10 @@ def integrate_frame(family: DiagonalFamily, grid: GridDomain,
     """
     span = (grid.x0 - grid.hx, grid.x0 + grid.nx * grid.hx)
     gap = family_codazzi_gap(family, x_range=span)
-    if not gap <= residual_gate:  # a NaN gap fails too
+    if not gap <= RESIDUAL_GATE:  # a NaN gap fails too
         raise ValueError(
             f"family Codazzi gap {gap:.3e} exceeds the integrability gate "
-            f"{residual_gate:g}"
+            f"{RESIDUAL_GATE:g}"
         )
     tables = family_tables(family, grid)
     return integrate_frame_tables(tables, grid.nx, grid.ny, grid.hx, grid.hy,
@@ -525,8 +530,7 @@ def recover_fundamental_forms(mesh: Mesh) -> RecoveredForms:
     return RecoveredForms(g11, g22, g12, k1_est, k2_est, H)
 
 
-def verify_immersion(mesh: Mesh, family: DiagonalFamily,
-                     cmc_tol: float = 1e-6) -> ImmersionReport:
+def verify_immersion(mesh: Mesh, family: DiagonalFamily) -> ImmersionReport:
     """Re-derive the two fundamental forms from the mesh and compare.
 
     The induced metric comes from differences of the vertices, the shape
@@ -547,7 +551,7 @@ def verify_immersion(mesh: Mesh, family: DiagonalFamily,
     # a mesh that does not resolve the family gives nan or inf here, which
     # the finiteness check below reports
     with np.errstate(all="ignore"):
-        report = _compare_forms(mesh, grid, tables, cmc_tol)
+        report = _compare_forms(mesh, grid, tables)
     for name, value in vars(report).items():
         if not math.isfinite(value):
             raise NumericalFailure(f"{name} is {value}: the mesh does not "
@@ -555,8 +559,8 @@ def verify_immersion(mesh: Mesh, family: DiagonalFamily,
     return report
 
 
-def _compare_forms(mesh: Mesh, grid: GridDomain, tables: FrameTables,
-                   cmc_tol: float) -> ImmersionReport:
+def _compare_forms(mesh: Mesh, grid: GridDomain,
+                   tables: FrameTables) -> ImmersionReport:
     """The report of verify_immersion, which may hold nan or inf."""
     forms = recover_fundamental_forms(mesh)
     mu = grid.mu
@@ -579,7 +583,7 @@ def _compare_forms(mesh: Mesh, grid: GridDomain, tables: FrameTables,
     spread = float(np.max(H.max(axis=1) - H.min(axis=1)))
     H_cols = H.mean(axis=1)
     h_range = float(H_cols.max() - H_cols.min())
-    cmc = h_range < cmc_tol * max(1.0, float(np.max(np.abs(H_cols))))
+    cmc = h_range < CMC_TOL * max(1.0, float(np.max(np.abs(H_cols))))
 
     drift = 0.0
     if mesh.c != 0:

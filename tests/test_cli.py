@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hcmu_lab import algebra, cli, optimize, profile
+from hcmu_lab import algebra, cli, errors, optimize, profile
 from hcmu_lab.errors import ConfigError
 from hcmu_lab.profile import read_profile_csv
 from hcmu_lab.ratpoly import ISOLATION_WIDTH
@@ -38,8 +38,9 @@ def test_parse_config_cusp_rational(tmp_path):
     p = tmp_path / "run.cfg"
     p.write_text("k1 = 1\nk2 = -1/2\n")
     cfg = cli.parse_config(p)
-    params = cli._params_from(cfg)
+    params, k0 = cli._params_from(cfg)
     assert params.kind == "cusp"
+    assert k0 == 0.25  # (K1 + K2) / 2 without a k0
 
 
 def test_parse_config_rejections(tmp_path):
@@ -473,8 +474,8 @@ def test_threads_precedence_flag_env_config(tmp_path, monkeypatch):
     assert obstruction("--threads", "0") == 0
 
 
-def _field_csv(hx="0.01", origin="0,0"):
-    rows = "0,0,0,0,0,0,0,0\n" * 8
+def _field_csv(hx="0.01", origin="0,0", value="0"):
+    rows = (",".join([value] * 8) + "\n") * 8
     return f"# nx,ny,hx,hy = 8,8,{hx},0.01\n# origin = {origin}\n{rows}"
 
 
@@ -568,6 +569,22 @@ _FAILURES = [
     pytest.param(["obstruction", "--config", "run.cfg"],
                  {"run.cfg": "k1 = 2\nk2 = 1\nthreads = lots\n"}, None, 1,
                  "'threads'", id="threads-config-lots"),
+    # h11 h22 - h12^2 is inf - inf
+    pytest.param(_GC, {name: _field_csv(value="1e200")
+                       for name in ("h11.csv", "h12.csv", "h22.csv")}, None, 3,
+                 "numerical failure: gauss_max is nan", id="check-gc-overflow"),
+    # hx hy underflows to 0, so the LM weight is 0 and the run converges at
+    # F = 0, but the Codazzi L2 norm is 0 times an infinite sum
+    pytest.param(["optimize", *_K, "--k0", "1.5",
+                  "--grid", "8,8,1e-300,1e-300"], {}, None, 3,
+                 "numerical failure: codazzi_l2 is nan",
+                 id="optimize-nan-report"),
+    # the LM's gates end these runs, with no numpy warning on the way
+    pytest.param([*_OPT, "--constraint", "cmc:1e200"], {}, None, 3,
+                 "non-finite Gauss-Newton step", id="optimize-cmc-overflow"),
+    pytest.param(["optimize", "--k1", "1e150", "--k2", "1",
+                  "--grid", "8,8,0.01,0.01"], {}, None, 3,
+                 "non-finite Gauss-Newton step", id="optimize-k1-overflow"),
 ]
 
 
@@ -588,6 +605,66 @@ def test_failures_are_one_error_line_and_write_nothing(
     assert len(lines) == 1 and lines[0].startswith("error: "), lines
     assert named in lines[0]
     assert not (tmp_path / "out.txt").exists()
+
+
+def test_an_overflowing_lm_run_reports_finite_floors_silently(tmp_path,
+                                                              capsys):
+    # hy = 1e300 overflows the residual's gradient and CG's products, which
+    # the LM leaves to its gates; the floors themselves are finite
+    out = tmp_path / "report.txt"
+    assert run_cli("optimize", *_K, "--grid", "9,12,1/3,1e300",
+                   "--out", str(out)) == 0
+    std = capsys.readouterr()
+    assert std.err == ""
+    assert std.out == "optimize: converged=false floor_l2=1.99766e+151\n"
+    rep = read_kv_lines(out)
+    assert all(np.isfinite(float(rep[key])) for key in rep
+               if key.startswith(("gauss_", "codazzi_", "floor_")))
+
+
+_EXITS = {
+    # every workbench error: its exit code and the label of its error line
+    errors.HcmuError: (3, ""),
+    errors.InadmissibleParams: (2, "inadmissible parameters: "),
+    errors.NumericalFailure: (3, "numerical failure: "),
+    errors.StepTooLarge: (3, "numerical failure: "),
+    errors.FrameDrift: (3, "numerical failure: "),
+    errors.NonFiniteIterate: (3, "numerical failure: "),
+    errors.PathLeavesDomain: (3, ""),
+    errors.AlgebraConsistencyError: (3, ""),
+    errors.FormatError: (1, ""),
+    errors.ConfigError: (1, ""),
+    ValueError: (1, ""),
+    OSError: (1, ""),
+}
+
+
+def test_the_exit_table_names_every_workbench_error():
+    workbench = {t for t in vars(errors).values()
+                 if isinstance(t, type) and issubclass(t, errors.HcmuError)}
+    assert workbench == set(_EXITS) - {ValueError, OSError}
+
+
+@pytest.mark.parametrize("error", list(_EXITS), ids=lambda t: t.__name__)
+def test_each_error_exits_with_its_code_and_one_labelled_line(
+        monkeypatch, capsys, error):
+    def fail(cfg):
+        if error is errors.InadmissibleParams:
+            raise error("K1 = -1", "K1 > 0")
+        raise error("K1 = -1")
+
+    _, help_text, params = cli._COMMANDS["obstruction"]
+    monkeypatch.setitem(cli._COMMANDS, "obstruction", (fail, help_text, params))
+    code, label = _EXITS[error]
+    assert run_cli("obstruction", "--k1", "2") == code
+    assert capsys.readouterr() == ("", f"error: {label}K1 = -1\n")
+
+
+def test_the_config_keys_are_the_commands_parameters():
+    assert cli._CONFIG_KEYS == {
+        "k1", "k2", "c", "k0", "k2_init", "grid", "origin", "seed", "tol",
+        "max_iter", "step", "x_min", "x_max", "constraint", "threads",
+        "out", "h11", "h12", "h22", "mesh"}
 
 
 def test_module_entry_point_runs_in_a_fresh_interpreter(tmp_path):

@@ -114,10 +114,10 @@ def test_a_floor_stop_follows_a_rejected_step_at_the_closed_form_floor():
 
 @pytest.mark.parametrize("n, seed, stop", [(16, 3, "floor"),
                                            (32, 0, "floor")])
-def test_no_trial_is_factored_whose_decrease_bound_is_under_the_floor(
+def test_a_trial_is_factored_only_when_cg_cannot_prove_it_on_the_floor(
         monkeypatch, n, seed, stop):
     # with the Newton term both runs reach the floor in 8 accepted steps and
-    # end on the bound: a trial whose 2 |g|^2 / lam is under 8 eps F
+    # end on a trial whose decrease CG bounds under eps F / 2
     grid = GridDomain.create(PARAMS, 1.5, n, n, 0.01, 0.01,
                              origin=(-n * 0.005, 0.0))
     problem = _Problem(grid, 0.0, TraceConstraint("minimal"))
@@ -130,9 +130,9 @@ def test_no_trial_is_factored_whose_decrease_bound_is_under_the_floor(
         trials.append([])
         return gauss_rows(u)
 
-    def recording_step(normal, g, lam, *rest):
-        trials[-1].append((g.copy(), lam))
-        return step(normal, g, lam, *rest)
+    def recording_step(normal, g, lam, rows, second):
+        trials[-1].append((g.copy(), lam, rows, second))
+        return step(normal, g, lam, rows, second)
 
     monkeypatch.setattr(problem, "gauss_rows", recording_rows)
     monkeypatch.setattr(optimize, "_damped_step", recording_step)
@@ -142,19 +142,24 @@ def test_no_trial_is_factored_whose_decrease_bound_is_under_the_floor(
     assert run.factorizations == sum(map(len, trials)) == 8
     assert run.rejected_steps == 1
 
-    def bound_over_floor(u, g, lam):
+    def target(u):
         r = problem.residual(u)
-        return 2.0 * float(g @ g) / lam / (optimize._FLOOR_EPS * float(r @ r))
+        return optimize._CERTIFY_EPS * float(r @ r)
 
-    ratios = [bound_over_floor(u, g, lam)
-              for u, made in zip(iterates, trials) for g, lam in made]
-    assert min(ratios) > 1.0
+    for u, made in zip(iterates, trials):
+        for g, lam, rows, second in made:
+            assert optimize._decrease_bound(problem, rows, second, g, lam,
+                                            target(u)) == np.inf
     # the run ends on a trial it did not factor, at the damping it returns,
-    # whose bound is under the floor
+    # whose decrease CG bounds under eps F / 2
     u = iterates[-1]
-    g = problem.gradient(gauss_rows(u), problem.residual(u))
+    r = problem.residual(u)
+    rows = gauss_rows(u)
+    g = problem.gradient(rows, r)
     assert trials[-1] == []
-    assert bound_over_floor(u, g, run.lam) <= 1.0
+    bound = optimize._decrease_bound(problem, rows, problem.second_order(r),
+                                     g, run.lam, target(u))
+    assert bound <= 0.5 * np.finfo(float).eps * float(r @ r)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
