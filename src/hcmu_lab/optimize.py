@@ -62,17 +62,41 @@ it counts as a rejected step and ends the run on its floor.  The
 threshold sits well under 8 eps |r|^2, because at 8 eps |r|^2 the proof
 would end coarse runs a useful step early.  CG gives up once its lower
 bound on g^T B^-1 g puts the proof out of reach, which is after the first
-product on a trial off the floor, or after `_CG_PRODUCTS` products; it
-never makes a step, so every step taken is the band Cholesky's.  The band
+product on a trial off the floor, once its upper bound, falling at its
+latest ratio per product, would miss the target within the products
+left, or after `_CG_PRODUCTS` products; it never makes a step.  The band
 buffer is allocated at a run's first factorization, so a run whose first
 trial is proved on the floor, like a 2x run that starts there, allocates
-none.  The 2x refinement run starts from the coarse solution interpolated
+none.
+
+Every step is a solve with a band Cholesky factor, but not always a fresh
+one.  An accepted factored step with rho > `_CHORD_RHO` that cut |r|^2
+100x, below `_CHORD_CUT` |r|^2, keeps its factor, which stays in the band
+buffer, and the next iteration first tries the chord step
+d = -B_old^-1 g: the stale factor, back-substituted for the current
+gradient, with no new factorization (Kelley 2003, *Solving Nonlinear
+Equations with Newton's Method*; Shamanskii 1967, *Ukrain. Mat. Zh.* 19).
+It is kept only if it too cuts |r|^2 100x; it then counts as an accepted
+iteration, not a factorization, lam and nu stay as they are, and so does
+the factor, for the next iteration.  Otherwise the iteration goes on to
+the CG proof and the factored trial at the same lam, whose assembly drops
+the factor; a failed chord trial is not a rejected step.  Near a zero
+residual, as in a converging unconstrained run, the last steps are nearly
+Newton's and their matrix hardly moves, so chord steps replace most of the
+last factorizations.  On a large-residual floor a step seldom cuts |r|^2
+100x, and no chord step does, so a trace-constrained run makes few chord
+trials and takes no chord step.  The floor rules, the CG proof and 8 eps |r|^2,
+apply to factored trials only; a chord trial has the finiteness gates
+alone.
+
+The 2x refinement run starts from the coarse solution interpolated
 to the fine grid, which is nested iteration (Bornemann & Deuflhard 1996,
 *Numer. Math.* 75).  It takes the damping on too: the fine run begins at
 the coarse run's final lam, capped at the usual start 1e-3.  The
-gain-ratio rule lowers lam at most 3x per accepted step (ibid., section
-3.2), so a fine run begun again at 1e-3 would spend its first
-factorizations walking lam back down to where the coarse run left it.
+gain-ratio rule lowers lam at most 3x per accepted step (Madsen, Nielsen
+& Tingleff, section 3.2), so a fine run begun again at 1e-3 would spend
+its first factorizations walking lam back down to where the coarse run
+left it.
 Everything is deterministic for a fixed seed.
 """
 
@@ -128,6 +152,11 @@ _FLOOR_EPS = 8.0 * np.finfo(float).eps
 # is rejected unfactored; CG gives up after _CG_PRODUCTS products with B.
 _CERTIFY_EPS = 0.5 * np.finfo(float).eps
 _CG_PRODUCTS = 16
+# An accepted factored step with rho above _CHORD_RHO that cut F below
+# _CHORD_CUT F keeps its factor for a chord step, which is taken only if it
+# cuts F as much.
+_CHORD_RHO = 0.75
+_CHORD_CUT = 0.01
 # The cap on the doubles of one LM band buffer (512 MiB).  With the 2x
 # refinement it admits square grids up to 101x101 at m = 2 and 77x77 at
 # m = 3; the 32x32 grids in use need at most 4.7M doubles on their 2x grid.
@@ -361,7 +390,11 @@ class _BandedNormal:
     k, nonzero only on the node's m consecutive unknowns m k .. m k + m - 1.
     The buffer is Fortran-ordered, ab[i - j, j] = A[i, j] with ab of shape
     (kd + 1) x n; C's lower triangle is mapped to buffer positions once, and
-    ``assemble`` refills the buffer for every factorization.
+    ``assemble`` refills the buffer for every factorization.  ``factor``
+    is the band Cholesky factor of the last assembled matrix, which
+    `_damped_step` computes in place in the same buffer, or None:
+    ``assemble`` clears it, and so does a run whose step with it is not
+    good enough for a chord step to follow.
     """
 
     def __init__(self, problem: _Problem):
@@ -374,6 +407,7 @@ class _BandedNormal:
         n = m * problem.N
         self._buf = np.zeros(n * (self.kd + 1))
         self.ab = self._buf.reshape(n, self.kd + 1).T
+        self.factor = None
 
     def assemble(self, lam: float, rows: np.ndarray,
                  second: np.ndarray | None) -> np.ndarray:
@@ -381,6 +415,7 @@ class _BandedNormal:
         v_k[a] and S the diagonal that is ``second[k]`` on node k's m
         unknowns (no S when ``second`` is None)."""
         ab, m = self.ab, self.m
+        self.factor = None
         self._buf.fill(0.0)
         self._buf[self._const_pos] = self._const_val
         # entry (a, b), a >= b, of node k's outer product: ab[a - b, m k + b]
@@ -400,13 +435,33 @@ def _damped_step(normal: _BandedNormal, g: np.ndarray, lam: float,
     ``normal`` is the problem's `_BandedNormal`, ``rows`` its current Gauss
     rows and ``second`` its `_Problem.second_order` term S (None: S = 0);
     ``g`` and the step are in the problem's order of unknowns, which is the
-    band order.  The band buffer is factored in place.  Raises LinAlgError
-    when the matrix is not numerically positive definite.
+    band order.  The band buffer is factored in place, and the factor is
+    kept as ``normal.factor``.  Raises LinAlgError when the matrix is not
+    numerically positive definite.
     """
-    cb = cholesky_banded(normal.assemble(lam, rows, second), overwrite_ab=True,
-                         lower=True, check_finite=False)
-    return cho_solve_banded((cb, True), -g, overwrite_b=True,
+    normal.factor = cholesky_banded(normal.assemble(lam, rows, second),
+                                    overwrite_ab=True, lower=True,
+                                    check_finite=False)
+    return _band_solve(normal, g)
+
+
+def _band_solve(normal: _BandedNormal, g: np.ndarray) -> np.ndarray:
+    """The step d solving B d = -g, B the matrix ``normal.factor`` factors."""
+    return cho_solve_banded((normal.factor, True), -g, overwrite_b=True,
                             check_finite=False)
+
+
+def _trial(problem: _Problem, u: np.ndarray,
+           delta: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """u + delta, its residual and its F, raising NonFiniteIterate on a
+    non-finite step or residual."""
+    if not np.all(np.isfinite(delta)):
+        raise NonFiniteIterate("non-finite Gauss-Newton step")
+    u_try = u + delta
+    r_try = problem.residual(u_try)
+    if not np.all(np.isfinite(r_try)):
+        raise NonFiniteIterate("optimizer diverged to non-finite residual")
+    return u_try, r_try, float(r_try @ r_try)
 
 
 def _decrease_bound(problem: _Problem, rows: np.ndarray,
@@ -423,7 +478,10 @@ def _decrease_bound(problem: _Problem, rows: np.ndarray,
     sum_k alpha_k |z_k|^2 <= g^T B^-1 g (Golub & Meurant 2010, *Matrices,
     Moments and Quadrature*).  x = 0 needs no product; CG stops as soon as
     twice that lower bound exceeds ``target``, after _CG_PRODUCTS products
-    with B, or on a curvature p^T B p that is not finite and positive.  It
+    with B, on a curvature p^T B p that is not finite and positive, or once
+    the upper bound, falling on at its latest ratio per product, would still
+    exceed ``target`` after the products left (from the second product on:
+    the first CG iterate's bound may exceed the bound at x = 0).  It
     produces no step, only the bound.
     """
     def upper(x, z):
@@ -435,7 +493,7 @@ def _decrease_bound(problem: _Problem, rows: np.ndarray,
     product = problem.normal_operator(rows, second, lam)
     x = np.zeros_like(g)
     z, p = g.copy(), g.copy()
-    lower, products = 0.0, 0
+    lower, products, last = 0.0, 0, np.inf
     while products < _CG_PRODUCTS:
         q = product(p)
         products += 1
@@ -450,11 +508,15 @@ def _decrease_bound(problem: _Problem, rows: np.ndarray,
         z -= alpha * q
         # the recurrence's z only screens: rounding parts it from g - B x,
         # and the bound holds for the explicit residual alone
-        if upper(x, z) <= target:
+        screen = upper(x, z)
+        if screen <= target:
             products += 1
             bound = upper(x, g - product(x))
             if bound <= target:
                 return bound
+        elif screen * (screen / last) ** (_CG_PRODUCTS - products) > target:
+            break   # at its latest ratio it misses the target in time
+        last = screen
         zz, zz_old = float(z @ z), zz
         p = z + (zz / zz_old) * p
     return np.inf
@@ -462,15 +524,16 @@ def _decrease_bound(problem: _Problem, rows: np.ndarray,
 
 class _LMRun(NamedTuple):
     u: np.ndarray
-    iterations: int         # accepted steps
-    # converged | stalled | max_iter | floor (a rejected step's predicted
-    # decrease was at most 8 eps |r|^2, or a trial was rejected unfactored,
-    # its decrease bounded by CG at most eps |r|^2 / 2) | lam_max (damping
-    # passed its cap)
+    iterations: int         # accepted steps, chord steps included
+    # converged | stalled | max_iter | floor (a rejected factored step's
+    # predicted decrease was at most 8 eps |r|^2, or a trial was rejected
+    # unfactored, its decrease bounded by CG at most eps |r|^2 / 2) |
+    # lam_max (damping passed its cap)
     stop_reason: str
-    factorizations: int     # band Cholesky calls, failed ones included;
-                            # with none, the run allocated no band
-    rejected_steps: int
+    factorizations: int     # band Cholesky calls, failed ones included, and
+                            # no chord step; with none, the run allocated
+                            # no band
+    rejected_steps: int     # failed chord trials are not counted
     lam: float              # the damping the run ended with
 
 
@@ -501,6 +564,18 @@ def _gauss_newton(problem: _Problem, u0: np.ndarray, tol: float,
             rows = problem.gauss_rows(u)
             g = problem.gradient(rows, r)
             second = problem.second_order(r)
+            if normal is not None and normal.factor is not None:
+                # a chord step: the kept factor, of a stale matrix, solves
+                # for this gradient; lam and nu stay as they are.  A failed
+                # one falls through to the CG proof and the factored trial,
+                # whose assembly drops the factor
+                u_try, r_try, F_try = _trial(problem, u, _band_solve(normal, g))
+                if F_try < _CHORD_CUT * F:
+                    drop = (F - F_try) / max(F_try, 1e-300)
+                    u, r, F = u_try, r_try, F_try
+                    iterations += 1
+                    stall = stall + 1 if drop < 1e-9 else 0
+                    continue
             while lam <= _LAM_MAX:
                 # a trial whose decrease CG bounds under one ulp of F is
                 # rejected unfactored
@@ -518,18 +593,14 @@ def _gauss_newton(problem: _Problem, u0: np.ndarray, tol: float,
                     rejected += 1
                     lam, nu = lam * nu, 2.0 * nu
                     continue
-                if not np.all(np.isfinite(delta)):
-                    raise NonFiniteIterate("non-finite Gauss-Newton step")
-                u_try = u + delta
-                r_try = problem.residual(u_try)
-                if not np.all(np.isfinite(r_try)):
-                    raise NonFiniteIterate("optimizer diverged to non-finite residual")
-                F_try = float(r_try @ r_try)
+                u_try, r_try, F_try = _trial(problem, u, delta)
                 # the model's predicted decrease of |r|^2
                 pred = float(delta @ (lam * delta - g))
                 if F_try < F:
                     rho = (F - F_try) / pred
                     drop = (F - F_try) / max(F_try, 1e-300)
+                    if rho <= _CHORD_RHO or F_try >= _CHORD_CUT * F:
+                        normal.factor = None
                     u, r, F = u_try, r_try, F_try
                     lam = max(lam * max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3),
                               _LAM_MIN)
@@ -588,12 +659,15 @@ def optimize_shape_field(grid: GridDomain, c: float,
     by `_refine_field`, so the seed varies only the coarse start.  The 2x
     run also starts from the coarse run's final damping, capped at the
     coarse run's start 1e-3 (Madsen, Nielsen & Tingleff 2004, section 3.2:
-    an accepted step lowers the damping at most 3x).  A run stops as
-    converged, stalled, max_iter, floor (a rejected step whose predicted
-    decrease is at most 8 eps |r|^2, or a trial whose decrease conjugate
-    gradients bound by eps |r|^2 / 2, which is not factored and counts as
-    a rejected step) or lam_max (the damping passed its cap, as after
-    repeated failed factorizations); the report gives the 2x run's stop as
+    an accepted step lowers the damping at most 3x).  A chord step, a
+    solve with the stale band Cholesky factor of an earlier step, counts
+    in ``iterations`` but not in ``factorizations``.  A run stops as
+    converged, stalled, max_iter, floor (a rejected factored step whose
+    predicted decrease is at most 8 eps |r|^2, or a trial whose decrease
+    conjugate gradients bound by eps |r|^2 / 2, which is not factored and
+    counts as a rejected step; neither rule applies to a chord trial) or
+    lam_max (the damping passed its cap, as after repeated failed
+    factorizations); the report gives the 2x run's stop as
     ``refinement_stop_reason``.  A grid, or its 2x refinement, whose band
     buffer would hold more than MAX_BAND_DOUBLES doubles raises ValueError
     before anything is allocated, and a residual norm that is not finite

@@ -118,9 +118,12 @@ def sample_codazzi_family(params: HcmuParams, k0: float, xs: np.ndarray,
     anchor = int(np.argmin(np.abs(xs)))
     if abs(xs[anchor]) > 1e-9 * step:
         raise ValueError("profile grid does not contain the anchor x = 0")
-    Ks = curvature_at(params, k0, xs)
-    Ks[anchor] = k0
-    k2s = _k2_of_K(params, c, k0, k2_init, Ks)
+    # an extreme K1 overflows mu^2 and leaves k2 nan off the anchor, which
+    # the cuts below reject
+    with np.errstate(over="ignore", invalid="ignore"):
+        Ks = curvature_at(params, k0, xs)
+        Ks[anchor] = k0
+        k2s = _k2_of_K(params, c, k0, k2_init, Ks)
 
     def reach(k2: np.ndarray) -> int:
         # the samples of a leg (anchor first) kept before its first bad one

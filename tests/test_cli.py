@@ -585,6 +585,15 @@ _FAILURES = [
     pytest.param(["optimize", "--k1", "1e150", "--k2", "1",
                   "--grid", "8,8,0.01,0.01"], {}, None, 3,
                  "non-finite Gauss-Newton step", id="optimize-k1-overflow"),
+    # mu^2 overflows, and the family's k2 is nan off its anchor: its gates
+    # cut it short, with no numpy warning on the way
+    pytest.param(["realize", "--k1", "1e150", "--k2", "1",
+                  "--grid", "8,8,0.01,0.01"], {}, None, 1,
+                 "family too short to difference", id="realize-k1-overflow"),
+    pytest.param(["verify", "--k1", "1e150", "--k2", "1", "--mesh", "s.mesh"],
+                 {"s.mesh": _mesh_text(8, 8, 0.01, 0.01, "v 0 0 0\n" * 64)},
+                 None, 1, "grid leaves the family range",
+                 id="verify-k1-overflow"),
 ]
 
 

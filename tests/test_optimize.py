@@ -42,6 +42,69 @@ def family_seed(grid):
     return family_shape_field(fam, grid)
 
 
+def perturbed_family_start(grid):
+    """The diagonal family's field on a 16x16 grid plus seeded noise of
+    about 1e-2 in every component."""
+    fam = family_seed(grid)
+    noise = 1e-2 * np.random.default_rng(0).standard_normal((3, 16, 16))
+    return ShapeField(grid, fam.h11 + noise[0], fam.h12 + noise[1],
+                      fam.h22 + noise[2])
+
+
+def recorded_events(monkeypatch, problem):
+    """The events of a run on ``problem``, in order: ("factor",) for each
+    band Cholesky, ("solve",) for each band solve, ("residual", u, F) for
+    each residual evaluated and ("iterate", u) where an iteration starts."""
+    events = []
+    factor, solve = optimize.cholesky_banded, optimize.cho_solve_banded
+    residual, gauss_rows = problem.residual, problem.gauss_rows
+
+    def factoring(*args, **kwargs):
+        events.append(("factor",))
+        return factor(*args, **kwargs)
+
+    def solving(*args, **kwargs):
+        events.append(("solve",))
+        return solve(*args, **kwargs)
+
+    def evaluating(u):
+        r = residual(u)
+        events.append(("residual", u.copy(), float(r @ r)))
+        return r
+
+    def iterating(u):
+        events.append(("iterate", u.copy()))
+        return gauss_rows(u)
+
+    monkeypatch.setattr(optimize, "cholesky_banded", factoring)
+    monkeypatch.setattr(optimize, "cho_solve_banded", solving)
+    monkeypatch.setattr(problem, "residual", evaluating)
+    monkeypatch.setattr(problem, "gauss_rows", iterating)
+    return events
+
+
+def trials_of(events, u_end):
+    """Each step tried in a run, as [kind, F, F_try, accepted]: kind is
+    "chord" for a band solve that no factorization precedes, else
+    "factored"; a trial is accepted when the next iteration, or the run's
+    end ``u_end``, starts from its iterate."""
+    trials, F, kind, u_try = [], None, None, None
+    for event in events + [("iterate", u_end)]:
+        if event[0] == "factor":
+            kind = "factored"
+        elif event[0] == "solve":
+            kind = kind or "chord"
+        elif event[0] == "residual" and F is None:
+            F = event[2]    # the initial field's
+        elif event[0] == "residual":
+            trials.append([kind, F, event[2], False])
+            kind, u_try = None, event[1]
+        elif u_try is not None and np.array_equal(event[1], u_try):
+            trials[-1][3] = True
+            F, u_try = trials[-1][2], None
+    return trials
+
+
 def test_unconstrained_from_family_seed_converges():
     grid = GridDomain.create(PARAMS, 1.5, 16, 16, 0.01, 0.01,
                              origin=(-0.08, 0.0))
@@ -256,6 +319,45 @@ def test_a_certified_refinement_run_builds_no_band(monkeypatch):
     assert 0.0 < float(d @ (lam * d - g)) <= b
 
 
+@pytest.mark.parametrize("n, constraint, seed, made", [
+    # the first CG iterate's bound exceeds the bound at x = 0; the proof
+    # still comes, after 6 products
+    (16, "cmc:1", 1, [(16, 6, True)]),
+    # on the 2x grid the bound falls ever more slowly, and CG gives up on
+    # a trial it cannot prove after 12 products, where it took all 16
+    (32, "cmc:0.5", 0, [(32, 3, True), (64, 12, False)]),
+])
+def test_cg_gives_up_once_its_bound_cannot_reach_the_target_in_time(
+        monkeypatch, n, constraint, seed, made):
+    grid = GridDomain.create(PARAMS, 1.5, n, n, 0.01, 0.01,
+                             origin=(-n * 0.005, 0.0))
+    bound, operator = optimize._decrease_bound, _Problem.normal_operator
+    trials, products = [], []
+
+    def counting_operator(self, *args):
+        product = operator(self, *args)
+
+        def counted(v):
+            products.append(None)
+            return product(v)
+
+        return counted
+
+    def recording_bound(problem, *args):
+        products.clear()
+        b = bound(problem, *args)
+        trials.append((problem.grid.nx, len(products), b < np.inf))
+        return b
+
+    monkeypatch.setattr(optimize, "_decrease_bound", recording_bound)
+    monkeypatch.setattr(_Problem, "normal_operator", counting_operator)
+    _, rep = optimize_shape_field(grid, 0.0, TraceConstraint.parse(constraint),
+                                  seed=seed, max_iter=25)
+    # every other trial is settled at x = 0 or by CG's first product
+    assert [t for t in trials if t[1] > 1] == made
+    assert (rep.stop_reason, rep.refinement_stop_reason) == ("floor", "floor")
+
+
 @pytest.mark.parametrize("constraint", ["minimal", "none"])   # m = 2, 3
 def test_a_stationary_start_ends_on_its_floor_unfactored(monkeypatch,
                                                          constraint):
@@ -334,27 +436,132 @@ def test_the_carried_damping_is_capped_at_the_initial_damping(monkeypatch):
 
 def test_a_family_start_carries_the_damping_into_the_refinement_run():
     # a perturbed family field: the 2x run begins at the coarse run's final
-    # damping and Gauss-Newton converges in 3 factorizations, where starting
-    # again from 1e-3 took 9
+    # damping and Gauss-Newton converges in 2 factorizations, and chord
+    # steps, where starting again from 1e-3 took 7
     grid = GridDomain.create(PARAMS, 1.5, 16, 16, 0.01, 0.01,
                              origin=(-0.08, 0.0))
-    fam = family_seed(grid)
-    noise = 1e-2 * np.random.default_rng(0).standard_normal((3, 16, 16))
-    start = ShapeField(grid, fam.h11 + noise[0], fam.h12 + noise[1],
-                       fam.h22 + noise[2])
+    start = perturbed_family_start(grid)
     run = lambda refine: optimize_shape_field(
         grid, 0.0, TraceConstraint("none"), init_field=start, tol=1e-10,
         max_iter=30, refine=refine)[1]
     coarse, rep = run(False), run(True)
     assert rep.refinement_stop_reason == "converged"
     assert rep.refinement_history[-1][2] < 1e-10
-    assert (coarse.factorizations, rep.factorizations) == (8, 11)
+    assert (coarse.factorizations, rep.factorizations) == (5, 7)
+
+
+def test_a_perturbed_family_run_takes_chord_steps(monkeypatch):
+    # its last steps are near Newton's: the factor of a step with rho above
+    # 0.75 that cut F 100x solves for the next gradients too, while F falls
+    # 100x a step
+    grid = GridDomain.create(PARAMS, 1.5, 16, 16, 0.01, 0.01,
+                             origin=(-0.08, 0.0))
+    problem = _Problem(grid, 0.0, TraceConstraint("none"))
+    events = recorded_events(monkeypatch, problem)
+    run = optimize._gauss_newton(
+        problem, problem.pack(perturbed_family_start(grid)), 1e-10, 30, 1e-3)
+    trials = trials_of(events, run.u)
+    chords = [t for t in trials if t[0] == "chord" and t[3]]
+    assert run.stop_reason == "converged"
+    assert len(chords) >= 2
+    assert all(F_try < 0.01 * F for _, F, F_try, _ in chords)
+    # a chord trial follows only an accepted step that cut F 100x
+    for (_, F, F_try, kept), (kind, *_) in zip(trials, trials[1:]):
+        assert kind == "factored" or (kept and F_try < 0.01 * F)
+    # a chord step is an accepted iteration but not a factorization
+    assert run.iterations == sum(t[3] for t in trials)
+    factors = events.count(("factor",))
+    assert run.factorizations == factors < events.count(("solve",))
+
+
+def test_the_kept_factor_lives_in_the_band_until_it_is_refilled(monkeypatch):
+    grid = GridDomain.create(PARAMS, 1.5, 8, 8, 0.01, 0.01,
+                             origin=(-0.04, 0.0))
+    problem = _Problem(grid, 0.0, TraceConstraint("none"))
+    u = problem.random_init(1)
+    rows = problem.gauss_rows(u)
+    g = problem.gradient(rows, problem.residual(u))
+    normal = _BandedNormal(problem)
+    assert normal.factor is None
+    d = _damped_step(normal, g, 1e-3, rows, None)
+    # the factor is the band buffer itself, not a second band, and a chord
+    # solve with it repeats the factored step's own solve
+    assert np.shares_memory(normal.factor, normal.ab)
+    assert np.array_equal(optimize._band_solve(normal, g), d)
+    normal.assemble(1e-3, rows, None)
+    assert normal.factor is None
+    # a factorization that fails keeps none either
+    _damped_step(normal, g, 1e-3, rows, None)
+
+    def failing(*args, **kwargs):
+        raise LinAlgError("1-th leading minor not positive definite")
+
+    monkeypatch.setattr(optimize, "cholesky_banded", failing)
+    with pytest.raises(LinAlgError):
+        _damped_step(normal, g, 1e-3, rows, None)
+    assert normal.factor is None
+
+
+def test_a_minimal_floor_run_takes_no_chord_step(monkeypatch):
+    # its first step, from a random start, cuts F 100x with rho above 0.75,
+    # so a chord trial follows, but on the large-residual floor that trial
+    # does not cut F 100x, and no later step does either
+    grid = GridDomain.create(PARAMS, 1.5, 16, 16, 0.01, 0.01,
+                             origin=(-0.08, 0.0))
+    problem = _Problem(grid, 0.0, TraceConstraint("minimal"))
+    events = recorded_events(monkeypatch, problem)
+    run = optimize._gauss_newton(problem, problem.random_init(3), 1e-8, 30,
+                                 1e-3)
+    trials = trials_of(events, run.u)
+    assert run.stop_reason == "floor"
+    assert any(kind == "chord" for kind, *_ in trials)
+    assert not any(kind == "chord" and kept for kind, _, _, kept in trials)
+    assert run.factorizations == events.count(("factor",)) == 8
+
+
+def test_a_failed_chord_trial_falls_through_to_a_factored_trial(monkeypatch):
+    # a minimal run's chord trial fails, and is followed, in the same
+    # iteration, by the factored trial the run makes without chord steps,
+    # at the same damping (or by the floor proof that ends a run)
+    grid = GridDomain.create(PARAMS, 1.5, 16, 16, 0.01, 0.01,
+                             origin=(-0.08, 0.0))
+    step = optimize._damped_step
+    lams = []
+
+    def recording_step(normal, g, lam, *rest):
+        lams[-1].append(lam)
+        return step(normal, g, lam, *rest)
+
+    def solve(chord_rho):
+        problem = _Problem(grid, 0.0, TraceConstraint("minimal"))
+        lams.append([])
+        with monkeypatch.context() as patched:
+            patched.setattr(optimize, "_CHORD_RHO", chord_rho)
+            events = recorded_events(patched, problem)
+            run = optimize._gauss_newton(problem, problem.random_init(3),
+                                         1e-8, 30, 1e-3)
+        return run, events
+
+    monkeypatch.setattr(optimize, "_damped_step", recording_step)
+    plain, plain_events = solve(np.inf)     # no factor is kept
+    run, events = solve(optimize._CHORD_RHO)
+    assert ("solve",) not in [e for i, e in enumerate(plain_events)
+                              if plain_events[i - 1] != ("factor",)]
+    assert run[1:] == plain[1:] and np.array_equal(run.u, plain.u)
+    assert lams[1] == lams[0]
+    chords = [i for i, e in enumerate(events)
+              if e == ("solve",) and events[i - 1] != ("factor",)]
+    assert chords
+    for i in chords:
+        # the trial's residual, then a factorization or the end of the run
+        assert events[i + 1][0] == "residual"
+        assert events[i + 2:i + 3] in ([("factor",)], [])
 
 
 def test_a_worse_refined_start_carries_the_damping_too():
     # a random start's solution is rough, and refining it raises |r|; the 2x
     # run still begins at the coarse run's final damping (starting afresh
-    # from 1e-3 reaches only floor_16x16 = 3.1e-9, in 22 factorizations)
+    # from 1e-3 also takes 19 factorizations, to floor_16x16 = 8.3e-10)
     grid = GridDomain.create(PARAMS, 1.5, 8, 8, 0.01, 0.01,
                              origin=(-0.04, 0.0))
     none = TraceConstraint("none")
@@ -367,13 +574,13 @@ def test_a_worse_refined_start_carries_the_damping_too():
     assert r1 @ r1 > r0 @ r0
     _, rep = optimize_shape_field(grid, 0.0, none, seed=2, max_iter=40)
     assert rep.to_lines() == [
-        "constraint=none", "seed=2", "iterations=11", "converged=true",
-        "gauss_max=3.1652913623503309e-09", "gauss_l2=3.6169597278603804e-11",
-        "codazzi_max=5.103770097519833e-11",
-        "codazzi_l2=6.7922940889690918e-13",
-        "floor_l2=3.6175974346053129e-11", "floor_8x8=3.6175974346053129e-11",
-        "floor_16x16=6.8753654709957886e-11", "stop_reason=converged",
-        "factorizations=27", "rejected_steps=5",
+        "constraint=none", "seed=2", "iterations=12", "converged=true",
+        "gauss_max=1.5288837462712479e-07", "gauss_l2=1.9419023394539803e-09",
+        "codazzi_max=1.3650746201812614e-09",
+        "codazzi_l2=2.2370712950250809e-11",
+        "floor_l2=1.9420311904742275e-09", "floor_8x8=1.9420311904742275e-09",
+        "floor_16x16=1.7030751881792695e-09", "stop_reason=converged",
+        "factorizations=19", "rejected_steps=2",
         "stop_reason_16x16=converged"]
 
 
