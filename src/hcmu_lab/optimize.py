@@ -522,19 +522,35 @@ def _decrease_bound(problem: _Problem, rows: np.ndarray,
     return np.inf
 
 
+class _Trial(NamedTuple):
+    """One LM trial at damping ``lam``, from |r|^2 = ``F`` to ``F_try`` (nan
+    if none): chord, factored, indefinite (LinAlgError) or proved by CG."""
+    kind: str
+    lam: float
+    F: float
+    F_try: float
+    accepted: bool
+
+
 class _LMRun(NamedTuple):
     u: np.ndarray
-    iterations: int         # accepted steps, chord steps included
-    # converged | stalled | max_iter | floor (a rejected factored step's
-    # predicted decrease was at most 8 eps |r|^2, or a trial was rejected
-    # unfactored, its decrease bounded by CG at most eps |r|^2 / 2) |
-    # lam_max (damping passed its cap)
+    trials: tuple[_Trial, ...]
+    # converged | stalled | max_iter | floor (a rejected factored trial's
+    # predicted decrease was at most 8 eps |r|^2, or a proved trial) | lam_max
     stop_reason: str
-    factorizations: int     # band Cholesky calls, failed ones included, and
-                            # no chord step; with none, the run allocated
-                            # no band
-    rejected_steps: int     # failed chord trials are not counted
     lam: float              # the damping the run ended with
+
+    @property
+    def iterations(self) -> int:    # accepted steps, chord steps included
+        return sum(t.accepted for t in self.trials)
+
+    @property
+    def factorizations(self) -> int:    # band Cholesky calls, failed too
+        return sum(t.kind in ("factored", "indefinite") for t in self.trials)
+
+    @property
+    def rejected_steps(self) -> int:    # failed chord trials are not counted
+        return sum(not t.accepted and t.kind != "chord" for t in self.trials)
 
 
 # an overflow or NaN anywhere in the run is left to its gates: the
@@ -548,8 +564,8 @@ def _gauss_newton(problem: _Problem, u0: np.ndarray, tol: float,
     if not np.all(np.isfinite(r)):
         raise NonFiniteIterate("non-finite residual at the initial field")
     F = float(r @ r)
-    nu = 2.0
-    iterations = factorizations = rejected = stall = 0
+    nu, stall = 2.0, 0
+    trials = []
     normal = None   # the band, allocated at the run's first factorization
 
     stop = None
@@ -558,7 +574,7 @@ def _gauss_newton(problem: _Problem, u0: np.ndarray, tol: float,
             stop = "converged"
         elif stall >= 4:
             stop = "stalled"
-        elif iterations >= max_iter:
+        elif sum(t.accepted for t in trials) >= max_iter:
             stop = "max_iter"
         else:
             rows = problem.gauss_rows(u)
@@ -570,32 +586,32 @@ def _gauss_newton(problem: _Problem, u0: np.ndarray, tol: float,
                 # one falls through to the CG proof and the factored trial,
                 # whose assembly drops the factor
                 u_try, r_try, F_try = _trial(problem, u, _band_solve(normal, g))
-                if F_try < _CHORD_CUT * F:
-                    drop = (F - F_try) / max(F_try, 1e-300)
+                trials.append(_Trial("chord", lam, F, F_try,
+                                     F_try < _CHORD_CUT * F))
+                if trials[-1].accepted:
                     u, r, F = u_try, r_try, F_try
-                    iterations += 1
-                    stall = stall + 1 if drop < 1e-9 else 0
+                    stall = 0
                     continue
             while lam <= _LAM_MAX:
                 # a trial whose decrease CG bounds under one ulp of F is
                 # rejected unfactored
                 if _decrease_bound(problem, rows, second, g, lam,
                                    _CERTIFY_EPS * F) < np.inf:
-                    rejected += 1
+                    trials.append(_Trial("proved", lam, F, np.nan, False))
                     stop = "floor"
                     break
                 if normal is None:
                     normal = _BandedNormal(problem)
-                factorizations += 1
                 try:
                     delta = _damped_step(normal, g, lam, rows, second)
                 except LinAlgError:
-                    rejected += 1
+                    trials.append(_Trial("indefinite", lam, F, np.nan, False))
                     lam, nu = lam * nu, 2.0 * nu
                     continue
                 u_try, r_try, F_try = _trial(problem, u, delta)
                 # the model's predicted decrease of |r|^2
                 pred = float(delta @ (lam * delta - g))
+                trials.append(_Trial("factored", lam, F, F_try, F_try < F))
                 if F_try < F:
                     rho = (F - F_try) / pred
                     drop = (F - F_try) / max(F_try, 1e-300)
@@ -605,10 +621,8 @@ def _gauss_newton(problem: _Problem, u0: np.ndarray, tol: float,
                     lam = max(lam * max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3),
                               _LAM_MIN)
                     nu = 2.0
-                    iterations += 1
                     stall = stall + 1 if drop < 1e-9 else 0
                     break
-                rejected += 1
                 if pred <= _FLOOR_EPS * F:
                     stop = "floor"
                     break
@@ -616,7 +630,7 @@ def _gauss_newton(problem: _Problem, u0: np.ndarray, tol: float,
             else:
                 stop = "lam_max"
 
-    return _LMRun(u, iterations, stop, factorizations, rejected, lam)
+    return _LMRun(u, tuple(trials), stop, lam)
 
 
 def _refine_grid(grid: GridDomain) -> GridDomain:
@@ -659,19 +673,20 @@ def optimize_shape_field(grid: GridDomain, c: float,
     by `_refine_field`, so the seed varies only the coarse start.  The 2x
     run also starts from the coarse run's final damping, capped at the
     coarse run's start 1e-3 (Madsen, Nielsen & Tingleff 2004, section 3.2:
-    an accepted step lowers the damping at most 3x).  A chord step, a
-    solve with the stale band Cholesky factor of an earlier step, counts
-    in ``iterations`` but not in ``factorizations``.  A run stops as
-    converged, stalled, max_iter, floor (a rejected factored step whose
-    predicted decrease is at most 8 eps |r|^2, or a trial whose decrease
-    conjugate gradients bound by eps |r|^2 / 2, which is not factored and
-    counts as a rejected step; neither rule applies to a chord trial) or
-    lam_max (the damping passed its cap, as after repeated failed
-    factorizations); the report gives the 2x run's stop as
-    ``refinement_stop_reason``.  A grid, or its 2x refinement, whose band
-    buffer would hold more than MAX_BAND_DOUBLES doubles raises ValueError
-    before anything is allocated, and a residual norm that is not finite
-    raises NumericalFailure (`residual_norms`).
+    an accepted step lowers the damping at most 3x).  The counters are read
+    off each run's trial records (`_Trial`): ``iterations`` counts accepted
+    trials, chord steps (solves with the stale factor of an earlier step)
+    included, ``factorizations`` band Cholesky calls, failed ones included,
+    and ``rejected_steps`` the other trials, failed chord trials excepted.
+    A run stops as converged, stalled, max_iter, floor (a rejected factored
+    trial whose predicted decrease is at most 8 eps |r|^2, or a trial whose
+    decrease conjugate gradients bound by eps |r|^2 / 2, not factored;
+    neither rule applies to a chord trial) or lam_max (the damping passed
+    its cap, as after repeated failed factorizations); the report gives the
+    2x run's stop as ``refinement_stop_reason``.  A grid, or its 2x
+    refinement, whose band buffer would hold more than MAX_BAND_DOUBLES
+    doubles raises ValueError before anything is allocated, and a residual
+    norm that is not finite raises NumericalFailure (`residual_norms`).
     """
     m = _unknowns_per_node(constraint)
     for k in ((1, 2) if refine else (1,)):

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -51,58 +52,26 @@ def perturbed_family_start(grid):
                       fam.h22 + noise[2])
 
 
-def recorded_events(monkeypatch, problem):
-    """The events of a run on ``problem``, in order: ("factor",) for each
-    band Cholesky, ("solve",) for each band solve, ("residual", u, F) for
-    each residual evaluated and ("iterate", u) where an iteration starts."""
-    events = []
-    factor, solve = optimize.cholesky_banded, optimize.cho_solve_banded
-    residual, gauss_rows = problem.residual, problem.gauss_rows
+def recorded_runs(monkeypatch):
+    """The (problem, u0, run) of every LM run made from here on, in order."""
+    solve, runs = optimize._gauss_newton, []
 
-    def factoring(*args, **kwargs):
-        events.append(("factor",))
-        return factor(*args, **kwargs)
+    def recording(problem, u0, *args):
+        runs.append((problem, u0.copy(), solve(problem, u0, *args)))
+        return runs[-1][2]
 
-    def solving(*args, **kwargs):
-        events.append(("solve",))
-        return solve(*args, **kwargs)
-
-    def evaluating(u):
-        r = residual(u)
-        events.append(("residual", u.copy(), float(r @ r)))
-        return r
-
-    def iterating(u):
-        events.append(("iterate", u.copy()))
-        return gauss_rows(u)
-
-    monkeypatch.setattr(optimize, "cholesky_banded", factoring)
-    monkeypatch.setattr(optimize, "cho_solve_banded", solving)
-    monkeypatch.setattr(problem, "residual", evaluating)
-    monkeypatch.setattr(problem, "gauss_rows", iterating)
-    return events
+    monkeypatch.setattr(optimize, "_gauss_newton", recording)
+    return runs
 
 
-def trials_of(events, u_end):
-    """Each step tried in a run, as [kind, F, F_try, accepted]: kind is
-    "chord" for a band solve that no factorization precedes, else
-    "factored"; a trial is accepted when the next iteration, or the run's
-    end ``u_end``, starts from its iterate."""
-    trials, F, kind, u_try = [], None, None, None
-    for event in events + [("iterate", u_end)]:
-        if event[0] == "factor":
-            kind = "factored"
-        elif event[0] == "solve":
-            kind = kind or "chord"
-        elif event[0] == "residual" and F is None:
-            F = event[2]    # the initial field's
-        elif event[0] == "residual":
-            trials.append([kind, F, event[2], False])
-            kind, u_try = None, event[1]
-        elif u_try is not None and np.array_equal(event[1], u_try):
-            trials[-1][3] = True
-            F, u_try = trials[-1][2], None
-    return trials
+def counted(calls, name, call, fail_at=None):
+    """``call``, counted in ``calls[name]``; call fail_at raises LinAlgError."""
+    def counting(*args, **kwargs):
+        calls[name] += 1
+        if calls[name] == fail_at:
+            raise LinAlgError("1-th leading minor not positive definite")
+        return call(*args, **kwargs)
+    return counting
 
 
 def test_unconstrained_from_family_seed_converges():
@@ -135,9 +104,7 @@ def test_minimal_constraint_floors_and_persists():
     # on the floor a trial whose predicted decrease CG bounds below what F
     # resolves is rejected unfactored and ends the run: 8 factorizations
     # over both grids, none of them on the 2x grid, whose start CG proves
-    # on the floor; 9 when only the bound 2 |g|^2 / lam was tried, 10 with
-    # Gauss-Newton, 12 factoring that trial and 33 walking the damping up
-    # to its cap
+    # on the floor
     assert rep.stop_reason == "floor"
     assert rep.factorizations == 8
     assert rep.rejected_steps == 2
@@ -184,44 +151,30 @@ def test_a_trial_is_factored_only_when_cg_cannot_prove_it_on_the_floor(
     grid = GridDomain.create(PARAMS, 1.5, n, n, 0.01, 0.01,
                              origin=(-n * 0.005, 0.0))
     problem = _Problem(grid, 0.0, TraceConstraint("minimal"))
-    iterates, trials = [], []
-    gauss_rows = problem.gauss_rows
-    step = optimize._damped_step
-
-    def recording_rows(u):
-        iterates.append(u.copy())
-        trials.append([])
-        return gauss_rows(u)
+    step, made = optimize._damped_step, []
 
     def recording_step(normal, g, lam, rows, second):
-        trials[-1].append((g.copy(), lam, rows, second))
+        made.append((g.copy(), lam, rows, second))
         return step(normal, g, lam, rows, second)
 
-    monkeypatch.setattr(problem, "gauss_rows", recording_rows)
     monkeypatch.setattr(optimize, "_damped_step", recording_step)
     run = optimize._gauss_newton(problem, problem.random_init(seed), 1e-8,
                                  30, 1e-3)
     assert run.stop_reason == stop
-    assert run.factorizations == sum(map(len, trials)) == 8
+    assert run.factorizations == len(made) == 8
     assert run.rejected_steps == 1
-
-    def target(u):
-        r = problem.residual(u)
-        return optimize._CERTIFY_EPS * float(r @ r)
-
-    for u, made in zip(iterates, trials):
-        for g, lam, rows, second in made:
-            assert optimize._decrease_bound(problem, rows, second, g, lam,
-                                            target(u)) == np.inf
+    factored = [t for t in run.trials if t.kind != "chord"][:-1]
+    for t, (g, lam, rows, second) in zip(factored, made, strict=True):
+        assert t.lam == lam and optimize._decrease_bound(
+            problem, rows, second, g, lam, optimize._CERTIFY_EPS * t.F) == np.inf
     # the run ends on a trial it did not factor, at the damping it returns,
     # whose decrease CG bounds under eps F / 2
-    u = iterates[-1]
-    r = problem.residual(u)
-    rows = gauss_rows(u)
-    g = problem.gradient(rows, r)
-    assert trials[-1] == []
+    assert run.trials[-1][:2] == ("proved", run.lam)
+    r = problem.residual(run.u)
+    rows = problem.gauss_rows(run.u)
     bound = optimize._decrease_bound(problem, rows, problem.second_order(r),
-                                     g, run.lam, target(u))
+                                     problem.gradient(rows, r), run.lam,
+                                     optimize._CERTIFY_EPS * float(r @ r))
     assert bound <= 0.5 * np.finfo(float).eps * float(r @ r)
 
 
@@ -263,17 +216,13 @@ def test_a_certified_refinement_run_builds_no_band(monkeypatch):
     # and never allocates its band
     grid = GridDomain.create(PARAMS, 1.5, 16, 16, 0.01, 0.01,
                              origin=(-0.08, 0.0))
-    band, solve = optimize._BandedNormal, optimize._gauss_newton
+    band = optimize._BandedNormal
     bound, operator = optimize._decrease_bound, _Problem.normal_operator
-    built, runs, trials, products = [], [], [], []
+    built, trials, products = [], [], []
 
     def counting_band(problem):
         built.append(problem.grid.nx)
         return band(problem)
-
-    def recording_solve(problem, *args):
-        runs.append(solve(problem, *args))
-        return runs[-1]
 
     def recording_operator(self, *args):
         product = operator(self, *args)
@@ -290,13 +239,13 @@ def test_a_certified_refinement_run_builds_no_band(monkeypatch):
         return trials[-1][2]
 
     monkeypatch.setattr(optimize, "_BandedNormal", counting_band)
-    monkeypatch.setattr(optimize, "_gauss_newton", recording_solve)
+    runs = recorded_runs(monkeypatch)
     monkeypatch.setattr(optimize, "_decrease_bound", recording_bound)
     monkeypatch.setattr(_Problem, "normal_operator", recording_operator)
     _, rep = optimize_shape_field(grid, 0.0, TraceConstraint("minimal"),
                                   seed=3, max_iter=30)
     assert built == [16]
-    assert [(run.stop_reason, run.factorizations) for run in runs] == [
+    assert [(run.stop_reason, run.factorizations) for *_, run in runs] == [
         ("floor", 8), ("floor", 0)]
     assert rep.refinement_stop_reason == "floor"
     assert rep.factorizations == 8
@@ -313,7 +262,7 @@ def test_a_certified_refinement_run_builds_no_band(monkeypatch):
     z = g - Bx
     explicit = 2.0 * (float(g @ x) + float(x @ z) + float(z @ z) / lam)
     assert abs(b - explicit) <= 1e-12 * explicit
-    r = problem.residual(runs[-1].u)
+    r = problem.residual(runs[-1][2].u)
     assert b <= target == optimize._CERTIFY_EPS * float(r @ r)
     d = _damped_step(band(problem), g, lam, rows, second)
     assert 0.0 < float(d @ (lam * d - g)) <= b
@@ -385,25 +334,11 @@ def test_the_refinement_run_starts_from_the_refined_coarse_solution(
     grid = GridDomain.create(PARAMS, 1.5, 8, 8, 0.01, 0.01,
                              origin=(-0.04, 0.0))
     init = family_seed(grid) if seeded else None
-    solve = optimize._gauss_newton
-    step = optimize._damped_step
-    starts, runs, lams = [], [], []
-
-    def recording_solve(problem, u0, tol, max_iter, lam):
-        starts.append((problem, u0.copy(), len(lams)))
-        runs.append(solve(problem, u0, tol, max_iter, lam))
-        return runs[-1]
-
-    def recording_step(normal, g, lam, *rest):
-        lams.append(lam)
-        return step(normal, g, lam, *rest)
-
-    monkeypatch.setattr(optimize, "_gauss_newton", recording_solve)
-    monkeypatch.setattr(optimize, "_damped_step", recording_step)
+    runs = recorded_runs(monkeypatch)
     fld, rep = optimize_shape_field(grid, 0.0, TraceConstraint("minimal"),
                                     seed=2, max_iter=5, init_field=init)
     assert rep.iterations > 0
-    (coarse, u_coarse, _), (fine, u_fine, k_fine) = starts
+    (coarse, u_coarse, run), (fine, u_fine, fine_run) = runs
     assert (fine.grid.nx, fine.grid.ny) == (16, 16)
     first = coarse.pack(init) if seeded else coarse.random_init(2)
     assert np.array_equal(u_coarse, first)
@@ -411,9 +346,9 @@ def test_the_refinement_run_starts_from_the_refined_coarse_solution(
                           fine.pack(optimize._refine_field(fld, fine.grid)))
     # the coarse run starts at 1e-3 and the 2x run at the damping the
     # coarse run ended with, which is below that cap here
-    assert lams[0] == 1e-3
-    assert runs[0].lam < 1e-3
-    assert lams[k_fine] == runs[0].lam
+    assert run.trials[0].lam == 1e-3
+    assert run.lam < 1e-3
+    assert fine_run.trials[0].lam == run.lam
 
 
 def test_the_carried_damping_is_capped_at_the_initial_damping(monkeypatch):
@@ -437,7 +372,7 @@ def test_the_carried_damping_is_capped_at_the_initial_damping(monkeypatch):
 def test_a_family_start_carries_the_damping_into_the_refinement_run():
     # a perturbed family field: the 2x run begins at the coarse run's final
     # damping and Gauss-Newton converges in 2 factorizations, and chord
-    # steps, where starting again from 1e-3 took 7
+    # steps
     grid = GridDomain.create(PARAMS, 1.5, 16, 16, 0.01, 0.01,
                              origin=(-0.08, 0.0))
     start = perturbed_family_start(grid)
@@ -450,28 +385,24 @@ def test_a_family_start_carries_the_damping_into_the_refinement_run():
     assert (coarse.factorizations, rep.factorizations) == (5, 7)
 
 
-def test_a_perturbed_family_run_takes_chord_steps(monkeypatch):
+def test_a_perturbed_family_run_takes_chord_steps():
     # its last steps are near Newton's: the factor of a step with rho above
     # 0.75 that cut F 100x solves for the next gradients too, while F falls
     # 100x a step
     grid = GridDomain.create(PARAMS, 1.5, 16, 16, 0.01, 0.01,
                              origin=(-0.08, 0.0))
     problem = _Problem(grid, 0.0, TraceConstraint("none"))
-    events = recorded_events(monkeypatch, problem)
     run = optimize._gauss_newton(
         problem, problem.pack(perturbed_family_start(grid)), 1e-10, 30, 1e-3)
-    trials = trials_of(events, run.u)
-    chords = [t for t in trials if t[0] == "chord" and t[3]]
+    chords = [t for t in run.trials if t.kind == "chord" and t.accepted]
     assert run.stop_reason == "converged"
     assert len(chords) >= 2
-    assert all(F_try < 0.01 * F for _, F, F_try, _ in chords)
+    assert all(t.F_try < 0.01 * t.F for t in chords)
     # a chord trial follows only an accepted step that cut F 100x
-    for (_, F, F_try, kept), (kind, *_) in zip(trials, trials[1:]):
-        assert kind == "factored" or (kept and F_try < 0.01 * F)
+    for t, after in zip(run.trials, run.trials[1:]):
+        assert after.kind != "chord" or (t.accepted and t.F_try < 0.01 * t.F)
     # a chord step is an accepted iteration but not a factorization
-    assert run.iterations == sum(t[3] for t in trials)
-    factors = events.count(("factor",))
-    assert run.factorizations == factors < events.count(("solve",))
+    assert run.iterations == run.factorizations + len(chords)
 
 
 def test_the_kept_factor_lives_in_the_band_until_it_is_refilled(monkeypatch):
@@ -502,21 +433,19 @@ def test_the_kept_factor_lives_in_the_band_until_it_is_refilled(monkeypatch):
     assert normal.factor is None
 
 
-def test_a_minimal_floor_run_takes_no_chord_step(monkeypatch):
+def test_a_minimal_floor_run_takes_no_chord_step():
     # its first step, from a random start, cuts F 100x with rho above 0.75,
     # so a chord trial follows, but on the large-residual floor that trial
     # does not cut F 100x, and no later step does either
     grid = GridDomain.create(PARAMS, 1.5, 16, 16, 0.01, 0.01,
                              origin=(-0.08, 0.0))
     problem = _Problem(grid, 0.0, TraceConstraint("minimal"))
-    events = recorded_events(monkeypatch, problem)
     run = optimize._gauss_newton(problem, problem.random_init(3), 1e-8, 30,
                                  1e-3)
-    trials = trials_of(events, run.u)
     assert run.stop_reason == "floor"
-    assert any(kind == "chord" for kind, *_ in trials)
-    assert not any(kind == "chord" and kept for kind, _, _, kept in trials)
-    assert run.factorizations == events.count(("factor",)) == 8
+    assert any(t.kind == "chord" for t in run.trials)
+    assert not any(t.kind == "chord" and t.accepted for t in run.trials)
+    assert run.factorizations == 8
 
 
 def test_a_failed_chord_trial_falls_through_to_a_factored_trial(monkeypatch):
@@ -525,43 +454,99 @@ def test_a_failed_chord_trial_falls_through_to_a_factored_trial(monkeypatch):
     # at the same damping (or by the floor proof that ends a run)
     grid = GridDomain.create(PARAMS, 1.5, 16, 16, 0.01, 0.01,
                              origin=(-0.08, 0.0))
-    step = optimize._damped_step
-    lams = []
 
-    def recording_step(normal, g, lam, *rest):
-        lams[-1].append(lam)
-        return step(normal, g, lam, *rest)
-
-    def solve(chord_rho):
+    def solve():
         problem = _Problem(grid, 0.0, TraceConstraint("minimal"))
-        lams.append([])
-        with monkeypatch.context() as patched:
-            patched.setattr(optimize, "_CHORD_RHO", chord_rho)
-            events = recorded_events(patched, problem)
-            run = optimize._gauss_newton(problem, problem.random_init(3),
-                                         1e-8, 30, 1e-3)
-        return run, events
+        return optimize._gauss_newton(problem, problem.random_init(3), 1e-8,
+                                      30, 1e-3)
 
-    monkeypatch.setattr(optimize, "_damped_step", recording_step)
-    plain, plain_events = solve(np.inf)     # no factor is kept
-    run, events = solve(optimize._CHORD_RHO)
-    assert ("solve",) not in [e for i, e in enumerate(plain_events)
-                              if plain_events[i - 1] != ("factor",)]
-    assert run[1:] == plain[1:] and np.array_equal(run.u, plain.u)
-    assert lams[1] == lams[0]
-    chords = [i for i, e in enumerate(events)
-              if e == ("solve",) and events[i - 1] != ("factor",)]
-    assert chords
-    for i in chords:
-        # the trial's residual, then a factorization or the end of the run
-        assert events[i + 1][0] == "residual"
-        assert events[i + 2:i + 3] in ([("factor",)], [])
+    run = solve()
+    monkeypatch.setattr(optimize, "_CHORD_RHO", np.inf)     # no factor kept
+    plain = solve()
+    factored = tuple(t for t in run.trials if t.kind != "chord")
+    assert factored == plain.trials and len(factored) < len(run.trials)
+    assert (run.stop_reason, run.lam) == (plain.stop_reason, plain.lam)
+    assert np.array_equal(run.u, plain.u)
+    for t, after in zip(run.trials, run.trials[1:]):
+        if t.kind == "chord":
+            assert not t.accepted
+            assert (after.kind, after.lam, after.F) in [
+                ("factored", t.lam, t.F), ("proved", t.lam, t.F)]
+
+
+@pytest.mark.parametrize("constraint, fail_at, end", [
+    ("none", None, ("converged", "chord")),
+    ("minimal", None, ("floor", "proved")), ("minimal", 2, ("floor", "proved"))])
+def test_the_trial_records_match_the_calls_made(monkeypatch, constraint,
+                                                fail_at, end):
+    # one factorization per factored or indefinite record, one band solve per
+    # chord or factored record, and one residual per such record and one for
+    # the start; every run makes a failed chord trial
+    grid = GridDomain.create(PARAMS, 1.5, 16, 16, 0.01, 0.01,
+                             origin=(-0.08, 0.0))
+    problem = _Problem(grid, 0.0, TraceConstraint(constraint))
+    u0 = (problem.pack(perturbed_family_start(grid)) if constraint == "none"
+          else problem.random_init(3))
+    calls = Counter()
+    monkeypatch.setattr(optimize, "cholesky_banded", counted(
+        calls, "factor", optimize.cholesky_banded, fail_at))
+    monkeypatch.setattr(optimize, "cho_solve_banded", counted(
+        calls, "solve", optimize.cho_solve_banded))
+    monkeypatch.setattr(problem, "residual",
+                        counted(calls, "residual", problem.residual))
+    run = optimize._gauss_newton(problem, u0, 1e-10, 30, 1e-3)
+    kinds = Counter(t.kind for t in run.trials)
+    solves = kinds["chord"] + kinds["factored"]
+    assert (calls["factor"], calls["solve"], calls["residual"]) == (
+        kinds["factored"] + kinds["indefinite"], solves, solves + 1)
+    assert kinds["indefinite"] == (fail_at is not None)
+    assert any(t.kind == "chord" and not t.accepted for t in run.trials)
+    assert (run.stop_reason, run.trials[-1].kind) == end
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(8, 10), st.integers(8, 10),
+       st.sampled_from(["none", "minimal", "cmc:2"]),
+       st.integers(0, 2 ** 32 - 1), st.integers(1, 12),
+       st.sampled_from([None, 1, 2, 3]))
+def test_the_trial_records_keep_the_lm_invariants(nx, ny, constraint, seed,
+                                                  max_iter, fail_at):
+    # over both grids of a run whose fail_at-th factorization fails
+    grid = GridDomain.create(PARAMS, 1.5, nx, ny, 0.01, 0.01,
+                             origin=(-0.04, 0.0))
+    with pytest.MonkeyPatch.context() as patched:
+        runs = recorded_runs(patched)
+        patched.setattr(optimize, "cholesky_banded", counted(
+            Counter(), "factor", optimize.cholesky_banded, fail_at))
+        _, rep = optimize_shape_field(grid, 0.0,
+                                      TraceConstraint.parse(constraint),
+                                      seed=seed, max_iter=max_iter)
+    for problem, u0, run in runs:
+        r = problem.residual(u0)
+        F = float(r @ r)
+        for before, t in zip((None,) + run.trials, run.trials):
+            assert t.F == F     # where the last accepted trial ended
+            if t.accepted:
+                assert t.F_try < (0.01 * t.F if t.kind == "chord" else t.F)
+                F = t.F_try
+            if t.kind == "chord":
+                assert before.accepted and before.F_try < 0.01 * before.F
+            if before is not None and before.kind in ("factored", "indefinite"):
+                assert before.accepted or t.lam > before.lam
+        kinds = [t.kind for t in run.trials]
+        assert "proved" not in kinds[:-1]
+        assert run.stop_reason == "floor" or "proved" not in kinds
+    trials = [t for *_, run in runs for t in run.trials]
+    assert rep.iterations == sum(t.accepted for t in runs[0][2].trials)
+    assert rep.factorizations == sum(t.kind in ("factored", "indefinite")
+                                     for t in trials)
+    assert rep.rejected_steps == sum(not t.accepted and t.kind != "chord"
+                                     for t in trials)
 
 
 def test_a_worse_refined_start_carries_the_damping_too():
     # a random start's solution is rough, and refining it raises |r|; the 2x
-    # run still begins at the coarse run's final damping (starting afresh
-    # from 1e-3 also takes 19 factorizations, to floor_16x16 = 8.3e-10)
+    # run still begins at the coarse run's final damping
     grid = GridDomain.create(PARAMS, 1.5, 8, 8, 0.01, 0.01,
                              origin=(-0.04, 0.0))
     none = TraceConstraint("none")
@@ -584,15 +569,19 @@ def test_a_worse_refined_start_carries_the_damping_too():
         "stop_reason_16x16=converged"]
 
 
-def test_cmc_zero_equals_minimal_bitwise():
+def test_cmc_zero_equals_minimal_bitwise(monkeypatch):
+    # the same trials, at the same damping and F, to the same field
     grid = GridDomain.create(PARAMS, 1.5, 12, 12, 0.01, 0.01,
                              origin=(-0.06, 0.0))
+    runs = recorded_runs(monkeypatch)
     _, r_min = optimize_shape_field(grid, 0.0, TraceConstraint("minimal"),
                                     seed=5, max_iter=25, refine=False)
     _, r_cmc = optimize_shape_field(grid, 0.0, TraceConstraint("cmc", 0.0),
                                     seed=5, max_iter=25, refine=False)
-    assert r_min.floor_l2 == r_cmc.floor_l2
-    assert r_min.gauss_max == r_cmc.gauss_max
+    assert r_min.to_lines()[1:] == r_cmc.to_lines()[1:]
+    (*_, run_min), (*_, run_cmc) = runs
+    assert run_min.trials == run_cmc.trials
+    assert np.array_equal(run_min.u, run_cmc.u)
 
 
 def test_codazzi_limited_floor_when_gauss_is_satisfiable():
@@ -759,32 +748,21 @@ def test_the_layout_round_trips(constraint, nx, ny):
 def test_a_failed_factorization_is_a_rejected_step(monkeypatch):
     grid = GridDomain.create(PARAMS, 1.5, 12, 12, 0.01, 0.01,
                              origin=(-0.06, 0.0))
-    run = lambda: optimize_shape_field(grid, 0.0, TraceConstraint("minimal"),
-                                       seed=4, max_iter=3, refine=False)[1]
+    problem = _Problem(grid, 0.0, TraceConstraint("minimal"))
+    run = lambda: optimize._gauss_newton(problem, problem.random_init(4),
+                                         1e-8, 3, 1e-3)
     clean = run()
     assert clean.rejected_steps == 0
 
-    factor = optimize.cholesky_banded
-    step = optimize._damped_step
-    lams = []
-
-    def failing_once(*args, **kwargs):
-        if len(lams) == 1:
-            raise LinAlgError("1-th leading minor not positive definite")
-        return factor(*args, **kwargs)
-
-    def recording_step(normal, g, lam, *rest):
-        lams.append(lam)
-        return step(normal, g, lam, *rest)
-
-    monkeypatch.setattr(optimize, "cholesky_banded", failing_once)
-    monkeypatch.setattr(optimize, "_damped_step", recording_step)
-    rep = run()
-    # the failure is counted, lam is multiplied by nu = 2, and the run goes on
-    assert lams[:2] == [1e-3, 2e-3]
-    assert rep.rejected_steps == 1
-    assert rep.factorizations == clean.factorizations + 1
-    assert rep.iterations == clean.iterations == 3
+    monkeypatch.setattr(optimize, "cholesky_banded", counted(
+        Counter(), "factor", optimize.cholesky_banded, fail_at=1))
+    failed = run()
+    # the failure is recorded, lam is multiplied by nu = 2, and the run goes on
+    assert [(t.kind, t.lam) for t in failed.trials[:2]] == [
+        ("indefinite", 1e-3), ("factored", 2e-3)]
+    assert failed.rejected_steps == 1
+    assert failed.factorizations == clean.factorizations + 1
+    assert failed.iterations == clean.iterations == 3
 
 
 def test_a_band_above_the_cap_is_rejected_before_any_problem_is_built(
