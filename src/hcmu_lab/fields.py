@@ -278,17 +278,18 @@ def lattice_legs(grid: GridDomain, nodes):
         yield i0, j0, i1, j1
 
 
-def march_x(f_half, y, i0: int, i1: int, hx: float):
-    """RK4 along x from column i0 to column i1, one cell a step.
+def x_propagators(f_half, one, i0: int, i1: int, hx: float):
+    """RK4 propagators of a linear march along x, column i0 to i1, per cell.
 
-    f_half(k, y) is the right-hand side at half-step lattice index k, where
-    column i is k = 2 i.
+    f_half(k, v), linear in v, is the right-hand side at half-step lattice
+    indices k (column i is k = 2 i).  One rk4_step on a batch of identities
+    `one` (1.0 or np.eye(4)) gives them all, in path order.
     """
     step = 1 if i1 > i0 else -1
-    for i in range(i0, i1, step):
-        y = rk4_step(lambda stage, v: f_half(2 * i + step * stage, v), y,
-                     step * hx)
-    return y
+    k = 2 * np.arange(i0, i1, step)
+    ones = np.broadcast_to(one, k.shape + np.shape(one))
+    return rk4_step(lambda stage, v: f_half(k + step * stage, v), ones,
+                    step * hx)
 
 
 def integrate_minimal_ansatz(grid: GridDomain, c: float,
@@ -296,18 +297,17 @@ def integrate_minimal_ansatz(grid: GridDomain, c: float,
     """Sweep the transport system over the grid: x spine, then y columns.
 
     Along a column the rate i beta(x) is constant, so the y transport is the
-    exact rotation h -> h exp(i beta dy); the x spine uses RK4.
+    exact rotation h -> h exp(i beta dy); the x spine is the running product
+    of the RK4 propagators of its cells.
     """
     _require_supercritical(grid.params, c)
     if h0 == 0:
         raise ValueError("h0 must be nonzero")
     params = grid.params
     alpha_half, _ = _ansatz_rates(params, c, grid.K_half)
-    rate = lambda k, v: alpha_half[k] * v
-    spine = np.empty(grid.nx, dtype=complex)
-    spine[0] = h0
-    for i in range(grid.nx - 1):
-        spine[i + 1] = march_x(rate, spine[i], i, i + 1, grid.hx)
+    props = x_propagators(lambda k, v: alpha_half[k] * v, 1.0, 0,
+                          grid.nx - 1, grid.hx)
+    spine = np.cumprod(np.concatenate(([complex(h0)], props)))
     _, beta = _ansatz_rates(params, c, grid.K)
     dy = grid.hy * np.arange(grid.ny)
     h = spine[:, None] * np.exp(1j * beta[:, None] * dy[None, :])
@@ -328,7 +328,8 @@ def transport_ansatz(grid: GridDomain, c: float, h0: complex,
     h = complex(h0)
     for i0, j0, i1, j1 in lattice_legs(grid, nodes):
         if j0 == j1:
-            h = march_x(lambda k, v: alpha_half[k] * v, h, i0, i1, grid.hx)
+            h = h * np.prod(x_propagators(lambda k, v: alpha_half[k] * v,
+                                          1.0, i0, i1, grid.hx))
         else:
             h = h * np.exp(1j * beta_half[2 * i0] * (j1 - j0) * grid.hy)
     return h

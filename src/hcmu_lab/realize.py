@@ -27,13 +27,14 @@ adapted frame (e1, e2, xi) in the flat model is integrated by RK4:
 
 with s = mu' mu / 2 the tangential rotation rate of the frame.  With the
 rows S = (X, e1, e2, xi), both systems are linear, S' = A S, with a 4x4
-matrix A that depends on x alone; so all grid columns advance along y in
-lockstep, one batched RK4 step per grid row.  The ambient model is R^3
-for c = 0, the quadric <X, X> = 1/c in R^4 for c > 0, and the same quadric
-in Minkowski space (signature -+++) for c < 0; the system preserves the
-quadric and frame orthonormality exactly, so drift measures integration
-error and Gauss-Codazzi failure.  Re-orthonormalization is deliberately
-never applied.
+matrix A that depends on x alone; so one RK4 step is a fixed 4x4 map, its
+propagator.  One batched step gives the x spine's, one per cell, and one
+gives each grid column's y step, applied on every row.  The ambient model
+is R^3 for c = 0, the quadric <X, X> = 1/c in R^4 for c > 0, and the same
+quadric in Minkowski space (signature -+++) for c < 0; the system
+preserves the quadric and frame orthonormality exactly, so drift measures
+integration error and Gauss-Codazzi failure.  Re-orthonormalization is
+deliberately never applied.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FormatError, FrameDrift, NumericalFailure, PathLeavesDomain
-from .fields import GridDomain, ShapeField, lattice_legs, march_x
+from .fields import GridDomain, ShapeField, lattice_legs, x_propagators
 from .profile import CurvatureProfile, HcmuParams, curvature_at, rk4_step
 from .textio import (atomic_write, fmt17, format_rows, grid_header,
                      line_runs, parse_header_comment, read_text, record_block)
@@ -87,14 +88,15 @@ def _k2_of_K(params: HcmuParams, c: float, K0: float, k2_0: float, K):
     """k2 of the diagonal family at curvature K, where k2(K0) = k2_0.
 
     With P = mu^2 and Q' = P, the first integral P(K) (k2^2 - (K - c)) + Q(K)
-    = const gives k2^2; k2 keeps the sign of k2_0, and is nan where k2^2
-    would be negative.  Q(K) - Q(K0), the integral of the cubic P, is taken
-    by Simpson's rule, which is exact for it and, unlike the difference of
-    Q = -K^4/3 + (p1/2) K^2 + p0 K, adds only positive terms.
+    = const gives k2^2 = k2_0^2 (P0/P) + ((K - c) P - (K0 - c) P0 - dQ)/P,
+    which is k2_0^2 to the bit at K0; k2 keeps the sign of k2_0, and is nan
+    where k2^2 would be negative.  dQ = Q(K) - Q(K0), the integral of the
+    cubic P, is taken by Simpson's rule, which is exact for it and, unlike
+    Q = -K^4/3 + (p1/2) K^2 + p0 K differenced, adds only positive terms.
     """
     P, P0 = params.mu_sq(K), params.mu_sq(K0)
     dQ = (K - K0) / 6.0 * (P0 + 4.0 * params.mu_sq(0.5 * (K + K0)) + P)
-    k2_sq = (K - c) + (P0 * (k2_0 * k2_0 - (K0 - c)) - dQ) / P
+    k2_sq = k2_0 * k2_0 * (P0 / P) + ((K - c) * P - (K0 - c) * P0 - dQ) / P
     with np.errstate(invalid="ignore"):
         return math.copysign(1.0, k2_0) * np.sqrt(k2_sq)
 
@@ -136,9 +138,9 @@ def sample_codazzi_family(params: HcmuParams, k0: float, xs: np.ndarray,
     hi_ok = anchor + reach(k2s[anchor:]) - 1
     sl = slice(lo_ok, hi_ok + 1)
     truncated = (lo_ok, hi_ok) != (0, xs.size - 1)
-    # a k2_init too small for the first integral to resolve gives k2 = 0,
-    # so k1 = inf, at the anchor; the family is then cut to that one
-    # sample, which family_codazzi_gap rejects as too short
+    # a k2_init too small to resolve off the anchor cuts the family to its
+    # anchor sample, which family_codazzi_gap and family_shape_field reject;
+    # one whose square underflows gives k2 = 0, so k1 = inf, there
     with np.errstate(divide="ignore", invalid="ignore"):
         k1s = (Ks[sl] - c) / k2s[sl]
     return DiagonalFamily(params, float(k0), float(c), float(k2_init), xs[sl],
@@ -155,9 +157,10 @@ def solve_codazzi_family(profile: CurvatureProfile, c: float,
 
 def family_shape_field(family: DiagonalFamily, grid: GridDomain) -> ShapeField:
     """Broadcast the family onto a grid whose columns sit on family samples."""
-    idx = np.rint((grid.xs - family.xs[0]) / (family.xs[1] - family.xs[0]))
-    idx = idx.astype(int)
+    if family.xs.size < 2:
+        raise ValueError("family has one sample; it cannot cover a grid")
     step = family.xs[1] - family.xs[0]
+    idx = np.rint((grid.xs - family.xs[0]) / step).astype(int)
     if np.any(idx < 0) or np.any(idx >= family.xs.size) or np.any(
         np.abs(family.xs[np.clip(idx, 0, family.xs.size - 1)] - grid.xs)
         > 1e-9 * step
@@ -288,6 +291,12 @@ def _frame_matrices(tables: FrameTables, c: float):
     return np.moveaxis(Ax, -1, 0), np.moveaxis(Ay, -1, 0)
 
 
+def _y_propagators(Ay: np.ndarray, hy: float) -> np.ndarray:
+    """The RK4 map of one y step of S' = Ay S, per column of a stack Ay."""
+    return rk4_step(lambda stage, T: Ay @ T,
+                    np.broadcast_to(np.eye(4), Ay.shape), hy)
+
+
 def _frame_defect(S: np.ndarray, c: float, sig: np.ndarray) -> np.ndarray:
     """Worst departure from an orthonormal frame (and, for c != 0, from the
     quadric <X, X> = 1/c with X normal to the frame), per state of a stack
@@ -336,24 +345,24 @@ def integrate_frame_tables(tables: FrameTables, nx: int, ny: int, hx: float,
                            frame_tol: float = 1e-6) -> Mesh:
     """Integrate the frame system over the grid from the given coefficients.
 
-    The spine runs along x at j = 0; then all columns advance along y in
-    lockstep, one batched RK4 step per row.  Orthonormality and (for c != 0)
-    the quadric constraint are checked at every node, and drift beyond
-    frame_tol raises FrameDrift for the first such node in (i, j) order;
-    drift is a diagnostic, so it is never silently corrected.
+    The spine runs along x at j = 0, one RK4 propagator per cell; then each
+    column applies its own y propagator once per row.  Orthonormality and
+    (for c != 0) the quadric constraint are checked at every node, and drift
+    beyond frame_tol raises FrameDrift for the first such node in (i, j)
+    order; drift is a diagnostic, so it is never silently corrected.
     """
     sig = ambient_signature(c, 3 if c == 0 else 4)
     Ax, Ay = _frame_matrices(tables, c)
-    Ay = Ay[0:2 * nx - 1:2]  # the columns' coefficients
-    rate = lambda k, T: Ax[k] @ T
     spine = [_initial_frame(c).as_matrix()]
     # an overflow or NaN is left to the drift gate, which checks every node
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(1, nx):
-            spine.append(march_x(rate, spine[-1], i - 1, i, hx))
+        for P in x_propagators(lambda k, T: Ax[k] @ T, np.eye(4), 0, nx - 1,
+                               hx):
+            spine.append(P @ spine[-1])
+        Py = _y_propagators(Ay[0:2 * nx - 1:2], hy)  # at the columns
         rows = [np.stack(spine)]
         for _ in range(1, ny):
-            rows.append(rk4_step(lambda stage, T: Ay @ T, rows[-1], hy))
+            rows.append(Py @ rows[-1])
     S = np.stack(rows, axis=1)  # (nx, ny, 4, dim), node (i, j) at [i, j]
     drift = _frame_defect(S, c, sig)
     # i-major, like the node order; a NaN drift fails the gate too
@@ -420,11 +429,13 @@ def transport_frame(family: DiagonalFamily, grid: GridDomain,
         raise PathLeavesDomain("frame transport must start at the grid origin")
     for i0, j0, i1, j1 in lattice_legs(grid, nodes):
         if j0 == j1:
-            S = march_x(lambda k, T: Ax[k] @ T, S, i0, i1, grid.hx)
+            for P in x_propagators(lambda k, T: Ax[k] @ T, np.eye(4), i0, i1,
+                                   grid.hx):
+                S = P @ S
         else:
-            hy = grid.hy if j1 > j0 else -grid.hy
+            P = _y_propagators(Ay[2 * i0], math.copysign(grid.hy, j1 - j0))
             for _ in range(abs(j1 - j0)):
-                S = rk4_step(lambda stage, T: Ay[2 * i0] @ T, S, hy)
+                S = P @ S
     return FrameState(S[0], S[1], S[2], S[3])
 
 

@@ -1,8 +1,8 @@
 """Property tests: the K(x) oracle, the admissibility rule, polynomial
 division and gcd, Sturm counts, the grid header codec, the closed forms
-that check the diagonal family and the minimal-ansatz transport, the bound
-on a damped step's predicted decrease and the LM gradient's summation
-order."""
+that check the diagonal family and the minimal-ansatz transport, the RK4
+propagators of the linear marches, the bound on a damped step's predicted
+decrease and the LM gradient's summation order."""
 
 import cmath
 import math
@@ -10,18 +10,19 @@ import struct
 from fractions import Fraction
 
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hcmu_lab.algebra import CubicData
 from hcmu_lab.errors import InadmissibleParams
 from hcmu_lab import profile
 from hcmu_lab.fields import (GridDomain, TraceConstraint,
-                             integrate_minimal_ansatz, transport_ansatz)
+                             integrate_minimal_ansatz, transport_ansatz,
+                             x_propagators)
 from hcmu_lab.optimize import _BandedNormal, _damped_step, _Problem
 from hcmu_lab.profile import (curvature_at, implicit_x_of_K, rk4_step,
                               solve_curvature_ode, validate_params)
-from hcmu_lab.realize import solve_codazzi_family
+from hcmu_lab.realize import _y_propagators, solve_codazzi_family
 from hcmu_lab.ratpoly import RationalPoly, count_roots_between, isolate_roots, poly_gcd
 from hcmu_lab.textio import grid_header, parse_grid_header
 
@@ -465,6 +466,83 @@ def test_ansatz_transport_around_a_rectangle_matches_its_closed_form(case,
     for n, exact in enumerate(expect, start=2):
         h = transport_ansatz(grid, c, h0, corners[:n])
         assert abs(h - exact) <= tol * abs(exact)
+
+
+def sequential_march(f_half, y, i0, i1, h):
+    """The march the propagators replace: one rk4_step per cell from column
+    i0 to column i1, column i at half-step index 2 i."""
+    step = 1 if i1 > i0 else -1
+    for i in range(i0, i1, step):
+        y = rk4_step(lambda stage, v: f_half(2 * i + step * stage, v), y,
+                     step * h)
+    return y
+
+
+def complex_uniform(rng, shape):
+    return rng.uniform(-1.0, 1.0, shape) + 1j * rng.uniform(-1.0, 1.0, shape)
+
+
+def coefficient_norms(table):
+    """Spectral norms of a stack of 4x4 coefficients, or moduli of scalars."""
+    return (np.linalg.norm(table, 2, axis=(-2, -1)) if table.ndim == 3
+            else np.abs(table))
+
+
+EPS = np.finfo(float).eps
+
+
+@PROPERTY
+@given(st.booleans(), st.integers(2, 12), st.integers(0, 11),
+       st.integers(0, 11), st.floats(1e-3, 0.25), st.integers(0, 2 ** 32 - 1))
+@example(True, 12, 9, 2, 0.2, 0)   # backward
+@example(False, 12, 9, 2, 0.2, 0)
+@example(True, 12, 4, 4, 0.2, 0)   # zero length
+def test_x_propagators_march_a_leg_like_sequential_rk4(matrix, nx, i0, i1,
+                                                       hx, seed):
+    # a random half-step table of complex scalar or 4x4 coefficients, and a
+    # leg in either direction, or of zero length
+    i0, i1 = i0 % nx, i1 % nx
+    n = abs(i1 - i0)
+    rng = np.random.default_rng(seed)
+    shape = (4, 4) if matrix else ()
+    table = complex_uniform(rng, (2 * nx - 1,) + shape)
+    if matrix:
+        f_half = lambda k, v: table[k] @ v
+        one, y0 = np.eye(4), complex_uniform(rng, (4, 3))
+    else:
+        f_half = lambda k, v: table[k] * v
+        one, y0 = 1.0, complex(*rng.uniform(-1.0, 1.0, 2))
+    props = x_propagators(f_half, one, i0, i1, hx)
+    assert props.shape == (n,) + shape
+    y = y0
+    for P in props:
+        y = P @ y if matrix else P * y
+    ref = sequential_march(f_half, y0, i0, i1, hx)
+    # each step's rounding is a few ulps of what the state may grow to
+    norms = coefficient_norms(table)
+    lo = min(i0, i1)
+    growth = math.exp(hx * sum(norms[2 * i:2 * i + 3].max()
+                               for i in range(lo, lo + n)))
+    tol = 4.0 * n * EPS * growth * np.linalg.norm(y0)
+    assert np.all(np.abs(y - ref) <= tol)
+
+
+@PROPERTY
+@given(st.integers(1, 5), st.integers(0, 8), st.floats(-0.25, 0.25),
+       st.integers(0, 2 ** 32 - 1))
+def test_a_y_propagator_applied_n_times_is_n_rk4_steps(cols, n, hy, seed):
+    rng = np.random.default_rng(seed)
+    Ay = complex_uniform(rng, (cols, 4, 4))
+    S0 = complex_uniform(rng, (cols, 4, 3))
+    P = _y_propagators(Ay, hy)
+    assert P.shape == (cols, 4, 4)
+    S = ref = S0
+    for _ in range(n):
+        S = P @ S
+        ref = rk4_step(lambda stage, T: Ay @ T, ref, hy)
+    growth = np.exp(abs(hy) * n * coefficient_norms(Ay))
+    tol = 4.0 * n * EPS * growth * np.linalg.norm(S0, axis=(-2, -1))
+    assert np.all(np.abs(S - ref) <= tol[:, None, None])
 
 
 @PROPERTY

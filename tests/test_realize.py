@@ -219,6 +219,30 @@ def test_family_rejects_zero_init():
         solve_codazzi_family(prof, 0.0, 0.0)
 
 
+@pytest.mark.parametrize("k2_init", [1e-10, 1e-7, 1e-3, 1.0, -0.5])
+def test_the_family_keeps_k2_init_at_its_anchor_to_the_bit(k2_init):
+    xs = 1e-3 * np.arange(-600, 601)
+    fam = sample_codazzi_family(PARAMS, 1.5, xs, 1e-3, 0.0, k2_init)
+    anchor = int(np.argmin(np.abs(fam.xs)))
+    assert fam.xs[anchor] == 0.0
+    assert fam.k2s[anchor] == k2_init
+
+
+def test_a_one_sample_family_is_rejected_not_indexed():
+    # k2_init = 1e-7 is too small for the first integral to resolve off
+    # the anchor, so the family keeps only its anchor sample
+    xs = 1e-3 * np.arange(-600, 601)
+    fam = sample_codazzi_family(PARAMS, 1.5, xs, 1e-3, 0.0, 1e-7)
+    assert fam.xs.size == 1
+    grid = GridDomain.create(PARAMS, 1.5, 8, 8, 1e-3, 1e-3)
+    with pytest.raises(ValueError, match="one sample"):
+        family_shape_field(fam, grid)
+    with pytest.raises(ValueError, match="leaves the family range"):
+        family_tables(fam, grid)
+    with pytest.raises(ValueError, match="too short"):
+        family_codazzi_gap(fam)
+
+
 def test_umbilic_seed_leaves_the_umbilic_locus():
     # k1 = k2 = sqrt(K - c) at the anchor is a zero of the Codazzi rate,
     # but the umbilic locus itself moves, so the family departs from it
@@ -337,7 +361,7 @@ def test_lockstep_march_matches_the_node_by_node_reference(c):
     tables = family_tables(fam, grid)
     mesh = integrate_frame_tables(tables, nx, ny, h, h, -0.01, 0.0, c)
     frames, _ = node_by_node_frames(tables, nx, ny, h, h, c)
-    # same arithmetic up to summation order: a few ulps of O(1) entries
+    # the same RK4 as per-cell propagators: a few ulps of O(1) entries
     flat = frames.reshape(nx * ny, 4, -1)
     assert np.max(np.abs(mesh.vertices - flat[:, 0])) < 1e-13
     assert np.max(np.abs(mesh.normals - flat[:, 3])) < 1e-13
