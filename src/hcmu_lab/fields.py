@@ -33,11 +33,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericalFailure, PathLeavesDomain
+from .errors import FormatError, NumericalFailure, PathLeavesDomain
 from .profile import HcmuParams, curvature_at, rk4_step
 from .ratpoly import as_fraction
-from .textio import (FormatError, atomic_write, csv_block, format_rows,
-                     grid_header, line_runs, parse_header_comment, read_text)
+from .textio import (atomic_write, csv_block, format_rows, grid_header,
+                     header_block, parse_header_comment, read_text)
 
 
 @dataclass(frozen=True, eq=False)
@@ -384,50 +384,48 @@ def write_field_csv(arr: np.ndarray, grid: GridDomain, path):
         fh.write(format_rows(",".join(["%.17g"] * arr.shape[1]) + "\n", arr))
 
 
-def _is_row(line: str) -> bool:
-    line = line.strip()
-    return bool(line) and not line.startswith("#")
-
-
 def read_field_csv(path) -> tuple[np.ndarray, dict]:
-    """One component and its grid metadata.
-
-    Each run of rows converts in one numpy call; a run that does not, and
-    every comment line, is read line by line.  FormatError names the first
-    bad line.
-    """
+    """One component and its grid metadata; FormatError names the first bad
+    line.  A file in ``write_field_csv``'s layout is read in bulk, any
+    other line by line, and only that raises."""
     lines = read_text(path).split("\n")
-    meta: dict = {}
-    blocks = []  # (line number of the first row, rows of one width)
+    return _field_bulk(lines) or _field_by_line(lines)
 
-    def read_line(ln, raw):
+
+def _field_bulk(lines) -> tuple[np.ndarray, dict] | None:
+    """The field in write_field_csv's layout, or None; never raises."""
+    meta = header_block(lines[:2], ("nx,ny,hx,hy", "origin"))
+    if meta is None or lines[-1]:
+        return None
+    arr = csv_block(lines[2:-1])
+    if arr is None or arr.shape != (meta["nx"], meta["ny"]):
+        return None
+    return arr, meta
+
+
+def _field_by_line(lines) -> tuple[np.ndarray, dict]:
+    """The field of lines in any layout: the format's rules, line by line."""
+    meta: dict = {}
+    rows, lns = [], []
+    for ln, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line:
-            return
+            continue
         if line.startswith("#"):
             meta.update(parse_header_comment(line, ln))
-            return
+            continue
         try:
-            blocks.append((ln, np.array([list(map(float, line.split(",")))])))
+            rows.append(list(map(float, line.split(","))))
         except ValueError:
             raise FormatError(f"bad float in row {line!r}", ln) from None
-
-    for is_row, start, stop in line_runs(lines, _is_row):
-        block = csv_block(lines[start:stop]) if is_row else None
-        if block is None:
-            for ln in range(start + 1, stop + 1):
-                read_line(ln, lines[ln - 1])
-        else:
-            blocks.append((start + 1, block))
+        lns.append(ln)
     if "nx" not in meta:
         raise FormatError("missing nx,ny,hx,hy metadata line")
-    widths = [block.shape[1] for _, block in blocks]
-    for (ln, _), width in zip(blocks, widths):
-        if width != widths[0]:
-            raise FormatError(f"row has {width} values, the first row "
-                              f"{widths[0]}", ln)
-    arr = (np.concatenate([block for _, block in blocks]) if blocks
-           else np.zeros(0))
+    for row, ln in zip(rows, lns):
+        if len(row) != len(rows[0]):
+            raise FormatError(f"row has {len(row)} values, the first row "
+                              f"{len(rows[0])}", ln)
+    arr = np.array(rows, float)
     if arr.shape != (meta["nx"], meta["ny"]):
         raise FormatError(
             f"data shape {arr.shape} disagrees with metadata "

@@ -23,8 +23,7 @@ import numpy as np
 
 from .algebra import admissible_kind
 from .errors import FormatError, StepTooLarge
-from .textio import (atomic_write, csv_block, format_rows, line_runs,
-                     read_text)
+from .textio import atomic_write, format_rows, read_text
 
 # RK4 steps one profile may take, n_neg + n_pos: 50x the 20,000 of the
 # README's profile over [-10, 10] at step 1e-3
@@ -469,39 +468,23 @@ def write_profile_csv(profile: CurvatureProfile, path):
         fh.write(format_rows("%.17g,%.17g,%.17g,%.17g\n", table))
 
 
-def _nonblank(line: str) -> bool:
-    return bool(line.strip())
-
-
 def read_profile_csv(path) -> ProfileTable:
-    """The four columns of a profile CSV.
-
-    Each run of nonblank lines converts in one numpy call; a run that does
-    not is read line by line, and FormatError names the first bad line.
-    """
+    """The four columns of a profile CSV, read line by line; FormatError
+    names the first bad line."""
     lines = read_text(path).split("\n")
-    if not lines or lines[0].strip() != _PROFILE_HEADER:
+    if lines[0].strip() != _PROFILE_HEADER:
         raise FormatError(f"missing profile header {_PROFILE_HEADER!r}", 1)
-    rows, blocks = lines[1:], []
-
-    def read_line(ln, line):
+    rows = []
+    for ln, line in enumerate(lines[1:], start=2):
         if not line.strip():
-            return
+            continue
         row = line.split(",")
         if len(row) != 4:
             raise FormatError(f"expected 4 columns, got {len(row)}", ln)
         try:
-            blocks.append(np.array([list(map(float, row))]))
+            rows.append(list(map(float, row)))
         except ValueError:
             raise FormatError(f"bad float in {line!r}", ln) from None
-
-    for nonblank, start, stop in line_runs(rows, _nonblank):
-        block = csv_block(rows[start:stop]) if nonblank else None
-        if block is None or block.shape[1] != 4:
-            for i in range(start, stop):
-                read_line(i + 2, rows[i])  # the header is line 1
-        else:
-            blocks.append(block)
-    table = np.concatenate(blocks) if blocks else np.zeros((0, 4))
+    table = np.array(rows, float).reshape(len(rows), 4)
     # one contiguous array per column
     return ProfileTable(*table.T.copy())

@@ -34,7 +34,10 @@ is R^3 for c = 0, the quadric <X, X> = 1/c in R^4 for c > 0, and the same
 quadric in Minkowski space (signature -+++) for c < 0; the system
 preserves the quadric and frame orthonormality exactly, so drift measures
 integration error and Gauss-Codazzi failure.  Re-orthonormalization is
-deliberately never applied.
+deliberately never applied.  The y march applies each column's rounded
+propagator on every row, so its rounding adds up with the row count, and
+drift on long y legs measures it as well as RK4's truncation (quadric
+drift 4.2e-15, 3.4e-14, 2.7e-13 at ny = 41, 321, 2561 for c = 1).
 """
 
 from __future__ import annotations
@@ -48,7 +51,8 @@ from .errors import FormatError, FrameDrift, NumericalFailure, PathLeavesDomain
 from .fields import GridDomain, ShapeField, lattice_legs, x_propagators
 from .profile import CurvatureProfile, HcmuParams, curvature_at, rk4_step
 from .textio import (atomic_write, fmt17, format_rows, grid_header,
-                     line_runs, parse_header_comment, read_text, record_block)
+                     header_block, parse_header_comment, read_text,
+                     record_block)
 
 # The largest family Codazzi gap that `integrate_frame` integrates, and the
 # range of H's column means, relative to max(1, their largest |H|), under
@@ -633,9 +637,8 @@ def export_mesh(mesh: Mesh, path):
         fh.write(format_rows("f %d %d %d\n", mesh.faces + 1))
 
 
-# record kind of a line by its first two characters, the stage of the file
-# that kind begins, and the error of a record of that kind in a later stage
-_MESH_KINDS = {"v ": "v", "vn": "vn", "f ": "f"}
+# the stage of the file each record kind begins, and the error of a record of
+# that kind in a later stage
 _MESH_STAGE = {"v": 0, "vn": 1, "f": 2}
 _MESH_ORDER = {"v": "vertex after normals or faces",
                "vn": "normal after faces"}
@@ -643,51 +646,53 @@ _MESH_ORDER = {"v": "vertex after normals or faces",
 
 def parse_mesh(path) -> Mesh:
     """The mesh of a file in any valid layout; FormatError names the first
-    bad line.
-
-    Each run of lines that begin ``v ``, ``vn`` or ``f `` converts in one
-    numpy call; a run that does not convert or fails a check of its kind,
-    and every other line, is read line by line.
+    bad line.  A file in ``export_mesh``'s layout (every mesh ``realize``
+    writes) is read in bulk, any other line by line, and only that raises.
     """
     lines = read_text(path).split("\n")
+    return _mesh_bulk(lines) or _mesh_by_line(lines)
+
+
+def _mesh_bulk(lines) -> Mesh | None:
+    """The mesh of lines in export_mesh's layout, or None; never raises."""
+    meta = header_block(lines[1:4], ("nx,ny,hx,hy", "origin", "c"), ("c",))
+    if lines[0] != "# hcmu-mesh 1" or meta is None or lines[-1]:
+        return None
+    n = meta["nx"] * meta["ny"]
+    verts = record_block(lines[4:4 + n], "v", float)
+    norms = record_block(lines[4 + n:4 + 2 * n], "vn", float)
+    faces = record_block(lines[4 + 2 * n:-1], "f", np.int64)
+    if (verts is None or norms is None or faces is None
+            or verts.shape[1] not in (3, 4) or norms.shape != verts.shape
+            or faces.shape[1] != 3):
+        return None
+    try:
+        return Mesh(verts, faces - 1, norms, **meta)
+    except ValueError:
+        return None
+
+
+def _mesh_by_line(lines) -> Mesh:
+    """The mesh of lines in any layout: the format's rules, line by line."""
     meta: dict = {}
-    blocks = {"v": [], "vn": [], "f": []}  # per kind: row arrays, in order
-    rows = dict.fromkeys(blocks, 0)
+    verts, norms, faces = [], [], []
+    rows = {"v": verts, "vn": norms, "f": faces}  # per kind, in line order
     stage = 0  # 0: v, 1: vn, 2: f
-
-    def add(kind, arr):
-        nonlocal stage
-        stage = _MESH_STAGE[kind]
-        blocks[kind].append(arr)
-        rows[kind] += len(arr)
-
-    def read_block(kind, run) -> bool:
-        arr = record_block(run, kind, np.int64 if kind == "f" else float)
-        if arr is None or stage > _MESH_STAGE[kind]:
-            return False
-        width = arr.shape[1]
-        if kind == "v" and width not in (3, 4):
-            return False
-        if kind == "f" and not (width == 3 and 1 <= arr.min()
-                                and arr.max() <= rows["v"]):
-            return False
-        add(kind, arr)
-        return True
-
-    def read_line(ln, raw):
+    for ln, raw in enumerate(lines, start=1):
         parts = raw.split()
         if not parts:
-            return
+            continue
         kind = parts[0]
         if kind.startswith("#"):
             line = raw.strip()
             if not line[1:].strip().startswith("hcmu-mesh"):
                 meta.update(parse_header_comment(line, ln, ("c",)))
-            return
+            continue
         if kind not in _MESH_STAGE:
             raise FormatError(f"unknown record {kind!r}", ln)
         if stage > _MESH_STAGE[kind]:
             raise FormatError(_MESH_ORDER[kind], ln)
+        stage = _MESH_STAGE[kind]
         if kind == "v" and len(parts) not in (4, 5):
             raise FormatError("vertex needs 3 or 4 coordinates", ln)
         if kind == "f" and len(parts) != 4:
@@ -696,31 +701,22 @@ def parse_mesh(path) -> Mesh:
             values = list(map(int if kind == "f" else float, parts[1:]))
         except ValueError:
             raise FormatError(f"bad number in {raw.strip()!r}", ln) from None
-        if kind == "f" and not 1 <= min(values) <= max(values) <= rows["v"]:
+        if kind == "f" and not 1 <= min(values) <= max(values) <= len(verts):
             raise FormatError("face index out of range", ln)
-        add(kind, np.array([values], np.int64 if kind == "f" else float))
-
-    for key, start, stop in line_runs(lines, lambda line: line[:2]):
-        kind = _MESH_KINDS.get(key)
-        if kind is None or not read_block(kind, lines[start:stop]):
-            for ln in range(start + 1, stop + 1):
-                read_line(ln, lines[ln - 1])
+        rows[kind].append(values)
     for key in ("nx", "ny", "hx", "hy", "x0", "y0", "c"):
         if key not in meta:
             raise FormatError(f"missing header entry for {key}")
-    n_verts, n_norms = rows["v"], rows["vn"]
-    if n_norms and n_norms != n_verts:
+    if norms and len(norms) != len(verts):
         raise FormatError("normal count disagrees with vertex count")
-    dim = blocks["v"][0].shape[1] if n_verts else (3 if meta["c"] == 0 else 4)
-    if any(arr.shape[1] != dim for arr in blocks["v"] + blocks["vn"]):
+    dim = len(verts[0]) if verts else (3 if meta["c"] == 0 else 4)
+    if any(len(row) != dim for row in verts + norms):
         raise FormatError("inconsistent coordinate dimension")
-    verts = np.concatenate(blocks["v"]) if n_verts else np.zeros((0, dim))
-    norms = (np.concatenate(blocks["vn"]) if n_norms
-             else np.zeros((n_verts, dim)))
-    faces = (np.concatenate(blocks["f"]) if rows["f"]
-             else np.zeros((0, 3), np.int64))
+    shape = (len(verts), dim)
     try:
-        return Mesh(verts, faces - 1, norms, meta["nx"], meta["ny"],
-                    meta["hx"], meta["hy"], meta["x0"], meta["y0"], meta["c"])
+        return Mesh(np.array(verts, float).reshape(shape),
+                    np.array(faces, np.int64).reshape(len(faces), 3) - 1,
+                    np.array(norms, float) if norms else np.zeros(shape),
+                    **meta)
     except ValueError as e:  # records that disagree with the grid header
         raise FormatError(str(e)) from None

@@ -4,17 +4,17 @@ All floating-point output uses 17 significant digits, which round-trips IEEE
 doubles bit-identically through decimal.  Every output file is written
 through ``atomic_write``, so a failed write never leaves a partial file.
 Tables go out through one row template per record kind (``format_rows``).
-Each table reader splits its file into runs of lines of one kind
-(``line_runs``) and converts each run of records in one numpy call
-(``record_block``, ``csv_block``).  Only a run that does not convert, or
-fails a check of its kind, and the few lines of no record kind, are read
-line by line, in line order, so the error a reader raises is always that
-of the first bad line.
+The mesh and field readers each have two parts: a bulk reader that takes
+only its writer's exact layout, one numpy call per record kind
+(``header_block``, ``record_block``, ``csv_block``), and gives None, never
+an error, for any other file; and a line reader, the format's rules, which
+reads every other file in line order and alone raises, so its error names
+the first bad line.  The profile reader, which no command calls, is a
+line reader alone.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 from contextlib import contextmanager
@@ -82,30 +82,21 @@ def read_text(path, error=FormatError) -> str:
         raise error(f"not UTF-8 text ({e.reason})", ln) from None
 
 
-def line_runs(lines, key):
-    """(k, start, stop) of each maximal run lines[start:stop] of lines that
-    the function key maps to one value k, in line order."""
-    start = 0
-    for k, run in itertools.groupby(lines, key):
-        stop = start + len(list(run))
-        yield k, start, stop
-        start = stop
-
-
 def record_block(lines, kind: str, dtype):
-    """The records of a run of lines as one array of dtype, or None.
-
-    Every line must begin with a token that is not a number.  The result
-    has one row per line, the numbers after its first token, and is given
-    only if every first token is kind, every other token converts and the
-    lines hold the same number of tokens.  The check is made on the run's
-    tokens, not line by line: where the other tokens all convert, the
-    first tokens can only sit where the rows begin.
+    """The records of lines that each begin ``kind`` and a space, one row
+    of dtype per line of the numbers after kind, or None where a line does
+    not begin so, a number does not convert or the widths differ.  The
+    checks are made on all tokens at once: where each line begins with
+    kind and the other tokens convert, kind can only sit where rows begin.
     """
     import numpy as np  # here, so that the exact kernel's files load without it
 
-    tokens = " ".join(lines).split()
+    text = "\n".join(lines)
     n = len(lines)
+    head = kind + " "
+    if not text.startswith(head) or text.count("\n" + head) != n - 1:
+        return None
+    tokens = text.split()
     width = len(tokens) // n
     if len(tokens) != n * width or tokens[::width].count(kind) != n:
         return None
@@ -117,13 +108,13 @@ def record_block(lines, kind: str, dtype):
 
 
 def csv_block(lines):
-    """The comma-separated rows of a run of lines as one float array, one
-    row per line, or None where their widths differ or a value does not
-    convert."""
+    """The comma-separated rows of lines as one float array, one row per
+    line, or None where there are none, their widths differ or a value
+    does not convert."""
     import numpy as np
 
     commas = [line.count(",") for line in lines]
-    if commas.count(commas[0]) != len(commas):
+    if not commas or commas.count(commas[0]) != len(commas):
         return None
     try:
         return np.array(",".join(lines).split(","), float).reshape(
@@ -179,6 +170,21 @@ def parse_header_comment(line: str, ln: int, float_keys=()) -> dict:
     if entry is None:
         raise FormatError(f"unknown header key {key!r}", ln)
     return entry
+
+
+def header_block(lines, keys, float_keys=()) -> dict | None:
+    """The entries of the comments ``# key = value``, one line per key of
+    keys in turn, as ``parse_header_comment`` gives them, or None."""
+    if [line.partition(" = ")[0] for line in lines] != [f"# {key}"
+                                                         for key in keys]:
+        return None
+    meta: dict = {}
+    try:
+        for line in lines:
+            meta.update(parse_header_comment(line, 0, float_keys))
+    except FormatError:
+        return None
+    return meta
 
 
 def write_lines(lines, path):

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hcmu_lab import fields, realize
 from hcmu_lab.algebra import (
     Certificate,
     certificate_from_lines,
@@ -21,11 +22,18 @@ from hcmu_lab.fields import GridDomain, read_field_csv, write_field_csv
 from hcmu_lab.profile import (
     CurvatureProfile,
     read_profile_csv,
+    solve_curvature_ode,
     validate_params,
     write_profile_csv,
 )
 from hcmu_lab.ratpoly import RationalPoly, poly_from_line
-from hcmu_lab.realize import Mesh, export_mesh, parse_mesh
+from hcmu_lab.realize import (
+    Mesh,
+    export_mesh,
+    integrate_frame,
+    parse_mesh,
+    solve_codazzi_family,
+)
 from hcmu_lab.textio import (
     grid_header,
     parse_header_comment,
@@ -443,6 +451,11 @@ def test_mesh_layouts_off_the_bulk_path_read_as_line_by_line(tmp_path, edit,
     ("profile.csv", {}, ["1,2,3,4,5"], "line 4: expected 4 columns, got 5"),
     ("profile.csv", {1: "0,0,0", 2: "0,0,0"}, [],
      "line 2: expected 4 columns, got 3"),
+    # the checks made once the last line is read
+    ("h11.csv", {0: ""}, [], "missing nx,ny,hx,hy metadata line"),
+    ("h11.csv", {5: ""}, [], "data shape (7, 8) disagrees with metadata (8, 8)"),
+    ("mesh.txt", {3: ""}, [], "missing header entry for c"),
+    ("mesh.txt", {12: ""}, [], "normal count disagrees with vertex count"),
 ])
 def test_the_first_bad_line_is_the_one_reported(tmp_path, name, edit, added,
                                                 error):
@@ -453,6 +466,58 @@ def test_the_first_bad_line_is_the_one_reported(tmp_path, name, edit, added,
         lines[i] = line
     path.write_text("\n".join(lines + added) + "\n")
     assert assert_reads_as_reference(name, path).startswith(error)
+
+
+def realize_mesh() -> Mesh:
+    """The mesh ``realize`` writes on the realize workload's 101x41 grid."""
+    prof = solve_curvature_ode(PARAMS, 1.5, (-1.0, 1.0), 1e-3)
+    grid = GridDomain.create(PARAMS, 1.5, 101, 41, 1e-3, 1e-3,
+                             origin=(-0.05, 0.0))
+    return integrate_frame(solve_codazzi_family(prof, 0.0, 1.0), grid)
+
+
+def repeat_line(i):
+    """An edit that repeats line i at the end of the file."""
+    return lambda lines: lines.insert(len(lines) - 1, lines[i])
+
+
+# name: (writer, reader, one valid edit off the writer's layout)
+WRITTEN = {
+    "3-dim.mesh": (lambda p: export_mesh(small_mesh(3, SPECIAL), p),
+                   parse_mesh, repeat_line(3)),
+    "4-dim.mesh": (lambda p: export_mesh(small_mesh(4, SPECIAL[::-1]), p),
+                   parse_mesh, repeat_line(3)),
+    "101x41.mesh": (lambda p: export_mesh(realize_mesh(), p), parse_mesh,
+                    repeat_line(3)),
+    "h11.csv": (lambda p: write_field_csv(
+        np.resize(np.array(SPECIAL), (GRID.nx, GRID.ny)), GRID, p),
+        read_field_csv, repeat_line(1)),
+}
+
+
+@pytest.mark.parametrize("name", WRITTEN)
+def test_written_files_take_the_bulk_pass(tmp_path, monkeypatch, name):
+    """Every mesh and field CSV its writer emits is read without the line
+    readers, and one valid edit off its layout sends it to them and reads
+    the same."""
+    write, read, edit = WRITTEN[name]
+    path = tmp_path / name
+    write(path)
+
+    def refuse(lines):
+        raise AssertionError("read line by line")
+
+    monkeypatch.setattr(realize, "_mesh_by_line", refuse)
+    monkeypatch.setattr(fields, "_field_by_line", refuse)
+    bulk = outcome(read, path)
+    assert not isinstance(bulk, str)
+    lines = path.read_text().split("\n")
+    edit(lines)
+    path.write_text("\n".join(lines))
+    with pytest.raises(AssertionError, match="read line by line"):
+        read(path)
+    monkeypatch.undo()
+    assert outcome(read, path) == bulk
 
 
 def test_profile_rows_end_only_at_newlines(tmp_path):
