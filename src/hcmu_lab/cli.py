@@ -10,16 +10,15 @@ Identical (argv, config, seed) produce byte-identical output files;
 parameters that feed the exact kernel are parsed as exact rationals
 (decimal literals are scaled integers, never binary floats).
 
-`run` merges the config file, ``HCMU_LAB_THREADS`` and the flags into one
-`Config`, and every command reads its parameters from it: `Config.fraction`
-and `Config.real` take exact rationals (a float beyond the double range is
-a usage error), `Config.integer` takes non-negative integers, and the
-parts of ``grid`` and ``origin`` are read by the same two.
+`run` merges the config file and the flags into one `Config`, and every
+command reads its parameters from it: `Config.fraction` and `Config.real`
+take exact rationals (a float beyond the double range is a usage error),
+`Config.integer` takes non-negative integers, and the parts of ``grid``
+and ``origin`` are read by the same two.
 
 Each command imports the modules it calls when it runs, so `obstruction`
 loads neither numpy nor scipy and only `optimize` loads scipy.  That also
-lets `run` cap OpenBLAS's threads (``OPENBLAS_NUM_THREADS``) from the merged
-``threads`` before numpy first loads; see `_blas_threads`.
+lets `run` pin OpenBLAS to one thread before numpy first loads; see `run`.
 """
 
 from __future__ import annotations
@@ -47,7 +46,7 @@ _EXACT_KEYS = ("k1", "k2", "c")
 
 @dataclass
 class Config:
-    """Raw parameter bag: the merged config file, environment and flags."""
+    """Raw parameter bag: the merged config file and flags."""
 
     values: dict[str, str] = field(default_factory=dict)
 
@@ -277,7 +276,7 @@ _COMMANDS = {
                ("k1", "k2", "c", "k0", "k2_init", "mesh", "step", "x_min",
                 "x_max")),
 }
-_CONFIG_KEYS = {"threads", "out"}.union(
+_CONFIG_KEYS = {"out"}.union(
     *(params for _, _, params in _COMMANDS.values()))
 
 
@@ -306,45 +305,27 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, (_, help_text, params) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="key = value file; flags override it")
-        p.add_argument("--threads",
-                       help="cap on BLAS threads, at most the CPU count; 0 for "
-                            "no cap (default 1)")
         p.add_argument("--out", help="output file (required, never implicit)")
         for n in params:
             p.add_argument("--" + n.replace("_", "-"), dest=n)
     return top
 
 
-def _blas_threads(cfg: Config) -> str | None:
-    """The ``OPENBLAS_NUM_THREADS`` value that the merged cfg asks for.
-
-    A ``threads`` value n > 0 gives min(n, CPU count) and 0 gives None, no
-    cap.  Without one the cap is 1, or None where the environment sets the
-    variable already.  OpenBLAS reads the variable once, when numpy loads,
-    so `run` writes the value only in a process that has not loaded numpy.
-    """
-    if cfg.get("threads") is None:
-        return None if "OPENBLAS_NUM_THREADS" in os.environ else "1"
-    threads = cfg.integer("threads")
-    return str(min(threads, os.cpu_count() or 1)) if threads else None
-
-
 def run(argv: list[str]) -> int:
     """Parse argv and run its command on the merged parameters.
 
-    A flag overrides ``HCMU_LAB_THREADS``, which overrides the config file.
+    Flags override the config file.  A process that has not loaded numpy
+    yet gets one BLAS thread, whatever the environment asks for: OpenBLAS
+    reads ``OPENBLAS_NUM_THREADS`` once, when numpy loads, and a threaded
+    reduction sums in another order, so it changes a report's last bits.
     """
     args = _build_parser().parse_args(argv)
     cfg = parse_config(args.config) if args.config else Config()
-    env = os.environ.get("HCMU_LAB_THREADS")
-    if env is not None:
-        cfg.values["threads"] = env
     for name, val in vars(args).items():
         if val is not None and name not in ("command", "config"):
             cfg.values[name] = val
-    threads = _blas_threads(cfg)
-    if threads is not None and "numpy" not in sys.modules:
-        os.environ["OPENBLAS_NUM_THREADS"] = threads
+    if "numpy" not in sys.modules:
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
     _COMMANDS[args.command][0](cfg)
     return EXIT_OK
 

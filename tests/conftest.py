@@ -1,15 +1,17 @@
 """Shared helpers: seeded draws of admissible extremal-value pairs.
 
-Also sets OPENBLAS_NUM_THREADS to 1 unless it is set already: the LM band
-Cholesky makes many small BLAS calls, which a second thread slows down, and
-the variable only counts if it is set before numpy is first imported.
+Also sets OPENBLAS_NUM_THREADS to 1, whatever the caller's shell says, as
+a fresh CLI process does: a threaded BLAS reduction sums in another order,
+so the 17-digit report lines that the tests pin would depend on the thread
+count.  The variable only counts if it is set before numpy is first
+imported.
 """
 
 from __future__ import annotations
 
 import os
 
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import math  # noqa: E402
 import random  # noqa: E402

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import fraction_sqrt, random_admissible_pair, random_rational
+from hcmu_lab import algebra
 from hcmu_lab.algebra import (
     CubicData,
     MuElement,
@@ -297,3 +298,65 @@ def test_mu_component_purity_is_policed():
     impure = MuElement.mu(P)
     with pytest.raises(AlgebraConsistencyError):
         impure.as_polynomial()
+
+
+# Each proof check of obstruction_poly and certify_nonvanishing, reached by
+# breaking one collaborator: the check refuses to answer rather than emit a
+# wrong polynomial or certificate.  The cusp (1, -1/2) has a P with a
+# double root, which shares a factor with P'.
+_FAULT_CASES = [(2, 1, 0), (1, F(-1, 2), 0), (F(7, 4), F(-1, 3), -5)]
+
+
+@pytest.mark.parametrize("k1, k2, c", _FAULT_CASES)
+def test_a_derive_that_swaps_the_parts_trips_the_mu_component_check(
+        monkeypatch, k1, k2, c):
+    # mu' comes out rational, so the term mu' mu keeps a mu-part
+    def swapped(elem, P=None):
+        d = derive(elem, P)
+        return MuElement(d.b, d.a, d.P, d.k)
+
+    monkeypatch.setattr(algebra, "derive", swapped)
+    with pytest.raises(AlgebraConsistencyError,
+                       match="^obstruction kept a mu-component$"):
+        obstruction_poly(CubicData.from_extremes(k1, k2), c)
+
+
+@pytest.mark.parametrize("k1, k2, c", _FAULT_CASES)
+def test_a_derive_without_the_half_trips_the_denominator_check(
+        monkeypatch, k1, k2, c):
+    # mu' = P'/P mu instead of P'/(2P) mu: mu'' mu + mu'^2 comes out as
+    # P'' + P'^2/P, and P does not divide P'^2 (at the cusp, P' lacks
+    # P's simple root)
+    def no_half(elem, P=None):
+        P, a, b, k = elem.P, elem.a, elem.b, elem.k
+        dP = P.derivative()
+        return MuElement(P * a.derivative() - k * dP * a,
+                         P * b.derivative() + (1 - k) * dP * b, P, k + 1)
+
+    monkeypatch.setattr(algebra, "derive", no_half)
+    with pytest.raises(AlgebraConsistencyError,
+                       match="^obstruction kept a denominator$"):
+        obstruction_poly(CubicData.from_extremes(k1, k2), c)
+
+
+def test_a_cubic_that_lost_its_leading_term_trips_the_degree_check(
+        monkeypatch):
+    # P = p1 K + p0 leaves Phi = P'/2 s - P = -(p1 c + p0), a nonzero
+    # constant at (2, 1, 0)
+    cd = CubicData.from_extremes(2, 1)
+    monkeypatch.setattr(CubicData, "poly",
+                        lambda self: RationalPoly((self.p0, self.p1)))
+    with pytest.raises(AlgebraConsistencyError,
+                       match="^obstruction degree 0 != 3$"):
+        obstruction_poly(cd, 0)
+
+
+def test_an_isolation_that_drops_a_root_trips_the_sturm_check(monkeypatch):
+    # Phi = 8 - (56/3) K^3 has its one real root, (3/7)^(1/3), in (0, 1)
+    phi = obstruction_poly(CubicData.from_extremes(2, 1), 0)
+    isolate = algebra._isolate
+    monkeypatch.setattr(algebra, "_isolate",
+                        lambda *args: isolate(*args)[:-1])
+    with pytest.raises(AlgebraConsistencyError,
+                       match="^isolation disagrees with Sturm count$"):
+        certify_nonvanishing(phi, (0, 1))

@@ -120,10 +120,7 @@ def _argv_vocabulary():
 
 _COMMAND_NAMES, _FLAG_NAMES = _argv_vocabulary()
 _JUNK = ["1", "-1", "2/3", "x", "cmc:0.5", "minimal", "a.cfg", "32,32,0.01,0.01"]
-# each is rejected wherever it stands: an unknown option, or --threads=x,
-# which the run checks before its command unless a later --threads replaces
-# it (so none is drawn after it; test_threads_precedence_flag_env_config
-# checks that the last one wins)
+# each is an unknown option, rejected wherever it stands
 _REJECTED = ["--bogus", "-z", "--threads=x", "--seed-x"]
 
 
@@ -132,8 +129,7 @@ _REJECTED = ["--bogus", "-z", "--threads=x", "--seed-x"]
                 max_size=8),
        st.sampled_from(_REJECTED), st.integers(0, 8))
 def test_argv_errors_are_one_error_line_and_exit_1(tokens, bad, at):
-    after = [t for t in tokens[at:] if bad != "--threads=x" or t != "--threads"]
-    argv = tokens[:at] + [bad] + after
+    argv = tokens[:at] + [bad] + tokens[at:]
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
         code = cli.main(argv)
@@ -156,10 +152,13 @@ def test_numerical_failure_exit_3(tmp_path):
     assert code == 3
 
 
-def test_obstruction_file_contents(tmp_path):
+def test_obstruction_file_contents(tmp_path, monkeypatch):
+    # numpy is loaded in this process, so a run leaves the BLAS variable alone
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
     out = tmp_path / "obs.txt"
     assert run_cli("obstruction", "--k1", "2", "--k2", "1", "--c", "0",
                    "--out", str(out)) == 0
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "2"
     lines = out.read_text().splitlines()
     assert lines[0] == "-56/3 0 0 8"
     assert "verdict=no-root" in lines
@@ -440,40 +439,6 @@ def test_config_flags_override(tmp_path):
     assert abs(table.Ks[mid] - 1.8) < 1e-12
 
 
-def test_threads_env_fallback(tmp_path, monkeypatch):
-    monkeypatch.setenv("HCMU_LAB_THREADS", "not-an-int")
-    out = tmp_path / "obs.txt"
-    assert run_cli("obstruction", "--k1", "2", "--k2", "1",
-                   "--out", str(out)) == 1
-    monkeypatch.setenv("HCMU_LAB_THREADS", "2")
-    assert run_cli("obstruction", "--k1", "2", "--k2", "1",
-                   "--out", str(out)) == 0
-
-
-def test_threads_precedence_flag_env_config(tmp_path, monkeypatch):
-    # the flag overrides HCMU_LAB_THREADS, which overrides the config file;
-    # of repeated flags the last wins
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("k1 = 2\nk2 = 1\nthreads = lots\n")
-    out = tmp_path / "obs.txt"
-
-    def obstruction(*argv):
-        return run_cli("obstruction", "--config", str(cfg), *argv,
-                       "--out", str(out))
-
-    monkeypatch.setenv("HCMU_LAB_THREADS", "not-an-int")
-    assert obstruction() == 1
-    assert obstruction("--threads", "2") == 0
-    monkeypatch.setenv("HCMU_LAB_THREADS", "2")
-    assert obstruction() == 0
-    assert obstruction("--threads", "x") == 1
-    assert obstruction("--threads=x", "--threads", "1") == 0
-    assert obstruction("--threads", "1", "--threads=x") == 1
-    monkeypatch.delenv("HCMU_LAB_THREADS")
-    assert obstruction() == 1
-    assert obstruction("--threads", "0") == 0
-
-
 def _field_csv(hx="0.01", origin="0,0", value="0"):
     rows = (",".join([value] * 8) + "\n") * 8
     return f"# nx,ny,hx,hy = 8,8,{hx},0.01\n# origin = {origin}\n{rows}"
@@ -493,118 +458,111 @@ _OPT = ["optimize", *_K, "--k0", "1.5", "--grid", "8,8,0.01,0.01"]
 _GC = ["check-gc", *_K, "--h11", "h11.csv", "--h12", "h12.csv",
        "--h22", "h22.csv"]
 _FAILURES = [
-    # argv, files written first, HCMU_LAB_THREADS, exit code, the error's text
-    pytest.param(["profile", *_K, "--k0", "3"], {}, None, 2, "K2 < K0 < K1",
+    # argv, files written first, exit code, the error's text
+    pytest.param(["profile", *_K, "--k0", "3"], {}, 2, "K2 < K0 < K1",
                  id="k0-outside"),
-    pytest.param(["obstruction", "--k2", "1"], {}, None, 1, "'k1'",
+    pytest.param(["obstruction", "--k2", "1"], {}, 1, "'k1'",
                  id="missing-k1"),
-    pytest.param(["verify", *_K], {}, None, 1, "'mesh'", id="missing-mesh"),
-    pytest.param([*_OPT, "--seed", "x"], {}, None, 1, "'seed'",
+    pytest.param(["verify", *_K], {}, 1, "'mesh'", id="missing-mesh"),
+    pytest.param([*_OPT, "--seed", "x"], {}, 1, "'seed'",
                  id="non-integer"),
-    pytest.param(["obstruction", "--config", "missing.cfg"], {}, None, 1,
+    pytest.param(["obstruction", "--config", "missing.cfg"], {}, 1,
                  "cannot open config file", id="unreadable-config"),
-    pytest.param(["optimize", *_K, "--grid", "8,8,0.01"], {}, None, 1,
+    pytest.param(["optimize", *_K, "--grid", "8,8,0.01"], {}, 1,
                  "grid must be nx,ny,hx,hy", id="grid-parts"),
-    pytest.param([*_OPT, "--origin", "0"], {}, None, 1,
+    pytest.param([*_OPT, "--origin", "0"], {}, 1,
                  "origin must be x0,y0", id="origin-parts"),
-    pytest.param(["optimize", *_K, "--grid", "8,8,0.01,1/0"], {}, None, 1,
+    pytest.param(["optimize", *_K, "--grid", "8,8,0.01,1/0"], {}, 1,
                  "'hy'", id="grid-part-value"),
     pytest.param(_GC, {"h11.csv": _field_csv(), "h12.csv": _field_csv("0.5"),
-                       "h22.csv": _field_csv()}, None, 1,
+                       "h22.csv": _field_csv()}, 1,
                  "disagree on their grid", id="check-gc-hx"),
     pytest.param(_GC, {"h11.csv": _field_csv(), "h12.csv": _field_csv(),
-                       "h22.csv": _field_csv(origin="7,0")}, None, 1,
+                       "h22.csv": _field_csv(origin="7,0")}, 1,
                  "disagree on their grid", id="check-gc-origin"),
     pytest.param(_GC, {name: _field_csv("nan")
-                       for name in ("h11.csv", "h12.csv", "h22.csv")}, None,
+                       for name in ("h11.csv", "h12.csv", "h22.csv")},
                  1, "bad header value '8,8,nan,0.01'", id="check-gc-nan-hx"),
-    pytest.param(["profile", *_K, "--step", "1e400"], {}, None, 1, "'step'",
+    pytest.param(["profile", *_K, "--step", "1e400"], {}, 1, "'step'",
                  id="step-overflow"),
-    pytest.param(["profile", *_K, "--step", "1e300"], {}, None, 1,
+    pytest.param(["profile", *_K, "--step", "1e300"], {}, 1,
                  "to no step", id="step-beyond-range"),
-    pytest.param([*_OPT, "--tol", "1e400"], {}, None, 1, "'tol'",
+    pytest.param([*_OPT, "--tol", "1e400"], {}, 1, "'tol'",
                  id="tol-overflow"),
-    pytest.param(["optimize", *_K, "--grid", "32,32,1e400,0.01"], {}, None,
+    pytest.param(["optimize", *_K, "--grid", "32,32,1e400,0.01"], {},
                  1, "'hx'", id="grid-overflow"),
-    pytest.param([*_OPT, "--origin", "1e400,0"], {}, None, 1, "'x0'",
+    pytest.param([*_OPT, "--origin", "1e400,0"], {}, 1, "'x0'",
                  id="origin-overflow"),
     pytest.param(["realize", *_K, "--grid", "8,8,0.01,0.01",
-                  "--k2-init", "1e400"], {}, None, 1, "'k2_init'",
+                  "--k2-init", "1e400"], {}, 1, "'k2_init'",
                  id="k2-init-overflow"),
     pytest.param(["verify", *_K, "--mesh", "s.mesh"],
                  {"s.mesh": "# nx,ny,hx,hy = 0,0,0.01,0.01\n# origin = 0,0\n"
-                            "# c = -1\n"}, None, 1,
+                            "# c = -1\n"}, 1,
                  "mesh lies in the space form c = -1.0, the family in c = 0.0",
                  id="verify-c-disagrees"),
     pytest.param(["realize", *_K, "--k0", "1.5",
-                  "--grid", "12,9,1e-3,1e300"], {}, None, 3,
+                  "--grid", "12,9,1e-3,1e300"], {}, 3,
                  "frame drift nan at node (0, 1)", id="realize-nan-frame"),
     pytest.param(["verify", *_K, "--mesh", "s.mesh"],
                  {"s.mesh": _mesh_text(7, 7, 0.01, 0.01, "v 0 0 0\n" * 49)},
-                 None, 1, "grid needs nx, ny >= 8", id="verify-7x7"),
+                 1, "grid needs nx, ny >= 8", id="verify-7x7"),
     # rows 1e-320 apart in y, as realize writes them: each column's point
     # repeats ny times, so the recovered g22 is 0 and k2 is 0/0
     pytest.param(["verify", *_K, "--k0", "1.5", "--mesh", "s.mesh"],
                  {"s.mesh": _mesh_text(11, 10, 1e-3, 1e-320, "".join(
                      f"v {i} 0 0\n" for i in range(11) for _ in range(10)))},
-                 None, 3, "k2_rel_err is nan", id="verify-nan-report"),
+                 3, "k2_rel_err is nan", id="verify-nan-report"),
     pytest.param(["realize", *_K, "--k0", "1.5", "--k2-init", "1e-10",
-                  "--grid", "8,8,1e-3,1e-3"], {}, None, 1,
+                  "--grid", "8,8,1e-3,1e-3"], {}, 1,
                  "family too short to difference", id="realize-tiny-k2-init"),
     pytest.param(["optimize", *_K, "--grid", "12,9,1e-320,0.5",
                   "--max-iter", "3", "--constraint", "minimal",
-                  "--origin=-1e308,0.5"], {}, None, 3,
+                  "--origin=-1e308,0.5"], {}, 3,
                  "non-finite residual at the initial field",
                  id="optimize-overflow"),
-    pytest.param([*_OPT, "--max-iter", "-3"], {}, None, 1, "'max_iter'",
+    pytest.param([*_OPT, "--max-iter", "-3"], {}, 1, "'max_iter'",
                  id="max-iter-negative"),
-    pytest.param([*_OPT, "--seed", "-1"], {}, None, 1, "'seed'",
+    pytest.param([*_OPT, "--seed", "-1"], {}, 1, "'seed'",
                  id="seed-negative"),
-    pytest.param(["optimize", *_K, "--grid=-8,8,0.01,0.01"], {}, None, 1,
+    pytest.param(["optimize", *_K, "--grid=-8,8,0.01,0.01"], {}, 1,
                  "'nx'", id="nx-negative"),
-    pytest.param(["obstruction", *_K, "--threads", "-1"], {}, None, 1,
-                 "'threads'", id="threads-negative"),
-    pytest.param(["obstruction", *_K], {}, "-1", 1, "'threads'",
-                 id="threads-env-negative"),
+    # one BLAS thread always: a config file may not ask for more
     pytest.param(["obstruction", "--config", "run.cfg"],
-                 {"run.cfg": "k1 = 2\nk2 = 1\nthreads = lots\n"}, None, 1,
-                 "'threads'", id="threads-config-lots"),
+                 {"run.cfg": "k1 = 2\nk2 = 1\nthreads = 1\n"}, 1,
+                 "unknown key 'threads'", id="threads-config"),
     # h11 h22 - h12^2 is inf - inf
     pytest.param(_GC, {name: _field_csv(value="1e200")
-                       for name in ("h11.csv", "h12.csv", "h22.csv")}, None, 3,
+                       for name in ("h11.csv", "h12.csv", "h22.csv")}, 3,
                  "numerical failure: gauss_max is nan", id="check-gc-overflow"),
     # hx hy underflows to 0, so the LM weight is 0 and the run converges at
     # F = 0, but the Codazzi L2 norm is 0 times an infinite sum
     pytest.param(["optimize", *_K, "--k0", "1.5",
-                  "--grid", "8,8,1e-300,1e-300"], {}, None, 3,
+                  "--grid", "8,8,1e-300,1e-300"], {}, 3,
                  "numerical failure: codazzi_l2 is nan",
                  id="optimize-nan-report"),
     # the LM's gates end these runs, with no numpy warning on the way
-    pytest.param([*_OPT, "--constraint", "cmc:1e200"], {}, None, 3,
+    pytest.param([*_OPT, "--constraint", "cmc:1e200"], {}, 3,
                  "non-finite Gauss-Newton step", id="optimize-cmc-overflow"),
     pytest.param(["optimize", "--k1", "1e150", "--k2", "1",
-                  "--grid", "8,8,0.01,0.01"], {}, None, 3,
+                  "--grid", "8,8,0.01,0.01"], {}, 3,
                  "non-finite Gauss-Newton step", id="optimize-k1-overflow"),
     # mu^2 overflows, and the family's k2 is nan off its anchor: its gates
     # cut it short, with no numpy warning on the way
     pytest.param(["realize", "--k1", "1e150", "--k2", "1",
-                  "--grid", "8,8,0.01,0.01"], {}, None, 1,
+                  "--grid", "8,8,0.01,0.01"], {}, 1,
                  "family too short to difference", id="realize-k1-overflow"),
     pytest.param(["verify", "--k1", "1e150", "--k2", "1", "--mesh", "s.mesh"],
                  {"s.mesh": _mesh_text(8, 8, 0.01, 0.01, "v 0 0 0\n" * 64)},
-                 None, 1, "grid leaves the family range",
+                 1, "grid leaves the family range",
                  id="verify-k1-overflow"),
 ]
 
 
-@pytest.mark.parametrize("argv, files, threads, code, named", _FAILURES)
+@pytest.mark.parametrize("argv, files, code, named", _FAILURES)
 def test_failures_are_one_error_line_and_write_nothing(
-        tmp_path, monkeypatch, capsys, argv, files, threads, code, named):
+        tmp_path, monkeypatch, capsys, argv, files, code, named):
     monkeypatch.chdir(tmp_path)
-    if threads is None:
-        monkeypatch.delenv("HCMU_LAB_THREADS", raising=False)
-    else:
-        monkeypatch.setenv("HCMU_LAB_THREADS", threads)
     for name, text in files.items():
         (tmp_path / name).write_text(text)
     assert run_cli(*argv, "--out", "out.txt") == code
@@ -672,14 +630,13 @@ def test_each_error_exits_with_its_code_and_one_labelled_line(
 def test_the_config_keys_are_the_commands_parameters():
     assert cli._CONFIG_KEYS == {
         "k1", "k2", "c", "k0", "k2_init", "grid", "origin", "seed", "tol",
-        "max_iter", "step", "x_min", "x_max", "constraint", "threads",
-        "out", "h11", "h12", "h22", "mesh"}
+        "max_iter", "step", "x_min", "x_max", "constraint", "out",
+        "h11", "h12", "h22", "mesh"}
 
 
 def test_module_entry_point_runs_in_a_fresh_interpreter(tmp_path):
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+    env = dict(os.environ,
                PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-    env.pop("HCMU_LAB_THREADS", None)
 
     def hcmu_lab(*argv):
         return subprocess.run([sys.executable, "-m", "hcmu_lab.cli", *argv],
@@ -732,16 +689,15 @@ def test_each_command_loads_only_what_it_needs(tmp_path):
         "--out gc.txt",
         f"optimize {k} --grid 8,8,0.01,0.01 --max-iter 2 --out opt.txt",
     ]
-    env = dict(os.environ,
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2",
                PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-    env.pop("HCMU_LAB_THREADS", None)
-    env.pop("OPENBLAS_NUM_THREADS", None)
     done = subprocess.run([sys.executable, "-c", _LOADS],
                           input="\n".join(commands), cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     steps = json.loads(done.stdout.splitlines()[-1])
-    # (exit code, numpy loaded, scipy loaded, the BLAS cap: 1 by default)
+    # (exit code, numpy loaded, scipy loaded, OPENBLAS_NUM_THREADS): the
+    # first run sets it to 1 over the 2 it inherits, before numpy loads
     assert steps == [[False, False, []],
                      [0, False, False, "1"],
                      [0, True, False, "1"],
@@ -749,26 +705,6 @@ def test_each_command_loads_only_what_it_needs(tmp_path):
                      [0, True, False, "1"],
                      [0, True, False, "1"],
                      [0, True, True, "1"]]
-
-
-def test_the_blas_cap_is_clamped_and_set_only_before_numpy(monkeypatch,
-                                                            tmp_path):
-    cap = cli._blas_threads
-    cpus = str(os.cpu_count() or 1)
-    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
-    assert cap(cli.Config()) == "1"
-    assert cap(cli.Config({"threads": "1"})) == "1"
-    assert cap(cli.Config({"threads": str(10**6)})) == cpus
-    assert cap(cli.Config({"threads": "0"})) is None
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-    assert cap(cli.Config()) is None
-    assert cap(cli.Config({"threads": str(10**6)})) == cpus
-    with pytest.raises(ConfigError, match="'threads'"):
-        cap(cli.Config({"threads": "-2"}))
-    # numpy is loaded in this process, so a run leaves the variable alone
-    assert run_cli("obstruction", "--k1", "2", "--k2", "1", "--threads",
-                   str(10**6), "--out", str(tmp_path / "obs.txt")) == 0
-    assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
 
 
 def test_file_errors_exit_1_with_one_error_line(tmp_path, capsys):
