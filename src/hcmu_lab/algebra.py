@@ -236,18 +236,12 @@ class MuElement:
         return (self.a(k0) + self.b(k0) * mu0) / self.P(k0) ** self.k
 
 
-def derive(elem: MuElement, P: RationalPoly | None = None) -> MuElement:
-    """d/dK on the extension, from mu' = P'/(2P) mu:
+def derive(elem: MuElement) -> MuElement:
+    """d/dK on the extension over elem.P, from mu' = P'/(2P) mu:
 
     ((a + b mu)/P^k)' = (P a' - k P' a + (P b' + (1/2 - k) P' b) mu)/P^(k+1).
     """
-    if P is None:
-        P = elem.P
-    if P.is_zero():
-        raise ZeroDivisionError("derivation over the zero polynomial")
-    if P != elem.P:
-        raise ValueError("element does not live over the supplied cubic")
-    a, b, k = elem.a, elem.b, elem.k
+    P, a, b, k = elem.P, elem.a, elem.b, elem.k
     dP = P.derivative()
     return MuElement(P * a.derivative() - k * dP * a,
                      P * b.derivative() + (Fraction(1, 2) - k) * dP * b,

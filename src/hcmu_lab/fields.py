@@ -162,10 +162,6 @@ class ShapeField:
                     f"(target {target})"
                 )
 
-    def scaled(self, alpha: float) -> "ShapeField":
-        return ShapeField(self.grid, alpha * self.h11, alpha * self.h12,
-                          alpha * self.h22, TraceConstraint("none"))
-
 
 def gauss_residual(fld: ShapeField, c: float) -> np.ndarray:
     """K - c - det(h) at every node; zero iff the Gauss equation holds."""

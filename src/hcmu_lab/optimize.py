@@ -183,16 +183,15 @@ def _band_doubles(m: int, nx: int, ny: int) -> int:
 class ResidualReport:
     """Residual norms of the optimized field and how the optimizer got there.
 
-    ``iterations``, ``converged`` and ``stop_reason`` describe the run on the
-    requested grid and ``refinement_stop_reason`` the 2x run's stop (None
-    without one); ``factorizations`` and ``rejected_steps`` count over
-    every grid of the refinement study.
+    ``iterations`` and ``stop_reason`` (``converged`` reads it as a flag)
+    describe the run on the requested grid and ``refinement_stop_reason``
+    the 2x run's stop (None without one); ``factorizations`` and
+    ``rejected_steps`` count over every grid of the refinement study.
     """
 
     constraint: str
     seed: int
     iterations: int
-    converged: bool
     gauss_max: float
     gauss_l2: float
     codazzi_max: float
@@ -203,6 +202,10 @@ class ResidualReport:
     factorizations: int
     rejected_steps: int
     refinement_stop_reason: str | None
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason == "converged"
 
     @property
     def floor_l2(self) -> float:
@@ -535,8 +538,8 @@ class _Trial(NamedTuple):
 class _LMRun(NamedTuple):
     u: np.ndarray
     trials: tuple[_Trial, ...]
-    # converged | stalled | max_iter | floor (a rejected factored trial's
-    # predicted decrease was at most 8 eps |r|^2, or a proved trial) | lam_max
+    # converged | max_iter | floor (a rejected factored trial's predicted
+    # decrease was at most 8 eps |r|^2, or a proved trial) | lam_max
     stop_reason: str
     lam: float              # the damping the run ended with
 
@@ -564,7 +567,7 @@ def _gauss_newton(problem: _Problem, u0: np.ndarray, tol: float,
     if not np.all(np.isfinite(r)):
         raise NonFiniteIterate("non-finite residual at the initial field")
     F = float(r @ r)
-    nu, stall = 2.0, 0
+    nu = 2.0
     trials = []
     normal = None   # the band, allocated at the run's first factorization
 
@@ -572,8 +575,6 @@ def _gauss_newton(problem: _Problem, u0: np.ndarray, tol: float,
     while stop is None:
         if np.sqrt(F) < tol:
             stop = "converged"
-        elif stall >= 4:
-            stop = "stalled"
         elif sum(t.accepted for t in trials) >= max_iter:
             stop = "max_iter"
         else:
@@ -590,7 +591,6 @@ def _gauss_newton(problem: _Problem, u0: np.ndarray, tol: float,
                                      F_try < _CHORD_CUT * F))
                 if trials[-1].accepted:
                     u, r, F = u_try, r_try, F_try
-                    stall = 0
                     continue
             while lam <= _LAM_MAX:
                 # a trial whose decrease CG bounds under one ulp of F is
@@ -614,14 +614,12 @@ def _gauss_newton(problem: _Problem, u0: np.ndarray, tol: float,
                 trials.append(_Trial("factored", lam, F, F_try, F_try < F))
                 if F_try < F:
                     rho = (F - F_try) / pred
-                    drop = (F - F_try) / max(F_try, 1e-300)
                     if rho <= _CHORD_RHO or F_try >= _CHORD_CUT * F:
                         normal.factor = None
                     u, r, F = u_try, r_try, F_try
                     lam = max(lam * max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3),
                               _LAM_MIN)
                     nu = 2.0
-                    stall = stall + 1 if drop < 1e-9 else 0
                     break
                 if pred <= _FLOOR_EPS * F:
                     stop = "floor"
@@ -678,8 +676,8 @@ def optimize_shape_field(grid: GridDomain, c: float,
     trials, chord steps (solves with the stale factor of an earlier step)
     included, ``factorizations`` band Cholesky calls, failed ones included,
     and ``rejected_steps`` the other trials, failed chord trials excepted.
-    A run stops as converged, stalled, max_iter, floor (a rejected factored
-    trial whose predicted decrease is at most 8 eps |r|^2, or a trial whose
+    A run stops as converged, max_iter, floor (a rejected factored trial
+    whose predicted decrease is at most 8 eps |r|^2, or a trial whose
     decrease conjugate gradients bound by eps |r|^2 / 2, not factored;
     neither rule applies to a chord trial) or lam_max (the damping passed
     its cap, as after repeated failed factorizations); the report gives the
@@ -711,8 +709,8 @@ def optimize_shape_field(grid: GridDomain, c: float,
 
     run, fld, norms = results[0]
     report = ResidualReport(
-        str(constraint), seed, run.iterations, run.stop_reason == "converged",
-        *norms, tuple((f.grid.nx, f.grid.ny, n[-1]) for _, f, n in results),
+        str(constraint), seed, run.iterations, *norms,
+        tuple((f.grid.nx, f.grid.ny, n[-1]) for _, f, n in results),
         run.stop_reason, sum(r.factorizations for r, _, _ in results),
         sum(r.rejected_steps for r, _, _ in results),
         results[-1][0].stop_reason if refine else None)

@@ -96,14 +96,6 @@ class CurvatureProfile:
     mus: np.ndarray
     phis: np.ndarray
 
-    @property
-    def x_min(self) -> float:
-        return float(self.xs[0])
-
-    @property
-    def x_max(self) -> float:
-        return float(self.xs[-1])
-
 
 def rk4_step(f, y, h):
     """One classical RK4 step of y' = f(stage, y) over a signed step h.

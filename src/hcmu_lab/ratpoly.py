@@ -224,16 +224,12 @@ class RationalPoly:
     def derivative(self) -> "RationalPoly":
         return RationalPoly(tuple(k * c for k, c in enumerate(self.coeffs) if k > 0))
 
-    def __call__(self, x):
-        """Exact Horner evaluation; result type follows the coefficients and x."""
-        acc = Fraction(0) if isinstance(x, (int, Fraction)) else 0.0
-        if isinstance(x, (int, Fraction)):
-            x = as_fraction(x)
-            for c in reversed(self.coeffs):
-                acc = acc * x + c
-            return acc
+    def __call__(self, x) -> Fraction:
+        """Exact Horner evaluation at as_fraction(x), never in floats."""
+        x = as_fraction(x)
+        acc = Fraction(0)
         for c in reversed(self.coeffs):
-            acc = acc * x + float(c)
+            acc = acc * x + c
         return acc
 
     def monic(self) -> "RationalPoly":
@@ -286,7 +282,7 @@ def sturm_sequence(f: RationalPoly) -> list[RationalPoly]:
 def sign_variations(chain: list[RationalPoly], x: Fraction) -> int:
     signs = []
     for f in chain:
-        v = f(as_fraction(x))
+        v = f(x)
         if v != 0:
             signs.append(1 if v > 0 else -1)
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)

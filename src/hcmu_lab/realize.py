@@ -54,10 +54,12 @@ from .textio import (atomic_write, fmt17, format_rows, grid_header,
                      header_block, parse_header_comment, read_text,
                      record_block)
 
-# The largest family Codazzi gap that `integrate_frame` integrates, and the
+# The largest family Codazzi gap that `integrate_frame` integrates, the
+# largest frame drift `integrate_frame_tables` accepts at a node, and the
 # range of H's column means, relative to max(1, their largest |H|), under
 # which `verify_immersion` flags the mesh CMC.
 RESIDUAL_GATE = 1e-6
+FRAME_TOL = 1e-6
 CMC_TOL = 1e-6
 
 
@@ -345,14 +347,13 @@ def _mesh_faces(nx: int, ny: int) -> np.ndarray:
 
 
 def integrate_frame_tables(tables: FrameTables, nx: int, ny: int, hx: float,
-                           hy: float, x0: float, y0: float, c: float,
-                           frame_tol: float = 1e-6) -> Mesh:
+                           hy: float, x0: float, y0: float, c: float) -> Mesh:
     """Integrate the frame system over the grid from the given coefficients.
 
     The spine runs along x at j = 0, one RK4 propagator per cell; then each
     column applies its own y propagator once per row.  Orthonormality and
     (for c != 0) the quadric constraint are checked at every node, and drift
-    beyond frame_tol raises FrameDrift for the first such node in (i, j)
+    beyond FRAME_TOL raises FrameDrift for the first such node in (i, j)
     order; drift is a diagnostic, so it is never silently corrected.
     """
     sig = ambient_signature(c, 3 if c == 0 else 4)
@@ -370,24 +371,24 @@ def integrate_frame_tables(tables: FrameTables, nx: int, ny: int, hx: float,
     S = np.stack(rows, axis=1)  # (nx, ny, 4, dim), node (i, j) at [i, j]
     drift = _frame_defect(S, c, sig)
     # i-major, like the node order; a NaN drift fails the gate too
-    bad = np.argwhere(~(drift <= frame_tol))
+    bad = np.argwhere(~(drift <= FRAME_TOL))
     if bad.size:
         i, j = bad[0]
         raise FrameDrift(
             f"frame drift {drift[i, j]:.3e} at node ({i}, {j}) exceeds "
-            f"{frame_tol:g}; reduce the step"
+            f"{FRAME_TOL:g}; reduce the step"
         )
     verts = S[:, :, 0].reshape(nx * ny, -1)
     norms = S[:, :, 3].reshape(nx * ny, -1)
     return Mesh(verts, _mesh_faces(nx, ny), norms, nx, ny, hx, hy, x0, y0, c)
 
 
-def integrate_frame(family: DiagonalFamily, grid: GridDomain,
-                    frame_tol: float = 1e-6) -> Mesh:
+def integrate_frame(family: DiagonalFamily, grid: GridDomain) -> Mesh:
     """Realize the family over a grid; requires the family to be integrable.
 
     The Codazzi rate of the sampled family is checked by finite differences
-    before any integration happens.
+    against RESIDUAL_GATE before any integration happens, and the frame
+    drift against FRAME_TOL at every node (`integrate_frame_tables`).
     """
     span = (grid.x0 - grid.hx, grid.x0 + grid.nx * grid.hx)
     gap = family_codazzi_gap(family, x_range=span)
@@ -398,7 +399,7 @@ def integrate_frame(family: DiagonalFamily, grid: GridDomain,
         )
     tables = family_tables(family, grid)
     return integrate_frame_tables(tables, grid.nx, grid.ny, grid.hx, grid.hy,
-                                  grid.x0, grid.y0, family.c, frame_tol)
+                                  grid.x0, grid.y0, family.c)
 
 
 def family_codazzi_gap(family: DiagonalFamily, x_range=None) -> float:
@@ -429,7 +430,7 @@ def transport_frame(family: DiagonalFamily, grid: GridDomain,
     Ax, Ay = _frame_matrices(tables, family.c)
     S = _initial_frame(family.c).as_matrix()
     nodes = list(nodes)
-    if nodes and nodes[0] != (0, 0):
+    if nodes and tuple(nodes[0]) != (0, 0):
         raise PathLeavesDomain("frame transport must start at the grid origin")
     for i0, j0, i1, j1 in lattice_legs(grid, nodes):
         if j0 == j1:
@@ -459,17 +460,9 @@ class ImmersionReport:
     gauss_defect_rel_err: float
 
     def to_lines(self) -> list[str]:
-        return [
-            f"metric_rel_err={fmt17(self.metric_rel_err)}",
-            f"offdiag_err={fmt17(self.offdiag_err)}",
-            f"k1_rel_err={fmt17(self.k1_rel_err)}",
-            f"k2_rel_err={fmt17(self.k2_rel_err)}",
-            f"weingarten_spread={fmt17(self.weingarten_spread)}",
-            f"mean_curv_range={fmt17(self.mean_curv_range)}",
-            f"cmc_flag={'true' if self.cmc_flag else 'false'}",
-            f"quadric_drift={fmt17(self.quadric_drift)}",
-            f"gauss_defect_rel_err={fmt17(self.gauss_defect_rel_err)}",
-        ]
+        """key=value per field, in field order; cmc_flag as true or false."""
+        return [f"{key}={str(v).lower() if isinstance(v, bool) else fmt17(v)}"
+                for key, v in vars(self).items()]
 
 
 def angle_defect_curvature(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:

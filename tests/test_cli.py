@@ -207,8 +207,8 @@ def test_optimize_reports_floor(tmp_path):
                               "stop_reason_24x24"]
     assert rep["stop_reason"] == "floor"
     assert (rep["factorizations"], rep["rejected_steps"]) == ("8", "2")
-    assert rep["stop_reason_24x24"] in {"converged", "stalled", "max_iter",
-                                        "floor", "lam_max"}
+    assert rep["stop_reason_24x24"] in {"converged", "max_iter", "floor",
+                                        "lam_max"}
     assert int(rep["factorizations"]) > int(rep["rejected_steps"]) >= 0
 
 

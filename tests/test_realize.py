@@ -16,6 +16,7 @@ from hcmu_lab.ratpoly import RationalPoly
 from hcmu_lab import realize
 from hcmu_lab.realize import (
     FrameTables,
+    ImmersionReport,
     _initial_frame,
     _k2_of_K,
     Mesh,
@@ -406,6 +407,32 @@ def test_path_independence_of_the_frame():
         transport_frame(fam, grid, [(0, 0), (5, 5)])
 
 
+def test_a_path_from_the_origin_may_be_tuples_lists_or_an_array():
+    params, fam = make_family(c=1.0)
+    grid = GridDomain.create(params, 1.5, 11, 9, 1e-3, 1e-3,
+                             origin=(-0.005, 0.0))
+    path = [(0, 0), (10, 0), (10, 8), (3, 8)]
+    frames = [transport_frame(fam, grid, nodes).as_matrix()
+              for nodes in (path, [list(n) for n in path], np.array(path))]
+    assert all(np.array_equal(f, frames[0]) for f in frames[1:])
+    with pytest.raises(PathLeavesDomain, match="must start at the grid origin"):
+        transport_frame(fam, grid, np.array([[1, 0], [10, 0]]))
+
+
+def test_the_verify_report_writes_its_nine_keys_in_order():
+    values = [0.1, 2e-7, 1 / 3, 4.5e-300, 0.0, 1e300, None, -0.25, 7.0]
+    keys = ["metric_rel_err", "offdiag_err", "k1_rel_err", "k2_rel_err",
+            "weingarten_spread", "mean_curv_range", "cmc_flag",
+            "quadric_drift", "gauss_defect_rel_err"]
+    texts = ["0.10000000000000001", "1.9999999999999999e-07",
+             "0.33333333333333331", "4.5e-300", "0",
+             "1.0000000000000001e+300", None, "-0.25", "7"]
+    for flag in (True, False):
+        values[6], texts[6] = flag, str(flag).lower()
+        lines = ImmersionReport(*values).to_lines()
+        assert lines == [f"{k}={t}" for k, t in zip(keys, texts)]
+
+
 def test_angle_defect_tracks_curvature():
     params, fam = make_family()
     grid = GridDomain.create(params, 1.5, 41, 41, 1e-2, 1e-2,
@@ -417,12 +444,13 @@ def test_angle_defect_tracks_curvature():
     assert np.max(rel) < 0.02
 
 
-def test_frame_orthonormality_drift_budget():
+def test_frame_orthonormality_drift_budget(monkeypatch):
     params, fam = make_family()
     grid = GridDomain.create(params, 1.5, 101, 41, 1e-3, 1e-3,
                              origin=(-0.05, 0.0))
     # tightening the gate well below the contract shows the actual drift
-    mesh = integrate_frame(fam, grid, frame_tol=1e-10)
+    monkeypatch.setattr(realize, "FRAME_TOL", 1e-10)
+    mesh = integrate_frame(fam, grid)
     assert mesh.vertices.shape == (101 * 41, 3)
 
 
@@ -447,7 +475,7 @@ def test_integrability_gate_rejects_a_nan_gap():
 
 
 def test_a_nan_frame_fails_the_drift_gate():
-    # a nan drift is not <= frame_tol: the first nan node is reported
+    # a nan drift is not <= FRAME_TOL: the first nan node is reported
     n, h = 8, 0.02
     tables = sphere_tables(n)
     with np.errstate(invalid="ignore", over="ignore"):
