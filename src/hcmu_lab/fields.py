@@ -24,17 +24,20 @@ complex function behind a would-be minimal immersion,
 
 whose failure to close (holonomy per unit area) equals
 2i * mu^2 h Phi(K, c) / (16 (K - c)^2) with Phi the obstruction cubic.
+Its x half, h_x = r h with r real, has the first integral |h| ~ m =
+sqrt(mu^2 (c - K)), and its y half, h_y = i beta h, is a rotation per column.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import FormatError, NumericalFailure, PathLeavesDomain
-from .profile import HcmuParams, curvature_at, rk4_step
+from .profile import HcmuParams, curvature_at
 from .ratpoly import as_fraction
 from .textio import (atomic_write, csv_block, format_rows, grid_header,
                      header_block, parse_header_comment, read_text)
@@ -44,8 +47,8 @@ from .textio import (atomic_write, csv_block, format_rows, grid_header,
 class GridDomain:
     """Uniform (x, y) grid carrying the x-dependent metric background.
 
-    K_half holds K on the half-step lattice x0 + k hx/2, so RK4 along x
-    finds its midpoint curvature there; the columns are its even entries.
+    K_half holds K on the half-step lattice x0 + k hx/2, where the frame
+    RK4 of realize reads its midpoint K; the columns are its even entries.
     """
 
     params: HcmuParams
@@ -220,13 +223,12 @@ def residual_norms(fld: ShapeField, c: float) -> tuple[float, ...]:
 
 
 def _ansatz_rates(params: HcmuParams, c: float, K):
-    """Coefficients alpha, beta with h_x = alpha h and h_y = i beta h."""
+    """m = sqrt(mu^2 (c - K)) and beta, with h proportional to m along x and
+    h_y = i beta h; ln m integrates h_x / h = mu' mu/2 + mu^2/(4(K - c))."""
     mu_sq = params.mu_sq(K)
     dmu_mu = 0.5 * params.mu_sq_prime(K)  # mu' mu
-    gauss_term = mu_sq / (4.0 * (K - c))
-    alpha = 0.5 * dmu_mu + gauss_term
-    beta = dmu_mu + gauss_term
-    return alpha, beta
+    beta = dmu_mu + mu_sq / (4.0 * (K - c))
+    return np.sqrt(mu_sq * (c - K)), beta
 
 
 def _require_supercritical(params: HcmuParams, c: float):
@@ -261,50 +263,37 @@ class MinimalAnsatz:
 def lattice_legs(grid: GridDomain, nodes):
     """Yield the straight legs (i0, j0, i1, j1) of a polyline of grid nodes.
 
-    Each leg is checked before it is yielded: both ends must be grid nodes
-    and the leg must run along a lattice line.
+    Every node must be a pair of integers indexing the grid, and every leg
+    must run along a lattice line, or PathLeavesDomain is raised.
     """
-    nodes = list(nodes)
+    try:
+        nodes = [(operator.index(i), operator.index(j)) for i, j in nodes]
+    except (TypeError, ValueError):
+        raise PathLeavesDomain(
+            "path nodes must be pairs of integers") from None
+    for i, j in nodes:
+        if not (0 <= i < grid.nx and 0 <= j < grid.ny):
+            raise PathLeavesDomain(f"node ({i}, {j}) outside the grid")
     for (i0, j0), (i1, j1) in zip(nodes, nodes[1:]):
-        for i, j in ((i0, j0), (i1, j1)):
-            if not (0 <= i < grid.nx and 0 <= j < grid.ny):
-                raise PathLeavesDomain(f"node ({i}, {j}) outside the grid")
         if i0 != i1 and j0 != j1:
             raise PathLeavesDomain("path segments must follow lattice lines")
         yield i0, j0, i1, j1
-
-
-def x_propagators(f_half, one, i0: int, i1: int, hx: float):
-    """RK4 propagators of a linear march along x, column i0 to i1, per cell.
-
-    f_half(k, v), linear in v, is the right-hand side at half-step lattice
-    indices k (column i is k = 2 i).  One rk4_step on a batch of identities
-    `one` (1.0 or np.eye(4)) gives them all, in path order.
-    """
-    step = 1 if i1 > i0 else -1
-    k = 2 * np.arange(i0, i1, step)
-    ones = np.broadcast_to(one, k.shape + np.shape(one))
-    return rk4_step(lambda stage, v: f_half(k + step * stage, v), ones,
-                    step * hx)
 
 
 def integrate_minimal_ansatz(grid: GridDomain, c: float,
                              h0: complex) -> MinimalAnsatz:
     """Sweep the transport system over the grid: x spine, then y columns.
 
-    Along a column the rate i beta(x) is constant, so the y transport is the
-    exact rotation h -> h exp(i beta dy); the x spine is the running product
-    of the RK4 propagators of its cells.
+    The x spine is h0 m / m[0], from the first integral of the x half
+    (`_ansatz_rates`).  Along a column the rate i beta(x) is constant, so
+    the y transport is the exact rotation h -> h exp(i beta dy).
     """
     _require_supercritical(grid.params, c)
     if h0 == 0:
         raise ValueError("h0 must be nonzero")
     params = grid.params
-    alpha_half, _ = _ansatz_rates(params, c, grid.K_half)
-    props = x_propagators(lambda k, v: alpha_half[k] * v, 1.0, 0,
-                          grid.nx - 1, grid.hx)
-    spine = np.cumprod(np.concatenate(([complex(h0)], props)))
-    _, beta = _ansatz_rates(params, c, grid.K)
+    m, beta = _ansatz_rates(params, c, grid.K)
+    spine = complex(h0) * (m / m[0])
     dy = grid.hy * np.arange(grid.ny)
     h = spine[:, None] * np.exp(1j * beta[:, None] * dy[None, :])
 
@@ -318,16 +307,16 @@ def integrate_minimal_ansatz(grid: GridDomain, c: float,
 
 def transport_ansatz(grid: GridDomain, c: float, h0: complex,
                      nodes) -> complex:
-    """Transport h0 along a lattice polyline of (i, j) grid nodes."""
+    """Transport h0 along a lattice polyline of (i, j) grid nodes: x legs
+    scale h by m[i1] / m[i0], y legs rotate it by exp(i beta dy)."""
     _require_supercritical(grid.params, c)
-    alpha_half, beta_half = _ansatz_rates(grid.params, c, grid.K_half)
+    m, beta = _ansatz_rates(grid.params, c, grid.K)
     h = complex(h0)
     for i0, j0, i1, j1 in lattice_legs(grid, nodes):
         if j0 == j1:
-            h = h * np.prod(x_propagators(lambda k, v: alpha_half[k] * v,
-                                          1.0, i0, i1, grid.hx))
+            h = h * (m[i1] / m[i0])
         else:
-            h = h * np.exp(1j * beta_half[2 * i0] * (j1 - j0) * grid.hy)
+            h = h * np.exp(1j * beta[i0] * (j1 - j0) * grid.hy)
     return h
 
 

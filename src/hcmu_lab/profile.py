@@ -153,7 +153,9 @@ def solve_curvature_ode(params: HcmuParams, k0: float, x_range=(-10.0, 10.0),
     xs, n_neg = _x_lattice(x_range, step)
     n_pos = xs.size - 1 - n_neg
 
-    f = lambda stage, K: 0.5 * params.mu_sq(K)
+    # mu_sq with K1, K2, K3 bound once; same expression and order, same bits
+    k1, k2, k3 = params.k1, params.k2, params.k3
+    f = lambda stage, K: 0.5 * (-(4.0 / 3.0) * (K - k1) * (K - k2) * (K - k3))
     fwd = [k0]
     for _ in range(n_pos):
         fwd.append(rk4_step(f, fwd[-1], step))

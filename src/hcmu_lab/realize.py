@@ -48,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FormatError, FrameDrift, NumericalFailure, PathLeavesDomain
-from .fields import GridDomain, ShapeField, lattice_legs, x_propagators
+from .fields import GridDomain, ShapeField, lattice_legs
 from .profile import CurvatureProfile, HcmuParams, curvature_at, rk4_step
 from .textio import (atomic_write, fmt17, format_rows, grid_header,
                      header_block, parse_header_comment, read_text,
@@ -297,6 +297,15 @@ def _frame_matrices(tables: FrameTables, c: float):
     return np.moveaxis(Ax, -1, 0), np.moveaxis(Ay, -1, 0)
 
 
+def _x_propagators(Ax: np.ndarray, i0: int, i1: int, hx: float) -> np.ndarray:
+    """The RK4 maps of S' = Ax S from column i0 to i1, one per cell in path
+    order, from one batched step; Ax is on the half-step lattice."""
+    step = 1 if i1 > i0 else -1
+    k = 2 * np.arange(i0, i1, step)
+    return rk4_step(lambda stage, T: Ax[k + step * stage] @ T,
+                    np.broadcast_to(np.eye(4), k.shape + (4, 4)), step * hx)
+
+
 def _y_propagators(Ay: np.ndarray, hy: float) -> np.ndarray:
     """The RK4 map of one y step of S' = Ay S, per column of a stack Ay."""
     return rk4_step(lambda stage, T: Ay @ T,
@@ -361,8 +370,7 @@ def integrate_frame_tables(tables: FrameTables, nx: int, ny: int, hx: float,
     spine = [_initial_frame(c).as_matrix()]
     # an overflow or NaN is left to the drift gate, which checks every node
     with np.errstate(over="ignore", invalid="ignore"):
-        for P in x_propagators(lambda k, T: Ax[k] @ T, np.eye(4), 0, nx - 1,
-                               hx):
+        for P in _x_propagators(Ax, 0, nx - 1, hx):
             spine.append(P @ spine[-1])
         Py = _y_propagators(Ay[0:2 * nx - 1:2], hy)  # at the columns
         rows = [np.stack(spine)]
@@ -434,8 +442,7 @@ def transport_frame(family: DiagonalFamily, grid: GridDomain,
         raise PathLeavesDomain("frame transport must start at the grid origin")
     for i0, j0, i1, j1 in lattice_legs(grid, nodes):
         if j0 == j1:
-            for P in x_propagators(lambda k, T: Ax[k] @ T, np.eye(4), i0, i1,
-                                   grid.hx):
+            for P in _x_propagators(Ax, i0, i1, grid.hx):
                 S = P @ S
         else:
             P = _y_propagators(Ay[2 * i0], math.copysign(grid.hy, j1 - j0))

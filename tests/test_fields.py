@@ -207,6 +207,14 @@ def test_transport_rejects_bad_paths():
         transport_ansatz(grid, 3.0, 1 + 0j, [(0, 0), (0, 99)])
 
 
+def test_transport_takes_numpy_integer_nodes():
+    grid = ansatz_grid(9)
+    path = [(0, 0), (5, 0), (5, 3)]
+    as_numpy = [(np.int64(i), np.int32(j)) for i, j in path]
+    assert (transport_ansatz(grid, 3.0, 1 + 1j, as_numpy)
+            == transport_ansatz(grid, 3.0, 1 + 1j, path))
+
+
 def test_path_dependence_matches_holonomy_prediction():
     grid = ansatz_grid()
     h0 = on_constraint_seed(grid)

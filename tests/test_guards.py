@@ -13,16 +13,19 @@ import pytest
 from hcmu_lab import optimize, profile
 from hcmu_lab.algebra import (MuElement, certificate_from_lines,
                               certify_nonvanishing)
-from hcmu_lab.errors import FormatError, NonFiniteIterate, StepTooLarge
+from hcmu_lab.errors import (FormatError, NonFiniteIterate, PathLeavesDomain,
+                             StepTooLarge)
 from hcmu_lab.fields import (GridDomain, ShapeField, TraceConstraint,
-                             holonomy_defect, integrate_minimal_ansatz)
+                             holonomy_defect, integrate_minimal_ansatz,
+                             transport_ansatz)
 from hcmu_lab.profile import (closed_form_agreement,
                               conformal_curvature_residual, curvature_at,
                               solve_curvature_ode, validate_params)
 from hcmu_lab.ratpoly import RationalPoly, count_roots_between, isolate_roots
 from hcmu_lab.realize import (Mesh, family_codazzi_gap, family_shape_field,
                               minimal_attempt_inconsistency,
-                              recover_fundamental_forms, sample_codazzi_family)
+                              recover_fundamental_forms, sample_codazzi_family,
+                              transport_frame)
 
 PARAMS = validate_params(2, 1)
 XS = 1e-3 * np.arange(-20, 21)
@@ -57,6 +60,10 @@ GUARDS = [
     pytest.param(lambda: holonomy_defect(grid(), 3.0, 1.0, (4, 0, 2, 4)),
                  ValueError, "loop corners must satisfy",
                  id="fields-loop-corners"),
+    pytest.param(lambda: transport_ansatz(grid(), 3.0, 1.0,
+                                          [(0, 0), (2.5, 0)]),
+                 PathLeavesDomain, "path nodes must be pairs of integers",
+                 id="fields-float-node"),
     # profile
     pytest.param(lambda: curvature_at(PARAMS, 2.5, 0.0), ValueError,
                  "anchor K0 = 2.5 outside (1.0, 2.0)", id="profile-anchor"),
@@ -87,6 +94,10 @@ GUARDS = [
                      zeros((16, 3)), 4, 4, 0.1, 0.1, 0.0, 0.0, 0.0)),
                  ValueError, "mesh too small for the 4th-order recovery",
                  id="realize-small-mesh"),
+    pytest.param(lambda: transport_frame(family(), grid(),
+                                         [(0, 0), (0, 0, 5)]),
+                 PathLeavesDomain, "path nodes must be pairs of integers",
+                 id="realize-triple-node"),
     # algebra
     pytest.param(lambda: MuElement(0, 1, RationalPoly.zero()),
                  ZeroDivisionError, "extension over the zero polynomial",

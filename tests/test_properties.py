@@ -17,12 +17,12 @@ from hcmu_lab.algebra import CubicData
 from hcmu_lab.errors import InadmissibleParams
 from hcmu_lab import profile
 from hcmu_lab.fields import (GridDomain, TraceConstraint,
-                             integrate_minimal_ansatz, transport_ansatz,
-                             x_propagators)
+                             integrate_minimal_ansatz, transport_ansatz)
 from hcmu_lab.optimize import _BandedNormal, _damped_step, _Problem
 from hcmu_lab.profile import (curvature_at, implicit_x_of_K, rk4_step,
                               solve_curvature_ode, validate_params)
-from hcmu_lab.realize import _y_propagators, solve_codazzi_family
+from hcmu_lab.realize import (_x_propagators, _y_propagators,
+                              solve_codazzi_family)
 from hcmu_lab.ratpoly import RationalPoly, count_roots_between, isolate_roots, poly_gcd
 from hcmu_lab.textio import grid_header, parse_grid_header
 
@@ -426,11 +426,12 @@ def ansatz_closed_form(grid, c):
     return modulus, beta
 
 
-def rk4_tolerance(grid, span):
-    """RK4's global error bound (K1^2 hx)^4 (K1^2 span) in units of the x
-    scale, plus rounding."""
-    scale = grid.params.k1 ** 2
-    return 1e-12 + (scale * grid.hx) ** 4 * scale * span
+EPS = np.finfo(float).eps
+
+# The transports read h off the same closed form, so they differ from it by
+# a few roundings: of m and its ratios, the rotations and the products.  On
+# 30,000 random draws of each test below the worst was 2.8 eps.
+ANSATZ_TOL = 8.0 * EPS
 
 
 @PROPERTY
@@ -441,8 +442,7 @@ def test_minimal_ansatz_matches_its_closed_form(case):
     y = grid.hy * np.arange(grid.ny)
     exact = h0 * modulus[:, None] * np.exp(1j * beta[:, None] * y)
     h = integrate_minimal_ansatz(grid, c, h0).h
-    tol = rk4_tolerance(grid, grid.nx * grid.hx)
-    assert np.max(np.abs(h - exact) / np.abs(exact)) <= tol
+    assert np.max(np.abs(h - exact) / np.abs(exact)) <= ANSATZ_TOL
 
 
 @PROPERTY
@@ -462,20 +462,19 @@ def test_ansatz_transport_around_a_rectangle_matches_its_closed_form(case,
     corners = [(i0, j0), (i1, j0), (i1, j1), (i0, j1), (i0, j0)]
     expect = [h0 * ratio, h0 * ratio * turn, h0 * turn,
               h0 * cmath.exp(1j * dy * (beta[i1] - beta[i0]))]
-    tol = rk4_tolerance(grid, 2 * (i1 - i0) * grid.hx)
     for n, exact in enumerate(expect, start=2):
         h = transport_ansatz(grid, c, h0, corners[:n])
-        assert abs(h - exact) <= tol * abs(exact)
+        assert abs(h - exact) <= ANSATZ_TOL * abs(exact)
 
 
-def sequential_march(f_half, y, i0, i1, h):
-    """The march the propagators replace: one rk4_step per cell from column
-    i0 to column i1, column i at half-step index 2 i."""
+def sequential_march(Ax, S, i0, i1, h):
+    """The march the propagators replace: one rk4_step per cell of
+    S' = Ax S from column i0 to column i1, column i at half-step index 2 i."""
     step = 1 if i1 > i0 else -1
     for i in range(i0, i1, step):
-        y = rk4_step(lambda stage, v: f_half(2 * i + step * stage, v), y,
+        S = rk4_step(lambda stage, T: Ax[2 * i + step * stage] @ T, S,
                      step * h)
-    return y
+    return S
 
 
 def complex_uniform(rng, shape):
@@ -483,43 +482,31 @@ def complex_uniform(rng, shape):
 
 
 def coefficient_norms(table):
-    """Spectral norms of a stack of 4x4 coefficients, or moduli of scalars."""
-    return (np.linalg.norm(table, 2, axis=(-2, -1)) if table.ndim == 3
-            else np.abs(table))
-
-
-EPS = np.finfo(float).eps
+    """Spectral norms of a stack of 4x4 coefficients."""
+    return np.linalg.norm(table, 2, axis=(-2, -1))
 
 
 @PROPERTY
-@given(st.booleans(), st.integers(2, 12), st.integers(0, 11),
-       st.integers(0, 11), st.floats(1e-3, 0.25), st.integers(0, 2 ** 32 - 1))
-@example(True, 12, 9, 2, 0.2, 0)   # backward
-@example(False, 12, 9, 2, 0.2, 0)
-@example(True, 12, 4, 4, 0.2, 0)   # zero length
-def test_x_propagators_march_a_leg_like_sequential_rk4(matrix, nx, i0, i1,
-                                                       hx, seed):
-    # a random half-step table of complex scalar or 4x4 coefficients, and a
-    # leg in either direction, or of zero length
+@given(st.integers(2, 12), st.integers(0, 11), st.integers(0, 11),
+       st.floats(1e-3, 0.25), st.integers(0, 2 ** 32 - 1))
+@example(12, 9, 2, 0.2, 0)   # backward
+@example(12, 4, 4, 0.2, 0)   # zero length
+def test_x_propagators_march_a_leg_like_sequential_rk4(nx, i0, i1, hx, seed):
+    # a random half-step table of complex 4x4 coefficients, and a leg in
+    # either direction, or of zero length
     i0, i1 = i0 % nx, i1 % nx
     n = abs(i1 - i0)
     rng = np.random.default_rng(seed)
-    shape = (4, 4) if matrix else ()
-    table = complex_uniform(rng, (2 * nx - 1,) + shape)
-    if matrix:
-        f_half = lambda k, v: table[k] @ v
-        one, y0 = np.eye(4), complex_uniform(rng, (4, 3))
-    else:
-        f_half = lambda k, v: table[k] * v
-        one, y0 = 1.0, complex(*rng.uniform(-1.0, 1.0, 2))
-    props = x_propagators(f_half, one, i0, i1, hx)
-    assert props.shape == (n,) + shape
+    Ax = complex_uniform(rng, (2 * nx - 1, 4, 4))
+    y0 = complex_uniform(rng, (4, 3))
+    props = _x_propagators(Ax, i0, i1, hx)
+    assert props.shape == (n, 4, 4)
     y = y0
     for P in props:
-        y = P @ y if matrix else P * y
-    ref = sequential_march(f_half, y0, i0, i1, hx)
+        y = P @ y
+    ref = sequential_march(Ax, y0, i0, i1, hx)
     # each step's rounding is a few ulps of what the state may grow to
-    norms = coefficient_norms(table)
+    norms = coefficient_norms(Ax)
     lo = min(i0, i1)
     growth = math.exp(hx * sum(norms[2 * i:2 * i + 3].max()
                                for i in range(lo, lo + n)))
