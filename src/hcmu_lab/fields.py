@@ -224,11 +224,12 @@ def residual_norms(fld: ShapeField, c: float) -> tuple[float, ...]:
 
 def _ansatz_rates(params: HcmuParams, c: float, K):
     """m = sqrt(mu^2 (c - K)) and beta, with h proportional to m along x and
-    h_y = i beta h; ln m integrates h_x / h = mu' mu/2 + mu^2/(4(K - c))."""
+    h_y = i beta h; ln m integrates h_x / h = mu' mu/2 + mu^2/(4(K - c)).
+    Also mu^2 and mu' mu, which a and b of the ansatz reuse."""
     mu_sq = params.mu_sq(K)
     dmu_mu = 0.5 * params.mu_sq_prime(K)  # mu' mu
     beta = dmu_mu + mu_sq / (4.0 * (K - c))
-    return np.sqrt(mu_sq * (c - K)), beta
+    return np.sqrt(mu_sq * (c - K)), beta, mu_sq, dmu_mu
 
 
 def _require_supercritical(params: HcmuParams, c: float):
@@ -291,17 +292,14 @@ def integrate_minimal_ansatz(grid: GridDomain, c: float,
     _require_supercritical(grid.params, c)
     if h0 == 0:
         raise ValueError("h0 must be nonzero")
-    params = grid.params
-    m, beta = _ansatz_rates(params, c, grid.K)
+    m, beta, mu_sq, dmu_mu = _ansatz_rates(grid.params, c, grid.K)
     spine = complex(h0) * (m / m[0])
     dy = grid.hy * np.arange(grid.ny)
     h = spine[:, None] * np.exp(1j * beta[:, None] * dy[None, :])
 
-    dmu_mu = 0.5 * params.mu_sq_prime(grid.K)[:, None]
-    a = 0.75 * dmu_mu * h + params.mu_sq(grid.K)[:, None] * h / (
-        4.0 * (grid.K[:, None] - c)
-    )
-    b = -0.25 * dmu_mu * h
+    a = (0.75 * dmu_mu[:, None] * h
+         + mu_sq[:, None] * h / (4.0 * (grid.K[:, None] - c)))
+    b = -0.25 * dmu_mu[:, None] * h
     return MinimalAnsatz(grid, float(c), h, a, b)
 
 
@@ -310,7 +308,7 @@ def transport_ansatz(grid: GridDomain, c: float, h0: complex,
     """Transport h0 along a lattice polyline of (i, j) grid nodes: x legs
     scale h by m[i1] / m[i0], y legs rotate it by exp(i beta dy)."""
     _require_supercritical(grid.params, c)
-    m, beta = _ansatz_rates(grid.params, c, grid.K)
+    m, beta, _, _ = _ansatz_rates(grid.params, c, grid.K)
     h = complex(h0)
     for i0, j0, i1, j1 in lattice_legs(grid, nodes):
         if j0 == j1:

@@ -10,8 +10,10 @@ discrete L2(domain) norms and survive grid refinement unchanged.
 
 The Codazzi block of the Jacobian is constant and read once off
 ``fields.codazzi_residual``, the one statement of the stencil, by probing it
-with one field per component and node class; the Gauss block is affine in
-the unknowns and rebuilt per iteration.  No J is stacked: g = J^T r is one
+with one field per component and colour class (i + 2 j) mod 5, the fewest
+classes a 5-point stencil admits (Curtis, Powell & Reid 1974; Goldfarb &
+Toint 1984, *Math. Comp.* 43); the Gauss block is affine in the unknowns
+and rebuilt per iteration.  No J is stacked: g = J^T r is one
 ``np.bincount`` over the Gauss entries, node order, and then the Codazzi
 entries in CSR order, the order in which the sparse product sums each
 component, so g is that product bit for bit.  Steps solve
@@ -61,13 +63,13 @@ at most eps |r|^2 / 2, one ulp of |r|^2 or less (Golub & Meurant 2010,
 it counts as a rejected step and ends the run on its floor.  The
 threshold sits well under 8 eps |r|^2, because at 8 eps |r|^2 the proof
 would end coarse runs a useful step early.  CG gives up once its lower
-bound on g^T B^-1 g puts the proof out of reach, which is after the first
-product on a trial off the floor, once its upper bound, falling at its
-latest ratio per product, would miss the target within the products
-left, or after `_CG_PRODUCTS` products; it never makes a step.  The band
-buffer is allocated at a run's first factorization, so a run whose first
-trial is proved on the floor, like a 2x run that starts there, allocates
-none.
+bound on g^T B^-1 g puts the proof out of reach (on a trial off the floor,
+after one product, or none where a norm bound Lambda >= lambda_max(B)
+shows it), once its upper bound, falling at its latest ratio per product,
+would miss the target within the products left, or after `_CG_PRODUCTS`
+products; it never makes a step.  The band buffer is allocated at a run's
+first factorization, so a run whose first trial is proved on the floor,
+like a 2x run that starts there, allocates none.
 
 Every step is a solve with a band Cholesky factor, but not always a fresh
 one.  An accepted factored step with rho > `_CHORD_RHO` that cut |r|^2
@@ -152,6 +154,7 @@ _FLOOR_EPS = 8.0 * np.finfo(float).eps
 # is rejected unfactored; CG gives up after _CG_PRODUCTS products with B.
 _CERTIFY_EPS = 0.5 * np.finfo(float).eps
 _CG_PRODUCTS = 16
+_NORM_MARGIN = 1.0 + 1e-6     # covers the rounding of CG's first curvature
 # An accepted factored step with rho above _CHORD_RHO that cut F below
 # _CHORD_CUT F keeps its factor for a chord step, which is taken only if it
 # cuts F as much.
@@ -254,6 +257,10 @@ class _Problem:
         # entries in CSR order: the order of the sparse product J^T r
         self._grad_cols = np.concatenate([np.arange(self.m * self.N), jc.col])
         self._jc_rows = self.N + jc.row
+        # ||J_c||_1 ||J_c||_inf for `norm_bound`: inf where it overflows
+        with np.errstate(over="ignore", invalid="ignore"):
+            self._jc_norm_sq = float(np.max(np.bincount(jc.col, abs(jc.data)))
+                                     * np.max(np.bincount(jc.row, abs(jc.data))))
 
     # -- packing -------------------------------------------------------------
 
@@ -303,38 +310,39 @@ class _Problem:
         in COO form with its entries in CSR order.
 
         The rows are linear in h, and the row of interior node (i, j) reads
-        only (i, j), (i +- 1, j) and (i, j +- 1): five nodes in five classes
-        (i mod 3, j mod 3).  So the residual of the field that is 1 in
-        component a on class (ci, cj) and 0 elsewhere holds each row's
-        coefficient on the one node of that class it reads, at offset
-        ((ci - i + 1) % 3 - 1, (cj - j + 1) % 3 - 1), and an exact zero,
+        only (i, j), (i +- 1, j) and (i, j +- 1): five nodes whose colours
+        (i + 2 j) mod 5 differ by d = 0, 1, 2, 3 and 4, offsets (di, dj)[d].
+        So the residual of the field that is 1 in component a on colour q
+        and 0 elsewhere holds each row's coefficient on the one node of that
+        colour it reads, at d = (q - i - 2 j) mod 5, and an exact zero,
         dropped, where it reads none.  With m = 2 the probe sets h22 = -h11,
         the linear part of h22 = trace - h11 (Curtis, Powell & Reid 1974,
-        *J. Inst. Maths Applics* 13).
+        *J. Inst. Maths Applics* 13; Goldfarb & Toint 1984, *Math. Comp.*
+        43: five colours are the fewest a 5-point stencil admits).
         """
         g = self.grid
         nx, ny = g.nx, g.ny
         nint = (nx - 2) * (ny - 2)
         column = self._grid(np.arange(self.m * self.N))
-        i = np.arange(1, nx - 1)[:, None]
-        j = np.arange(1, ny - 1)[None, :]
+        colour = np.add.outer(np.arange(nx), 2 * np.arange(ny)) % 5
+        di, dj = np.array([[0, 1, 0, 0, -1], [0, 0, 1, -1, 0]])
+        i, j = np.ogrid[1:nx - 1, 1:ny - 1]
         probe = np.zeros((3, nx, ny))
         rows, cols, vals = [], [], []
         for a in range(self.m):
-            for ci in range(3):
-                for cj in range(3):
-                    probe[a, ci::3, cj::3] = 1.0
-                    h22 = probe[2] if self.m == 3 else -probe[0]
-                    fld = ShapeField(g, probe[0], probe[1], h22)
-                    with np.errstate(invalid="ignore", over="ignore"):
-                        r = np.concatenate(codazzi_residual(fld), axis=None)
-                    probe[a, ci::3, cj::3] = 0.0
-                    col = column[a, i + (ci - i + 1) % 3 - 1,
-                                 j + (cj - j + 1) % 3 - 1].ravel()
-                    hit = np.flatnonzero(r)
-                    rows.append(hit)
-                    cols.append(col[hit % nint])
-                    vals.append(r[hit])
+            for q in range(5):
+                probe[a] = colour == q
+                h22 = probe[2] if self.m == 3 else -probe[0]
+                fld = ShapeField(g, probe[0], probe[1], h22)
+                with np.errstate(invalid="ignore", over="ignore"):
+                    r = np.concatenate(codazzi_residual(fld), axis=None)
+                probe[a] = 0.0
+                d = (q - colour[1:-1, 1:-1]) % 5
+                col = column[a, i + di[d], j + dj[d]].ravel()
+                hit = np.flatnonzero(r)
+                rows.append(hit)
+                cols.append(col[hit % nint])
+                vals.append(r[hit])
         rows, cols, vals = (np.concatenate(x) for x in (rows, cols, vals))
         return sparse.csr_matrix((self.w * vals, (rows, cols)),
                                  shape=(2 * nint, self.m * self.N)).tocoo()
@@ -361,6 +369,15 @@ class _Problem:
         if self.m == 3:
             return None
         return 2.0 * self.w * np.maximum(r[:self.N], 0.0)
+
+    def norm_bound(self, rows: np.ndarray, second: np.ndarray | None,
+                   lam: float) -> float:
+        """Lambda >= lambda_max(J^T J + S + lam I) by Weyl: ||J_c||_1
+        ||J_c||_inf >= ||J_c||_2^2, the largest |v_k|^2 of a Gauss row, the
+        largest S and lam; inf or nan where a term overflows."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return float(self._jc_norm_sq + np.max(np.sum(rows * rows, axis=0))
+                         + (0.0 if second is None else np.max(second)) + lam)
 
     def normal_operator(self, rows: np.ndarray, second: np.ndarray | None,
                         lam: float):
@@ -403,12 +420,14 @@ class _BandedNormal:
     def __init__(self, problem: _Problem):
         m, g = problem.m, problem.grid
         self.kd = _half_bandwidth(m, g.nx, g.ny)
-        C = sparse.tril(problem._jct @ problem._jc, format="coo")
-        self._const_pos = C.col * (self.kd + 1) + (C.row - C.col)
-        self._const_val = C.data
+        C = (problem._jct @ problem._jc).tocoo()
+        lower = C.row >= C.col
+        self._const_pos = (C.col * (self.kd + 1) + (C.row - C.col))[lower]
+        self._const_val = C.data[lower]
         self.m = m
         n = m * problem.N
         self._buf = np.zeros(n * (self.kd + 1))
+        self._zeroed = True     # np.zeros has cleared it for the first fill
         self.ab = self._buf.reshape(n, self.kd + 1).T
         self.factor = None
 
@@ -419,7 +438,9 @@ class _BandedNormal:
         unknowns (no S when ``second`` is None)."""
         ab, m = self.ab, self.m
         self.factor = None
-        self._buf.fill(0.0)
+        if not self._zeroed:
+            self._buf.fill(0.0)
+        self._zeroed = False
         self._buf[self._const_pos] = self._const_val
         # entry (a, b), a >= b, of node k's outer product: ab[a - b, m k + b]
         for a in range(m):
@@ -479,7 +500,10 @@ def _decrease_bound(problem: _Problem, rows: np.ndarray,
     z = g - B x computed explicitly, g^T B^-1 g = g.x + x.z + z^T B^-1 z
     <= g.x + x.z + |z|^2 / lam, and CG on B x = g gives the lower bound
     sum_k alpha_k |z_k|^2 <= g^T B^-1 g (Golub & Meurant 2010, *Matrices,
-    Moments and Quadrature*).  x = 0 needs no product; CG stops as soon as
+    Moments and Quadrature*).  x = 0 needs no product, nor does a trial with
+    2 |g|^2 / Lambda over ``target``, Lambda >= lambda_max(B)
+    (`_Problem.norm_bound`): CG's first lower bound |g|^4 / g^T B g is at
+    least |g|^2 / Lambda.  CG stops as soon as
     twice that lower bound exceeds ``target``, after _CG_PRODUCTS products
     with B, on a curvature p^T B p that is not finite and positive, or once
     the upper bound, falling on at its latest ratio per product, would still
@@ -493,6 +517,9 @@ def _decrease_bound(problem: _Problem, rows: np.ndarray,
     zz = float(g @ g)
     if 2.0 * zz / lam <= target:   # the bound at x = 0
         return 2.0 * zz / lam
+    norm = problem.norm_bound(rows, second, lam) * _NORM_MARGIN
+    if 2.0 * zz / norm > target:    # false where Lambda overflows
+        return np.inf
     product = problem.normal_operator(rows, second, lam)
     x = np.zeros_like(g)
     z, p = g.copy(), g.copy()

@@ -574,6 +574,53 @@ def test_failures_are_one_error_line_and_write_nothing(
     assert not (tmp_path / "out.txt").exists()
 
 
+# The reports of README's optimize commands, 32x32 with --seed 7, and their
+# 64x64 refinements: every line, and the summary line on stdout
+_README_REPORTS = {
+    "minimal": ("converged=false floor_l2=0.480664", [
+        "iterations=8", "converged=false",
+        "gauss_max=1.6156211308597677", "gauss_l2=0.48066351369320698",
+        "codazzi_max=4.5718187841327815e-14",
+        "codazzi_l2=7.0198486533222736e-15",
+        "floor_l2=0.48066351369320698", "floor_32x32=0.48066351369320698",
+        "floor_64x64=0.48125263788888362", "stop_reason=floor",
+        "factorizations=8", "rejected_steps=2", "stop_reason_64x64=floor"]),
+    "none": ("converged=true floor_l2=2.86313e-10", [
+        "iterations=14", "converged=true",
+        "gauss_max=1.1302594193907112e-08",
+        "gauss_l2=2.8595440037068371e-10",
+        "codazzi_max=5.3344501732555116e-10",
+        "codazzi_l2=1.4320230476620812e-11",
+        "floor_l2=2.8631274524942271e-10",
+        "floor_32x32=2.8631274524942271e-10",
+        "floor_64x64=4.9614712024412716e-09", "stop_reason=converged",
+        "factorizations=35", "rejected_steps=6",
+        "stop_reason_64x64=converged"]),
+    "cmc:0.5": ("converged=false floor_l2=0.400763", [
+        "iterations=8", "converged=false",
+        "gauss_max=1.3656211308597677", "gauss_l2=0.4007632682900294",
+        "codazzi_max=1.7837749630973377e-12",
+        "codazzi_l2=3.0401951522146584e-13",
+        "floor_l2=0.4007632682900294", "floor_32x32=0.4007632682900294",
+        "floor_64x64=0.40135226746058777", "stop_reason=floor",
+        "factorizations=9", "rejected_steps=2", "stop_reason_64x64=floor"]),
+}
+
+
+@pytest.mark.parametrize("constraint", list(_README_REPORTS))
+def test_the_readme_optimize_reports_are_pinned(tmp_path, capsys,
+                                                constraint):
+    out = tmp_path / "report.txt"
+    assert run_cli("optimize", "--k1", "2", "--k2", "1", "--k0", "1.5",
+                   "--grid", "32,32,0.01,0.01", "--constraint", constraint,
+                   "--seed", "7", "--out", str(out)) == 0
+    summary, lines = _README_REPORTS[constraint]
+    std = capsys.readouterr()
+    assert (std.out, std.err) == (f"optimize: {summary}\n", "")
+    assert out.read_text().splitlines() == [f"constraint={constraint}",
+                                            "seed=7", *lines]
+
+
 def test_an_overflowing_lm_run_reports_finite_floors_silently(tmp_path,
                                                               capsys):
     # hy = 1e300 overflows the residual's gradient and CG's products, which

@@ -183,10 +183,21 @@ def test_ansatz_requires_supercritical_ambient():
 
 def test_ansatz_pointwise_relations():
     grid = ansatz_grid()
-    mz = integrate_minimal_ansatz(grid, 3.0, on_constraint_seed(grid))
-    dmu_mu = 0.5 * grid.params.mu_sq_prime(grid.K)[:, None]
-    # b is defined pointwise from h
-    assert np.max(np.abs(mz.b + 0.25 * dmu_mu * mz.h)) == 0.0
+    h0 = on_constraint_seed(grid)
+    mz = integrate_minimal_ansatz(grid, 3.0, h0)
+    K = grid.K[:, None]
+    mu_sq = grid.params.mu_sq(K)
+    dmu_mu = 0.5 * grid.params.mu_sq_prime(K)
+    # h is the spine h0 m / m[0], m = sqrt(mu^2 (c - K)), rotated along y by
+    # beta = mu' mu + mu^2 / (4 (K - c)); a and b are defined pointwise
+    # from h: all three bit for bit
+    m = np.sqrt(mu_sq * (3.0 - K))
+    beta = dmu_mu + mu_sq / (4.0 * (K - 3.0))
+    dy = grid.hy * np.arange(grid.ny)[None, :]
+    assert np.array_equal(mz.h, complex(h0) * (m / m[0]) * np.exp(1j * beta * dy))
+    assert np.array_equal(mz.a, 0.75 * dmu_mu * mz.h
+                          + mu_sq * mz.h / (4.0 * (K - 3.0)))
+    assert np.array_equal(mz.b, -0.25 * dmu_mu * mz.h)
     # the swept field keeps the Gauss constraint to round-off
     rg = gauss_residual(mz.shape_field(), 3.0)
     assert np.max(np.abs(rg)) < 1e-12

@@ -210,6 +210,80 @@ def test_the_cg_bound_holds_on_the_factored_step(nx, ny, constraint, seed,
     assert 2.0 * gBg <= bound * (1.0 + 1e-12)
 
 
+def cg_decrease_bound(problem, rows, second, g, lam, target):
+    """`optimize._decrease_bound` without its norm bound: CG from the first
+    product on, kept here to show the norm bound changes no result."""
+    def upper(x, z):
+        return 2.0 * (float(g @ x) + float(x @ z) + float(z @ z) / lam)
+
+    zz = float(g @ g)
+    if 2.0 * zz / lam <= target:
+        return 2.0 * zz / lam
+    product = problem.normal_operator(rows, second, lam)
+    x = np.zeros_like(g)
+    z, p = g.copy(), g.copy()
+    lower, products, last = 0.0, 0, np.inf
+    while products < optimize._CG_PRODUCTS:
+        q = product(p)
+        products += 1
+        pq = float(p @ q)
+        if not (np.isfinite(pq) and pq > 0.0):
+            break
+        alpha = zz / pq
+        lower += alpha * zz
+        if 2.0 * lower > target:
+            break
+        x += alpha * p
+        z -= alpha * q
+        screen = upper(x, z)
+        if screen <= target:
+            products += 1
+            bound = upper(x, g - product(x))
+            if bound <= target:
+                return bound
+        elif (screen * (screen / last) ** (optimize._CG_PRODUCTS - products)
+              > target):
+            break
+        last = screen
+        zz, zz_old = float(z @ z), zz
+        p = z + (zz / zz_old) * p
+    return np.inf
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(8, 12), st.integers(8, 12),
+       st.sampled_from(["minimal", "cmc:2", "none"]),
+       st.integers(0, 2 ** 32 - 1), st.floats(-8.0, 2.0), st.floats(-4.0, 4.0),
+       st.floats(0.0, 3.0))
+def test_the_norm_bound_bounds_b_and_changes_no_decrease_bound(
+        nx, ny, constraint, seed, log_lam, log_scale, log_size):
+    # fields up to 1000x the random start's, so that the Gauss rows, not
+    # J_c, set the top of B's spectrum on some draws
+    grid = GridDomain.create(PARAMS, 1.5, nx, ny, 0.01, 0.01,
+                             origin=(-0.04, 0.0))
+    problem = _Problem(grid, 0.0, TraceConstraint.parse(constraint))
+    u = 10.0 ** log_size * problem.random_init(seed)
+    r = problem.residual(u)
+    rows, second = problem.gauss_rows(u), problem.second_order(r)
+    g = problem.gradient(rows, r)
+    lam = 10.0 ** log_lam
+    ab = _BandedNormal(problem).assemble(lam, rows, second)
+    n = u.size
+    lower = sum(np.diag(ab[d, :n - d], -d) for d in range(ab.shape[0]))
+    B = lower + np.tril(lower, -1).T
+    # Lambda bounds the Rayleigh quotient of B at random vectors and at its
+    # top eigenvector
+    norm = problem.norm_bound(rows, second, lam)
+    p = np.random.default_rng(seed).standard_normal((n, 4))
+    p[:, 0] = np.linalg.eigh(B)[1][:, -1]
+    assert np.all(np.einsum("ik,ik->k", p, B @ p) / np.sum(p * p, axis=0)
+                  <= norm)
+    # and _decrease_bound, norm bound and all, returns what CG alone does
+    target = 2.0 * float(g @ np.linalg.solve(B, g)) * 2.0 ** log_scale
+    assert (optimize._decrease_bound(problem, rows, second, g, lam, target)
+            == cg_decrease_bound(problem, rows, second, g, lam, target))
+
+
 def test_a_certified_refinement_run_builds_no_band(monkeypatch):
     # the 2x run of the 16x16 minimal case starts on its floor: CG proves the
     # first trial's decrease under one ulp of F, so that run factors nothing
@@ -249,10 +323,17 @@ def test_a_certified_refinement_run_builds_no_band(monkeypatch):
         ("floor", 8), ("floor", 0)]
     assert rep.refinement_stop_reason == "floor"
     assert rep.factorizations == 8
-    # CG gives up after one product on each of the 8 factored trials; the
+    # the norm bound rules out the first 7 factored trials before CG's
+    # first product, and CG the 8th after it: there g^T B g / |g|^2 is
+    # about 1e-4 Lambda, since g lies near the null space of J_c.  The
     # coarse run's last trial is bounded at x = 0, with no product
     counts = [len(made) for *_, made in trials]
-    assert counts[:-1] == [1] * 8 + [0] and counts[-1] > 1
+    assert counts[:-1] == [0] * 7 + [1, 0] and counts[-1] > 1
+    for k, (problem, (rows, second, g, lam, target), b, _) in enumerate(
+            trials[:8]):
+        assert b == np.inf
+        norm = problem.norm_bound(rows, second, lam) * optimize._NORM_MARGIN
+        assert (2.0 * float(g @ g) / norm > target) == (k < 7)
     # the certified trial: its bound is the explicit-residual bound at the
     # last vector B was applied to, it is under one ulp of F, and it bounds
     # the decrease of the step that factoring would have taken
@@ -700,6 +781,32 @@ def test_band_constant_is_the_codazzi_product_bit_for_bit(constraint, nx, ny):
         expected[d, :n - d] = np.diag(C, -d)
     ab = normal.assemble(0.0, np.zeros((problem.m, problem.N)), None)
     assert np.array_equal(ab, expected)
+
+
+@pytest.mark.parametrize("constraint", ["minimal", "none"])   # m = 2, 3
+@pytest.mark.parametrize("nx, ny", [(8, 12), (12, 8), (13, 9)])
+def test_the_coloured_probe_equals_a_probe_per_unknown_bit_for_bit(
+        constraint, nx, ny):
+    # one unit field per unknown, h22 = -h11 with m = 2, against J_c read
+    # off five colours per component; 13 x 9 has colour classes of unequal
+    # size on both axes
+    grid = GridDomain.create(PARAMS, 1.5, nx, ny, 0.01, 0.01,
+                             origin=(-0.04, 0.0))
+    problem = _Problem(grid, 0.0, TraceConstraint(constraint))
+    n = problem.m * problem.N
+    expected = np.zeros((2 * (nx - 2) * (ny - 2), n))
+    for k in range(n):
+        e = np.zeros(n)
+        e[k] = 1.0
+        h = problem._grid(e)
+        h22 = h[2] if problem.m == 3 else -h[0]
+        c1, c2 = codazzi_residual(ShapeField(grid, h[0], h[1], h22))
+        expected[:, k] = problem.w * np.concatenate([c1.ravel(), c2.ravel()])
+    jc = problem._jc
+    assert np.array_equal(jc.toarray(), expected)
+    # no stored zero, and the entries in CSR order
+    assert jc.nnz == np.count_nonzero(expected)
+    assert np.array_equal(np.lexsort((jc.col, jc.row)), np.arange(jc.nnz))
 
 
 @pytest.mark.parametrize("constraint", ["minimal", "none"])   # m = 2, 3
