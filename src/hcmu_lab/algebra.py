@@ -123,7 +123,9 @@ class MuElement:
 
     a and b are polynomials and k >= 0.  The triple is kept reduced (k = 0,
     or P does not divide both a and b), which makes it unique: equality
-    compares components.  Binary operations require matching P.
+    compares components.  Reduction stops as soon as P cannot divide a or b
+    (nonzero and of lower degree, or a remainder left).  Binary operations
+    require matching P.
     """
 
     __slots__ = ("a", "b", "k", "P")
@@ -133,10 +135,12 @@ class MuElement:
             raise ZeroDivisionError("extension over the zero polynomial")
         a = a if isinstance(a, RationalPoly) else RationalPoly.constant(a)
         b = b if isinstance(b, RationalPoly) else RationalPoly.constant(b)
-        while k:
+        while k and all(x.degree >= P.degree or not x for x in (a, b)):
             qa, ra = divmod(a, P)
+            if ra:
+                break
             qb, rb = divmod(b, P)
-            if ra or rb:
+            if rb:
                 break
             a, b, k = qa, qb, k - 1
         self.a, self.b, self.k, self.P = a, b, k, P
@@ -186,11 +190,10 @@ class MuElement:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        # lift both operands to the denominator P^k
-        k = max(self.k, other.k)
-        s, o = self.P ** (k - self.k), self.P ** (k - other.k)
-        return MuElement(self.a * s + other.a * o, self.b * s + other.b * o,
-                         self.P, k)
+        # lift the operand with the smaller denominator to the other's P^k
+        hi, lo = (self, other) if self.k >= other.k else (other, self)
+        s = self.P ** (hi.k - lo.k)
+        return MuElement(hi.a + lo.a * s, hi.b + lo.b * s, self.P, hi.k)
 
     __radd__ = __add__
 
@@ -341,6 +344,8 @@ def certificate_from_lines(lines) -> Certificate:
         raise FormatError("incomplete certificate record")
     if declared is not None and declared != len(roots):
         raise FormatError("root_count disagrees with root_interval lines")
+    if (verdict == "no-root") != (not roots):
+        raise FormatError("verdict disagrees with root_interval lines")
     return Certificate(interval, verdict == "no-root", tuple(roots))
 
 
@@ -358,8 +363,7 @@ def certify_nonvanishing(phi: RationalPoly, interval) -> Certificate:
         raise ValueError("zero polynomial cannot be certified nonvanishing")
     if not lo < hi:
         raise ValueError("degenerate interval")
-    # one square-free part and one Sturm chain serve the count and the
-    # isolation
+    # one Sturm chain serves the count and the isolation
     f, chain = _sturm_prepare(phi, lo, hi)
     n = sign_variations(chain, lo) - sign_variations(chain, hi)
     if n == 0:

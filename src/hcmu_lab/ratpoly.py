@@ -6,14 +6,19 @@ by degree, with exact division with remainder; the module has no rational
 functions (the mu-algebra's one denominator, a power of P, is kept by
 ``algebra.MuElement``).
 
+Arithmetic results skip the constructor's coefficient check, a product
+by a constant only scales, and a sum with zero is the other operand.
+
 Root counting and isolation use Sturm sequences, evaluated exactly at
-rational points.  Isolation builds one Sturm chain and bisects until its
-count shows that an interval holds exactly one distinct real root (a new
-chain is built only after an exact rational root is divided out), then
-narrows that interval by further exact bisection, on sign tests alone,
-until it is no wider than the fixed target width ``ISOLATION_WIDTH``.  The
-square-free polynomial the count certified changes sign across every
-returned non-degenerate interval, and never vanishes at its endpoints.
+rational points.  A polynomial whose own chain ends in a nonzero constant
+is square-free, so then that one Euclidean pass serves.  Isolation builds
+one Sturm chain and bisects until its count shows that an interval holds
+exactly one distinct real root (a new chain is built only after an exact
+rational root is divided out), then narrows that interval by further exact
+bisection, on sign tests alone, until it is no wider than the fixed target
+width ``ISOLATION_WIDTH``.  The square-free polynomial the count certified
+changes sign across every returned non-degenerate interval, and never
+vanishes at its endpoints.
 """
 
 from __future__ import annotations
@@ -73,6 +78,15 @@ class RationalPoly:
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
+
+    @classmethod
+    def _of(cls, cs: list) -> "RationalPoly":
+        # arithmetic results: cs is a list of Fractions, taken over as it is
+        while cs and not cs[-1]:
+            cs.pop()
+        p = object.__new__(cls)
+        p.coeffs = tuple(cs)
+        return p
 
     # -- constructors ------------------------------------------------------
 
@@ -137,17 +151,21 @@ class RationalPoly:
         if other is None:
             return NotImplemented
         a, b = self.coeffs, other.coeffs
+        if not b:
+            return self
+        if not a:
+            return other
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return RationalPoly(out)
+        return RationalPoly._of(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RationalPoly(tuple(-c for c in self.coeffs))
+        return RationalPoly._of([-c for c in self.coeffs])
 
     def __sub__(self, other):
         other = _coerce(other)
@@ -163,10 +181,13 @@ class RationalPoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = as_fraction(other)
-            return RationalPoly(tuple(c * a for a in self.coeffs))
+            return self._scaled(as_fraction(other))
         if not isinstance(other, RationalPoly):
             return NotImplemented
+        if len(self.coeffs) == 1:
+            return other._scaled(self.coeffs[0])
+        if len(other.coeffs) == 1:
+            return self._scaled(other.coeffs[0])
         if self.is_zero() or other.is_zero():
             return RationalPoly.zero()
         out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
@@ -175,20 +196,26 @@ class RationalPoly:
                 continue
             for j, b in enumerate(other.coeffs):
                 out[i + j] += a * b
-        return RationalPoly(out)
+        return RationalPoly._of(out)
 
     __rmul__ = __mul__
+
+    def _scaled(self, c: Fraction) -> "RationalPoly":
+        # a product by the constant c; by 1 it is self
+        if c == 1:
+            return self
+        return RationalPoly._of([c * a for a in self.coeffs])
 
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        result = RationalPoly.one()
-        base = self
+        result, base = RationalPoly.one(), self
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     def __divmod__(self, other: "RationalPoly"):
@@ -211,7 +238,7 @@ class RationalPoly:
             for i, c in enumerate(other.coeffs):
                 rem[k + i] -= f * c
             rem.pop()
-        return RationalPoly(q), RationalPoly(rem)
+        return RationalPoly._of(q), RationalPoly._of(rem)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -222,13 +249,14 @@ class RationalPoly:
     # -- calculus / evaluation -----------------------------------------------
 
     def derivative(self) -> "RationalPoly":
-        return RationalPoly(tuple(k * c for k, c in enumerate(self.coeffs) if k > 0))
+        return RationalPoly._of([k * c for k, c in enumerate(self.coeffs) if k > 0])
 
     def __call__(self, x) -> Fraction:
         """Exact Horner evaluation at as_fraction(x), never in floats."""
         x = as_fraction(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
+        cs = reversed(self.coeffs)
+        acc = next(cs, Fraction(0))
+        for c in cs:
             acc = acc * x + c
         return acc
 
@@ -268,8 +296,8 @@ def squarefree_part(p: RationalPoly) -> RationalPoly:
 def sturm_sequence(f: RationalPoly) -> list[RationalPoly]:
     """Canonical Sturm chain f, f', -rem(f, f'), ... of a square-free f.
 
-    The caller takes the square-free part (``squarefree_part``) first; root
-    counting and isolation both have it at hand already.
+    ``_sturm_prepare`` either finds f square-free from this chain or passes
+    the square-free part (``squarefree_part``) in.
     """
     chain = [f, f.derivative()]
     while not chain[-1].is_zero() and chain[-1].degree > 0:
@@ -302,9 +330,16 @@ def _sturm_prepare(p: RationalPoly, a: Fraction, b: Fraction):
     """(f, chain): the square-free part of p with its roots at a and b
     divided out, and the Sturm chain of f (empty when f is constant).
 
-    `_isolate` takes the same pair, so a caller that both counts and
-    isolates (``algebra.certify_nonvanishing``) builds each once.
+    When p(a) p(b) != 0 and p's own chain ends in a nonzero constant, that
+    constant is gcd(p, p'), so f = p after one Euclidean pass; otherwise f
+    comes from ``squarefree_part``.  `_isolate` takes the same pair, so a
+    caller that both counts and isolates (``algebra.certify_nonvanishing``)
+    builds each once.
     """
+    if p.degree > 0 and p(a) and p(b):
+        chain = sturm_sequence(p)
+        if chain[-1].degree == 0:
+            return p, chain
     f = _strip_endpoint_roots(squarefree_part(p), a, b)
     return f, (sturm_sequence(f) if f.degree > 0 else [])
 

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -179,6 +180,56 @@ def test_obstruction_root_interval_is_narrow(tmp_path):
     lo, hi = (Fraction(t) for t in boxes[0])
     assert -1 < lo <= hi < 2
     assert hi - lo <= ISOLATION_WIDTH
+
+
+# sha256 of the obstruction file for "K1 K2 c": the README command, the cusp
+# pairs, one isolated root in (1, 2), a triple root at the endpoint K2, and
+# rationals in 8ths and 16ths like the benchmark's draws (no, one or three
+# roots inside, repeated roots at an endpoint or outside the interval)
+_OBSTRUCTION_DIGESTS = {
+    "2 1 0": "54d3ad03527c4cf133b9e7c16dbc69078be15d2471c2acdf9531bd3c7d5673dd",
+    "2 -1 0": "fc6e921459805a2f7e1e3cd186e5cd7bc3c75eb5e98ec6b91890ff203307b16f",
+    "2 -1 -1": "6934880a2040d8c0205357bb946acd09a440939702e7ef2f106356da1c13a724",
+    "2 1 21/10":
+        "7f4f231e9ddd040f6d7e9b0be0615655de5e6bf0a04898657d74b3b437e293f9",
+    "3 0 0": "ca7312224b0e7b166b4bc3370768a422bcdd0500d59b4b9ed0a3af6cf6727f97",
+    "1/4 1/8 1/4":
+        "3f1468afa3b03df0ee361351ec5a92eb9ee2d3092ed31735dad740de10082e1e",
+    "3/8 1/4 -5/8":
+        "f3e8e69bde2e43f8e9c979fb18ee5df3be1648452e21eb21be2913a78c1b6205",
+    "1/2 -1/4 -1/4":
+        "0aadb191e68e2ff5e390ad5a4185a610c6fcf57c4df43e1f6bff19b14306e573",
+    "3/8 -3/16 3/8":
+        "9359fc19635fe0c8f4e76bb51515520a46dcfcf98a6442811d3c45274b61e77a",
+    "5/4 3/16 7/8":
+        "0629eb5f52ca9a60a858206fd132fe6a5a16447cbfee8f96de51d154d3aaaa13",
+    "3/2 -3/4 11/8":
+        "a5b91feb3b7c362546b6becddfc9a57b71e15b3946a5477b6606a45be5fa3a2b",
+    "7/8 5/16 -3/8":
+        "4117d0ca13ef78b21a964c93c19c4c1c0392dc14060a986c8da51426c7abd458",
+    "13/8 9/16 15/8":
+        "caee29059cd65dbd2e12b3eb5aee73f7c7945be7fd43ee40f23b02a528298e93",
+    "5/2 -5/4 -9/8":
+        "11474531275e2d6d2cd452b444b0beb888de3775cf25ccfdd9269c3dbb6627c5",
+    "9/8 1/16 1/2":
+        "ca7ef49936307c4235e2ff98a26fa43e71eafd06c3047aa9455c49eb00221032",
+    "11/4 15/16 3":
+        "fe613239264f8cfe36025e105a517f0678950c2c6ef75c061ee0a85eb8096fef",
+    "15/8 7/16 -21/8":
+        "444a4d6f1ff58d5924b0132cc7dac50e0c2f4157ee0a6aceb47f086b3ea9771d",
+    "7/4 -5/16 5/4":
+        "f7ed3d999277d94cbe8ea68be633ed5badd5a9636b948b1537d452fc43593816",
+}
+
+
+@pytest.mark.parametrize("params", list(_OBSTRUCTION_DIGESTS))
+def test_the_obstruction_files_are_pinned(tmp_path, params):
+    k1, k2, c = params.split()
+    out = tmp_path / "obstruction.txt"
+    assert run_cli("obstruction", f"--k1={k1}", f"--k2={k2}", f"--c={c}",
+                   "--out", str(out)) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == _OBSTRUCTION_DIGESTS[params]
 
 
 def test_profile_csv_is_monotone(tmp_path):

@@ -106,6 +106,16 @@ GUARDS = [
                      ["verdict=no-root", "interval=0 1", "root_count=1"]),
                  FormatError, "root_count disagrees with root_interval lines",
                  id="algebra-root-count"),
+    pytest.param(lambda: certificate_from_lines(
+                     ["verdict=no-root", "interval=1 2", "root_count=1",
+                      "root_interval=1 3/2"]),
+                 FormatError, "verdict disagrees with root_interval lines",
+                 id="algebra-no-root-with-roots"),
+    pytest.param(lambda: certificate_from_lines(
+                     ["verdict=roots-isolated", "interval=1 2",
+                      "root_count=0"]),
+                 FormatError, "verdict disagrees with root_interval lines",
+                 id="algebra-roots-isolated-without-roots"),
     pytest.param(lambda: certify_nonvanishing(RationalPoly.one(), (1, 1)),
                  ValueError, "degenerate interval", id="algebra-interval"),
     # ratpoly

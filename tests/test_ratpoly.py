@@ -3,6 +3,8 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hcmu_lab import ratpoly
 from hcmu_lab.algebra import CubicData, certify_nonvanishing, obstruction_poly
@@ -10,6 +12,8 @@ from hcmu_lab.errors import FormatError
 from hcmu_lab.ratpoly import (
     ISOLATION_WIDTH,
     RationalPoly,
+    _strip_endpoint_roots,
+    _sturm_prepare,
     as_fraction,
     count_roots_between,
     isolate_roots,
@@ -155,19 +159,33 @@ def test_isolation_builds_one_sturm_chain(monkeypatch):
     assert len(built) == 2
 
 
-def test_certificate_builds_one_squarefree_part_and_one_chain(monkeypatch):
+def test_certificate_takes_a_squarefree_part_only_on_a_repeated_root(
+        monkeypatch):
     calls = {"squarefree_part": 0, "sturm_sequence": 0}
     for name in calls:
         def counting(p, name=name, real=getattr(ratpoly, name)):
             calls[name] += 1
             return real(p)
         monkeypatch.setattr(ratpoly, name, counting)
-    # the root count and the isolation share one square-free part and one
-    # chain; the chain builder takes no square-free part of its own
-    phi = obstruction_poly(CubicData.from_extremes(2, 1), F(21, 10))
-    cert = certify_nonvanishing(phi, (1, 2))
-    assert len(cert.root_intervals) == 1
-    assert calls == {"squarefree_part": 1, "sturm_sequence": 1}
+    # (K1, K2, c), roots isolated in (K2, K1), the calls the certificate makes
+    cases = [
+        # square-free, no root at an end: Phi's own chain ends in a constant,
+        # and it serves the count and the isolation
+        ((2, 1, F(21, 10)), 1, {"squarefree_part": 0, "sturm_sequence": 1}),
+        # a double root at -5/8, outside: Phi's chain ends in K + 5/8, so the
+        # square-free part gets a chain of its own
+        ((F(3, 8), F(1, 4), F(-5, 8)), 0,
+         {"squarefree_part": 1, "sturm_sequence": 2}),
+        # the cusp pair's double root at the end K2 = -1: no chain of Phi
+        ((2, -1, -1), 1, {"squarefree_part": 1, "sturm_sequence": 1}),
+    ]
+    for (k1, k2, c), roots, expected in cases:
+        for name in calls:
+            calls[name] = 0
+        phi = obstruction_poly(CubicData.from_extremes(k1, k2), c)
+        cert = certify_nonvanishing(phi, (k2, k1))
+        assert len(cert.root_intervals) == roots
+        assert calls == expected
 
 
 def test_sign_variations_ignores_zeros():
@@ -201,3 +219,120 @@ def test_huge_exponents_are_rejected_before_they_are_expanded():
     with pytest.raises(FormatError, match="exponent"):
         poly_from_line("1 1e100000000 0")
     assert time.perf_counter() - start < 1.0
+
+
+# -- the arithmetic fast paths against schoolbook references -----------------
+#
+# The references work on plain coefficient tuples and take no shortcut: no
+# product by a constant, no sum with zero, no early stop.
+
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True)
+
+# small Fractions, with 0, +-1 and 2 drawn often so constants, units and
+# trailing zeros come up
+coefficients = st.one_of(
+    st.sampled_from([F(0), F(1), F(-1), F(2)]),
+    st.fractions(min_value=-6, max_value=6, max_denominator=8))
+# degree -1 to 7, constants as often as longer polynomials
+polys = st.one_of(st.lists(coefficients, max_size=1),
+                  st.lists(coefficients, max_size=8)).map(P)
+
+
+def _strip(cs):
+    cs = list(cs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def ref_add(a, b):
+    n = max(len(a), len(b))
+    pad = lambda cs: list(cs) + [F(0)] * (n - len(cs))
+    return _strip(x + y for x, y in zip(pad(a), pad(b)))
+
+
+def ref_mul(a, b):
+    out = [F(0)] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _strip(out)
+
+
+def ref_pow(a, n):
+    out = (F(1),)
+    for _ in range(n):
+        out = ref_mul(out, a)
+    return out
+
+
+def ref_divmod(a, b):
+    q = [F(0)] * max(len(a) - len(b) + 1, 0)
+    rem = list(a)
+    for k in reversed(range(len(q))):
+        f = rem[k + len(b) - 1] / b[-1]
+        q[k] = f
+        for i, y in enumerate(b):
+            rem[k + i] -= f * y
+    return _strip(q), _strip(rem)
+
+
+def ref_eval(a, x):
+    return sum((c * x ** k for k, c in enumerate(a)), F(0))
+
+
+def ref_derivative(a):
+    return _strip(k * c for k, c in enumerate(a) if k)
+
+
+def assert_made_of_fractions(*results):
+    for r in results:
+        assert all(type(c) is F for c in r.coeffs)
+        assert not r.coeffs or r.coeffs[-1] != 0
+
+
+@PROPERTY
+@given(polys, polys, coefficients, st.integers(0, 4))
+def test_arithmetic_matches_the_schoolbook_references(p, q, c, n):
+    a, b = p.coeffs, q.coeffs
+    results = {
+        "+": (p + q, ref_add(a, b)),
+        "-": (p - q, ref_add(a, [-y for y in b])),
+        "*": (p * q, ref_mul(a, b)),
+        "* scalar": (p * c, ref_mul(a, _strip([c]))),
+        "scalar *": (c * q, ref_mul(_strip([c]), b)),
+        "**": (p ** n, ref_pow(a, n)),
+        "d/dK": (p.derivative(), ref_derivative(a)),
+    }
+    if q:
+        quo, rem = divmod(p, q)
+        ref_quo, ref_rem = ref_divmod(a, b)
+        results["//"] = (quo, ref_quo)
+        results["%"] = (rem, ref_rem)
+    for op, (got, want) in results.items():
+        assert got.coeffs == want, op
+        assert_made_of_fractions(got)
+    value = p(c)
+    assert type(value) is F and value == ref_eval(a, c)
+
+
+linear_factors = st.lists(
+    st.tuples(st.sampled_from([F(-1), F(-1, 2), F(0), F(1, 3), F(1)]),
+              st.sampled_from([1, 1, 1, 2, 3])),
+    min_size=1, max_size=4)
+
+
+@PROPERTY
+@given(linear_factors, st.sampled_from([F(1), F(-3), F(5, 2)]),
+       st.sampled_from([(F(-1), F(1)), (F(-1, 2), F(1, 3)), (F(0), F(1)),
+                        (F(-2), F(2)), (F(1, 4), F(3, 4))]))
+def test_sturm_prepare_matches_the_squarefree_reference(factors, lead,
+                                                        interval):
+    # repeated roots inside and outside (lo, hi), and roots at lo or hi
+    lo, hi = interval
+    p = P.constant(lead)
+    for r, mult in factors:
+        p = p * P((-r, 1)) ** mult
+    f = _strip_endpoint_roots(squarefree_part(p), lo, hi)
+    chain = sturm_sequence(f) if f.degree > 0 else []
+    assert _sturm_prepare(p, lo, hi) == (f, chain)
