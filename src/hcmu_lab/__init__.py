@@ -13,8 +13,7 @@ from importlib import import_module
 
 # submodule -> the names the package exports from it
 _EXPORTS = {
-    "algebra": ("Certificate", "CubicData", "MuElement",
-                "certify_nonvanishing", "derive", "expand_mu_square",
+    "algebra": ("Certificate", "CubicData", "certify_nonvanishing",
                 "obstruction_poly"),
     "errors": ("AlgebraConsistencyError", "ConfigError", "FormatError",
                "FrameDrift", "HcmuError", "InadmissibleParams",

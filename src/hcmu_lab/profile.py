@@ -70,8 +70,8 @@ class HcmuParams:
     def obstruction(self, K, c):
         """Float evaluation of the obstruction cubic Phi(K, c).
 
-        Same object as algebra.obstruction_poly, reduced ahead of time via
-        2 mu mu' = (mu^2)' and 4(mu mu'' + mu'^2) = 2 (mu^2)'' = -16 K.
+        The closed form that algebra.obstruction_poly builds exactly,
+        Phi = 2 (K-c)^2 P'' + (K-c) P' - P with P = mu^2 and 2 P'' = -16 K.
         """
         t = K - c
         return -16.0 * K * t * t + self.mu_sq_prime(K) * t - self.mu_sq(K)

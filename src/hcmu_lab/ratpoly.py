@@ -3,8 +3,7 @@
 Everything is built on fractions.Fraction; no floating point enters any
 arithmetic path in this module.  Polynomials are coefficient tuples indexed
 by degree, with exact division with remainder; the module has no rational
-functions (the mu-algebra's one denominator, a power of P, is kept by
-``algebra.MuElement``).
+functions.
 
 Arithmetic results skip the constructor's coefficient check, a product
 by a constant only scales, and a sum with zero is the other operand.

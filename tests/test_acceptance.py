@@ -14,13 +14,7 @@ import pytest
 
 from conftest import random_admissible_pair, random_rational
 from hcmu_lab import cli
-from hcmu_lab.algebra import (
-    CubicData,
-    MuElement,
-    certify_nonvanishing,
-    derive,
-    obstruction_poly,
-)
+from hcmu_lab.algebra import CubicData, certify_nonvanishing, obstruction_poly
 from hcmu_lab.fields import GridDomain, TraceConstraint, holonomy_defect
 from hcmu_lab.optimize import optimize_shape_field
 from hcmu_lab.profile import (
@@ -42,6 +36,7 @@ from hcmu_lab.realize import (
     transport_frame,
     verify_immersion,
 )
+from mu_extension import MuElement, derive
 
 F = Fraction
 

@@ -1,11 +1,13 @@
+import random
+from fractions import Fraction
+
 import numpy as np
 import pytest
-
-from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import random_admissible_pair, random_rational
 from hcmu_lab.algebra import CubicData, obstruction_poly
 from hcmu_lab.errors import FormatError, PathLeavesDomain
 from hcmu_lab.fields import (
@@ -323,14 +325,20 @@ def test_holonomy_vanishes_at_an_obstruction_root():
 
 
 def test_float_obstruction_matches_exact_kernel():
-    cd = CubicData.from_extremes(2, 1)
-    for c in (Fraction(0), Fraction(3), Fraction(-7, 2)):
-        phi = obstruction_poly(cd, c)
-        for K in (1.1, 1.5, 1.93):
-            exact = float(phi(Fraction(K).limit_denominator(10 ** 8)))
-            approx = PARAMS.obstruction(
-                float(Fraction(K).limit_denominator(10 ** 8)), float(c)
-            )
+    # 300 seeded (K1, K2, c), 75 of them cusp pairs, three K in (K2, K1)
+    # each; c and K are the doubles the float side is given
+    rng = random.Random(325)
+    for i in range(300):
+        k1, k2 = random_admissible_pair(rng)
+        if i % 4 == 0:
+            k2 = -k1 / 2
+        c = Fraction(float(random_rational(rng)))
+        params = validate_params(float(k1), float(k2))
+        phi = obstruction_poly(CubicData.from_extremes(k1, k2), c)
+        for _ in range(3):
+            K = float(k2 + (k1 - k2) * Fraction(rng.randint(1, 99), 100))
+            exact = float(phi(Fraction(K)))
+            approx = params.obstruction(K, float(c))
             assert abs(exact - approx) < 1e-10 * max(1.0, abs(exact))
 
 

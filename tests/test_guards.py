@@ -6,15 +6,16 @@ one collaborator with monkeypatch.
 """
 
 import math
+from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
 from hcmu_lab import optimize, profile
-from hcmu_lab.algebra import (MuElement, certificate_from_lines,
+from hcmu_lab.algebra import (CubicData, certificate_from_lines,
                               certify_nonvanishing)
-from hcmu_lab.errors import (FormatError, NonFiniteIterate, PathLeavesDomain,
-                             StepTooLarge)
+from hcmu_lab.errors import (AlgebraConsistencyError, FormatError,
+                             NonFiniteIterate, PathLeavesDomain, StepTooLarge)
 from hcmu_lab.fields import (GridDomain, ShapeField, TraceConstraint,
                              holonomy_defect, integrate_minimal_ansatz,
                              transport_ansatz)
@@ -99,9 +100,12 @@ GUARDS = [
                  PathLeavesDomain, "path nodes must be pairs of integers",
                  id="realize-triple-node"),
     # algebra
-    pytest.param(lambda: MuElement(0, 1, RationalPoly.zero()),
-                 ZeroDivisionError, "extension over the zero polynomial",
-                 id="algebra-zero-cubic"),
+    # CubicData(k1, k2, k3, p1, p0) of (2, 1) is (2, 1, -3, 28/3, -8)
+    pytest.param(lambda: CubicData(F(2), F(1), F(-2), F(28, 3), F(-8)),
+                 AlgebraConsistencyError, "k3 != -(k1 + k2)",
+                 id="algebra-cubic-k3"),
+    pytest.param(lambda: CubicData(F(2), F(1), F(-3), F(28, 3), F(-7)),
+                 AlgebraConsistencyError, "P(2) != 0", id="algebra-cubic-p0"),
     pytest.param(lambda: certificate_from_lines(
                      ["verdict=no-root", "interval=0 1", "root_count=1"]),
                  FormatError, "root_count disagrees with root_interval lines",

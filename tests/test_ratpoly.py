@@ -301,6 +301,13 @@ def test_arithmetic_matches_the_schoolbook_references(p, q, c, n):
         "*": (p * q, ref_mul(a, b)),
         "* scalar": (p * c, ref_mul(a, _strip([c]))),
         "scalar *": (c * q, ref_mul(_strip([c]), b)),
+        "+ scalar": (p + c, ref_add(a, _strip([c]))),
+        "- scalar": (p - c, ref_add(a, _strip([-c]))),
+        "scalar -": (c - q, ref_add(_strip([c]), [-y for y in b])),
+        "+ int": (p + n, ref_add(a, _strip([F(n)]))),
+        "int +": (n + q, ref_add(_strip([F(n)]), b)),
+        "- int": (p - n, ref_add(a, _strip([F(-n)]))),
+        "int -": (n - q, ref_add(_strip([F(n)]), [-y for y in b])),
         "**": (p ** n, ref_pow(a, n)),
         "d/dK": (p.derivative(), ref_derivative(a)),
     }
@@ -314,6 +321,8 @@ def test_arithmetic_matches_the_schoolbook_references(p, q, c, n):
         assert_made_of_fractions(got)
     value = p(c)
     assert type(value) is F and value == ref_eval(a, c)
+    for scalar in (c, n):
+        assert (p == scalar) == (scalar == p) == (a == _strip([F(scalar)]))
 
 
 linear_factors = st.lists(
