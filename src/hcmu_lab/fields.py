@@ -321,7 +321,7 @@ def transport_ansatz(grid: GridDomain, c: float, h0: complex,
 @dataclass(frozen=True)
 class HolonomyDefect:
     measured: complex   # circulation of dh per unit enclosed area
-    predicted: complex  # 2i mu^2 h Phi / (16 (K-c)^2) at the loop center
+    predicted: complex  # 2i mu^2 h0 Phi / (16 (K-c)^2), K at the center
     area: float
     center_x: float
     center_K: float
@@ -333,7 +333,10 @@ def holonomy_defect(grid: GridDomain, c: float, h0: complex,
 
     loop = (i0, j0, i1, j1) in node indices, i1 > i0, j1 > j0.  The exact
     prediction carries the orientation factor 2i of wbar wedge w against
-    dx wedge dy, and is evaluated with h transported to the loop center.
+    dx wedge dy.  It is evaluated with h0, the h at the base corner (i0, j0)
+    where the circulation starts and ends, and with K at the loop center
+    x0 + (i0 + i1) hx/2, an entry of the grid's half-step K.  Then the
+    measured/predicted gap falls as the square of the loop's side.
     """
     i0, j0, i1, j1 = loop
     if i1 <= i0 or j1 <= j0:
@@ -345,14 +348,12 @@ def holonomy_defect(grid: GridDomain, c: float, h0: complex,
     area = (i1 - i0) * grid.hx * (j1 - j0) * grid.hy
     measured = (h_end - h0) / area
 
-    ic = (i0 + i1) // 2
-    jc = (j0 + j1) // 2
-    h_center = transport_ansatz(grid, c, h0, [(i0, j0), (ic, j0), (ic, jc)])
-    Kc = grid.K[ic]
+    Kc = grid.K_half[i0 + i1]
     phi_val = grid.params.obstruction(Kc, c)
     mu_sq = grid.params.mu_sq(Kc)
-    predicted = 2j * mu_sq * h_center * phi_val / (16.0 * (Kc - c) ** 2)
-    return HolonomyDefect(measured, predicted, area, float(grid.xs[ic]),
+    predicted = 2j * mu_sq * h0 * phi_val / (16.0 * (Kc - c) ** 2)
+    return HolonomyDefect(measured, predicted, area,
+                          float(grid.x0 + 0.5 * grid.hx * (i0 + i1)),
                           float(Kc))
 
 

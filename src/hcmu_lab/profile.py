@@ -272,9 +272,10 @@ def _newton_guess(params: HcmuParams, x_of, k0: float, t, k_ends):
     k1, k2, k3 = params.k1, params.k2, params.k3
     width = k1 - k2
     k_lo, k_hi = k_ends
-    K = np.full(t.shape, float(k0))
+    # K = k0 at every point: the first step runs on that scalar, and as
+    # x(k0) = 0 by construction it evaluates nothing
+    K = float(k0)
     for i in range(_NEWTON_STEPS):
-        # x(k0) = 0 by construction, so the first step evaluates nothing
         gap = t - x_of(K) if i else t
         du = gap * (K - k3) * width / 1.5
         # with a = K - k2, b = k1 - K and e = exp(-|du|), the form for the
@@ -289,21 +290,23 @@ def _newton_guess(params: HcmuParams, x_of, k0: float, t, k_ends):
     return K
 
 
-def _bisect_keys(x_of, t, lo, hi, g_lo, g_hi, g_mid):
+def _bisect_keys(x_of, t, lo, hi, g_lo, g_hi, g_mid, width):
     """Bisect the key brackets [lo, hi], with g_lo < t <= g_hi, down to two
     adjacent doubles, and return the one whose x(K) lies closer to t.
 
     g_mid is x(K) at the first midpoint, which the caller evaluates with
-    its other points; later midpoints are evaluated here.
+    its other points; later midpoints are evaluated here.  width, a Python
+    int, bounds hi - lo from above: ceil(log2(width)) rounds bring every
+    bracket down to one step, and a round on a bracket already there
+    leaves it as it is.
     """
-    mid = _mid_key(lo, hi)
-    while (mid > lo).any():
-        if g_mid is None:
+    for i in range((width - 1).bit_length()):
+        mid = _mid_key(lo, hi)
+        if i:
             g_mid = x_of(_key_double(mid))
         below = g_mid < t
         lo, g_lo = np.where(below, mid, lo), np.where(below, g_mid, g_lo)
         hi, g_hi = np.where(below, hi, mid), np.where(below, g_hi, g_mid)
-        mid, g_mid = _mid_key(lo, hi), None
     return _key_double(np.where(g_hi - t <= t - g_lo, hi, lo))
 
 
@@ -316,15 +319,16 @@ def curvature_at(params: HcmuParams, k0: float, x):
     Each point takes a few Newton steps from k0 in the logit variable
     (``_newton_guess``); the doubles 16 keys below and above the guess are
     then checked to bracket x, in one x(K) evaluation that also takes the
-    bracket's midpoint, and bisecting that bracket takes 5 rounds.  Points
-    whose check fails (where x(K) is flat or not monotone on the doubles,
-    or Newton has not converged, as on the k2 side of the cusp kind) are
-    bisected, as a batch of their own, over all the doubles of (k2, k1),
-    at most 64 rounds.  Wherever x(K) is monotone on the doubles both
-    searches end on the same pair.  Every point is searched on its own, so
-    an array call equals the scalar calls bit for bit.  Beyond double
-    resolution the result saturates at the nearest representable K inside
-    the interval.
+    bracket's midpoint, and bisecting that bracket takes 5 rounds.  When
+    every point passes the check, as on a grid's x range, that is the
+    whole search.  Only points whose check fails (where x(K) is flat or
+    not monotone on the doubles, or Newton has not converged, as on the k2
+    side of the cusp kind) make a fallback batch, bisected over all the
+    doubles of (k2, k1) in at most 64 rounds.  Wherever x(K) is monotone on
+    the doubles both searches end on the same pair.  Every point is
+    searched on its own, so an array call equals the scalar calls bit for
+    bit.  Beyond double resolution the result saturates at the nearest
+    representable K inside the interval.
     """
     x_of = _x_evaluator(params, k0)
     xs = np.atleast_1d(np.asarray(x, dtype=float))
@@ -346,16 +350,23 @@ def curvature_at(params: HcmuParams, k0: float, x):
     g_lo, g_hi, g_mid = np.split(
         x_of(_key_double(np.concatenate([lo, hi, mid]))), 3)
     near = (g_lo < t) & (t <= g_hi)
-    far = ~near
-    n_far = np.count_nonzero(far)
-    found = np.empty(t.shape)
-    found[near] = _bisect_keys(x_of, t[near], lo[near], hi[near], g_lo[near],
-                               g_hi[near], g_mid[near])
-    found[far] = _bisect_keys(x_of, t[far], np.full(n_far, key_ends[0]),
-                              np.full(n_far, key_ends[1]),
-                              np.full(n_far, x_lo), np.full(n_far, x_hi),
-                              np.full(n_far, x_mid))
-    K[inside] = found
+    if near.all():
+        K[inside] = _bisect_keys(x_of, t, lo, hi, g_lo, g_hi, g_mid,
+                                 2 * _BRACKET_PAD)
+    else:
+        far = ~near
+        n_far = np.count_nonzero(far)
+        found = np.empty(t.shape)
+        found[near] = _bisect_keys(x_of, t[near], lo[near], hi[near],
+                                   g_lo[near], g_hi[near], g_mid[near],
+                                   2 * _BRACKET_PAD)
+        # the key width in Python ints: across 0 it can overflow int64
+        found[far] = _bisect_keys(x_of, t[far], np.full(n_far, key_ends[0]),
+                                  np.full(n_far, key_ends[1]),
+                                  np.full(n_far, x_lo), np.full(n_far, x_hi),
+                                  np.full(n_far, x_mid),
+                                  int(key_ends[1]) - int(key_ends[0]))
+        K[inside] = found
     if np.ndim(x) == 0:
         return float(K[0])
     return K

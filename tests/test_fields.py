@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_admissible_pair, random_rational
@@ -273,7 +273,7 @@ def test_holonomy_loop_area_guard():
 
 
 def test_holonomy_converges_as_loops_shrink():
-    # measured/predicted -> 1 at least first order in the loop side
+    # measured/predicted -> 1 as the square of the loop side
     grid = ansatz_grid(65)
     h0 = on_constraint_seed(grid)
     gaps = []
@@ -282,7 +282,86 @@ def test_holonomy_converges_as_loops_shrink():
         hd = holonomy_defect(grid, 3.0, h0, loop)
         gaps.append(abs(hd.measured / hd.predicted - 1.0))
     assert gaps[0] > gaps[1] > gaps[2]
-    assert gaps[0] / gaps[2] > 2.0  # better than flat, consistent with O(side)
+    # a 4x smaller side: 16 at O(side^2), 4 at O(side)
+    assert gaps[0] / gaps[2] > 8.0
+
+
+def obstruction_rate(params, c, K):
+    """F = 2i mu^2 Phi / (16 (K - c)^2): the predicted holonomy per unit
+    area is h F."""
+    return (2j * params.mu_sq(K) * params.obstruction(K, c)
+            / (16.0 * (K - c) ** 2))
+
+
+def test_an_odd_span_loop_takes_K_at_its_true_center():
+    # i0 + i1 = 81: the center lies half a cell past node 40, on the
+    # half-step lattice of K
+    grid = ansatz_grid(81)
+    h0 = on_constraint_seed(grid)
+    hd = holonomy_defect(grid, 3.0, h0, (36, 36, 45, 44))
+    assert hd.center_K == grid.K_half[81]
+    assert hd.center_x == pytest.approx(grid.x0 + 40.5 * grid.hx,
+                                        rel=0, abs=1e-15)
+    assert hd.predicted == pytest.approx(
+        h0 * obstruction_rate(PARAMS3, 3.0, grid.K_half[81]), rel=1e-14)
+    gap = abs(hd.measured / hd.predicted - 1.0)
+    for node in (40, 41):
+        node_pred = h0 * obstruction_rate(PARAMS3, 3.0, grid.K[node])
+        assert gap < abs(hd.measured / node_pred - 1.0)
+
+
+def holonomy_grid(params, k0):
+    """The holonomy benchmark's grid: 41x41, step 1e-3, origin (-0.02, 0)."""
+    return GridDomain.create(params, k0, 41, 41, 1e-3, 1e-3,
+                             origin=(-0.02, 0.0))
+
+
+def extrapolated_holonomy_ratio(grid, c):
+    """log(h_end/h0) / (area F), with F at the loop center, Richardson-
+    extrapolated over the centered loops of 32 and 16 cells on a 41x41 grid.
+
+    The ratio is 1 + O(side^2) on each loop, so the extrapolation leaves
+    O(side^4).  F is predicted/h0 and h_end/h0 is 1 + measured area/h0.
+    """
+    h0 = on_constraint_seed(grid, c=c)
+    ratios = []
+    for half in (16, 8):
+        hd = holonomy_defect(grid, c, h0, (20 - half,) * 2 + (20 + half,) * 2)
+        ratios.append(np.log1p(hd.measured * hd.area / h0)
+                      / (hd.area * hd.predicted / h0))
+    return (4.0 * ratios[1] - ratios[0]) / 3.0
+
+
+# (K1, K2, c, K0): the holonomy benchmark's anchors, the cusp pair exact
+HOLONOMY_ANCHORS = ((2.0, 1.0, 3.0, 1.5), (2.0, 1.0, 2.5, 1.5),
+                    (3.0, 0.5, 4.0, 1.8), (2.0, -1.0, 3.0, 0.5),
+                    (1.0, 0.2, 1.5, 0.6))
+
+
+@pytest.mark.parametrize("k1, k2, c, k0", HOLONOMY_ANCHORS)
+def test_extrapolated_holonomy_matches_the_prediction_at_the_anchors(
+        k1, k2, c, k0):
+    # a 1% error in Phi or beta, or K one node off the center, passes the
+    # 5% gap of a single loop and fails here
+    grid = holonomy_grid(validate_params(k1, k2), k0)
+    assert abs(extrapolated_holonomy_ratio(grid, c) - 1.0) < 1e-5
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.floats(0.5, 2.0), st.floats(0.02, 0.98), st.booleans(),
+       st.floats(0.05, 1.0), st.floats(0.05, 0.95))
+def test_extrapolated_holonomy_matches_the_prediction(k1, at_k2, cusp, above,
+                                                      at_k0):
+    k2 = -0.5 * k1 if cusp else -0.5 * k1 + 1.5 * k1 * at_k2
+    params = validate_params(k1, k2)
+    c = k1 + (k1 - k2) * above
+    k0 = params.k2 + (params.k1 - params.k2) * at_k0
+    grid = holonomy_grid(params, k0)
+    # a root of Phi within the loop's reach makes F small against its
+    # change over the loop, and the ratio's O(side^2) term large
+    phi = params.obstruction(grid.K, c)
+    assume(abs(phi[20]) > abs(phi[-1] - phi[0]))
+    assert abs(extrapolated_holonomy_ratio(grid, c) - 1.0) < 1e-5
 
 
 def test_holonomy_vanishes_at_an_obstruction_root():

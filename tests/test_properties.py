@@ -217,6 +217,39 @@ def test_oracle_falls_back_to_the_full_bisection(monkeypatch):
     assert K[0] == full_bisection(params, 0.5, -30.0)
 
 
+def test_an_all_near_call_bisects_one_batch(monkeypatch):
+    # no empty fallback batch: the 81 points of a holonomy grid's half-step
+    # lattice are all near their Newton guesses, and bisected as they are
+    batches = []
+    bisect = profile._bisect_keys
+
+    def spy(x_of, t, *args):
+        batches.append(t.size)
+        return bisect(x_of, t, *args)
+
+    monkeypatch.setattr(profile, "_bisect_keys", spy)
+    for params, k0 in ((validate_params(2.0, 1.0), 1.5),
+                       (validate_params(2.0, -1.0), 0.5)):
+        batches.clear()
+        curvature_at(params, k0, -0.02 + 5e-4 * np.arange(81))
+        assert batches == [81]
+
+
+def test_the_fallback_bisects_a_key_width_beyond_int64():
+    # (2^40, -2^39) spans more than 2^63 keys: the round count of the full
+    # bisection, 64, comes from a key width that int64 cannot hold
+    params = validate_params(2.0 ** 40, -2.0 ** 39)
+    ends = [_key(np.nextafter(params.k2, params.k1)),
+            _key(np.nextafter(params.k1, params.k2))]
+    assert ends[1] - ends[0] > 2 ** 63
+    K_at = params.k2 + (params.k1 - params.k2) * np.geomspace(1e-15, 1e-3, 200)
+    x = implicit_x_of_K(params, 0.0, K_at)
+    ref = [reference_search(params, 0.0, v) for v in x]
+    assert sum(path == "far" for _, path in ref) > 100
+    assert (curvature_at(params, 0.0, x).tobytes()
+            == np.array([K for K, _ in ref]).tobytes())
+
+
 @PROPERTY
 @given(profiles(), st.lists(xs_any, min_size=1, max_size=20))
 def test_oracle_is_the_documented_search_bit_for_bit(prof, xs):
