@@ -1,38 +1,48 @@
 """Exact univariate polynomial arithmetic over Q.
 
-Everything is built on fractions.Fraction; no floating point enters any
-arithmetic path in this module.  Polynomials are coefficient tuples indexed
-by degree, with exact division with remainder; the module has no rational
-functions.
+Coefficients are fractions.Fraction, and so is every value the module
+returns; no floating point enters any arithmetic path.  Polynomials are
+coefficient tuples indexed by degree, with exact division with remainder;
+the module has no rational functions.
 
 Arithmetic results skip the constructor's coefficient check, a product
 by a constant only scales, and a sum with zero is the other operand.
 
+Evaluation and the certificate's sign work run on integers.  A polynomial
+is taken as integer numerators A over one positive denominator D, so that
+at x = n/d (d > 0) its value is the integer d^k A(n/d) over D d^k, and its
+sign is that integer's: a sign test builds no Fraction.
+
 Root counting and isolation use Sturm sequences, evaluated exactly at
-rational points.  A polynomial whose own chain ends in a nonzero constant
-is square-free, so then that one Euclidean pass serves.  Isolation builds
-one Sturm chain and bisects until its count shows that an interval holds
-exactly one distinct real root (a new chain is built only after an exact
-rational root is divided out), then narrows that interval by further exact
-bisection, on sign tests alone, until it is no wider than the fixed target
-width ``ISOLATION_WIDTH``.  The square-free polynomial the count certified
-changes sign across every returned non-degenerate interval, and never
-vanishes at its endpoints.
+rational points.  The chain is built by integer pseudo-remainders with the
+content divided out: each member is a positive multiple of the canonical
+member, so every sign, and every count, is the canonical one.  A
+polynomial whose own chain ends in a nonzero constant is square-free, so
+then that one pass serves.  Isolation builds one Sturm chain and bisects
+until its count shows that an interval holds exactly one distinct real
+root (a new chain is built only after an exact rational root is divided
+out), then narrows that interval by further exact bisection, on sign tests
+alone and on numerators over one dyadic denominator, until it is no wider
+than the fixed target width ``ISOLATION_WIDTH``.  The square-free
+polynomial the count certified changes sign across every returned
+non-degenerate interval, and never vanishes at its endpoints.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable
 
 from .errors import FormatError
 
-# Target width of an isolating interval.  A box midpoint is then
-# within 2^-33 (about 1.2e-10) of its root, close enough to stand in for
-# the root in float code, and narrowing a unit-wide box takes 32 exact
-# bisections.
-ISOLATION_WIDTH = Fraction(1, 2**32)
+# Target width of an isolating interval, 2^-_WIDTH_BITS.  A box midpoint
+# is then within 2^-33 (about 1.2e-10) of its root, close enough to stand
+# in for the root in float code, and narrowing a unit-wide box takes 32
+# exact bisections.
+_WIDTH_BITS = 32
+ISOLATION_WIDTH = Fraction(1, 1 << _WIDTH_BITS)
 
 
 # Largest decimal exponent, in absolute value, that text may carry.  It is
@@ -251,19 +261,68 @@ class RationalPoly:
         return RationalPoly._of([k * c for k, c in enumerate(self.coeffs) if k > 0])
 
     def __call__(self, x) -> Fraction:
-        """Exact Horner evaluation at as_fraction(x), never in floats."""
-        x = as_fraction(x)
-        cs = reversed(self.coeffs)
-        acc = next(cs, Fraction(0))
-        for c in cs:
-            acc = acc * x + c
-        return acc
+        """Exact value at x = as_fraction(x) = n/d, never in floats.
 
-    def monic(self) -> "RationalPoly":
-        if self.is_zero():
-            return self
-        inv = 1 / self.leading
-        return self * inv
+        With the coefficients as numerators A over one denominator D, it is
+        the integer d^k A(n/d) over D d^k: one Fraction, reduced once.
+        """
+        x = as_fraction(x)
+        A, D = _over_denominator(self.coeffs)
+        d = x.denominator
+        return Fraction(_value_at(A, x.numerator, d),
+                        D * d ** max(len(A) - 1, 0))
+
+
+def _over_denominator(cs) -> tuple[list[int], int]:
+    """(A, D): integers A, leading first, and D > 0 with cs == A / D.
+
+    cs are Fraction coefficients, lowest degree first, as in ``coeffs``.
+    """
+    D = lcm(*[c.denominator for c in cs])
+    return [c.numerator * (D // c.denominator) for c in reversed(cs)], D
+
+
+def _value_at(A, n: int, d: int) -> int:
+    """d^k A(n/d) for integers A of degree k, leading first.
+
+    For d > 0 it has the sign of A at n/d; homogeneous Horner in integers.
+    """
+    it = iter(A)
+    acc = next(it, 0)
+    dp = 1
+    for c in it:
+        dp *= d
+        acc = acc * n + c * dp
+    return acc
+
+
+def _primitive(A: list[int]) -> list[int]:
+    """A with its content divided out: a positive multiple of A."""
+    g = gcd(*A)
+    return [c // g for c in A] if g > 1 else A
+
+
+def _next_member(a, b) -> list[int]:
+    """-prem(a, b) with its content divided out, leading first.
+
+    The pseudo-remainder of a by b is the remainder of |lc(b)|^(e+1) a,
+    e = deg a - deg b, whose quotient by b has integer coefficients; the
+    multiplier is positive, so the result is a positive multiple of
+    -rem(a, b).  It is [] when b divides a.
+    """
+    lb = b[0]
+    steps = len(a) - len(b) + 1
+    r = [c * abs(lb) ** steps for c in a]
+    for i in range(steps):
+        q = r[i] // lb
+        if q:
+            for j, c in enumerate(b, i):
+                r[j] -= q * c
+    r = r[steps:]
+    while r and not r[0]:
+        r.pop(0)
+    g = gcd(*r)
+    return [-c // g for c in r]
 
 
 def _coerce(v):
@@ -275,12 +334,17 @@ def _coerce(v):
 
 
 def poly_gcd(a: RationalPoly, b: RationalPoly) -> RationalPoly:
-    """Monic gcd over Q by the Euclidean algorithm."""
-    while not b.is_zero():
-        a, b = b, a % b
-    if a.is_zero():
-        return a
-    return a.monic()
+    """Monic gcd over Q by the Euclidean algorithm on integers.
+
+    Each ``_next_member`` pseudo-remainder is a nonzero multiple of the
+    Euclidean remainder, so the last nonzero one is a multiple of the gcd.
+    """
+    A, B = _over_denominator(a.coeffs)[0], _over_denominator(b.coeffs)[0]
+    if len(A) < len(B):
+        A, B = B, A
+    while B:
+        A, B = B, _next_member(A, B)
+    return RationalPoly._of([Fraction(c, A[0]) for c in reversed(A)])
 
 
 def squarefree_part(p: RationalPoly) -> RationalPoly:
@@ -292,27 +356,36 @@ def squarefree_part(p: RationalPoly) -> RationalPoly:
     return p // g
 
 
-def sturm_sequence(f: RationalPoly) -> list[RationalPoly]:
-    """Canonical Sturm chain f, f', -rem(f, f'), ... of a square-free f.
+def sturm_sequence(f: RationalPoly) -> list[list[int]]:
+    """Sturm chain of a square-free f, on integers.
 
-    ``_sturm_prepare`` either finds f square-free from this chain or passes
-    the square-free part (``squarefree_part``) in.
+    Each member is a primitive integer polynomial, coefficients leading
+    first, and a positive multiple of the canonical member of f, f',
+    -rem(f, f'), ...: f and f' over a positive denominator, then
+    ``_next_member`` pseudo-remainders (Collins 1967).  The chain has the
+    canonical one's signs at every point.  ``_sturm_prepare`` either finds
+    f square-free from this chain or passes the square-free part
+    (``squarefree_part``) in.
     """
-    chain = [f, f.derivative()]
-    while not chain[-1].is_zero() and chain[-1].degree > 0:
-        chain.append(-(chain[-2] % chain[-1]))
-    if chain[-1].is_zero():
-        chain.pop()
+    A = _primitive(_over_denominator(f.coeffs)[0])
+    k = len(A) - 1
+    chain = [A]
+    if k > 0:
+        chain.append(_primitive([(k - i) * c for i, c in enumerate(A[:k])]))
+        while len(chain[-1]) > 1:
+            r = _next_member(chain[-2], chain[-1])
+            if not r:
+                break
+            chain.append(r)
     return chain
 
 
-def sign_variations(chain: list[RationalPoly], x: Fraction) -> int:
-    signs = []
-    for f in chain:
-        v = f(x)
-        if v != 0:
-            signs.append(1 if v > 0 else -1)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+def sign_variations(chain: list[list[int]], x: Fraction) -> int:
+    """Sign changes along a ``sturm_sequence`` chain at x, zeros skipped."""
+    x = as_fraction(x)
+    n, d = x.numerator, x.denominator
+    signs = [v > 0 for v in (_value_at(A, n, d) for A in chain) if v]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
 def _strip_endpoint_roots(p: RationalPoly, a: Fraction, b: Fraction) -> RationalPoly:
@@ -330,14 +403,14 @@ def _sturm_prepare(p: RationalPoly, a: Fraction, b: Fraction):
     divided out, and the Sturm chain of f (empty when f is constant).
 
     When p(a) p(b) != 0 and p's own chain ends in a nonzero constant, that
-    constant is gcd(p, p'), so f = p after one Euclidean pass; otherwise f
-    comes from ``squarefree_part``.  `_isolate` takes the same pair, so a
-    caller that both counts and isolates (``algebra.certify_nonvanishing``)
-    builds each once.
+    constant is gcd(p, p') up to a factor, so f = p after that one pass;
+    otherwise f comes from ``squarefree_part``.  `_isolate` takes the same
+    pair, so a caller that both counts and isolates
+    (``algebra.certify_nonvanishing``) builds each once.
     """
     if p.degree > 0 and p(a) and p(b):
         chain = sturm_sequence(p)
-        if chain[-1].degree == 0:
+        if len(chain[-1]) == 1:
             return p, chain
     f = _strip_endpoint_roots(squarefree_part(p), a, b)
     return f, (sturm_sequence(f) if f.degree > 0 else [])
@@ -371,44 +444,54 @@ def isolate_roots(p: RationalPoly, a, b) -> list[tuple[Fraction, Fraction]]:
     return _isolate(*_sturm_prepare(p, a, b), a, b)
 
 
-def _isolate(f: RationalPoly, chain: list[RationalPoly], a: Fraction,
+def _narrow(A, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
+    """(lo, hi) bisected to ``ISOLATION_WIDTH``, or (r, r) at a root r met.
+
+    A (leading first) is square-free with one simple root in (lo, hi) and
+    none at the ends, so its sign flips across the root: bisect on signs
+    alone, with lo = a/q and hi = b/q over one denominator q.
+    """
+    q = lcm(lo.denominator, hi.denominator)
+    a = lo.numerator * (q // lo.denominator)
+    b = hi.numerator * (q // hi.denominator)
+    a_positive = _value_at(A, a, q) > 0
+    while (b - a) << _WIDTH_BITS > q:
+        m, a, b, q = a + b, a << 1, b << 1, q << 1
+        v = _value_at(A, m, q)
+        if not v:
+            mid = Fraction(m, q)
+            return mid, mid
+        if (v > 0) == a_positive:
+            a = m
+        else:
+            b = m
+    return Fraction(a, q), Fraction(b, q)
+
+
+def _isolate(f: RationalPoly, chain: list[list[int]], a: Fraction,
              b: Fraction) -> list[tuple[Fraction, Fraction]]:
     """`isolate_roots` on a pair (f, chain) made by `_sturm_prepare`."""
     found: list[tuple[Fraction, Fraction]] = []
-
-    def narrow(f: RationalPoly, lo: Fraction, hi: Fraction):
-        # f is square-free with one simple root in (lo, hi) and none at the
-        # ends, so its sign flips across the root: bisect on signs alone.
-        lo_positive = f(lo) > 0
-        while hi - lo > ISOLATION_WIDTH:
+    # (f, chain, lo, hi, n_lo, n_hi): f is square-free, chain is its Sturm
+    # chain, f(lo) f(hi) != 0, and n_lo, n_hi are the chain's sign
+    # variations at lo and hi
+    todo = [(f, chain, a, b, sign_variations(chain, a),
+             sign_variations(chain, b))] if f.degree > 0 else []
+    while todo:
+        f, chain, lo, hi, n_lo, n_hi = todo.pop()
+        if n_lo - n_hi == 1:
+            found.append(_narrow(chain[0], lo, hi))
+        elif n_lo > n_hi:
             mid = (lo + hi) / 2
-            v = f(mid)
-            if v == 0:
-                return mid, mid
-            if (v > 0) == lo_positive:
-                lo = mid
-            else:
-                hi = mid
-        return lo, hi
-
-    def recurse(f: RationalPoly, chain, lo: Fraction, hi: Fraction):
-        # f is square-free, chain is its Sturm chain, f(lo) f(hi) != 0
-        n = sign_variations(chain, lo) - sign_variations(chain, hi)
-        if n == 0:
-            return
-        if n == 1:
-            found.append(narrow(f, lo, hi))
-            return
-        mid = (lo + hi) / 2
-        if f(mid) == 0:
-            found.append((mid, mid))
-            f = f // RationalPoly((-mid, 1))
-            chain = sturm_sequence(f)
-        recurse(f, chain, lo, mid)
-        recurse(f, chain, mid, hi)
-
-    if f.degree > 0:
-        recurse(f, chain, a, b)
+            if not _value_at(chain[0], mid.numerator, mid.denominator):
+                found.append((mid, mid))
+                f = f // RationalPoly((-mid, 1))
+                chain = sturm_sequence(f)
+                n_lo = sign_variations(chain, lo)
+                n_hi = sign_variations(chain, hi)
+            n_mid = sign_variations(chain, mid)
+            todo += [(f, chain, lo, mid, n_lo, n_mid),
+                     (f, chain, mid, hi, n_mid, n_hi)]
     found.sort(key=lambda iv: iv[0])
     return found
 

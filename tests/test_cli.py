@@ -219,6 +219,12 @@ _OBSTRUCTION_DIGESTS = {
         "444a4d6f1ff58d5924b0132cc7dac50e0c2f4157ee0a6aceb47f086b3ea9771d",
     "7/4 -5/16 5/4":
         "f7ed3d999277d94cbe8ea68be633ed5badd5a9636b948b1537d452fc43593816",
+    # a cusp pair whose root -5/16 is a bisection midpoint of narrowing
+    "1 -1/2 -1/8":
+        "06c82f2028b25aa035bb196015e6d097892663510d0b6f424fbc2e5e56513c4a",
+    # an irrational root beside the exact root 27/16, met while narrowing
+    "7/4 -1/4 15/8":
+        "b3f1c89f7f3f387906f4f8b2e9576fed784e992de58ec1b383db98fa75c18686",
 }
 
 
