@@ -207,11 +207,11 @@ def certify_nonvanishing(phi: RationalPoly, interval) -> Certificate:
     if not lo < hi:
         raise ValueError("degenerate interval")
     # one Sturm chain serves the count and the isolation
-    f, chain = _sturm_prepare(phi, lo, hi)
+    chain = _sturm_prepare(phi, lo, hi)
     n = sign_variations(chain, lo) - sign_variations(chain, hi)
     if n == 0:
         return Certificate((lo, hi), True, ())
-    intervals = _isolate(f, chain, lo, hi)
+    intervals = _isolate(chain, lo, hi)
     if len(intervals) != n:
         raise AlgebraConsistencyError("isolation disagrees with Sturm count")
     return Certificate((lo, hi), False, tuple(intervals))

@@ -81,7 +81,8 @@ class GridDomain:
         # mu and dmu overflow for extreme K1 and K2; each run on the grid
         # gates its own results on finiteness
         with np.errstate(over="ignore", invalid="ignore"):
-            mu, dmu = params.mu(K), params.dmu_dK(K)
+            mu = params.mu(K)
+            dmu = params.mu_sq_prime(K) / (2.0 * mu)
         return cls(params, float(k0), nx, ny, float(hx), float(hy), x0, y0,
                    xs, K_half, mu, dmu)
 

@@ -63,10 +63,6 @@ class HcmuParams:
     def mu_sq_prime(self, K):
         return -4.0 * K * K + self.p1
 
-    def dmu_dK(self, K):
-        """d mu / dK = (mu^2)' / (2 mu); blows up at the equilibria."""
-        return self.mu_sq_prime(K) / (2.0 * self.mu(K))
-
     def obstruction(self, K, c):
         """Float evaluation of the obstruction cubic Phi(K, c).
 

@@ -16,16 +16,16 @@ sign is that integer's: a sign test builds no Fraction.
 Root counting and isolation use Sturm sequences, evaluated exactly at
 rational points.  The chain is built by integer pseudo-remainders with the
 content divided out: each member is a positive multiple of the canonical
-member, so every sign, and every count, is the canonical one.  A
-polynomial whose own chain ends in a nonzero constant is square-free, so
-then that one pass serves.  Isolation builds one Sturm chain and bisects
-until its count shows that an interval holds exactly one distinct real
-root (a new chain is built only after an exact rational root is divided
-out), then narrows that interval by further exact bisection, on sign tests
-alone and on numerators over one dyadic denominator, until it is no wider
-than the fixed target width ``ISOLATION_WIDTH``.  The square-free
-polynomial the count certified changes sign across every returned
-non-degenerate interval, and never vanishes at its endpoints.
+member, so every sign, and every count, is the canonical one.  It is the
+polynomial's own chain, or, when that chain's tail is not constant or the
+polynomial vanishes at an end n/d, the chain of its integer quotient by
+that tail and by d K - n.  Isolation bisects until the count shows one
+distinct real root in an interval (an exact root met at a midpoint is
+divided out the same way, under a new chain), then narrows the interval
+by exact bisection, on sign tests alone and on numerators over one dyadic
+denominator, until it is no wider than ``ISOLATION_WIDTH``.  The
+square-free polynomial the count certified changes sign across every
+returned non-degenerate interval, and never vanishes at its endpoints.
 """
 
 from __future__ import annotations
@@ -302,27 +302,39 @@ def _primitive(A: list[int]) -> list[int]:
     return [c // g for c in A] if g > 1 else A
 
 
-def _next_member(a, b) -> list[int]:
-    """-prem(a, b) with its content divided out, leading first.
+def _pseudo_divmod(a, b) -> tuple[list[int], list[int]]:
+    """(q, r) with |lc(b)|^(e+1) a = q b + r and deg r < deg b, leading first.
 
-    The pseudo-remainder of a by b is the remainder of |lc(b)|^(e+1) a,
-    e = deg a - deg b, whose quotient by b has integer coefficients; the
-    multiplier is positive, so the result is a positive multiple of
-    -rem(a, b).  It is [] when b divides a.
+    e = deg a - deg b >= 0.  The multiplier makes every quotient digit an
+    exact integer, and it is positive, so q and r are positive multiples
+    of the quotient and the remainder of a by b over Q.
     """
     lb = b[0]
     steps = len(a) - len(b) + 1
     r = [c * abs(lb) ** steps for c in a]
+    q = []
     for i in range(steps):
-        q = r[i] // lb
-        if q:
+        q.append(r[i] // lb)
+        if q[i]:
             for j, c in enumerate(b, i):
-                r[j] -= q * c
-    r = r[steps:]
+                r[j] -= q[i] * c
+    return q, r[steps:]
+
+
+def _next_member(a, b) -> list[int]:
+    """-prem(a, b) without its content: a positive multiple of -rem(a, b),
+    leading first, and [] when b divides a."""
+    r = _pseudo_divmod(a, b)[1]
     while r and not r[0]:
         r.pop(0)
     g = gcd(*r)
     return [-c // g for c in r]
+
+
+def _quotient(a, b) -> list[int]:
+    """a / b for b dividing a, primitive and with a's leading sign."""
+    q = _primitive(_pseudo_divmod(a, b)[0])
+    return q if b[0] > 0 else [-c for c in q]
 
 
 def _coerce(v):
@@ -333,41 +345,16 @@ def _coerce(v):
     return None
 
 
-def poly_gcd(a: RationalPoly, b: RationalPoly) -> RationalPoly:
-    """Monic gcd over Q by the Euclidean algorithm on integers.
+def sturm_sequence(A: list[int]) -> list[list[int]]:
+    """Sturm chain of the integer polynomial A (leading first), on integers.
 
-    Each ``_next_member`` pseudo-remainder is a nonzero multiple of the
-    Euclidean remainder, so the last nonzero one is a multiple of the gcd.
+    The members are A, A' and ``_next_member`` pseudo-remainders (Collins
+    1967): each one after A is primitive, and each is a positive multiple
+    of the canonical member of A, A', -rem(A, A'), ..., so the chain has
+    the canonical one's signs at every point.  Its last member is
+    gcd(A, A') up to a factor: a nonzero constant exactly when A is
+    square-free.
     """
-    A, B = _over_denominator(a.coeffs)[0], _over_denominator(b.coeffs)[0]
-    if len(A) < len(B):
-        A, B = B, A
-    while B:
-        A, B = B, _next_member(A, B)
-    return RationalPoly._of([Fraction(c, A[0]) for c in reversed(A)])
-
-
-def squarefree_part(p: RationalPoly) -> RationalPoly:
-    if p.is_zero():
-        return p
-    g = poly_gcd(p, p.derivative())
-    if g.degree <= 0:
-        return p
-    return p // g
-
-
-def sturm_sequence(f: RationalPoly) -> list[list[int]]:
-    """Sturm chain of a square-free f, on integers.
-
-    Each member is a primitive integer polynomial, coefficients leading
-    first, and a positive multiple of the canonical member of f, f',
-    -rem(f, f'), ...: f and f' over a positive denominator, then
-    ``_next_member`` pseudo-remainders (Collins 1967).  The chain has the
-    canonical one's signs at every point.  ``_sturm_prepare`` either finds
-    f square-free from this chain or passes the square-free part
-    (``squarefree_part``) in.
-    """
-    A = _primitive(_over_denominator(f.coeffs)[0])
     k = len(A) - 1
     chain = [A]
     if k > 0:
@@ -388,32 +375,25 @@ def sign_variations(chain: list[list[int]], x: Fraction) -> int:
     return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
-def _strip_endpoint_roots(p: RationalPoly, a: Fraction, b: Fraction) -> RationalPoly:
-    # Dividing out exact endpoint roots keeps the Sturm preconditions
-    # (nonvanishing at both ends) without perturbing the open interval count.
-    for pt in (a, b):
-        lin = RationalPoly((-pt, 1))
-        while not p.is_zero() and p(pt) == 0:
-            p = p // lin
-    return p
+def _sturm_prepare(p: RationalPoly, a: Fraction, b: Fraction) -> list[list[int]]:
+    """Sturm chain of p's square-free part with its roots at a and b
+    divided out.
 
-
-def _sturm_prepare(p: RationalPoly, a: Fraction, b: Fraction):
-    """(f, chain): the square-free part of p with its roots at a and b
-    divided out, and the Sturm chain of f (empty when f is constant).
-
-    When p(a) p(b) != 0 and p's own chain ends in a nonzero constant, that
-    constant is gcd(p, p') up to a factor, so f = p after that one pass;
-    otherwise f comes from ``squarefree_part``.  `_isolate` takes the same
-    pair, so a caller that both counts and isolates
-    (``algebra.certify_nonvanishing``) builds each once.
+    p's own chain is built first.  When its last member is not constant,
+    p becomes its integer quotient by it; then an end n/d where p
+    vanishes is divided out as d K - n.  Only if p changed is a second
+    chain built.  ``_isolate`` takes the same chain, so a caller that both
+    counts and isolates (``algebra.certify_nonvanishing``) builds it once.
     """
-    if p.degree > 0 and p(a) and p(b):
-        chain = sturm_sequence(p)
-        if len(chain[-1]) == 1:
-            return p, chain
-    f = _strip_endpoint_roots(squarefree_part(p), a, b)
-    return f, (sturm_sequence(f) if f.degree > 0 else [])
+    chain = sturm_sequence(_primitive(_over_denominator(p.coeffs)[0]))
+    A = chain[0]
+    if len(chain[-1]) > 1:
+        A = _quotient(A, chain[-1])
+    # A is square-free, so each end is at most a simple root
+    for x in (a, b):
+        if not _value_at(A, x.numerator, x.denominator):
+            A = _quotient(A, [x.denominator, -x.numerator])
+    return chain if A is chain[0] else sturm_sequence(A)
 
 
 def count_roots_between(p: RationalPoly, a, b) -> int:
@@ -423,7 +403,7 @@ def count_roots_between(p: RationalPoly, a, b) -> int:
         raise ValueError("need a < b")
     if p.is_zero():
         raise ValueError("zero polynomial has no root count")
-    _, chain = _sturm_prepare(p, a, b)
+    chain = _sturm_prepare(p, a, b)
     return sign_variations(chain, a) - sign_variations(chain, b)
 
 
@@ -434,14 +414,14 @@ def isolate_roots(p: RationalPoly, a, b) -> list[tuple[Fraction, Fraction]]:
     roots met on the way are returned as degenerate pairs (r, r).  Across
     every other interval the square-free part of p (with those exact roots
     divided out) takes opposite, nonzero signs at the two ends.  Intervals
-    are sorted left to right.
+    are sorted left to right.  The work runs on ``_sturm_prepare``'s chain.
     """
     a, b = as_fraction(a), as_fraction(b)
     if not a < b:
         raise ValueError("need a < b")
     if p.is_zero():
         raise ValueError("cannot isolate roots of the zero polynomial")
-    return _isolate(*_sturm_prepare(p, a, b), a, b)
+    return _isolate(_sturm_prepare(p, a, b), a, b)
 
 
 def _narrow(A, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
@@ -468,30 +448,29 @@ def _narrow(A, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
     return Fraction(a, q), Fraction(b, q)
 
 
-def _isolate(f: RationalPoly, chain: list[list[int]], a: Fraction,
+def _isolate(chain: list[list[int]], a: Fraction,
              b: Fraction) -> list[tuple[Fraction, Fraction]]:
-    """`isolate_roots` on a pair (f, chain) made by `_sturm_prepare`."""
+    """`isolate_roots` on a chain made by `_sturm_prepare`."""
     found: list[tuple[Fraction, Fraction]] = []
-    # (f, chain, lo, hi, n_lo, n_hi): f is square-free, chain is its Sturm
-    # chain, f(lo) f(hi) != 0, and n_lo, n_hi are the chain's sign
-    # variations at lo and hi
-    todo = [(f, chain, a, b, sign_variations(chain, a),
-             sign_variations(chain, b))] if f.degree > 0 else []
+    # (chain, lo, hi, n_lo, n_hi): chain[0] is square-free and nonzero at
+    # lo and hi, and n_lo, n_hi are the chain's sign variations there
+    todo = [(chain, a, b, sign_variations(chain, a),
+             sign_variations(chain, b))]
     while todo:
-        f, chain, lo, hi, n_lo, n_hi = todo.pop()
+        chain, lo, hi, n_lo, n_hi = todo.pop()
         if n_lo - n_hi == 1:
             found.append(_narrow(chain[0], lo, hi))
         elif n_lo > n_hi:
             mid = (lo + hi) / 2
-            if not _value_at(chain[0], mid.numerator, mid.denominator):
+            n, d = mid.numerator, mid.denominator
+            if not _value_at(chain[0], n, d):
                 found.append((mid, mid))
-                f = f // RationalPoly((-mid, 1))
-                chain = sturm_sequence(f)
+                chain = sturm_sequence(_quotient(chain[0], [d, -n]))
                 n_lo = sign_variations(chain, lo)
                 n_hi = sign_variations(chain, hi)
             n_mid = sign_variations(chain, mid)
-            todo += [(f, chain, lo, mid, n_lo, n_mid),
-                     (f, chain, mid, hi, n_mid, n_hi)]
+            todo += [(chain, lo, mid, n_lo, n_mid),
+                     (chain, mid, hi, n_mid, n_hi)]
     found.sort(key=lambda iv: iv[0])
     return found
 

@@ -39,6 +39,15 @@ def sturm_chain(f: RationalPoly) -> list[RationalPoly]:
     return chain
 
 
+def is_positive_multiple(A, p: RationalPoly) -> bool:
+    """Whether the integers A, leading first, are c p for some c > 0."""
+    cs = p.coeffs[::-1]
+    if len(A) != len(cs):
+        return False
+    scale = A[0] / cs[0]
+    return scale > 0 and all(a == scale * c for a, c in zip(A, cs))
+
+
 def sign_variations(chain, x) -> int:
     signs = [v > 0 for v in (horner(f, x) for f in chain) if v]
     return sum(a != b for a, b in zip(signs, signs[1:]))

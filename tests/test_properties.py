@@ -23,7 +23,7 @@ from hcmu_lab.profile import (curvature_at, implicit_x_of_K, rk4_step,
                               solve_curvature_ode, validate_params)
 from hcmu_lab.realize import (_x_propagators, _y_propagators,
                               solve_codazzi_family)
-from hcmu_lab.ratpoly import RationalPoly, count_roots_between, isolate_roots, poly_gcd
+from hcmu_lab.ratpoly import RationalPoly, count_roots_between, isolate_roots
 from hcmu_lab.textio import grid_header, parse_grid_header
 
 from conftest import lm_jacobian
@@ -352,20 +352,6 @@ def test_divmod_reconstructs_the_dividend(a, b):
     q, r = divmod(a, b)
     assert q * b + r == a
     assert r.degree < b.degree
-
-
-@PROPERTY
-@given(polys, polys, polys)
-def test_gcd_is_monic_and_divides_both(a, b, c):
-    a, b = a * c, b * c
-    g = poly_gcd(a, b)
-    if not (a or b):
-        assert g.is_zero()
-        return
-    assert g.leading == 1
-    assert not a % g and not b % g
-    # greatest: the common factor c divides it
-    assert not g % c
 
 
 @PROPERTY

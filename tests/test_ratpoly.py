@@ -6,22 +6,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sturm_reference as ref
 from hcmu_lab import ratpoly
 from hcmu_lab.algebra import CubicData, certify_nonvanishing, obstruction_poly
 from hcmu_lab.errors import FormatError
 from hcmu_lab.ratpoly import (
     ISOLATION_WIDTH,
     RationalPoly,
-    _strip_endpoint_roots,
     _sturm_prepare,
     as_fraction,
     count_roots_between,
     isolate_roots,
     poly_from_line,
-    poly_gcd,
     poly_to_line,
     sign_variations,
-    squarefree_part,
     sturm_sequence,
 )
 
@@ -62,13 +60,6 @@ def test_divmod_inverts_multiplication():
 def test_division_by_zero_poly():
     with pytest.raises(ZeroDivisionError):
         divmod(P((1,)), P(()))
-
-
-def test_gcd_and_squarefree():
-    p = P.from_roots((1, 1, 2))
-    g = poly_gcd(p, p.derivative())
-    assert g == P.from_roots((1,))  # monic K - 1
-    assert squarefree_part(p) == P.from_roots((1, 2))
 
 
 def test_exact_evaluation_and_derivative():
@@ -125,7 +116,7 @@ def test_isolation_narrows_to_the_target_width():
     for p, (a, b), exact in cases:
         boxes = isolate_roots(p, a, b)
         assert len(boxes) == count_roots_between(p, a, b)
-        f = squarefree_part(p)
+        f = ref.squarefree_part(p)
         for lo, hi in boxes:
             assert a < lo <= hi < b
             if lo == hi:
@@ -161,35 +152,36 @@ def test_isolation_builds_one_sturm_chain(monkeypatch):
 
 def test_certificate_takes_a_squarefree_part_only_on_a_repeated_root(
         monkeypatch):
-    calls = {"squarefree_part": 0, "sturm_sequence": 0}
-    for name in calls:
-        def counting(p, name=name, real=getattr(ratpoly, name)):
-            calls[name] += 1
-            return real(p)
-        monkeypatch.setattr(ratpoly, name, counting)
-    # (K1, K2, c), roots isolated in (K2, K1), the calls the certificate makes
+    built = []
+
+    def counting(A):
+        built.append(A)
+        return sturm_sequence(A)
+
+    monkeypatch.setattr(ratpoly, "sturm_sequence", counting)
+    # (K1, K2, c), roots isolated in (K2, K1), the chains the certificate
+    # builds
     cases = [
         # square-free, no root at an end: Phi's own chain ends in a constant,
         # and it serves the count and the isolation
-        ((2, 1, F(21, 10)), 1, {"squarefree_part": 0, "sturm_sequence": 1}),
+        ((2, 1, F(21, 10)), 1, 1),
         # a double root at -5/8, outside: Phi's chain ends in K + 5/8, so the
         # square-free part gets a chain of its own
-        ((F(3, 8), F(1, 4), F(-5, 8)), 0,
-         {"squarefree_part": 1, "sturm_sequence": 2}),
-        # the cusp pair's double root at the end K2 = -1: no chain of Phi
-        ((2, -1, -1), 1, {"squarefree_part": 1, "sturm_sequence": 1}),
+        ((F(3, 8), F(1, 4), F(-5, 8)), 0, 2),
+        # the cusp pair's double root at the end K2 = -1: Phi's chain, then
+        # the chain of the square-free part with K + 1 divided out
+        ((2, -1, -1), 1, 2),
     ]
-    for (k1, k2, c), roots, expected in cases:
-        for name in calls:
-            calls[name] = 0
+    for (k1, k2, c), roots, chains in cases:
+        built.clear()
         phi = obstruction_poly(CubicData.from_extremes(k1, k2), c)
         cert = certify_nonvanishing(phi, (k2, k1))
         assert len(cert.root_intervals) == roots
-        assert calls == expected
+        assert len(built) == chains
 
 
 def test_sign_variations_ignores_zeros():
-    chain = sturm_sequence(P.from_roots((0, 1)))
+    chain = sturm_sequence([1, -1, 0])  # K (K - 1)
     assert sign_variations(chain, F(0)) - sign_variations(chain, F(2)) == 1
 
 
@@ -342,6 +334,8 @@ def test_sturm_prepare_matches_the_squarefree_reference(factors, lead,
     p = P.constant(lead)
     for r, mult in factors:
         p = p * P((-r, 1)) ** mult
-    f = _strip_endpoint_roots(squarefree_part(p), lo, hi)
-    chain = sturm_sequence(f) if f.degree > 0 else []
-    assert _sturm_prepare(p, lo, hi) == (f, chain)
+    f, _ = ref.sturm_prepare(p, lo, hi)
+    chain, canonical = _sturm_prepare(p, lo, hi), ref.sturm_chain(f)
+    assert len(chain) == len(canonical)
+    for A, c in zip(chain, canonical):
+        assert ref.is_positive_multiple(A, c)
