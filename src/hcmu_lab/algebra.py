@@ -16,29 +16,24 @@ The obstruction polynomial of an ambient curvature c,
 
     Phi(K, c) = 4 mu'' mu (K-c)^2 + 4 (mu')^2 (K-c)^2 + 2 mu' mu (K-c) - mu^2,
 
-is therefore the plain polynomial 2 (K-c)^2 P'' + (K-c) P' - P, which is
-how the kernel builds it.  Both identities are proved with zero remainder
-in the extension itself by the test suite (``tests/mu_extension.py``).
-Phi is a cubic in K whose leading coefficient is -56/3 for every
-admissible (k1, k2, c); since that never vanishes, Phi is never the zero
-polynomial, which is the non-existence certificate this module produces.
+is therefore the plain polynomial 2 (K-c)^2 P'' + (K-c) P' - P, which the
+kernel builds from its coefficient formulas (``obstruction_poly``).  The
+test suite proves both identities with zero remainder in the extension
+itself and keeps the product form as an oracle (``tests/mu_extension.py``).
+Phi is a cubic in K whose leading coefficient is -56/3 for every admissible
+(k1, k2, c); since that never vanishes, Phi is never the zero polynomial,
+which is the non-existence certificate this module produces.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 
 from .errors import AlgebraConsistencyError, FormatError, InadmissibleParams
-from .ratpoly import (
-    RationalPoly,
-    _isolate,
-    _sturm_prepare,
-    as_fraction,
-    poly_to_line,
-    sign_variations,
-)
+from .ratpoly import (RationalPoly, _isolate, _over_denominator,
+                      _sturm_prepare, _value_at, as_fraction, poly_to_line,
+                      sign_variations)
 from .textio import kv_records, write_lines
 
 
@@ -91,9 +86,9 @@ class CubicData:
     def __post_init__(self):
         if self.k3 != -(self.k1 + self.k2):
             raise AlgebraConsistencyError("k3 != -(k1 + k2)")
-        P = self.poly()
+        A = _over_denominator(self.poly().coeffs)[0]
         for root in (self.k1, self.k2, self.k3):
-            if P(root) != 0:
+            if _value_at(A, root.numerator, root.denominator) != 0:
                 raise AlgebraConsistencyError(f"P({root}) != 0")
 
     @property
@@ -107,19 +102,21 @@ class CubicData:
 def obstruction_poly(params: CubicData, c) -> RationalPoly:
     """The cubic Phi(K, c) whose identical vanishing the theory forbids.
 
-    Built from its closed form in t = K - c,
-
-        Phi = 2 t^2 P'' + t P' - P,
-
-    which takes three polynomial products: t t, that square by 2 P'', and
-    t P'.  The result must have degree exactly 3; otherwise the cubic data
-    is corrupted and we refuse to answer.
+    With P = a3 K^3 + a2 K^2 + a1 K + a0, Phi = 2 (K-c)^2 P'' + (K-c) P' - P
+    has the coefficients 14 a3, 5 a2 - 27 a3 c, 12 a3 c^2 - 10 a2 c and
+    4 a2 c^2 - a1 c - a0, from K^3 down, formed here on P's integer
+    numerators over one denominator D and c = n/d: no polynomial product.
+    The result must have degree exactly 3; otherwise the cubic data is
+    corrupted and we refuse to answer.
     """
     c = as_fraction(c)
-    P = params.poly()
-    dP = P.derivative()
-    t = RationalPoly((-c, 1))
-    phi = t * t * (2 * dP.derivative()) + t * dP - P
+    cs = params.poly().coeffs
+    A, D = _over_denominator(cs + (Fraction(0),) * (4 - len(cs)))
+    (a3, a2, a1, a0), n, d = A, c.numerator, c.denominator
+    phi = RationalPoly._of([
+        Fraction((4 * a2 * n - a1 * d) * n - a0 * d * d, D * d * d),
+        Fraction((12 * a3 * n - 10 * a2 * d) * n, D * d * d),
+        Fraction(5 * a2 * d - 27 * a3 * n, D * d), Fraction(14 * a3, D)])
     if phi.degree != 3:
         raise AlgebraConsistencyError(f"obstruction degree {phi.degree} != 3")
     return phi
@@ -155,11 +152,9 @@ class Certificate:
 
     def to_lines(self) -> list[str]:
         lo, hi = self.interval
-        lines = [f"verdict={self.verdict}", f"interval={lo} {hi}",
-                 f"root_count={len(self.root_intervals)}"]
-        for a, b in self.root_intervals:
-            lines.append(f"root_interval={a} {b}")
-        return lines
+        return [f"verdict={self.verdict}", f"interval={lo} {hi}",
+                f"root_count={len(self.root_intervals)}",
+                *(f"root_interval={a} {b}" for a, b in self.root_intervals)]
 
 
 def certificate_from_lines(lines) -> Certificate:
@@ -217,6 +212,9 @@ def certify_nonvanishing(phi: RationalPoly, interval) -> Certificate:
     return Certificate((lo, hi), False, tuple(intervals))
 
 
-def write_obstruction_file(phi: RationalPoly, cert: Certificate, path):
-    """First line: coefficients degree-descending; then the certificate."""
-    write_lines(chain([poly_to_line(phi)], cert.to_lines()), path)
+def write_obstruction_file(phi: RationalPoly, cert: Certificate, path) -> str:
+    """First line, which is returned: coefficients degree-descending; then
+    the certificate."""
+    line = poly_to_line(phi)
+    write_lines([line, *cert.to_lines()], path)
+    return line

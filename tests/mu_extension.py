@@ -1,9 +1,11 @@
 """The quadratic extension Q(K)[mu], mu^2 = P(K), as a test oracle.
 
-``algebra.obstruction_poly`` builds Phi from its closed form
-2 (K-c)^2 P'' + (K-c) P' - P.  This module keeps the extension that closed
-form comes from, so that the tests can prove its two identities with zero
-remainder and build Phi independently of the kernel.
+``algebra.obstruction_poly`` builds Phi from the coefficient formulas of
+its closed form 2 (K-c)^2 P'' + (K-c) P' - P.  This module keeps the
+extension that closed form comes from, so that the tests can prove its two
+identities with zero remainder and build Phi independently of the kernel,
+and the closed form itself, built with polynomial products
+(``product_form_obstruction``).
 
 d/dK extends to the extension with (mu^2)' = P', i.e.
 
@@ -181,3 +183,14 @@ def obstruction(params: CubicData, c) -> RationalPoly:
     if phi_el.k:
         raise AlgebraConsistencyError("obstruction kept a denominator")
     return phi_el.as_polynomial()
+
+
+def product_form_obstruction(params: CubicData, c) -> RationalPoly:
+    """Phi = 2 t^2 P'' + t P' - P with t = K - c, by polynomial arithmetic:
+    three products (t t, that square by 2 P'', and t P'), two derivatives
+    and a sum, sharing no step with the kernel's coefficient formulas."""
+    c = as_fraction(c)
+    P = params.poly()
+    dP = P.derivative()
+    t = RationalPoly((-c, 1))
+    return t * t * (2 * dP.derivative()) + t * dP - P

@@ -5,7 +5,7 @@ import pytest
 
 import mu_extension
 from conftest import fraction_sqrt, random_admissible_pair, random_rational
-from hcmu_lab import algebra
+from hcmu_lab import algebra, cli
 from hcmu_lab.algebra import (
     CubicData,
     certificate_from_lines,
@@ -229,25 +229,89 @@ def test_obstruction_random_leading_coefficient():
         assert phi == hand_expanded_obstruction(cd, c)
 
 
-def test_obstruction_takes_three_polynomial_products(monkeypatch):
-    # t t, that square by 2 P'' and t P', with t = K - c; the product by
-    # the integer 2 only scales
-    products = []
-    real = RationalPoly.__mul__
+def test_obstruction_makes_no_polynomial_product_or_evaluation(monkeypatch):
+    # the coefficient formulas alone: no RationalPoly product, on either
+    # side, and no RationalPoly evaluation, neither in obstruction_poly nor
+    # in CubicData's root check
+    spied = []
 
-    def counting(self, other):
-        products.append(isinstance(other, RationalPoly)
-                        and self.degree > 0 and other.degree > 0)
-        return real(self, other)
+    def spy(name):
+        real = getattr(RationalPoly, name)
 
-    monkeypatch.setattr(RationalPoly, "__mul__", counting)
-    monkeypatch.setattr(RationalPoly, "__rmul__", counting)
+        def wrapper(self, *args):
+            spied.append(name)
+            return real(self, *args)
+        monkeypatch.setattr(RationalPoly, name, wrapper)
+
+    for name in ("__mul__", "__rmul__", "__call__"):
+        spy(name)
     for k1, k2, c in ((2, 1, F(21, 10)), (1, F(-1, 2), 0),
                       (F(7, 4), F(-1, 3), -5)):
-        products.clear()
-        obstruction_poly(CubicData.from_extremes(k1, k2), c)
-        assert sum(products) == 3
-        assert len(products) == 4
+        spied.clear()
+        cd = CubicData.from_extremes(k1, k2)
+        phi = obstruction_poly(cd, c)
+        assert spied == []
+        # the spies are live: the product form makes products
+        assert phi == mu_extension.product_form_obstruction(cd, c)
+        assert "__mul__" in spied
+
+
+def _reference_draws(rng: random.Random, n: int):
+    # (K1, K2, c): every fourth a cusp pair, the rest conical, over small
+    # and large denominators
+    for i in range(n):
+        k1, k2 = random_admissible_pair(rng)
+        if i % 4 == 0:
+            k2 = -k1 / 2
+        den = rng.choice([1, 3, 10, 2 ** 20, 10 ** 12])
+        yield k1, k2, F(rng.randint(-60 * den, 60 * den), den)
+
+
+def _reference_draws_at_bound(rng: random.Random):
+    # 200-digit numerators and denominators: the slowest bounded input,
+    # then c at K1, K2 and K3 of a conical pair and of a cusp pair
+    bound = cli.MAX_EXACT_DIGITS
+    nines = int("9" * bound)
+    big = lambda: rng.randrange(10 ** (bound - 1), 10 ** bound)
+    yield F(nines), F(1), F(1, nines)
+    k1 = F(big(), big())
+    for k2 in (k1 * F(big(), 10 * big()), -k1 / 2):
+        for c in (k1, k2, -k1 - k2):
+            yield k1, k2, c
+
+
+def test_obstruction_matches_its_three_references():
+    # the coefficient formulas against the product form, Phi expanded in
+    # the extension and the coefficients collected by hand, on 300 seeded
+    # draws (75 of them cusp pairs) and 7 inputs at the digit bound
+    rng = random.Random(40)
+    cases = [*_reference_draws(rng, 300), *_reference_draws_at_bound(rng)]
+    cusps = 0
+    for k1, k2, c in cases:
+        cd = CubicData.from_extremes(k1, k2)
+        phi = obstruction_poly(cd, c)
+        assert all(type(a) is F for a in phi.coeffs)
+        assert phi.degree == 3 and phi.leading == F(-56, 3)
+        assert phi == mu_extension.product_form_obstruction(cd, c)
+        assert phi == mu_extension.obstruction(cd, c)
+        assert phi == hand_expanded_obstruction(cd, c)
+        cusps += cd.kind == "cusp"
+    assert len(cases) >= 300 and cusps >= len(cases) // 4
+
+
+def test_obstruction_formulas_hold_for_a_general_cubic(monkeypatch):
+    # a P with all four coefficients nonzero, which CubicData never makes
+    # (its a2 is 0): the formulas are general in P, not hard-coded
+    rng = random.Random(41)
+    cd = CubicData.from_extremes(2, 1)
+    for _ in range(40):
+        cs = [random_rational(rng) or F(1) for _ in range(4)]
+        monkeypatch.setattr(CubicData, "poly",
+                            lambda self: RationalPoly(cs))
+        c = random_rational(rng)
+        phi = obstruction_poly(cd, c)
+        assert phi == mu_extension.product_form_obstruction(cd, c)
+        assert phi.leading == 14 * cs[3]
 
 
 def test_certify_trivial_constant():

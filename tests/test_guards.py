@@ -106,6 +106,10 @@ GUARDS = [
                  id="algebra-cubic-k3"),
     pytest.param(lambda: CubicData(F(2), F(1), F(-3), F(28, 3), F(-7)),
                  AlgebraConsistencyError, "P(2) != 0", id="algebra-cubic-p0"),
+    # the cusp (2, -1) is (2, -1, -1, 4, 8/3): P(2) = 1/3 with p0 = 3
+    pytest.param(lambda: CubicData(F(2), F(-1), F(-1), F(4), F(3)),
+                 AlgebraConsistencyError, "P(2) != 0",
+                 id="algebra-cusp-cubic-p0"),
     pytest.param(lambda: certificate_from_lines(
                      ["verdict=no-root", "interval=0 1", "root_count=1"]),
                  FormatError, "root_count disagrees with root_interval lines",
