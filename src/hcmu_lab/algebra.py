@@ -16,24 +16,31 @@ The obstruction polynomial of an ambient curvature c,
 
     Phi(K, c) = 4 mu'' mu (K-c)^2 + 4 (mu')^2 (K-c)^2 + 2 mu' mu (K-c) - mu^2,
 
-is therefore the plain polynomial 2 (K-c)^2 P'' + (K-c) P' - P, which the
-kernel builds from its coefficient formulas (``obstruction_poly``).  The
-test suite proves both identities with zero remainder in the extension
-itself and keeps the product form as an oracle (``tests/mu_extension.py``).
-Phi is a cubic in K whose leading coefficient is -56/3 for every admissible
-(k1, k2, c); since that never vanishes, Phi is never the zero polynomial,
-which is the non-existence certificate this module produces.
+is therefore the plain polynomial 2 (K-c)^2 P'' + (K-c) P' - P; the kernel
+forms its coefficients directly (``obstruction_poly``), and the test suite
+proves both identities with zero remainder in the extension itself and keeps
+that product form as an oracle (``tests/mu_extension.py``).  Phi is a cubic
+in K whose leading coefficient is -56/3 for every admissible (k1, k2, c), so
+Phi is never the zero polynomial: the non-existence certificate of this module.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from .errors import AlgebraConsistencyError, FormatError, InadmissibleParams
-from .ratpoly import (RationalPoly, _isolate, _over_denominator,
-                      _sturm_prepare, _value_at, as_fraction, poly_to_line,
-                      sign_variations)
+from .ratpoly import (
+    RationalPoly,
+    _isolate,
+    _over_denominator,
+    _sturm_prepare,
+    _value_at,
+    as_fraction,
+    poly_to_line,
+    sign_variations,
+)
 from .textio import kv_records, write_lines
 
 
@@ -104,19 +111,15 @@ def obstruction_poly(params: CubicData, c) -> RationalPoly:
 
     With P = a3 K^3 + a2 K^2 + a1 K + a0, Phi = 2 (K-c)^2 P'' + (K-c) P' - P
     has the coefficients 14 a3, 5 a2 - 27 a3 c, 12 a3 c^2 - 10 a2 c and
-    4 a2 c^2 - a1 c - a0, from K^3 down, formed here on P's integer
-    numerators over one denominator D and c = n/d: no polynomial product.
-    The result must have degree exactly 3; otherwise the cubic data is
-    corrupted and we refuse to answer.
+    4 a2 c^2 - a1 c - a0, from K^3 down: no polynomial product.  The result
+    must have degree exactly 3; otherwise the cubic data is corrupted and we
+    refuse to answer.
     """
     c = as_fraction(c)
-    cs = params.poly().coeffs
-    A, D = _over_denominator(cs + (Fraction(0),) * (4 - len(cs)))
-    (a3, a2, a1, a0), n, d = A, c.numerator, c.denominator
-    phi = RationalPoly._of([
-        Fraction((4 * a2 * n - a1 * d) * n - a0 * d * d, D * d * d),
-        Fraction((12 * a3 * n - 10 * a2 * d) * n, D * d * d),
-        Fraction(5 * a2 * d - 27 * a3 * n, D * d), Fraction(14 * a3, D)])
+    a0, a1, a2, a3 = (params.poly().coeffs + (0, 0, 0))[:4]
+    phi = RationalPoly._of([4 * a2 * c * c - a1 * c - a0,
+                            12 * a3 * c * c - 10 * a2 * c,
+                            5 * a2 - 27 * a3 * c, 14 * a3])
     if phi.degree != 3:
         raise AlgebraConsistencyError(f"obstruction degree {phi.degree} != 3")
     return phi
@@ -152,9 +155,11 @@ class Certificate:
 
     def to_lines(self) -> list[str]:
         lo, hi = self.interval
-        return [f"verdict={self.verdict}", f"interval={lo} {hi}",
-                f"root_count={len(self.root_intervals)}",
-                *(f"root_interval={a} {b}" for a, b in self.root_intervals)]
+        lines = [f"verdict={self.verdict}", f"interval={lo} {hi}",
+                 f"root_count={len(self.root_intervals)}"]
+        for a, b in self.root_intervals:
+            lines.append(f"root_interval={a} {b}")
+        return lines
 
 
 def certificate_from_lines(lines) -> Certificate:
@@ -212,9 +217,6 @@ def certify_nonvanishing(phi: RationalPoly, interval) -> Certificate:
     return Certificate((lo, hi), False, tuple(intervals))
 
 
-def write_obstruction_file(phi: RationalPoly, cert: Certificate, path) -> str:
-    """First line, which is returned: coefficients degree-descending; then
-    the certificate."""
-    line = poly_to_line(phi)
-    write_lines([line, *cert.to_lines()], path)
-    return line
+def write_obstruction_file(phi: RationalPoly, cert: Certificate, path):
+    """First line: coefficients degree-descending; then the certificate."""
+    write_lines(chain([poly_to_line(phi)], cert.to_lines()), path)

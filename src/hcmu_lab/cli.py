@@ -160,12 +160,14 @@ def _grid_from(cfg: Config, params, k0) -> fields.GridDomain:
 
 def _cmd_obstruction(cfg: Config) -> None:
     from . import algebra
-    k1, k2, c = cfg.fraction("k1"), cfg.fraction("k2"), cfg.fraction("c", "0")
+    k1 = cfg.fraction("k1")
+    k2 = cfg.fraction("k2")
+    c = cfg.fraction("c", "0")
     cubic = algebra.CubicData.from_extremes(k1, k2)
     phi = algebra.obstruction_poly(cubic, c)
     cert = algebra.certify_nonvanishing(phi, (cubic.k2, cubic.k1))
-    line = algebra.write_obstruction_file(phi, cert, cfg.require("out"))
-    print(f"obstruction: {line}; {cert}")
+    algebra.write_obstruction_file(phi, cert, cfg.require("out"))
+    print(f"obstruction: {algebra.poly_to_line(phi)}; {cert}")
 
 
 def _cmd_profile(cfg: Config) -> None:

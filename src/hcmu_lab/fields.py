@@ -307,17 +307,15 @@ def integrate_minimal_ansatz(grid: GridDomain, c: float,
 def transport_ansatz(grid: GridDomain, c: float, h0: complex,
                      nodes) -> complex:
     """Transport h0 along a lattice polyline of (i, j) grid nodes: x legs
-    scale h by m[i1] / m[i0], y legs rotate it by exp(i beta[i0] dy)."""
+    scale h by m[i1] / m[i0], y legs rotate it by exp(i beta dy)."""
     _require_supercritical(grid.params, c)
-    legs = list(lattice_legs(grid, nodes))
-    ends = np.array([leg[::2] for leg in legs], np.intp).reshape(-1, 2)
-    m, beta, _, _ = _ansatz_rates(grid.params, c, grid.K[ends])
+    m, beta, _, _ = _ansatz_rates(grid.params, c, grid.K)
     h = complex(h0)
-    for (i0, j0, i1, j1), (m0, m1), (b0, _) in zip(legs, m, beta):
+    for i0, j0, i1, j1 in lattice_legs(grid, nodes):
         if j0 == j1:
-            h = h * (m1 / m0)
+            h = h * (m[i1] / m[i0])
         else:
-            h = h * np.exp(1j * b0 * (j1 - j0) * grid.hy)
+            h = h * np.exp(1j * beta[i0] * (j1 - j0) * grid.hy)
     return h
 
 
@@ -352,8 +350,8 @@ def holonomy_defect(grid: GridDomain, c: float, h0: complex,
     measured = (h_end - h0) / area
 
     Kc = grid.K_half[i0 + i1]
+    phi_val = grid.params.obstruction(Kc, c)
     mu_sq = grid.params.mu_sq(Kc)
-    phi_val = grid.params.obstruction(Kc, c, mu_sq)
     predicted = 2j * mu_sq * h0 * phi_val / (16.0 * (Kc - c) ** 2)
     return HolonomyDefect(measured, predicted, area,
                           float(grid.x0 + 0.5 * grid.hx * (i0 + i1)),

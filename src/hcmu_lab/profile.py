@@ -63,16 +63,14 @@ class HcmuParams:
     def mu_sq_prime(self, K):
         return -4.0 * K * K + self.p1
 
-    def obstruction(self, K, c, mu_sq=None):
+    def obstruction(self, K, c):
         """Float evaluation of the obstruction cubic Phi(K, c).
 
-        Phi = 2 (K-c)^2 P'' + (K-c) P' - P with P = mu^2 (mu_sq, if given)
-        and 2 P'' = -16 K.  algebra.obstruction_poly builds it exactly from
-        its coefficients, -56/3, 36 c, -16 c^2 and -(p1 c + p0) from K^3 down.
+        Phi = 2 (K-c)^2 P'' + (K-c) P' - P = -56/3 K^3 + 36 c K^2 - 16 c^2 K
+        - (p1 c + p0) with P = mu^2; algebra.obstruction_poly forms it exactly.
         """
         t = K - c
-        mu_sq = self.mu_sq(K) if mu_sq is None else mu_sq
-        return -16.0 * K * t * t + self.mu_sq_prime(K) * t - mu_sq
+        return -16.0 * K * t * t + self.mu_sq_prime(K) * t - self.mu_sq(K)
 
 
 def validate_params(k1: float, k2: float, c: float = 0.0) -> HcmuParams:
