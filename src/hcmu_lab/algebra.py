@@ -86,8 +86,14 @@ class CubicData:
         k1, k2 = as_fraction(k1), as_fraction(k2)
         admissible_kind(k1, k2)
         k3 = -(k1 + k2)
-        p1 = Fraction(4, 3) * (k1 * k1 + k1 * k2 + k2 * k2)
-        p0 = -Fraction(4, 3) * k1 * k2 * (k1 + k2)
+        # p1 = (4/3)(k1^2 + k1 k2 + k2^2) and p0 = -(4/3) k1 k2 (k1 + k2),
+        # each reduced once: with k1 = n1/d1 = u/(d1 d2) and
+        # k2 = n2/d2 = v/(d1 d2), both are over 3 (d1 d2)^2
+        n1, d1 = k1.numerator, k1.denominator
+        n2, d2 = k2.numerator, k2.denominator
+        u, v, den = n1 * d2, n2 * d1, 3 * (d1 * d2) ** 2
+        p1 = Fraction(4 * (u * u + u * v + v * v), den)
+        p0 = Fraction(-4 * n1 * n2 * (u + v), den)
         return cls(k1, k2, k3, p1, p0)
 
     def __post_init__(self):

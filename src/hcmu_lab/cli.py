@@ -10,11 +10,18 @@ Identical (argv, config, seed) produce byte-identical output files;
 parameters that feed the exact kernel are parsed as exact rationals
 (decimal literals are scaled integers, never binary floats).
 
-`run` merges the config file and the flags into one `Config`, and every
-command reads its parameters from it: `Config.fraction` and `Config.real`
-take exact rationals (a float beyond the double range is a usage error),
-`Config.integer` takes non-negative integers, and the parts of ``grid``
-and ``origin`` are read by the same two.
+`run` routes argv by its first word: a command name sends the rest of argv
+straight to that command's subparser, and `run` sets ``command`` itself;
+any other argv (empty, ``--help``, an unknown command) goes to the top
+parser, which would otherwise scan every option before handing the same
+words to the subparser.  Both parsers come from the one cached
+`_build_parser`, and the two routes give the same exit code, output and
+error line.  `run` then merges the config file and the flags into one
+`Config`, and every command reads its parameters from it:
+`Config.fraction` and `Config.real` take exact rationals (a float beyond
+the double range is a usage error), `Config.integer` takes non-negative
+integers, and the parts of ``grid`` and ``origin`` are read by the same
+two.
 
 Each command imports the modules it calls when it runs, so `obstruction`
 loads neither numpy nor scipy and only `optimize` loads scipy.  That also
@@ -290,10 +297,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The one parser of this process, built on first use.
+def _build_parser() -> tuple[argparse.ArgumentParser,
+                             dict[str, argparse.ArgumentParser]]:
+    """The one parser of this process and its subparsers by command name,
+    built on first use.
 
-    It keeps no state between calls: each ``parse_args`` fills a fresh
+    They keep no state between calls: each ``parse_args`` fills a fresh
     Namespace, so a run, a usage error or ``--help`` leaves nothing behind
     for the next call of `main` in the same process.
     """
@@ -309,18 +318,24 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output file (required, never implicit)")
         for n in params:
             p.add_argument("--" + n.replace("_", "-"), dest=n)
-    return top
+    return top, sub.choices
 
 
 def run(argv: list[str]) -> int:
-    """Parse argv and run its command on the merged parameters.
+    """Parse argv, routed by its first word, and run its command on the
+    merged parameters.
 
     Flags override the config file.  A process that has not loaded numpy
     yet gets one BLAS thread, whatever the environment asks for: OpenBLAS
     reads ``OPENBLAS_NUM_THREADS`` once, when numpy loads, and a threaded
     reduction sums in another order, so it changes a report's last bits.
     """
-    args = _build_parser().parse_args(argv)
+    top, commands = _build_parser()
+    if argv and argv[0] in commands:
+        args = commands[argv[0]].parse_args(
+            argv[1:], argparse.Namespace(command=argv[0]))
+    else:
+        args = top.parse_args(argv)
     cfg = parse_config(args.config) if args.config else Config()
     for name, val in vars(args).items():
         if val is not None and name not in ("command", "config"):

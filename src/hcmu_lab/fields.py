@@ -363,10 +363,9 @@ def holonomy_defect(grid: GridDomain, c: float, h0: complex,
 
 def write_field_csv(arr: np.ndarray, grid: GridDomain, path):
     """One component, row-major (row = x index), with grid metadata up top."""
-    with atomic_write(path) as fh:
-        fh.write(grid_header(grid.nx, grid.ny, grid.hx, grid.hy, grid.x0,
-                             grid.y0))
-        fh.write(format_rows(",".join(["%.17g"] * arr.shape[1]) + "\n", arr))
+    atomic_write(path, (
+        grid_header(grid.nx, grid.ny, grid.hx, grid.hy, grid.x0, grid.y0),
+        format_rows(",".join(["%.17g"] * arr.shape[1]) + "\n", arr)))
 
 
 def read_field_csv(path) -> tuple[np.ndarray, dict]:

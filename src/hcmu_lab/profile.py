@@ -275,13 +275,16 @@ def _newton_guess(params: HcmuParams, x_of, k0: float, t, k_ends):
         gap = t - x_of(K) if i else t
         du = gap * (K - k3) * width / 1.5
         # with a = K - k2, b = k1 - K and e = exp(-|du|), the form for the
-        # sign of du whose denominator adds positive terms, the minus sign
-        # of the form for du >= 0 moved into its denominator
+        # sign of du whose denominator adds positive terms: b + a e for
+        # du < 0, and for du >= 0 -a - b e, its form's minus sign moved into
+        # the denominator; that is -(a + b e) bit for bit, as negation is
+        # exact and rounding symmetric in sign
         a, b = K - k2, k1 - K
         neg_abs = -np.abs(du)
         e = np.exp(neg_abs)
-        step = a * b * np.expm1(neg_abs) / np.where(du < 0, b + a * e,
-                                                    -(a + b * e))
+        neg = du < 0
+        step = a * b * np.expm1(neg_abs) / (np.where(neg, b, -a)
+                                            + np.where(neg, a, -b) * e)
         K = np.minimum(np.maximum(K + step, k_lo), k_hi)
     return K
 
@@ -464,9 +467,8 @@ class ProfileTable(NamedTuple):
 def write_profile_csv(profile: CurvatureProfile, path):
     table = np.column_stack([profile.xs, profile.Ks, profile.mus,
                              profile.phis])
-    with atomic_write(path) as fh:
-        fh.write(_PROFILE_HEADER + "\n")
-        fh.write(format_rows("%.17g,%.17g,%.17g,%.17g\n", table))
+    atomic_write(path, (_PROFILE_HEADER + "\n",
+                        format_rows("%.17g,%.17g,%.17g,%.17g\n", table)))
 
 
 def read_profile_csv(path) -> ProfileTable:

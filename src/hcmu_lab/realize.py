@@ -627,14 +627,18 @@ def export_mesh(mesh: Mesh, path):
     """Header comments, then v / vn / f records at 17 significant digits."""
     v_row = "v" + " %.17g" * mesh.vertices.shape[1] + "\n"
     vn_row = "vn" + " %.17g" * mesh.normals.shape[1] + "\n"
-    with atomic_write(path) as fh:
-        fh.write("# hcmu-mesh 1\n")
-        fh.write(grid_header(mesh.nx, mesh.ny, mesh.hx, mesh.hy, mesh.x0,
-                             mesh.y0))
-        fh.write(f"# c = {fmt17(mesh.c)}\n")
-        fh.write(format_rows(v_row, mesh.vertices))
-        fh.write(format_rows(vn_row, mesh.normals))
-        fh.write(format_rows("f %d %d %d\n", mesh.faces + 1))
+
+    def chunks():
+        # one record block at a time: the whole text is never held at once
+        yield ("# hcmu-mesh 1\n"
+               + grid_header(mesh.nx, mesh.ny, mesh.hx, mesh.hy, mesh.x0,
+                             mesh.y0)
+               + f"# c = {fmt17(mesh.c)}\n")
+        yield format_rows(v_row, mesh.vertices)
+        yield format_rows(vn_row, mesh.normals)
+        yield format_rows("f %d %d %d\n", mesh.faces + 1)
+
+    atomic_write(path, chunks())
 
 
 # the stage of the file each record kind begins, and the error of a record of

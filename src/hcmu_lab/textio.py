@@ -1,8 +1,9 @@
 """Small text-serialization helpers shared by the file formats.
 
 All floating-point output uses 17 significant digits, which round-trips IEEE
-doubles bit-identically through decimal.  Every output file is written
-through ``atomic_write``, so a failed write never leaves a partial file.
+doubles bit-identically through decimal.  Every output file is UTF-8 text,
+written whole by ``atomic_write`` to a temporary file beside its target and
+renamed over the target, so a failed write never leaves a partial file.
 Tables go out through one row template per record kind (``format_rows``).
 The mesh and field readers each have two parts: a bulk reader that takes
 only its writer's exact layout, one numpy call per record kind
@@ -17,35 +18,50 @@ from __future__ import annotations
 
 import math
 import os
-from contextlib import contextmanager
 
 from .errors import FormatError
 
 
-@contextmanager
-def atomic_write(path):
-    """A text handle whose contents appear at ``path`` only once complete.
+def atomic_write(path, chunks):
+    """Write the str chunks, UTF-8 encoded, to ``path``, all or nothing.
 
-    The text goes to a temporary file in the target's directory, which
-    replaces the target by ``os.replace`` after it is closed.  If the body
-    raises, the temporary file is removed and an existing target is left
-    as it was.
+    The bytes go by ``os.write`` to ``.<name>.<hex>.tmp`` in the target's
+    directory, which replaces the target by ``os.replace`` once closed.
+    chunks is consumed one chunk at a time, so a large file need never be
+    joined in memory.  If anything fails, the temporary file is removed and
+    an existing target is left as it was; an OSError is raised again naming
+    ``path``.
     """
     path = os.fspath(path)
     head, tail = os.path.split(path)
     tmp = os.path.join(head, f".{tail}.{os.urandom(4).hex()}.tmp")
     try:
-        fh = open(tmp, "x")
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     except OSError as e:
         # name the file the caller asked for, not the temporary one
         raise OSError(e.errno, e.strerror, path) from None
     try:
-        with fh:
-            yield fh
+        try:
+            for chunk in chunks:
+                _write_all(fd, chunk.encode())
+                # let this chunk go before the next one is made
+                del chunk
+        finally:
+            os.close(fd)
         os.replace(tmp, path)
+    except OSError as e:
+        os.unlink(tmp)
+        raise OSError(e.errno, e.strerror, path) from None
     except BaseException:
         os.unlink(tmp)
         raise
+
+
+def _write_all(fd: int, data: bytes):
+    """Write all of data to fd: ``os.write`` may write less than given."""
+    view = memoryview(data)
+    while view:
+        view = view[os.write(fd, view):]
 
 
 def fmt17(x: float) -> str:
@@ -190,12 +206,10 @@ def header_block(lines, keys, float_keys=()) -> dict | None:
 def write_lines(lines, path):
     """Write an iterable of text lines, each ended by a newline.
 
-    The lines are consumed inside the write, so an iterable that raises
-    midway leaves the old file in place.
+    The lines are joined before the write begins, so an iterable that
+    raises midway leaves the old file in place.
     """
-    with atomic_write(path) as fh:
-        for line in lines:
-            fh.write(line + "\n")
+    atomic_write(path, ["".join([line + "\n" for line in lines])])
 
 
 def write_kv_lines(pairs, path):

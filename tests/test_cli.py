@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import errno
 import hashlib
 import io
 import json
@@ -15,12 +16,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hcmu_lab import algebra, cli, errors, optimize, profile
+from hcmu_lab import algebra, cli, errors, fields, optimize, profile, realize
 from hcmu_lab.errors import ConfigError
 from hcmu_lab.profile import read_profile_csv
 from hcmu_lab.ratpoly import ISOLATION_WIDTH
 from hcmu_lab.realize import parse_mesh
-from hcmu_lab.textio import read_kv_lines, write_kv_lines
+from hcmu_lab.textio import read_kv_lines, write_kv_lines, write_lines
 
 
 def run_cli(*argv) -> int:
@@ -112,11 +113,13 @@ def test_constraint_takes_an_exact_rational(tmp_path, capsys):
 
 def _argv_vocabulary():
     """The real subcommand names and every flag they take, bar --help."""
-    subs = next(a for a in cli._build_parser()._actions
+    top, commands = cli._build_parser()
+    subs = next(a for a in top._actions
                 if isinstance(a, argparse._SubParsersAction))
-    flags = {o for p in subs.choices.values() for a in p._actions
+    assert subs.choices is commands
+    flags = {o for p in commands.values() for a in p._actions
              for o in a.option_strings}
-    return sorted(subs.choices), sorted(flags - {"-h", "--help"})
+    return sorted(commands), sorted(flags - {"-h", "--help"})
 
 
 _COMMAND_NAMES, _FLAG_NAMES = _argv_vocabulary()
@@ -138,6 +141,57 @@ def test_argv_errors_are_one_error_line_and_exit_1(tokens, bad, at):
     assert code == 1, argv
     assert len(lines) == 1 and lines[0].startswith("error: "), lines
     assert "Traceback" not in err.getvalue()
+
+
+def _outcome(argv, where):
+    """cli.main's exit code, stdout and stderr on argv, run in the empty
+    directory where, and the files it left there."""
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        mp.chdir(where)
+        code = cli.main(argv)
+    files = {p.name: p.read_bytes() for p in Path(where).iterdir()}
+    return code, out.getvalue(), err.getvalue(), files
+
+
+def _through_the_top_parser(argv, where):
+    """`_outcome` with every argv parsed by the top parser, as before the
+    routing by command name."""
+    top, _ = cli._build_parser()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_build_parser", lambda: (top, {}))
+        return _outcome(argv, where)
+
+
+def _assert_routing_changes_nothing(argv, where):
+    routed, top = Path(where) / "routed", Path(where) / "top"
+    routed.mkdir()
+    top.mkdir()
+    assert _outcome(argv, routed) == _through_the_top_parser(argv, top), argv
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.lists(st.sampled_from(_COMMAND_NAMES + _FLAG_NAMES + _JUNK),
+                max_size=8))
+def test_routing_by_command_name_matches_the_top_parser(tmp_path_factory,
+                                                        tokens):
+    _assert_routing_changes_nothing(tokens, tmp_path_factory.mktemp("argv"))
+
+
+@pytest.mark.parametrize("argv", [
+    *([name, *help_flag] for name in _COMMAND_NAMES
+      for help_flag in ([], ["--help"])),
+    ["obstruction", "--k1", "2", "--k2", "1", "--c", "21/10",
+     "--out", "o.txt"],
+    # a repeated flag: the last one counts
+    ["obstruction", "--k1=3", "--k2", "1", "--out=o.txt", "--k1", "2"],
+    ["profile", "--k1", "2", "--k2", "1", "--x-min", "-0.1", "--x-max", "0.1",
+     "--step", "0.01", "--out", "p.csv"],
+], ids=" ".join)
+def test_routing_matches_the_top_parser_on_help_and_whole_commands(tmp_path,
+                                                                   argv):
+    _assert_routing_changes_nothing(argv, tmp_path)
 
 
 def test_help_exits_0():
@@ -482,6 +536,14 @@ def test_one_parser_serves_every_call_without_state(tmp_path):
     assert len(files) == 1
     assert cli._build_parser() is cli._build_parser()
     assert not (tmp_path / "never.txt").exists()
+    # the routed subparsers are the cached parser's own, rebuilt with it
+    old_top, old_commands = cli._build_parser()
+    cli._build_parser.cache_clear()
+    top, commands = cli._build_parser()
+    assert top is not old_top and sorted(commands) == sorted(old_commands)
+    assert not any(commands[name] is old_commands[name] for name in commands)
+    assert next(a for a in top._actions if isinstance(
+        a, argparse._SubParsersAction)).choices is commands
 
 
 def test_config_flags_override(tmp_path):
@@ -925,3 +987,37 @@ def test_a_failed_write_leaves_the_old_output_and_no_temp_file(tmp_path,
         write_kv_lines(pairs(), out)
     assert out.read_text() == "previous run\n"
     assert [p.name for p in tmp_path.iterdir()] == ["obs.txt"]
+
+    # the operating system fails the rename, or a write halfway through
+    def no_replace(src, dst):
+        raise OSError(errno.EACCES, "Permission denied", src, dst)
+
+    real_write = os.write
+
+    def half_then_disk_full(fd, data):
+        real_write(fd, data[:len(data) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    grid = fields.GridDomain.create(profile.validate_params(2, 1), 1.5, 8, 8,
+                                    0.01, 0.01)
+    mesh = realize.Mesh(np.ones((6, 3)), np.array([[0, 3, 1], [1, 3, 4]]),
+                        np.ones((6, 3)), 2, 3, 0.25, 1e-3, -0.05, 0.0, 0.0)
+    prof = profile.CurvatureProfile(grid.params, 1.5, 1e-3,
+                                    *np.ones((4, 5)))
+    writers = [
+        lambda path: write_lines(["verdict=no-root", "interval=1 2"], path),
+        lambda path: realize.export_mesh(mesh, path),
+        lambda path: fields.write_field_csv(np.ones((8, 8)), grid, path),
+        lambda path: profile.write_profile_csv(prof, path),
+    ]
+    for name, fake in (("replace", no_replace),
+                       ("write", half_then_disk_full)):
+        for writer in writers:
+            with monkeypatch.context() as mp:
+                mp.setattr(os, name, fake)
+                with pytest.raises(OSError) as err:
+                    writer(out)
+            # the error names the caller's file, not the temporary one
+            assert err.value.filename == str(out)
+            assert out.read_bytes() == b"previous run\n"
+            assert [p.name for p in tmp_path.iterdir()] == ["obs.txt"]

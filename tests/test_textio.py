@@ -3,6 +3,7 @@ key=value readers: writers render value for value as ``"%.17g"``, readers
 give the values back bit for bit, read every file as the line-by-line
 reference readers below do, and fail only with FormatError."""
 
+import os
 import time
 
 import numpy as np
@@ -293,6 +294,22 @@ def written_files(tmp_path):
     export_mesh(small_mesh(4, SPECIAL), tmp_path / "mesh.txt")
     write_field_csv(np.ones((GRID.nx, GRID.ny)), GRID, tmp_path / "h11.csv")
     write_profile_csv(a_profile(SPECIAL[:8]), tmp_path / "profile.csv")
+
+
+def test_a_short_os_write_is_continued(tmp_path, monkeypatch):
+    # os.write may write fewer bytes than it is given
+    whole, short = tmp_path / "whole", tmp_path / "short"
+    whole.mkdir()
+    short.mkdir()
+    written_files(whole)
+    real_write = os.write
+    monkeypatch.setattr(os, "write", lambda fd, data: real_write(fd, data[:7]))
+    written_files(short)
+    monkeypatch.undo()
+    assert sorted(p.name for p in short.iterdir()) == [
+        "h11.csv", "mesh.txt", "profile.csv"]
+    for path in short.iterdir():
+        assert path.read_bytes() == (whole / path.name).read_bytes()
 
 
 @pytest.mark.parametrize("name", ["mesh.txt", "h11.csv", "profile.csv"])
