@@ -81,3 +81,48 @@ def lm_second_order(problem, u):
         for a in range(problem.m):
             S[node + a, node + b] = r * H[a]
     return S
+
+
+def full_grid_codazzi_jacobian(problem):
+    """The reference J_c of an LM problem, probed on the whole grid.
+
+    One field per component a and colour class q = (i + 2 j) mod 5, 1 on
+    the nodes of that colour and 0 elsewhere (h22 = -h11 with m = 2), goes
+    through `codazzi_residual` at full size.  The row of interior node
+    (i, j) reads five nodes of five colours, offsets (di, dj)[d] at
+    d = (q - i - 2 j) mod 5, so each residual entry is the coefficient on
+    the one node of colour q the row reads; exact zeros are dropped.  The
+    weighted entries go through ``csr_matrix(...).tocoo()``: COO in
+    canonical CSR order.
+    """
+    import numpy as np
+    from scipy import sparse
+
+    from hcmu_lab.fields import ShapeField, codazzi_residual
+
+    g = problem.grid
+    nx, ny = g.nx, g.ny
+    nint = (nx - 2) * (ny - 2)
+    column = problem._grid(np.arange(problem.m * problem.N))
+    colour = np.add.outer(np.arange(nx), 2 * np.arange(ny)) % 5
+    di, dj = np.array([[0, 1, 0, 0, -1], [0, 0, 1, -1, 0]])
+    i, j = np.ogrid[1:nx - 1, 1:ny - 1]
+    probe = np.zeros((3, nx, ny))
+    rows, cols, vals = [], [], []
+    for a in range(problem.m):
+        for q in range(5):
+            probe[a] = colour == q
+            h22 = probe[2] if problem.m == 3 else -probe[0]
+            fld = ShapeField(g, probe[0], probe[1], h22)
+            with np.errstate(invalid="ignore", over="ignore"):
+                r = np.concatenate(codazzi_residual(fld), axis=None)
+            probe[a] = 0.0
+            d = (q - colour[1:-1, 1:-1]) % 5
+            col = column[a, i + di[d], j + dj[d]].ravel()
+            hit = np.flatnonzero(r)
+            rows.append(hit)
+            cols.append(col[hit % nint])
+            vals.append(r[hit])
+    rows, cols, vals = (np.concatenate(x) for x in (rows, cols, vals))
+    return sparse.csr_matrix((problem.w * vals, (rows, cols)),
+                             shape=(2 * nint, problem.m * problem.N)).tocoo()

@@ -740,6 +740,64 @@ def test_the_readme_optimize_reports_are_pinned(tmp_path, capsys,
                                             "seed=7", *lines]
 
 
+# The reports of optimize on non-square grids with --seed 7: nx < ny orders
+# the unknowns node-major along x, nx > ny along y (`optimize._Problem._grid`)
+_NON_SQUARE_REPORTS = {
+    ("12,20", "minimal"): ("converged=false floor_l2=0.232425", [
+        "iterations=8", "converged=false",
+        "gauss_max=1.5413448035067012", "gauss_l2=0.23242497642883986",
+        "codazzi_max=1.7587762300936592e-14",
+        "codazzi_l2=1.1667453042402444e-15",
+        "floor_l2=0.23242497642883986", "floor_12x20=0.23242497642883986",
+        "floor_24x40=0.23271495592184649", "stop_reason=floor",
+        "factorizations=8", "rejected_steps=2", "stop_reason_24x40=floor"]),
+    ("12,20", "none"): ("converged=true floor_l2=8.38876e-10", [
+        "iterations=18", "converged=true",
+        "gauss_max=2.1866980226548094e-08",
+        "gauss_l2=8.3526724156274287e-10",
+        "codazzi_max=2.8820030806286923e-09",
+        "codazzi_l2=7.7725981207062526e-11",
+        "floor_l2=8.3887585075649547e-10",
+        "floor_12x20=8.3887585075649547e-10",
+        "floor_24x40=9.9233521704815854e-10", "stop_reason=converged",
+        "factorizations=35", "rejected_steps=6",
+        "stop_reason_24x40=converged"]),
+    ("20,12", "minimal"): ("converged=false floor_l2=0.232506", [
+        "iterations=8", "converged=false",
+        "gauss_max=1.5713253116179533", "gauss_l2=0.23250639726585084",
+        "codazzi_max=2.6151469469546446e-14",
+        "codazzi_l2=1.854851698337096e-15",
+        "floor_l2=0.23250639726585084", "floor_20x12=0.23250639726585084",
+        "floor_40x24=0.23279497142568556", "stop_reason=floor",
+        "factorizations=8", "rejected_steps=2", "stop_reason_40x24=floor"]),
+    ("20,12", "none"): ("converged=true floor_l2=2.42938e-09", [
+        "iterations=13", "converged=true",
+        "gauss_max=2.2660524456874498e-07",
+        "gauss_l2=2.4287265696020421e-09",
+        "codazzi_max=2.1791107807089816e-09",
+        "codazzi_l2=5.6553019886072323e-11",
+        "floor_l2=2.4293849003295335e-09",
+        "floor_20x12=2.4293849003295335e-09",
+        "floor_40x24=5.5407890739549267e-09", "stop_reason=converged",
+        "factorizations=26", "rejected_steps=2",
+        "stop_reason_40x24=converged"]),
+}
+
+
+@pytest.mark.parametrize("grid, constraint", list(_NON_SQUARE_REPORTS))
+def test_the_non_square_optimize_reports_are_pinned(tmp_path, capsys, grid,
+                                                    constraint):
+    out = tmp_path / "report.txt"
+    assert run_cli("optimize", "--k1", "2", "--k2", "1", "--k0", "1.5",
+                   "--grid", f"{grid},0.01,0.01", "--constraint", constraint,
+                   "--seed", "7", "--out", str(out)) == 0
+    summary, lines = _NON_SQUARE_REPORTS[grid, constraint]
+    std = capsys.readouterr()
+    assert (std.out, std.err) == (f"optimize: {summary}\n", "")
+    assert out.read_text().splitlines() == [f"constraint={constraint}",
+                                            "seed=7", *lines]
+
+
 def test_an_overflowing_lm_run_reports_finite_floors_silently(tmp_path,
                                                               capsys):
     # hy = 1e300 overflows the residual's gradient and CG's products, which

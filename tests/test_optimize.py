@@ -25,7 +25,7 @@ from hcmu_lab.optimize import (
 from hcmu_lab.profile import solve_curvature_ode, validate_params
 from hcmu_lab.realize import family_shape_field, solve_codazzi_family
 
-from conftest import lm_jacobian, lm_second_order
+from conftest import full_grid_codazzi_jacobian, lm_jacobian, lm_second_order
 
 PARAMS = validate_params(2, 1)
 
@@ -784,12 +784,14 @@ def test_band_constant_is_the_codazzi_product_bit_for_bit(constraint, nx, ny):
 
 
 @pytest.mark.parametrize("constraint", ["minimal", "none"])   # m = 2, 3
-@pytest.mark.parametrize("nx, ny", [(8, 12), (12, 8), (13, 9)])
+@pytest.mark.parametrize("nx, ny", [(8, 12), (12, 8), (13, 9), (9, 40),
+                                    (40, 9)])
 def test_the_coloured_probe_equals_a_probe_per_unknown_bit_for_bit(
         constraint, nx, ny):
     # one unit field per unknown, h22 = -h11 with m = 2, against J_c read
     # off five colours per component; 13 x 9 has colour classes of unequal
-    # size on both axes
+    # size on both axes, and 9 x 40 and 40 x 9 have many more rows or
+    # columns than the strip the probes run on
     grid = GridDomain.create(PARAMS, 1.5, nx, ny, 0.01, 0.01,
                              origin=(-0.04, 0.0))
     problem = _Problem(grid, 0.0, TraceConstraint(constraint))
@@ -807,6 +809,33 @@ def test_the_coloured_probe_equals_a_probe_per_unknown_bit_for_bit(
     # no stored zero, and the entries in CSR order
     assert jc.nnz == np.count_nonzero(expected)
     assert np.array_equal(np.lexsort((jc.col, jc.row)), np.arange(jc.nnz))
+
+
+def probe_grid(nx, ny):
+    """The acceptance suite's 32x32 contrast grid, its 2x refinement at
+    64x64, or an nx x ny grid at h = 0.01 beside the origin."""
+    if (nx, ny) == (32, 32):
+        return GridDomain.create(PARAMS, 1.5, 32, 32, 0.01, 0.01,
+                                 origin=(-0.16, 0.0))
+    if (nx, ny) == (64, 64):
+        return optimize._refine_grid(probe_grid(32, 32))
+    return GridDomain.create(PARAMS, 1.5, nx, ny, 0.01, 0.01,
+                             origin=(-0.04, 0.0))
+
+
+@pytest.mark.parametrize("constraint", ["minimal", "none", "cmc:0.5"])
+@pytest.mark.parametrize("nx, ny", [(32, 32), (64, 64), (8, 12), (12, 8),
+                                    (13, 9), (9, 40), (40, 9)])
+def test_the_strip_jacobian_equals_the_full_grid_probe_bit_for_bit(
+        constraint, nx, ny):
+    problem = _Problem(probe_grid(nx, ny), 0.0, TraceConstraint.parse(constraint))
+    jc, ref = problem._jc, full_grid_codazzi_jacobian(problem)
+    assert jc.shape == ref.shape
+    for name in ("row", "col"):
+        got, want = getattr(jc, name), getattr(ref, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert jc.data.dtype == ref.data.dtype == np.float64
+    assert np.array_equal(jc.data.view(np.int64), ref.data.view(np.int64))
 
 
 @pytest.mark.parametrize("constraint", ["minimal", "none"])   # m = 2, 3
