@@ -10,10 +10,12 @@ discrete L2(domain) norms and survive grid refinement unchanged.
 
 The Codazzi block of the Jacobian is constant and read once off
 ``fields.codazzi_residual``, the one statement of the stencil, by probing it
-with one field per component and colour class (i + 2 j) mod 5, the fewest
-classes a 5-point stencil admits (Curtis, Powell & Reid 1974; Goldfarb &
-Toint 1984, *Math. Comp.* 43); the Gauss block is affine in the unknowns
-and rebuilt per iteration.  No J is stacked: g = J^T r is one
+with fields on a colour class (i + 2 j) mod 5, five classes being the fewest
+a 5-point stencil admits (Curtis, Powell & Reid 1974; Goldfarb & Toint
+1984, *Math. Comp.* 43).  Its coefficients depend on x alone, through mu and
+mu', so the probes run on a strip of 8 rows of the grid, one per component,
+and the coefficients read off it are tiled along y.  The Gauss block is
+affine in the unknowns and rebuilt per iteration.  No J is stacked: g = J^T r is one
 ``np.bincount`` over the Gauss entries, node order, and then the Codazzi
 entries in CSR order, the order in which the sparse product sums each
 component, so g is that product bit for bit.  Steps solve
@@ -104,7 +106,7 @@ Everything is deterministic for a fixed seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import import_module
 from typing import NamedTuple
 
@@ -160,6 +162,9 @@ _NORM_MARGIN = 1.0 + 1e-6     # covers the rounding of CG's first curvature
 # cuts F as much.
 _CHORD_RHO = 0.75
 _CHORD_CUT = 0.01
+# The rows of the strip of the grid that J_c's probes run on: the fewest a
+# GridDomain admits, and more than the five interior rows they read.
+_STRIP_ROWS = 8
 # The cap on the doubles of one LM band buffer (512 MiB).  With the 2x
 # refinement it admits square grids up to 101x101 at m = 2 and 77x77 at
 # m = 3; the 32x32 grids in use need at most 4.7M doubles on their 2x grid.
@@ -311,41 +316,62 @@ class _Problem:
 
         The rows are linear in h, and the row of interior node (i, j) reads
         only (i, j), (i +- 1, j) and (i, j +- 1): five nodes whose colours
-        (i + 2 j) mod 5 differ by d = 0, 1, 2, 3 and 4, offsets (di, dj)[d].
-        So the residual of the field that is 1 in component a on colour q
-        and 0 elsewhere holds each row's coefficient on the one node of that
-        colour it reads, at d = (q - i - 2 j) mod 5, and an exact zero,
-        dropped, where it reads none.  With m = 2 the probe sets h22 = -h11,
-        the linear part of h22 = trace - h11 (Curtis, Powell & Reid 1974,
-        *J. Inst. Maths Applics* 13; Goldfarb & Toint 1984, *Math. Comp.*
-        43: five colours are the fewest a 5-point stencil admits).
+        (i + 2 j) mod 5 differ by d = 0, 1, 2, 3 and 4, offsets (di, dj)[d]
+        (Curtis, Powell & Reid 1974, *J. Inst. Maths Applics* 13; Goldfarb &
+        Toint 1984, *Math. Comp.* 43: five colours are the fewest a 5-point
+        stencil admits).  So the residual of the field that is 1 in
+        component a on colour 0 and 0 elsewhere holds each row's
+        coefficient on the one node of that colour it reads, at
+        d = (-i - 2 j) mod 5; with m = 2 the probe sets h22 = -h11, the
+        linear part of h22 = trace - h11.  A coefficient depends on x alone,
+        through mu and mu' of its column, and down a column d takes all five
+        values on any five rows in a row, as the five colours do on one.  So
+        the probes run on a strip of `_STRIP_ROWS` rows of the grid, one per
+        component, and its first five interior rows give every column's
+        coefficient per equation, offset and component.  Those are tiled
+        along y: each row's entries in ascending column order, exact zeros
+        dropped, the entries ``csr_matrix(...).tocoo()`` would hold.
         """
-        g = self.grid
+        g, m = self.grid, self.m
         nx, ny = g.nx, g.ny
         nint = (nx - 2) * (ny - 2)
-        column = self._grid(np.arange(self.m * self.N))
-        colour = np.add.outer(np.arange(nx), 2 * np.arange(ny)) % 5
+        column = self._grid(np.arange(m * self.N))
         di, dj = np.array([[0, 1, 0, 0, -1], [0, 0, 1, -1, 0]])
-        i, j = np.ogrid[1:nx - 1, 1:ny - 1]
-        probe = np.zeros((3, nx, ny))
-        rows, cols, vals = [], [], []
-        for a in range(self.m):
-            for q in range(5):
-                probe[a] = colour == q
-                h22 = probe[2] if self.m == 3 else -probe[0]
-                fld = ShapeField(g, probe[0], probe[1], h22)
-                with np.errstate(invalid="ignore", over="ignore"):
-                    r = np.concatenate(codazzi_residual(fld), axis=None)
-                probe[a] = 0.0
-                d = (q - colour[1:-1, 1:-1]) % 5
-                col = column[a, i + di[d], j + dj[d]].ravel()
-                hit = np.flatnonzero(r)
-                rows.append(hit)
-                cols.append(col[hit % nint])
-                vals.append(r[hit])
-        rows, cols, vals = (np.concatenate(x) for x in (rows, cols, vals))
-        return sparse.csr_matrix((self.w * vals, (rows, cols)),
-                                 shape=(2 * nint, self.m * self.N)).tocoo()
+        # the column of unknown a at node (i + di, j + dj)[d], less that of
+        # unknown 0 at (i, j), in ascending order: the order of a CSR row
+        offset = (column[:m, 1 + di, 1 + dj].T - column[0, 1, 1]).ravel()
+        order = np.argsort(offset)
+        strip = replace(g, ny=_STRIP_ROWS)
+        colour = np.add.outer(np.arange(nx), 2 * np.arange(_STRIP_ROWS)) % 5
+        d = -colour[1:-1, 1:6] % 5      # the d of strip row (i, j) on colour 0
+        coef = np.empty((2, nx - 2, 5, m))      # equation, column i, d, a
+        for a in range(m):
+            h = np.zeros((3, nx, _STRIP_ROWS))
+            h[a] = colour == 0
+            fld = ShapeField(strip, h[0], h[1], h[2] if m == 3 else -h[0])
+            with np.errstate(invalid="ignore", over="ignore"):
+                c1, c2 = codazzi_residual(fld)
+            coef[:, np.arange(nx - 2)[:, None], d, a] = c1[:, :5], c2[:, :5]
+        coef = coef.reshape(2, nx - 2, 5 * m)[:, :, order]
+        keep = coef != 0.0      # a nan is an entry, an exact zero none
+        # each (equation, column)'s entries, in turn, and how many it has
+        vals = coef[keep]
+        offs = np.broadcast_to(offset[order], keep.shape)[keep]
+        per_col = np.count_nonzero(keep, axis=2).ravel()
+        # row (equation, i, j), in C order, holds column i's entries at the
+        # columns of node (i, j): entry t of J_c is entry t - lag[row] of
+        # vals and offs
+        per_row = np.repeat(per_col, ny - 2)
+        rows = np.repeat(np.arange(2 * nint), per_row)
+        lag = (np.cumsum(per_row) - per_row
+               - np.repeat(np.cumsum(per_col) - per_col, ny - 2))
+        pick = np.arange(rows.size) - lag[rows]
+        vals = vals[pick]
+        cols = offs[pick] + np.tile(column[0, 1:-1, 1:-1].ravel(), 2)[rows]
+        jc = sparse.coo_matrix((self.w * vals, (rows, cols)),
+                               shape=(2 * nint, m * self.N))
+        jc.has_canonical_format = True     # sorted, no duplicates
+        return jc
 
     def gauss_rows(self, u: np.ndarray) -> np.ndarray:
         """The Gauss block of J: entry (a, k) is the weighted derivative of

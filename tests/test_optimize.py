@@ -789,9 +789,9 @@ def test_band_constant_is_the_codazzi_product_bit_for_bit(constraint, nx, ny):
 def test_the_coloured_probe_equals_a_probe_per_unknown_bit_for_bit(
         constraint, nx, ny):
     # one unit field per unknown, h22 = -h11 with m = 2, against J_c read
-    # off five colours per component; 13 x 9 has colour classes of unequal
-    # size on both axes, and 9 x 40 and 40 x 9 have many more rows or
-    # columns than the strip the probes run on
+    # off one colour class per component on an 8-row strip and tiled along
+    # y; 13 x 9 has colour classes of unequal size on both axes, and 9 x 40
+    # and 40 x 9 have many more rows or columns than the strip
     grid = GridDomain.create(PARAMS, 1.5, nx, ny, 0.01, 0.01,
                              origin=(-0.04, 0.0))
     problem = _Problem(grid, 0.0, TraceConstraint(constraint))
@@ -836,6 +836,24 @@ def test_the_strip_jacobian_equals_the_full_grid_probe_bit_for_bit(
         assert got.dtype == want.dtype and np.array_equal(got, want)
     assert jc.data.dtype == ref.data.dtype == np.float64
     assert np.array_equal(jc.data.view(np.int64), ref.data.view(np.int64))
+
+
+@pytest.mark.parametrize("constraint", ["minimal", "none"])   # m = 2, 3
+@pytest.mark.parametrize("nx, ny", [(64, 64), (9, 40), (40, 9)])
+def test_the_codazzi_jacobian_is_probed_on_an_eight_row_strip(
+        monkeypatch, constraint, nx, ny):
+    # the coefficients depend on x alone: no probe needs the full grid
+    grid = probe_grid(nx, ny)
+    shapes = []
+
+    def spy(fld):
+        shapes.append({getattr(fld, n).shape for n in ("h11", "h12", "h22")})
+        return codazzi_residual(fld)
+
+    monkeypatch.setattr(optimize, "codazzi_residual", spy)
+    problem = _Problem(grid, 0.0, TraceConstraint(constraint))
+    assert 0 < len(shapes) <= 5 * problem.m
+    assert all(s == {(nx, 8)} for s in shapes)
 
 
 @pytest.mark.parametrize("constraint", ["minimal", "none"])   # m = 2, 3
