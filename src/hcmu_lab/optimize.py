@@ -15,10 +15,10 @@ a 5-point stencil admits (Curtis, Powell & Reid 1974; Goldfarb & Toint
 1984, *Math. Comp.* 43).  Its coefficients depend on x alone, through mu and
 mu', so the probes run on a strip of 8 rows of the grid, one per component,
 and the coefficients read off it are tiled along y.  The Gauss block is
-affine in the unknowns and rebuilt per iteration.  No J is stacked: g = J^T r is one
-``np.bincount`` over the Gauss entries, node order, and then the Codazzi
-entries in CSR order, the order in which the sparse product sums each
-component, so g is that product bit for bit.  Steps solve
+affine in the unknowns and rebuilt per iteration.  No J is stacked:
+g = J^T r is one ``np.bincount`` over the Gauss entries, node order, and
+then the Codazzi entries in CSR order, the order in which the sparse
+product sums each component, so g is that product bit for bit.  Steps solve
 (J^T J + S + lam I) d = -J^T r.  With m = 3, S = 0: Gauss-Newton, since
 the Gauss residual's Hessian in (h11, h12, h22) is indefinite.  With m = 2
 the model is Newton's: node k's residual r_k = w (K - c - t h11 + h11^2 +
@@ -341,6 +341,7 @@ class _Problem:
         # unknown 0 at (i, j), in ascending order: the order of a CSR row
         offset = (column[:m, 1 + di, 1 + dj].T - column[0, 1, 1]).ravel()
         order = np.argsort(offset)
+        offset = offset[order]
         strip = replace(g, ny=_STRIP_ROWS)
         colour = np.add.outer(np.arange(nx), 2 * np.arange(_STRIP_ROWS)) % 5
         d = -colour[1:-1, 1:6] % 5      # the d of strip row (i, j) on colour 0
@@ -356,7 +357,7 @@ class _Problem:
         keep = coef != 0.0      # a nan is an entry, an exact zero none
         # each (equation, column)'s entries, in turn, and how many it has
         vals = coef[keep]
-        offs = np.broadcast_to(offset[order], keep.shape)[keep]
+        offs = np.broadcast_to(offset, keep.shape)[keep]
         per_col = np.count_nonzero(keep, axis=2).ravel()
         # row (equation, i, j), in C order, holds column i's entries at the
         # columns of node (i, j): entry t of J_c is entry t - lag[row] of

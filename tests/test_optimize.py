@@ -1,5 +1,6 @@
 import math
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -823,19 +824,40 @@ def probe_grid(nx, ny):
                              origin=(-0.04, 0.0))
 
 
-@pytest.mark.parametrize("constraint", ["minimal", "none", "cmc:0.5"])
-@pytest.mark.parametrize("nx, ny", [(32, 32), (64, 64), (8, 12), (12, 8),
-                                    (13, 9), (9, 40), (40, 9)])
-def test_the_strip_jacobian_equals_the_full_grid_probe_bit_for_bit(
-        constraint, nx, ny):
-    problem = _Problem(probe_grid(nx, ny), 0.0, TraceConstraint.parse(constraint))
-    jc, ref = problem._jc, full_grid_codazzi_jacobian(problem)
+def assert_same_coo(jc, ref):
+    """jc's row, col and data arrays are ref's, bit for bit."""
     assert jc.shape == ref.shape
     for name in ("row", "col"):
         got, want = getattr(jc, name), getattr(ref, name)
         assert got.dtype == want.dtype and np.array_equal(got, want)
     assert jc.data.dtype == ref.data.dtype == np.float64
     assert np.array_equal(jc.data.view(np.int64), ref.data.view(np.int64))
+
+
+@pytest.mark.parametrize("constraint", ["minimal", "none", "cmc:0.5"])
+@pytest.mark.parametrize("nx, ny", [(32, 32), (64, 64), (8, 12), (12, 8),
+                                    (13, 9), (9, 40), (40, 9)])
+def test_the_strip_jacobian_equals_the_full_grid_probe_bit_for_bit(
+        constraint, nx, ny):
+    problem = _Problem(probe_grid(nx, ny), 0.0,
+                       TraceConstraint.parse(constraint))
+    assert_same_coo(problem._jc, full_grid_codazzi_jacobian(problem))
+
+
+@pytest.mark.parametrize("constraint", ["minimal", "none"])   # m = 2, 3
+def test_the_strip_jacobian_keeps_each_column_s_own_entries(constraint):
+    # mu = inf drops a column's 1/mu terms, mu' = 0 its centre term and
+    # mu' = nan makes every entry nan: the columns keep different numbers
+    # of entries, and the zeros go and the nans stay as in the full probe
+    grid = probe_grid(13, 9)
+    mu, dmu = grid.mu.copy(), grid.dmu.copy()
+    mu[3], dmu[5], dmu[8] = np.inf, 0.0, np.nan
+    problem = _Problem(replace(grid, mu=mu, dmu=dmu), 0.0,
+                       TraceConstraint(constraint))
+    jc = problem._jc
+    assert len(np.unique(np.bincount(jc.row))) >= 4
+    assert np.isnan(jc.data).any()
+    assert_same_coo(jc, full_grid_codazzi_jacobian(problem))
 
 
 @pytest.mark.parametrize("constraint", ["minimal", "none"])   # m = 2, 3
