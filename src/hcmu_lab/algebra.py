@@ -30,18 +30,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 
-from .errors import AlgebraConsistencyError, FormatError, InadmissibleParams
+from .errors import AlgebraConsistencyError, InadmissibleParams
 from .ratpoly import (
     RationalPoly,
-    _isolate,
-    _over_denominator,
-    _sturm_prepare,
-    _value_at,
     as_fraction,
+    first_nonroot,
+    isolate_roots,
     poly_to_line,
-    sign_variations,
 )
-from .textio import kv_records, write_lines
+from .textio import write_lines
 
 
 def admissible_kind(k1, k2) -> str:
@@ -99,10 +96,9 @@ class CubicData:
     def __post_init__(self):
         if self.k3 != -(self.k1 + self.k2):
             raise AlgebraConsistencyError("k3 != -(k1 + k2)")
-        A = _over_denominator(self.poly().coeffs)[0]
-        for root in (self.k1, self.k2, self.k3):
-            if _value_at(A, root.numerator, root.denominator) != 0:
-                raise AlgebraConsistencyError(f"P({root}) != 0")
+        root = first_nonroot(self.poly(), (self.k1, self.k2, self.k3))
+        if root is not None:
+            raise AlgebraConsistencyError(f"P({root}) != 0")
 
     @property
     def kind(self) -> str:
@@ -123,9 +119,9 @@ def obstruction_poly(params: CubicData, c) -> RationalPoly:
     """
     c = as_fraction(c)
     a0, a1, a2, a3 = (params.poly().coeffs + (0, 0, 0))[:4]
-    phi = RationalPoly._of([4 * a2 * c * c - a1 * c - a0,
-                            12 * a3 * c * c - 10 * a2 * c,
-                            5 * a2 - 27 * a3 * c, 14 * a3])
+    phi = RationalPoly((4 * a2 * c * c - a1 * c - a0,
+                        12 * a3 * c * c - 10 * a2 * c,
+                        5 * a2 - 27 * a3 * c, 14 * a3))
     if phi.degree != 3:
         raise AlgebraConsistencyError(f"obstruction degree {phi.degree} != 3")
     return phi
@@ -168,36 +164,6 @@ class Certificate:
         return lines
 
 
-def certificate_from_lines(lines) -> Certificate:
-    verdict = None
-    interval = None
-    roots = []
-    declared = None
-    for ln, key, value in kv_records(lines):
-        try:
-            if key == "verdict":
-                verdict = value
-            elif key == "interval":
-                a, b = value.split()
-                interval = (as_fraction(a), as_fraction(b))
-            elif key == "root_count":
-                declared = int(value)
-            elif key == "root_interval":
-                a, b = value.split()
-                roots.append((as_fraction(a), as_fraction(b)))
-            else:
-                raise FormatError(f"unknown certificate key {key!r}", ln)
-        except (ValueError, ZeroDivisionError) as e:
-            raise FormatError(f"bad certificate value: {e}", ln) from None
-    if verdict not in ("no-root", "roots-isolated") or interval is None:
-        raise FormatError("incomplete certificate record")
-    if declared is not None and declared != len(roots):
-        raise FormatError("root_count disagrees with root_interval lines")
-    if (verdict == "no-root") != (not roots):
-        raise FormatError("verdict disagrees with root_interval lines")
-    return Certificate(interval, verdict == "no-root", tuple(roots))
-
-
 def certify_nonvanishing(phi: RationalPoly, interval) -> Certificate:
     """Decide whether phi has a root in the open interval, exactly.
 
@@ -212,15 +178,8 @@ def certify_nonvanishing(phi: RationalPoly, interval) -> Certificate:
         raise ValueError("zero polynomial cannot be certified nonvanishing")
     if not lo < hi:
         raise ValueError("degenerate interval")
-    # one Sturm chain serves the count and the isolation
-    chain = _sturm_prepare(phi, lo, hi)
-    n = sign_variations(chain, lo) - sign_variations(chain, hi)
-    if n == 0:
-        return Certificate((lo, hi), True, ())
-    intervals = _isolate(chain, lo, hi)
-    if len(intervals) != n:
-        raise AlgebraConsistencyError("isolation disagrees with Sturm count")
-    return Certificate((lo, hi), False, tuple(intervals))
+    intervals = isolate_roots(phi, lo, hi)
+    return Certificate((lo, hi), not intervals, tuple(intervals))
 
 
 def write_obstruction_file(phi: RationalPoly, cert: Certificate, path):

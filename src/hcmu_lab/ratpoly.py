@@ -1,17 +1,16 @@
-"""Exact univariate polynomial arithmetic over Q.
+"""Exact univariate polynomials over Q and their real-root certificate.
 
 Coefficients are fractions.Fraction, and so is every value the module
-returns; no floating point enters any arithmetic path.  Polynomials are
-coefficient tuples indexed by degree, with exact division with remainder;
-the module has no rational functions.
+returns; no floating point enters any path.  A polynomial is a coefficient
+tuple indexed by degree (``RationalPoly``).  The module does no polynomial
+arithmetic: ``algebra.obstruction_poly`` forms Phi's coefficients directly.
+What the module does with a polynomial is test, count and isolate its real
+roots, and write it as a line of text.
 
-Arithmetic results skip the constructor's coefficient check, a product
-by a constant only scales, and a sum with zero is the other operand.
-
-Evaluation and the certificate's sign work run on integers.  A polynomial
+Root tests and the certificate's sign work run on integers.  A polynomial
 is taken as integer numerators A over one positive denominator D, so that
-at x = n/d (d > 0) its value is the integer d^k A(n/d) over D d^k, and its
-sign is that integer's: a sign test builds no Fraction.
+at x = n/d (d > 0) it has the sign of the integer d^k A(n/d), and vanishes
+where that integer does: a sign test builds no Fraction.
 
 Root counting and isolation use Sturm sequences, evaluated exactly at
 rational points.  The chain is built by integer pseudo-remainders with the
@@ -26,6 +25,8 @@ by exact bisection, on sign tests alone and on numerators over one dyadic
 denominator, until it is no wider than ``ISOLATION_WIDTH``.  The
 square-free polynomial the count certified changes sign across every
 returned non-degenerate interval, and never vanishes at its endpoints.
+Isolation returns as many intervals as the count on the whole interval,
+or raises AlgebraConsistencyError.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable
 
-from .errors import FormatError
+from .errors import AlgebraConsistencyError
 
 # Target width of an isolating interval, 2^-_WIDTH_BITS.  A box midpoint
 # is then within 2^-33 (about 1.2e-10) of its root, close enough to stand
@@ -88,51 +89,9 @@ class RationalPoly:
             cs.pop()
         self.coeffs = tuple(cs)
 
-    @classmethod
-    def _of(cls, cs: list) -> "RationalPoly":
-        # arithmetic results: cs is a list of Fractions, taken over as it is
-        while cs and not cs[-1]:
-            cs.pop()
-        p = object.__new__(cls)
-        p.coeffs = tuple(cs)
-        return p
-
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zero(cls) -> "RationalPoly":
-        return cls(())
-
-    @classmethod
-    def one(cls) -> "RationalPoly":
-        return cls((1,))
-
-    @classmethod
-    def x(cls) -> "RationalPoly":
-        return cls((0, 1))
-
-    @classmethod
-    def constant(cls, c) -> "RationalPoly":
-        return cls((as_fraction(c),))
-
-    @classmethod
-    def from_roots(cls, roots, lead=1) -> "RationalPoly":
-        p = cls.constant(lead)
-        for r in roots:
-            p = p * cls((-as_fraction(r), 1))
-        return p
-
-    # -- structure ---------------------------------------------------------
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
-
-    @property
-    def leading(self) -> Fraction:
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -143,8 +102,6 @@ class RationalPoly:
     def __eq__(self, other) -> bool:
         if isinstance(other, RationalPoly):
             return self.coeffs == other.coeffs
-        if isinstance(other, (int, Fraction)):
-            return self == RationalPoly.constant(other)
         return NotImplemented
 
     def __hash__(self):
@@ -152,125 +109,6 @@ class RationalPoly:
 
     def __repr__(self):
         return f"RationalPoly({list(self.coeffs)!r})"
-
-    # -- arithmetic ----------------------------------------------------------
-
-    def __add__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if not b:
-            return self
-        if not a:
-            return other
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return RationalPoly._of(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RationalPoly._of([-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self._scaled(as_fraction(other))
-        if not isinstance(other, RationalPoly):
-            return NotImplemented
-        if len(self.coeffs) == 1:
-            return other._scaled(self.coeffs[0])
-        if len(other.coeffs) == 1:
-            return self._scaled(other.coeffs[0])
-        if self.is_zero() or other.is_zero():
-            return RationalPoly.zero()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return RationalPoly._of(out)
-
-    __rmul__ = __mul__
-
-    def _scaled(self, c: Fraction) -> "RationalPoly":
-        # a product by the constant c; by 1 it is self
-        if c == 1:
-            return self
-        return RationalPoly._of([c * a for a in self.coeffs])
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        result, base = RationalPoly.one(), self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
-
-    def __divmod__(self, other: "RationalPoly"):
-        if not isinstance(other, RationalPoly):
-            other = _coerce(other)
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero polynomial")
-        q = [Fraction(0)] * max(len(self.coeffs) - len(other.coeffs) + 1, 0)
-        rem = list(self.coeffs)
-        dlead = other.leading
-        dn = other.degree
-        while len(rem) - 1 >= dn and any(c != 0 for c in rem):
-            while rem and rem[-1] == 0:
-                rem.pop()
-            if len(rem) - 1 < dn:
-                break
-            k = len(rem) - 1 - dn
-            f = rem[-1] / dlead
-            q[k] = f
-            for i, c in enumerate(other.coeffs):
-                rem[k + i] -= f * c
-            rem.pop()
-        return RationalPoly._of(q), RationalPoly._of(rem)
-
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
-    def __mod__(self, other):
-        return divmod(self, other)[1]
-
-    # -- calculus / evaluation -----------------------------------------------
-
-    def derivative(self) -> "RationalPoly":
-        return RationalPoly._of([k * c for k, c in enumerate(self.coeffs) if k > 0])
-
-    def __call__(self, x) -> Fraction:
-        """Exact value at x = as_fraction(x) = n/d, never in floats.
-
-        With the coefficients as numerators A over one denominator D, it is
-        the integer d^k A(n/d) over D d^k: one Fraction, reduced once.
-        """
-        x = as_fraction(x)
-        A, D = _over_denominator(self.coeffs)
-        d = x.denominator
-        return Fraction(_value_at(A, x.numerator, d),
-                        D * d ** max(len(A) - 1, 0))
 
 
 def _over_denominator(cs) -> tuple[list[int], int]:
@@ -294,6 +132,17 @@ def _value_at(A, n: int, d: int) -> int:
         dp *= d
         acc = acc * n + c * dp
     return acc
+
+
+def first_nonroot(p: RationalPoly, xs) -> Fraction | None:
+    """The first of the Fractions xs at which p does not vanish, or None.
+
+    p is taken as integer numerators once, and x = n/d is a root exactly
+    when d^k A(n/d) is 0: no Fraction is built.
+    """
+    A = _over_denominator(p.coeffs)[0]
+    return next((x for x in xs if _value_at(A, x.numerator, x.denominator)),
+                None)
 
 
 def _primitive(A: list[int]) -> list[int]:
@@ -337,14 +186,6 @@ def _quotient(a, b) -> list[int]:
     return q if b[0] > 0 else [-c for c in q]
 
 
-def _coerce(v):
-    if isinstance(v, RationalPoly):
-        return v
-    if isinstance(v, (int, Fraction)):
-        return RationalPoly.constant(v)
-    return None
-
-
 def sturm_sequence(A: list[int]) -> list[list[int]]:
     """Sturm chain of the integer polynomial A (leading first), on integers.
 
@@ -382,8 +223,7 @@ def _sturm_prepare(p: RationalPoly, a: Fraction, b: Fraction) -> list[list[int]]
     p's own chain is built first.  When its last member is not constant,
     p becomes its integer quotient by it; then an end n/d where p
     vanishes is divided out as d K - n.  Only if p changed is a second
-    chain built.  ``_isolate`` takes the same chain, so a caller that both
-    counts and isolates (``algebra.certify_nonvanishing``) builds it once.
+    chain built.
     """
     chain = sturm_sequence(_primitive(_over_denominator(p.coeffs)[0]))
     A = chain[0]
@@ -414,14 +254,40 @@ def isolate_roots(p: RationalPoly, a, b) -> list[tuple[Fraction, Fraction]]:
     roots met on the way are returned as degenerate pairs (r, r).  Across
     every other interval the square-free part of p (with those exact roots
     divided out) takes opposite, nonzero signs at the two ends.  Intervals
-    are sorted left to right.  The work runs on ``_sturm_prepare``'s chain.
+    are sorted left to right.  One chain, ``_sturm_prepare``'s, gives the
+    Sturm count on (a, b) and drives the bisection; if the intervals found
+    are not that many, AlgebraConsistencyError.
     """
     a, b = as_fraction(a), as_fraction(b)
     if not a < b:
         raise ValueError("need a < b")
     if p.is_zero():
         raise ValueError("cannot isolate roots of the zero polynomial")
-    return _isolate(_sturm_prepare(p, a, b), a, b)
+    chain = _sturm_prepare(p, a, b)
+    n_a, n_b = sign_variations(chain, a), sign_variations(chain, b)
+    found: list[tuple[Fraction, Fraction]] = []
+    # (chain, lo, hi, n_lo, n_hi): chain[0] is square-free and nonzero at
+    # lo and hi, and n_lo, n_hi are the chain's sign variations there
+    todo = [(chain, a, b, n_a, n_b)]
+    while todo:
+        chain, lo, hi, n_lo, n_hi = todo.pop()
+        if n_lo - n_hi == 1:
+            found.append(_narrow(chain[0], lo, hi))
+        elif n_lo > n_hi:
+            mid = (lo + hi) / 2
+            n, d = mid.numerator, mid.denominator
+            if not _value_at(chain[0], n, d):
+                found.append((mid, mid))
+                chain = sturm_sequence(_quotient(chain[0], [d, -n]))
+                n_lo = sign_variations(chain, lo)
+                n_hi = sign_variations(chain, hi)
+            n_mid = sign_variations(chain, mid)
+            todo += [(chain, lo, mid, n_lo, n_mid),
+                     (chain, mid, hi, n_mid, n_hi)]
+    if len(found) != n_a - n_b:
+        raise AlgebraConsistencyError("isolation disagrees with Sturm count")
+    found.sort(key=lambda iv: iv[0])
+    return found
 
 
 def _narrow(A, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
@@ -448,33 +314,6 @@ def _narrow(A, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
     return Fraction(a, q), Fraction(b, q)
 
 
-def _isolate(chain: list[list[int]], a: Fraction,
-             b: Fraction) -> list[tuple[Fraction, Fraction]]:
-    """`isolate_roots` on a chain made by `_sturm_prepare`."""
-    found: list[tuple[Fraction, Fraction]] = []
-    # (chain, lo, hi, n_lo, n_hi): chain[0] is square-free and nonzero at
-    # lo and hi, and n_lo, n_hi are the chain's sign variations there
-    todo = [(chain, a, b, sign_variations(chain, a),
-             sign_variations(chain, b))]
-    while todo:
-        chain, lo, hi, n_lo, n_hi = todo.pop()
-        if n_lo - n_hi == 1:
-            found.append(_narrow(chain[0], lo, hi))
-        elif n_lo > n_hi:
-            mid = (lo + hi) / 2
-            n, d = mid.numerator, mid.denominator
-            if not _value_at(chain[0], n, d):
-                found.append((mid, mid))
-                chain = sturm_sequence(_quotient(chain[0], [d, -n]))
-                n_lo = sign_variations(chain, lo)
-                n_hi = sign_variations(chain, hi)
-            n_mid = sign_variations(chain, mid)
-            todo += [(chain, lo, mid, n_lo, n_mid),
-                     (chain, mid, hi, n_mid, n_hi)]
-    found.sort(key=lambda iv: iv[0])
-    return found
-
-
 # -- serialization -----------------------------------------------------------
 
 
@@ -484,13 +323,3 @@ def poly_to_line(p: RationalPoly) -> str:
         return "0"
     return " ".join(str(c) for c in reversed(p.coeffs))
 
-
-def poly_from_line(line: str) -> RationalPoly:
-    parts = line.split()
-    if not parts:
-        raise FormatError("empty polynomial line")
-    try:
-        cs = [as_fraction(tok) for tok in parts]
-    except (ValueError, ZeroDivisionError) as e:
-        raise FormatError(f"bad rational in polynomial line: {e}") from None
-    return RationalPoly(reversed(cs))

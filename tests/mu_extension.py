@@ -23,14 +23,15 @@ from fractions import Fraction
 from hcmu_lab.algebra import CubicData
 from hcmu_lab.errors import AlgebraConsistencyError
 from hcmu_lab.ratpoly import RationalPoly, as_fraction
+from polyarith import (add, derivative, divide, from_roots, mul, poly, power,
+                       sub)
+from sturm_reference import horner
 
 
 def expand_mu_square(params: CubicData) -> RationalPoly:
     """Expand -(4/3)(K - k1)(K - k2)(K - k3) into coefficient form."""
-    P = RationalPoly.from_roots(
-        (params.k1, params.k2, params.k3), lead=Fraction(-4, 3)
-    )
-    if P.degree != 3 or P.leading != Fraction(-4, 3):
+    P = from_roots((params.k1, params.k2, params.k3), lead=Fraction(-4, 3))
+    if P.degree != 3 or P.coeffs[-1] != Fraction(-4, 3):
         raise AlgebraConsistencyError("cubic expansion lost its shape")
     return P
 
@@ -50,13 +51,12 @@ class MuElement:
     def __init__(self, a, b, P: RationalPoly, k: int = 0):
         if P.is_zero():
             raise ZeroDivisionError("extension over the zero polynomial")
-        a = a if isinstance(a, RationalPoly) else RationalPoly.constant(a)
-        b = b if isinstance(b, RationalPoly) else RationalPoly.constant(b)
+        a, b = poly(a), poly(b)
         while k and all(x.degree >= P.degree or not x for x in (a, b)):
-            qa, ra = divmod(a, P)
+            qa, ra = divide(a, P)
             if ra:
                 break
-            qb, rb = divmod(b, P)
+            qb, rb = divide(b, P)
             if rb:
                 break
             a, b, k = qa, qb, k - 1
@@ -70,7 +70,7 @@ class MuElement:
 
     @classmethod
     def var(cls, P: RationalPoly) -> "MuElement":
-        return cls(RationalPoly.x(), 0, P)
+        return cls(RationalPoly((0, 1)), 0, P)
 
     @classmethod
     def scalar(cls, c, P: RationalPoly) -> "MuElement":
@@ -109,13 +109,14 @@ class MuElement:
             return NotImplemented
         # lift the operand with the smaller denominator to the other's P^k
         hi, lo = (self, other) if self.k >= other.k else (other, self)
-        s = self.P ** (hi.k - lo.k)
-        return MuElement(hi.a + lo.a * s, hi.b + lo.b * s, self.P, hi.k)
+        s = power(self.P, hi.k - lo.k)
+        return MuElement(add(hi.a, mul(lo.a, s)), add(hi.b, mul(lo.b, s)),
+                         self.P, hi.k)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MuElement(-self.a, -self.b, self.P, self.k)
+        return MuElement(mul(-1, self.a), mul(-1, self.b), self.P, self.k)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -128,8 +129,9 @@ class MuElement:
         if other is None:
             return NotImplemented
         a1, b1, a2, b2 = self.a, self.b, other.a, other.b
-        return MuElement(a1 * a2 + b1 * b2 * self.P, a1 * b2 + a2 * b1,
-                         self.P, self.k + other.k)
+        return MuElement(add(mul(a1, a2), mul(b1, b2, self.P)),
+                         add(mul(a1, b2), mul(a2, b1)), self.P,
+                         self.k + other.k)
 
     __rmul__ = __mul__
 
@@ -147,7 +149,8 @@ class MuElement:
 
         For k > 0 a root of P is a pole: ZeroDivisionError.
         """
-        return (self.a(k0) + self.b(k0) * mu0) / self.P(k0) ** self.k
+        return ((horner(self.a, k0) + horner(self.b, k0) * mu0)
+                / horner(self.P, k0) ** self.k)
 
 
 def derive(elem: MuElement) -> MuElement:
@@ -156,9 +159,10 @@ def derive(elem: MuElement) -> MuElement:
     ((a + b mu)/P^k)' = (P a' - k P' a + (P b' + (1/2 - k) P' b) mu)/P^(k+1).
     """
     P, a, b, k = elem.P, elem.a, elem.b, elem.k
-    dP = P.derivative()
-    return MuElement(P * a.derivative() - k * dP * a,
-                     P * b.derivative() + (Fraction(1, 2) - k) * dP * b,
+    dP = derivative(P)
+    return MuElement(sub(mul(P, derivative(a)), mul(k, dP, a)),
+                     add(mul(P, derivative(b)),
+                         mul(Fraction(1, 2) - k, dP, b)),
                      P, k + 1)
 
 
@@ -191,6 +195,6 @@ def product_form_obstruction(params: CubicData, c) -> RationalPoly:
     and a sum, sharing no step with the kernel's coefficient formulas."""
     c = as_fraction(c)
     P = params.poly()
-    dP = P.derivative()
+    dP = derivative(P)
     t = RationalPoly((-c, 1))
-    return t * t * (2 * dP.derivative()) + t * dP - P
+    return sub(add(mul(t, t, 2, derivative(dP)), mul(t, dP)), P)

@@ -8,9 +8,10 @@ built by exact division with remainder, and bisection on Fraction
 midpoints.  The tests check that both give the same certificate, line for
 line.
 
-Only ``RationalPoly``'s Fraction arithmetic (``+``, ``*``, ``divmod``,
-``derivative``) is taken from the kernel; evaluation, the chain,
-the square-free part and the bisection are this module's own.
+The polynomial arithmetic (exact division with remainder and the
+derivative) comes from the tests' schoolbook module, ``polyarith``;
+evaluation, the chain, the square-free part and the bisection are this
+module's own.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from fractions import Fraction
 
 from hcmu_lab.algebra import Certificate
 from hcmu_lab.ratpoly import ISOLATION_WIDTH, RationalPoly, as_fraction
+from polyarith import derivative, divide, from_roots, mul
 
 
 def horner(p: RationalPoly, x) -> Fraction:
@@ -31,9 +33,9 @@ def horner(p: RationalPoly, x) -> Fraction:
 
 def sturm_chain(f: RationalPoly) -> list[RationalPoly]:
     """The canonical chain f, f', -rem(f, f'), ..., ending before zero."""
-    chain = [f, f.derivative()]
+    chain = [f, derivative(f)]
     while chain[-1] and chain[-1].degree > 0:
-        chain.append(-(chain[-2] % chain[-1]))
+        chain.append(mul(-1, divide(chain[-2], chain[-1])[1]))
     if not chain[-1]:
         chain.pop()
     return chain
@@ -54,10 +56,10 @@ def sign_variations(chain, x) -> int:
 
 
 def squarefree_part(p: RationalPoly) -> RationalPoly:
-    a, b = p, p.derivative()
+    a, b = p, derivative(p)
     while b:
-        a, b = b, a % b
-    return p if a.degree <= 0 else p // (a * (1 / a.leading))
+        a, b = b, divide(a, b)[1]
+    return p if a.degree <= 0 else divide(p, mul(1 / a.coeffs[-1], a))[0]
 
 
 def sturm_prepare(p: RationalPoly, a: Fraction, b: Fraction):
@@ -69,7 +71,7 @@ def sturm_prepare(p: RationalPoly, a: Fraction, b: Fraction):
     f = squarefree_part(p)
     for pt in (a, b):
         while f and horner(f, pt) == 0:
-            f = f // RationalPoly((-pt, 1))
+            f = divide(f, from_roots((pt,)))[0]
     return f, (sturm_chain(f) if f.degree > 0 else [])
 
 
@@ -100,7 +102,7 @@ def isolate(f: RationalPoly, chain, a: Fraction, b: Fraction):
         mid = (lo + hi) / 2
         if horner(f, mid) == 0:
             found.append((mid, mid))
-            f = f // RationalPoly((-mid, 1))
+            f = divide(f, from_roots((mid,)))[0]
             chain = sturm_chain(f)
         recurse(f, chain, lo, mid)
         recurse(f, chain, mid, hi)

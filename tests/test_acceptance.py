@@ -77,7 +77,7 @@ def test_criterion_2_obstruction_certification():
         k1, k2 = random_admissible_pair(rng)
         c = random_rational(rng)
         phi = obstruction_poly(CubicData.from_extremes(k1, k2), c)
-        if phi.degree != 3 or phi.leading != F(-56, 3):
+        if phi.degree != 3 or phi.coeffs[-1] != F(-56, 3):
             ok = False
             break
     cert = certify_nonvanishing(obstruction_poly(CubicData.from_extremes(2, 1), 0),

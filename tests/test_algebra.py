@@ -5,16 +5,14 @@ import pytest
 
 import mu_extension
 from conftest import fraction_sqrt, random_admissible_pair, random_rational
-from hcmu_lab import algebra, cli
-from hcmu_lab.algebra import (
-    CubicData,
-    certificate_from_lines,
-    certify_nonvanishing,
-    obstruction_poly,
-)
+from hcmu_lab import cli, ratpoly
+from hcmu_lab.algebra import CubicData, certify_nonvanishing, obstruction_poly
 from hcmu_lab.errors import AlgebraConsistencyError, InadmissibleParams
 from hcmu_lab.ratpoly import RationalPoly
 from mu_extension import MuElement, derive, expand_mu_square
+from obstruction_file import certificate_from_lines
+from polyarith import add, derivative, from_roots, mul, power, sub
+from sturm_reference import horner
 
 F = Fraction
 
@@ -35,17 +33,17 @@ def test_expanded_cubic_matches_the_oracle():
     P = expand_mu_square(cd)
     assert P == oracle_cubic(F(2), F(1))
     assert P.coeffs == (F(-8), F(28, 3), F(0), F(-4, 3))
-    assert P.degree == 3 and P.leading == F(-4, 3)
-    assert P(cd.k1) == 0  # K1 is a root by construction
+    assert P.degree == 3 and P.coeffs[-1] == F(-4, 3)
+    assert horner(P, cd.k1) == 0  # K1 is a root by construction
 
 
 def test_cusp_cubic_has_a_double_root():
     cd = CubicData.from_extremes(1, F(-1, 2))
     assert cd.kind == "cusp"
     P = expand_mu_square(cd)
-    assert P == RationalPoly.from_roots((1, F(-1, 2), F(-1, 2)), lead=F(-4, 3))
-    assert P(F(-1, 2)) == 0
-    assert P.derivative()(F(-1, 2)) == 0
+    assert P == from_roots((1, F(-1, 2), F(-1, 2)), lead=F(-4, 3))
+    assert horner(P, F(-1, 2)) == 0
+    assert horner(derivative(P), F(-1, 2)) == 0
 
 
 def test_cubic_admissibility_is_enforced():
@@ -71,7 +69,7 @@ def test_coefficients_follow_the_product_expansion():
     # and the product-form cubic actually vanishes at all three roots
     P = cd.poly()
     for r in (cd.k1, cd.k2, cd.k3):
-        assert P(r) == 0
+        assert horner(P, r) == 0
 
 
 def test_derive_variable_and_square():
@@ -84,7 +82,7 @@ def test_derive_variable_and_square():
     # 2 mu mu' is the plain polynomial P'
     lhs = 2 * mu * derive(mu)
     assert lhs.is_pure()
-    assert lhs.as_polynomial() == P.derivative()
+    assert lhs.as_polynomial() == derivative(P)
 
 
 def test_second_derivative_identity():
@@ -130,7 +128,7 @@ def test_evaluation_commutes_with_arithmetic():
         k1, k2 = random_admissible_pair(rng)
         K0 = k2 + (k1 - k2) * F(rng.randint(1, 19), 20)
         cd = CubicData.from_extremes(k1, k2)
-        root = fraction_sqrt(cd.poly()(K0))
+        root = fraction_sqrt(horner(cd.poly(), K0))
         if root is not None and root != 0:
             found = (cd, K0, root)
             break
@@ -142,9 +140,10 @@ def test_evaluation_commutes_with_arithmetic():
     assert (x * y).evaluate(K0, mu0) == x.evaluate(K0, mu0) * y.evaluate(K0, mu0)
     assert (x + y).evaluate(K0, mu0) == x.evaluate(K0, mu0) + y.evaluate(K0, mu0)
     # d/dK from mu' = P'/(2P) mu, written out on the components of x
-    a, b, dP = x.a, x.b, P.derivative()
-    dx0 = (a.derivative()(K0)
-           + (b.derivative()(K0) + b(K0) * dP(K0) / (2 * P(K0))) * mu0)
+    a, b, dP = x.a, x.b, derivative(P)
+    dx0 = (horner(derivative(a), K0)
+           + (horner(derivative(b), K0)
+              + horner(b, K0) * horner(dP, K0) / (2 * horner(P, K0))) * mu0)
     dx = derive(x)
     assert dx.evaluate(K0, mu0) == dx0
     # products with the derivative carry a denominator P^k with k >= 1
@@ -164,16 +163,16 @@ def test_elements_are_kept_in_canonical_form():
     for _ in range(20):
         a, b = mk(), mk()
         # a times a non-constant factor of P: P still does not divide it
-        a = a * RationalPoly((F(5, 4), 1))
+        a = mul(a, RationalPoly((F(5, 4), 1)))
         k, j = rng.randint(1, 3), rng.randint(1, 3)
         x = MuElement(a, b, P, k)
         assert (x.a, x.b, x.k) == (a, b, k)
-        y = MuElement(a * P ** j, b * P ** j, P, k + j)
+        y = MuElement(mul(a, power(P, j)), mul(b, power(P, j)), P, k + j)
         assert (y.a, y.b, y.k) == (a, b, k)
         assert x == y and hash(x) == hash(y)
         assert x != MuElement(a, b, P, k + 1)
         assert x - y == MuElement.scalar(0, P)
-    zero = MuElement(RationalPoly.zero(), RationalPoly.zero(), P, 3)
+    zero = MuElement(RationalPoly(()), RationalPoly(()), P, 3)
     assert zero.k == 0 and zero == MuElement.scalar(0, P)
     # mu' mu = P'/2 clears its denominator
     mu = MuElement.mu(P)
@@ -209,7 +208,8 @@ def test_obstruction_at_k1_closed_form():
     phi = obstruction_poly(cd, c)
     P = cd.poly()
     t = cd.k1 - c
-    assert phi(cd.k1) == t * (-16 * cd.k1 * t + P.derivative()(cd.k1))
+    assert horner(phi, cd.k1) == t * (-16 * cd.k1 * t
+                                      + horner(derivative(P), cd.k1))
 
 
 def test_obstruction_random_leading_coefficient():
@@ -224,36 +224,26 @@ def test_obstruction_random_leading_coefficient():
         cd = CubicData.from_extremes(k1, k2)
         phi = obstruction_poly(cd, c)
         assert phi.degree == 3
-        assert phi.leading == F(-56, 3)
+        assert phi.coeffs[-1] == F(-56, 3)
         assert phi == mu_extension.obstruction(cd, c)
         assert phi == hand_expanded_obstruction(cd, c)
 
 
-def test_obstruction_makes_no_polynomial_product_or_evaluation(monkeypatch):
-    # the coefficient formulas alone: no RationalPoly product, on either
-    # side, and no RationalPoly evaluation, neither in obstruction_poly nor
-    # in CubicData's root check
-    spied = []
-
-    def spy(name):
-        real = getattr(RationalPoly, name)
-
-        def wrapper(self, *args):
-            spied.append(name)
-            return real(self, *args)
-        monkeypatch.setattr(RationalPoly, name, wrapper)
-
-    for name in ("__mul__", "__rmul__", "__call__"):
-        spy(name)
+def test_obstruction_makes_no_polynomial_product_or_evaluation():
+    # RationalPoly has no arithmetic and cannot be evaluated: the kernel
+    # forms Phi from its coefficient formulas and checks P's roots on
+    # integers, and the tests' products and values come from polyarith and
+    # sturm_reference
+    p = RationalPoly((1, 2))
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__neg__",
+                 "__mul__", "__rmul__", "__pow__", "__divmod__",
+                 "__floordiv__", "__mod__", "__call__", "derivative"):
+        assert not hasattr(p, name), name
     for k1, k2, c in ((2, 1, F(21, 10)), (1, F(-1, 2), 0),
                       (F(7, 4), F(-1, 3), -5)):
-        spied.clear()
         cd = CubicData.from_extremes(k1, k2)
         phi = obstruction_poly(cd, c)
-        assert spied == []
-        # the spies are live: the product form makes products
         assert phi == mu_extension.product_form_obstruction(cd, c)
-        assert "__mul__" in spied
 
 
 def _reference_draws(rng: random.Random, n: int):
@@ -291,7 +281,7 @@ def test_obstruction_matches_its_three_references():
         cd = CubicData.from_extremes(k1, k2)
         phi = obstruction_poly(cd, c)
         assert all(type(a) is F for a in phi.coeffs)
-        assert phi.degree == 3 and phi.leading == F(-56, 3)
+        assert phi.degree == 3 and phi.coeffs[-1] == F(-56, 3)
         assert phi == mu_extension.product_form_obstruction(cd, c)
         assert phi == mu_extension.obstruction(cd, c)
         assert phi == hand_expanded_obstruction(cd, c)
@@ -311,7 +301,7 @@ def test_obstruction_formulas_hold_for_a_general_cubic(monkeypatch):
         c = random_rational(rng)
         phi = obstruction_poly(cd, c)
         assert phi == mu_extension.product_form_obstruction(cd, c)
-        assert phi.leading == 14 * cs[3]
+        assert phi.coeffs[-1] == 14 * cs[3]
 
 
 def test_certify_trivial_constant():
@@ -321,7 +311,7 @@ def test_certify_trivial_constant():
 
 def test_certify_rejects_zero_polynomial():
     with pytest.raises(ValueError):
-        certify_nonvanishing(RationalPoly.zero(), (0, 1))
+        certify_nonvanishing(RationalPoly(()), (0, 1))
 
 
 def test_certificate_counts_match_dense_sampling():
@@ -332,9 +322,9 @@ def test_certificate_counts_match_dense_sampling():
     # dense sign sampling as the independent count
     n = 10_000
     changes = 0
-    prev = phi(F(1) + F(1, n))
+    prev = horner(phi, F(1) + F(1, n))
     for i in range(2, n):
-        cur = phi(F(1) + F(i, n))
+        cur = horner(phi, F(1) + F(i, n))
         if prev * cur < 0:
             changes += 1
         if cur != 0:
@@ -361,7 +351,7 @@ def test_mu_component_purity_is_policed():
 def test_the_extension_rejects_the_zero_polynomial():
     with pytest.raises(ZeroDivisionError,
                        match="^extension over the zero polynomial$"):
-        MuElement(0, 1, RationalPoly.zero())
+        MuElement(0, 1, RationalPoly(()))
 
 
 # Each check of the extension's Phi and each proof check of obstruction_poly
@@ -393,9 +383,10 @@ def test_a_derive_without_the_half_trips_the_denominator_check(
     # P's simple root)
     def no_half(elem):
         P, a, b, k = elem.P, elem.a, elem.b, elem.k
-        dP = P.derivative()
-        return MuElement(P * a.derivative() - k * dP * a,
-                         P * b.derivative() + (1 - k) * dP * b, P, k + 1)
+        dP = derivative(P)
+        return MuElement(sub(mul(P, derivative(a)), mul(k, dP, a)),
+                         add(mul(P, derivative(b)), mul(1 - k, dP, b)),
+                         P, k + 1)
 
     monkeypatch.setattr(mu_extension, "derive", no_half)
     with pytest.raises(AlgebraConsistencyError,
@@ -416,11 +407,11 @@ def test_a_cubic_that_lost_its_leading_term_trips_the_degree_check(
 
 
 def test_an_isolation_that_drops_a_root_trips_the_sturm_check(monkeypatch):
-    # Phi = 8 - (56/3) K^3 has its one real root, (3/7)^(1/3), in (0, 1)
-    phi = obstruction_poly(CubicData.from_extremes(2, 1), 0)
-    isolate = algebra._isolate
-    monkeypatch.setattr(algebra, "_isolate",
-                        lambda *args: isolate(*args)[:-1])
+    # K (3K - 1) (7K + 5) has its three roots in (-1, 1), and the first
+    # midpoint, 0, is one of them; a deflation by K that loses the other two
+    # leaves isolate_roots one interval short of the Sturm count
+    phi = RationalPoly((0, -5, 8, 21))
+    monkeypatch.setattr(ratpoly, "_quotient", lambda A, B: [1])
     with pytest.raises(AlgebraConsistencyError,
                        match="^isolation disagrees with Sturm count$"):
-        certify_nonvanishing(phi, (0, 1))
+        certify_nonvanishing(phi, (-1, 1))

@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 import sturm_reference as ref
 from hcmu_lab import cli, ratpoly
 from hcmu_lab.algebra import CubicData, certify_nonvanishing, obstruction_poly
-from hcmu_lab.ratpoly import RationalPoly, sturm_sequence
+from hcmu_lab.ratpoly import RationalPoly, first_nonroot, sturm_sequence
+from polyarith import from_roots, mul
 
 F = Fraction
 P = RationalPoly
@@ -40,17 +41,17 @@ def _sign(v) -> int:
 @given(polys, points, st.lists(points, max_size=2))
 def test_integer_evaluation_matches_horner(p, x, roots):
     # roots multiply in: x itself is then an exact root of q
-    q = p * P.from_roots([x] + roots)
-    for poly in (p, q, P.zero()):
+    q = mul(p, from_roots([x] + roots))
+    for poly in (p, q, P(())):
         want = ref.horner(poly, x)
-        got = poly(x)
-        assert type(got) is F and got == want
         A, D = ratpoly._over_denominator(poly.coeffs)
         assert D > 0 and all(type(a) is int for a in A)
         value = ratpoly._value_at(A, x.numerator, x.denominator)
+        # d^k A(n/d) is poly(n/d) times D d^k, exactly
+        assert value == want * D * x.denominator ** max(len(A) - 1, 0)
         assert _sign(value) == _sign(want)
-    assert q(x) == 0
-    assert p(x.numerator) == ref.horner(p, F(x.numerator))
+        assert first_nonroot(poly, [x]) == (x if want else None)
+    assert first_nonroot(q, [x]) is None
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -122,7 +123,7 @@ def test_certificate_matches_the_fraction_reference():
             ((F(1, 2), F(1, 4), F(-1, 8), F(5, 16), F(5, 16)), (-1, 1)),
             ((0, 0, F(1, 2), 1, F(3, 4)), (0, 1)),
             ((F(-1, 2), F(1, 1024), F(3, 1024), F(1, 2)), (F(-1, 2), 1))]:
-        cases.append((P.from_roots(roots, lead=F(-7, 3)), interval))
+        cases.append((from_roots(roots, lead=F(-7, 3)), interval))
     with_roots = exact = 0
     for phi, interval in cases:
         got = certify_nonvanishing(phi, interval)
@@ -139,12 +140,16 @@ def test_narrowing_evaluates_no_fraction_per_step(monkeypatch):
     phi = obstruction_poly(CubicData.from_extremes(2, 1), F(21, 10))
     cusp = obstruction_poly(CubicData.from_extremes(2, -1), -1)
     calls = []
-    for name in ("__call__", "__divmod__"):
-        real = getattr(RationalPoly, name)
-        monkeypatch.setattr(RationalPoly, name,
-                            lambda self, x, name=name, real=real:
-                            calls.append(name) or real(self, x))
+    real = F.__new__
+
+    def counting(cls, *args, **kwargs):
+        calls.append(args)
+        return real(cls, *args, **kwargs)
+
+    monkeypatch.setattr(F, "__new__", staticmethod(counting))
     cert = certify_nonvanishing(phi, (1, 2))
     assert len(cert.root_intervals) == 1
     assert len(certify_nonvanishing(cusp, (-1, 2)).root_intervals) == 1
-    assert calls == []
+    # a handful of Fractions per certificate (its ends and intervals), not
+    # one per bisection step
+    assert len(calls) < 32

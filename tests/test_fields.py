@@ -23,6 +23,7 @@ from hcmu_lab.fields import (
     write_field_csv,
 )
 from hcmu_lab.profile import solve_curvature_ode, validate_params
+from sturm_reference import horner
 
 PARAMS = validate_params(2, 1)
 PARAMS3 = validate_params(2, 1, c=3.0)
@@ -416,7 +417,7 @@ def test_float_obstruction_matches_exact_kernel():
         phi = obstruction_poly(CubicData.from_extremes(k1, k2), c)
         for _ in range(3):
             K = float(k2 + (k1 - k2) * Fraction(rng.randint(1, 99), 100))
-            exact = float(phi(Fraction(K)))
+            exact = float(horner(phi, Fraction(K)))
             approx = params.obstruction(K, float(c))
             assert abs(exact - approx) < 1e-10 * max(1.0, abs(exact))
 

@@ -1,4 +1,5 @@
-"""Input and consistency guards that no other test reaches.
+"""Input and consistency guards that no other test reaches, with those of
+the tests' own obstruction-file reader.
 
 One row per guard: a call, the exception it must raise and a fragment of
 its message.  The two tests after the table reach runtime gates by breaking
@@ -12,8 +13,7 @@ import numpy as np
 import pytest
 
 from hcmu_lab import optimize, profile
-from hcmu_lab.algebra import (CubicData, certificate_from_lines,
-                              certify_nonvanishing)
+from hcmu_lab.algebra import CubicData, certify_nonvanishing
 from hcmu_lab.errors import (AlgebraConsistencyError, FormatError,
                              NonFiniteIterate, PathLeavesDomain, StepTooLarge)
 from hcmu_lab.fields import (GridDomain, ShapeField, TraceConstraint,
@@ -22,11 +22,13 @@ from hcmu_lab.fields import (GridDomain, ShapeField, TraceConstraint,
 from hcmu_lab.profile import (closed_form_agreement,
                               conformal_curvature_residual, curvature_at,
                               solve_curvature_ode, validate_params)
-from hcmu_lab.ratpoly import RationalPoly, count_roots_between, isolate_roots
+from hcmu_lab.ratpoly import (RationalPoly, as_fraction, count_roots_between,
+                              isolate_roots)
 from hcmu_lab.realize import (Mesh, family_codazzi_gap, family_shape_field,
                               minimal_attempt_inconsistency,
                               recover_fundamental_forms, sample_codazzi_family,
                               transport_frame)
+from obstruction_file import certificate_from_lines
 
 PARAMS = validate_params(2, 1)
 XS = 1e-3 * np.arange(-20, 21)
@@ -110,6 +112,13 @@ GUARDS = [
     pytest.param(lambda: CubicData(F(2), F(-1), F(-1), F(4), F(3)),
                  AlgebraConsistencyError, "P(2) != 0",
                  id="algebra-cusp-cubic-p0"),
+    # P(1) = 0 but P(-2) = 12: a double k1 = k2 passes the k1 and k2 checks
+    pytest.param(lambda: CubicData(F(1), F(1), F(-2), F(0), F(4, 3)),
+                 AlgebraConsistencyError, "P(-2) != 0",
+                 id="algebra-cubic-k3-root"),
+    pytest.param(lambda: certify_nonvanishing(RationalPoly((1,)), (1, 1)),
+                 ValueError, "degenerate interval", id="algebra-interval"),
+    # the tests' obstruction-file reader (tests/obstruction_file.py)
     pytest.param(lambda: certificate_from_lines(
                      ["verdict=no-root", "interval=0 1", "root_count=1"]),
                  FormatError, "root_count disagrees with root_interval lines",
@@ -124,22 +133,17 @@ GUARDS = [
                       "root_count=0"]),
                  FormatError, "verdict disagrees with root_interval lines",
                  id="algebra-roots-isolated-without-roots"),
-    pytest.param(lambda: certify_nonvanishing(RationalPoly.one(), (1, 1)),
-                 ValueError, "degenerate interval", id="algebra-interval"),
     # ratpoly
-    pytest.param(lambda: RationalPoly.zero().leading, ValueError,
-                 "zero polynomial has no leading coefficient",
-                 id="ratpoly-leading"),
-    pytest.param(lambda: RationalPoly.x() ** -1, ValueError,
-                 "negative power of a polynomial", id="ratpoly-power"),
-    pytest.param(lambda: count_roots_between(RationalPoly.x(), 1, 0),
+    pytest.param(lambda: as_fraction(0.5), TypeError,
+                 "not an exact rational", id="ratpoly-float"),
+    pytest.param(lambda: count_roots_between(RationalPoly((0, 1)), 1, 0),
                  ValueError, "need a < b", id="ratpoly-count-interval"),
-    pytest.param(lambda: count_roots_between(RationalPoly.zero(), 0, 1),
+    pytest.param(lambda: count_roots_between(RationalPoly(()), 0, 1),
                  ValueError, "zero polynomial has no root count",
                  id="ratpoly-count-zero"),
-    pytest.param(lambda: isolate_roots(RationalPoly.x(), 1, 1),
+    pytest.param(lambda: isolate_roots(RationalPoly((0, 1)), 1, 1),
                  ValueError, "need a < b", id="ratpoly-isolate-interval"),
-    pytest.param(lambda: isolate_roots(RationalPoly.zero(), 0, 1),
+    pytest.param(lambda: isolate_roots(RationalPoly(()), 0, 1),
                  ValueError, "cannot isolate roots of the zero polynomial",
                  id="ratpoly-isolate-zero"),
 ]

@@ -1,4 +1,6 @@
+import ast
 import importlib
+from pathlib import Path
 
 import pytest
 
@@ -48,3 +50,16 @@ def test_submodule_names_resolve_through_the_table():
     for sub in _PUBLIC:
         module = importlib.import_module(f"hcmu_lab.{sub}")
         assert hcmu_lab.__getattr__(sub) is module
+
+
+def test_no_module_imports_a_private_name_of_a_sibling():
+    # a leading underscore keeps a name inside its module, so that an edit
+    # there cannot break another module (Parnas 1972, CACM 15(12))
+    found = []
+    for path in sorted(Path(hcmu_lab.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").startswith("hcmu_lab")):
+                found += [f"{path.name}: {alias.name}" for alias in node.names
+                          if alias.name.startswith("_")]
+    assert found == []

@@ -37,6 +37,7 @@ from hcmu_lab.realize import (
     transport_frame,
     verify_immersion,
 )
+from polyarith import add, derivative, mul, sub
 
 PARAMS = validate_params(2, 1)
 
@@ -264,11 +265,11 @@ def test_minimal_attempt_defect_matches_exact_algebra():
     cd = CubicData.from_extremes(2, 1)
     P = cd.poly()
     c = Fraction(3)
-    K = RationalPoly.x()
-    t = RationalPoly.constant(c) - K
-    dP = P.derivative()
-    expr = -dP * t + P * Fraction(1, 2) + dP * t
-    assert expr == P * Fraction(1, 2)
+    K = RationalPoly((0, 1))
+    t = sub(c, K)
+    dP = derivative(P)
+    expr = add(mul(-1, dP, t), mul(P, Fraction(1, 2)), mul(dP, t))
+    assert expr == mul(P, Fraction(1, 2))
     expect = 0.5 * params.mu_sq(Ks)
     assert np.max(np.abs(defect - expect)) < 1e-12
     # bounded away from zero on [K2 + d, K1 - d]

@@ -12,11 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hcmu_lab import fields, realize
-from hcmu_lab.algebra import (
-    Certificate,
-    certificate_from_lines,
-    write_obstruction_file,
-)
+from hcmu_lab.algebra import Certificate, write_obstruction_file
 from hcmu_lab.cli import parse_config
 from hcmu_lab.errors import ConfigError, FormatError
 from hcmu_lab.fields import GridDomain, read_field_csv, write_field_csv
@@ -27,7 +23,7 @@ from hcmu_lab.profile import (
     validate_params,
     write_profile_csv,
 )
-from hcmu_lab.ratpoly import RationalPoly, poly_from_line
+from hcmu_lab.ratpoly import RationalPoly
 from hcmu_lab.realize import (
     Mesh,
     export_mesh,
@@ -41,6 +37,7 @@ from hcmu_lab.textio import (
     read_kv_lines,
     read_text,
 )
+from obstruction_file import certificate_from_lines, poly_from_line
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
 PARAMS = validate_params(2, 1)
